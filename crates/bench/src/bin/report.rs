@@ -25,7 +25,8 @@
 use dagwave_bench::peak_rss_cell;
 use dagwave_core::theorem1::{self, KempeStrategy, PeelOrder};
 use dagwave_core::{
-    bounds, internal, theorem6, DecomposePolicy, Mutation, SolveSession, SolverBuilder, Workspace,
+    bounds, internal, theorem6, DecomposePolicy, Epoch, Mutation, SolveSession, SolverBuilder,
+    Workspace,
 };
 use dagwave_gen::{compose, figures, havet, random, theorem2};
 use dagwave_graph::reach;
@@ -405,27 +406,78 @@ fn paper_report() {
         );
     }
 
-    // D3 — million-path throughput: per-step incremental cost is bounded by
-    // the dirty shards (O(dirty)), not the instance (O(|P|)). Measured as
-    // per-step latency of a persistent Workspace vs a from-scratch solve
-    // after every step, at two instance scales; the incremental side must
-    // stay ≥10× cheaper at the large scale and the remove+re-add scenario
-    // must adopt its old shard from the fingerprint reuse pool.
+    // D3 — million-path throughput: the steady-state service step —
+    // `apply` + `span` + `delta_since`, one op per step, on a pre-solved
+    // workspace — is O(dirty), so its per-step median may grow at most 2×
+    // while |P| grows 16× (churn(256) → churn(4096)). At the large tier it
+    // must also stay ≥10× cheaper than a from-scratch solve per step, the
+    // dirty re-solve count must stay flat, and a remove + re-add must
+    // adopt its old shard from the fingerprint reuse pool.
+    // Materializing the full `Solution` is O(|P|) by nature: it gets its
+    // own row, with no growth gate.
     {
-        let steps = 8usize;
-        let reps = 3usize;
-        let mut inc_per_step = Vec::new();
-        let mut scratch_per_step = Vec::new();
-        for k in [256usize, 4096] {
-            let work = compose::churn(13, k, steps);
-            let session = SolverBuilder::new()
-                .decompose(DecomposePolicy::Always)
-                .build();
+        const STEPS: usize = 256;
+        const SCRATCH_STEPS: usize = 8;
+        const PASSES: usize = 5;
+        const MAX_GROWTH: f64 = 2.0;
+        let session = SolverBuilder::new()
+            .decompose(DecomposePolicy::Always)
+            .build();
+        let tiers: Vec<(usize, compose::ChurnWorkload)> = [256usize, 4096]
+            .into_iter()
+            .map(|k| (k, compose::churn(13, k, STEPS)))
+            .collect();
+        let open = |work: &compose::ChurnWorkload| {
+            Workspace::new(
+                session.clone(),
+                work.instance.graph.clone(),
+                work.instance.family.clone(),
+            )
+            .expect("churn instance is a DAG")
+        };
+        // One timed pass: the whole script on a fresh pre-solved
+        // workspace (construction and the initial full solve stay outside
+        // the timed region). Returns the per-step median, the dirty
+        // re-solves, and the per-step spans.
+        let step_pass = |work: &compose::ChurnWorkload| {
+            let mut ws = open(work);
+            let mut synced = ws.delta_since(Epoch::default()).unwrap().epoch;
+            let resolved_before = ws.stats().shards_resolved;
+            let mut samples = Vec::with_capacity(STEPS);
+            let mut spans = Vec::with_capacity(STEPS);
+            for op in &work.script {
+                let t0 = Instant::now();
+                ws.apply([op.clone()]).unwrap();
+                let span = ws.span().unwrap();
+                let delta = black_box(ws.delta_since(synced).unwrap());
+                samples.push(t0.elapsed().as_secs_f64() * 1e6);
+                synced = delta.epoch;
+                spans.push(span);
+            }
+            samples.sort_by(f64::total_cmp);
+            let resolved = ws.stats().shards_resolved - resolved_before;
+            (samples[STEPS / 2], resolved, spans)
+        };
+        // Passes alternate between the tiers, so drift in host speed
+        // lands on both alike; each tier keeps its best per-pass median.
+        let mut best: Vec<(f64, usize, Vec<usize>)> =
+            tiers.iter().map(|(_, work)| step_pass(work)).collect();
+        for _ in 1..PASSES {
+            for (kept, (_, work)) in best.iter_mut().zip(&tiers) {
+                let pass = step_pass(work);
+                if pass.0 < kept.0 {
+                    *kept = pass;
+                }
+            }
+        }
 
-            let (scratch_ms, scratch_spans) = time_ms_with(reps, || {
+        let mut rows = Vec::new();
+        for (&(k, ref work), (step_us, resolved, spans)) in tiers.iter().zip(best) {
+            let prefix = &work.script[..SCRATCH_STEPS];
+            let (scratch_ms, scratch_spans) = time_ms_with(3, || {
                 let mut mirror = PathFamily::from_family(&work.instance.family);
-                let mut spans = Vec::with_capacity(steps);
-                for op in &work.script {
+                let mut spans = Vec::with_capacity(SCRATCH_STEPS);
+                for op in prefix {
                     match op {
                         Mutation::Remove(id) => {
                             mirror.remove(*id).expect("script ids are live");
@@ -444,57 +496,40 @@ fn paper_report() {
                 }
                 spans
             });
-            // Steady state: a service mutates an already-open,
-            // already-solved workspace, so construction and the initial
-            // full solve stay outside the timed region — one pre-solved
-            // workspace is handed to each rep.
-            let mut pool: Vec<Workspace> = (0..reps)
-                .map(|_| {
-                    let mut ws = Workspace::new(
-                        session.clone(),
-                        work.instance.graph.clone(),
-                        work.instance.family.clone(),
-                    )
-                    .expect("churn instance is a DAG");
-                    ws.solution().unwrap();
-                    ws
-                })
-                .collect();
-            let (inc_ms, (inc_spans, resolved)) = time_ms_with(reps, || {
-                let mut ws = pool.pop().expect("one pre-solved workspace per rep");
-                let mut spans = Vec::with_capacity(steps);
-                let mut resolved = 0usize;
-                for op in &work.script {
-                    ws.apply([op.clone()]).unwrap();
-                    let sol = ws.solution().unwrap();
-                    resolved += sol
-                        .resolve
-                        .expect("workspace stamps resolve")
-                        .shards_resolved;
-                    spans.push(sol.num_colors);
-                }
-                (spans, resolved)
-            });
-            assert_eq!(inc_spans, scratch_spans, "per-step spans agree (k={k})");
+            let scratch_us = scratch_ms * 1e3 / SCRATCH_STEPS as f64;
+            assert_eq!(
+                spans[..SCRATCH_STEPS],
+                scratch_spans[..],
+                "per-step spans agree (k={k})"
+            );
             // The truly flat quantity: how many shards actually re-solve
             // per step is bounded by what the mutation touched, at every
             // scale.
             assert!(
-                resolved <= 2 * steps,
-                "O(dirty) solve work per step (k={k}): {resolved} re-solves over {steps} steps"
+                resolved <= 2 * STEPS,
+                "O(dirty) solve work per step (k={k}): {resolved} re-solves over {STEPS} steps"
             );
-            inc_per_step.push(inc_ms / steps as f64);
-            scratch_per_step.push(scratch_ms / steps as f64);
+
+            // `solution()` after each step of the prefix: a fresh merge of
+            // every shard, timed on its own (the next `apply` drops the
+            // snapshot, untimed).
+            let mut ws = open(work);
+            ws.solution().unwrap();
+            let mut materialize_us = Vec::with_capacity(SCRATCH_STEPS);
+            for (op, &span) in prefix.iter().zip(&scratch_spans) {
+                ws.apply([op.clone()]).unwrap();
+                ws.span().unwrap();
+                let t0 = Instant::now();
+                let sol = black_box(ws.solution().unwrap());
+                materialize_us.push(t0.elapsed().as_secs_f64() * 1e6);
+                assert_eq!(sol.num_colors, span, "materialized span (k={k})");
+            }
+            materialize_us.sort_by(f64::total_cmp);
 
             // The remove+re-add scenario: identical content reconstitutes
             // the shard, so the fingerprint pool adopts its solve and
             // nothing recomputes.
-            let mut ws = Workspace::new(
-                session.clone(),
-                work.instance.graph.clone(),
-                work.instance.family.clone(),
-            )
-            .expect("churn instance is a DAG");
+            let mut ws = open(work);
             ws.solution().unwrap();
             let victim = ws.family().ids().next().expect("family is non-empty");
             let copy = ws.family().get(victim).expect("victim is live").clone();
@@ -507,52 +542,61 @@ fn paper_report() {
             );
             assert!(readd.shards_reused > 0, "k={k}");
 
-            let ratio = scratch_ms / inc_ms.max(1e-9);
+            let ratio = scratch_us / step_us.max(1e-9);
             if k == 4096 {
                 assert!(
                     ratio >= 10.0,
                     "incremental must be ≥10× cheaper per step at k=4096, got {ratio:.1}×"
                 );
             }
+            rows.push((
+                k,
+                work.instance.family.len(),
+                step_us,
+                scratch_us,
+                ratio,
+                resolved,
+                readd.shards_reused,
+                materialize_us[SCRATCH_STEPS / 2],
+            ));
+        }
+        // The absolute shape gate: the step itself, not a comparison with
+        // from-scratch, must stay (nearly) flat in |P|.
+        let growth = rows[1].2 / rows[0].2.max(1e-9);
+        assert!(
+            growth <= MAX_GROWTH,
+            "apply + span + delta step must grow ≤{MAX_GROWTH}× when |P| grows 16×: \
+             {:.1} µs at k=256 vs {:.1} µs at k=4096 ({growth:.2}×)",
+            rows[0].2,
+            rows[1].2
+        );
+        for &(k, paths, step_us, scratch_us, ratio, resolved, reused, _) in &rows {
             row(
                 "D3 million-path churn",
+                &format!("churn({k}), |P|={paths}, {STEPS} steps"),
+                "step O(dirty): ≤2× growth over 16× |P|, ≥10× vs scratch",
                 &format!(
-                    "churn({k}), |P|={}, {steps} steps",
-                    work.instance.family.len()
-                ),
-                "per-step cost O(dirty), ≥10× vs scratch",
-                &format!(
-                    "inc {:.3} ms/step vs scratch {:.3} ms/step ({ratio:.0}×), \
-                     dirty re-solves Σ={resolved}, re-add reused={}, peakRSS={} MiB",
-                    inc_ms / steps as f64,
-                    scratch_ms / steps as f64,
-                    readd.shards_reused,
+                    "step p50 {step_us:.1} µs (apply+span+delta) vs scratch \
+                     {:.3} ms/step ({ratio:.0}×), growth {growth:.2}×, \
+                     dirty re-solves Σ={resolved}, re-add reused={reused}, \
+                     peakRSS={} MiB",
+                    scratch_us / 1e3,
                     peak_rss_cell()
                 ),
             );
         }
-        // Roughly flat in k: the dirty solve work per step is constant at
-        // both scales (asserted above), and what remains of a step —
-        // patching the caches plus materializing the O(|P|)-sized Solution
-        // the query returns — must grow strictly slower than the instance
-        // (from-scratch, which redoes O(|P|) solver work per step, is the
-        // linear yardstick measured in the same run).
-        let inc_growth = inc_per_step[1] / inc_per_step[0].max(1e-9);
-        let scratch_growth = scratch_per_step[1] / scratch_per_step[0].max(1e-9);
-        // The 1.25 headroom absorbs timing noise: the incremental side's
-        // absolute per-step cost is sub-millisecond at the small scale, so
-        // its growth ratio jitters by tens of percent run to run, while
-        // the O(dirty) bound above is the noise-free form of the claim.
-        assert!(
-            inc_growth < scratch_growth * 1.25,
-            "per-step incremental cost must grow sublinearly in k: \
-             inc {:.3}→{:.3} ms ({inc_growth:.1}×) vs scratch \
-             {:.1}→{:.1} ms ({scratch_growth:.1}×) when |P| grows 16×",
-            inc_per_step[0],
-            inc_per_step[1],
-            scratch_per_step[0],
-            scratch_per_step[1]
-        );
+        for &(k, paths, .., materialize_us) in &rows {
+            row(
+                "D3 solution() materialization",
+                &format!("churn({k}), |P|={paths}, {SCRATCH_STEPS} steps"),
+                "O(|P|) by design, no growth gate",
+                &format!(
+                    "{:.3} ms/call (median), peakRSS={} MiB",
+                    materialize_us / 1e3,
+                    peak_rss_cell()
+                ),
+            );
+        }
     }
 
     // D4 — the service layer under concurrent writers: a loopback TCP

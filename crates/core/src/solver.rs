@@ -293,56 +293,42 @@ impl SolveSession {
     /// The component scan never builds the conflict graph — dipaths are
     /// unioned through the arc buckets directly
     /// ([`dagwave_paths::conflict_components`]), so deciding costs
-    /// `O(Σ|P| · α)` even when the conflict graph would be enormous.
-    /// Checks run cheapest-first against the already-validated context
-    /// (no graph pass is duplicated on the fall-through).
+    /// `O(Σ|P| · α)` even when the conflict graph would be enormous. It
+    /// runs only when [`SolveSession::decompose_gate`] leaves the decision
+    /// to the component count.
     fn decomposition_plan(&self, ctx: &InstanceContext<'_>) -> Option<Vec<Vec<PathId>>> {
-        self.decomposition_plan_with(ctx, || conflict_components(ctx.graph, ctx.family))
+        let min_components = self.decompose_gate(ctx)?;
+        let components = conflict_components(ctx.graph, ctx.family);
+        (components.len() >= min_components).then_some(components)
     }
 
-    /// [`SolveSession::decomposition_plan`] with the component scan
-    /// injected: the one-shot path scans from scratch, the incremental
-    /// [`crate::workspace::Workspace`] supplies its cached components —
-    /// both run through this one gate, so the shard/monolithic decision
-    /// can never diverge between the two paths.
-    pub(crate) fn decomposition_plan_with<F>(
-        &self,
-        ctx: &InstanceContext<'_>,
-        components: F,
-    ) -> Option<Vec<Vec<PathId>>>
-    where
-        F: FnOnce() -> Vec<Vec<PathId>>,
-    {
-        let auto = match self.request.decompose {
-            DecomposePolicy::Off => return None,
+    /// The shared decompose gate, decided before any component scan:
+    /// `None` when the instance is solved monolithically whatever its
+    /// components, otherwise the fewest conflict components at which it is
+    /// sharded. The one-shot path scans for components only on `Some`; the
+    /// incremental [`crate::workspace::Workspace`] compares its tracked
+    /// shard count — both run through this one gate, so the
+    /// shard/monolithic decision can never diverge between the two paths.
+    /// Checks read only the already-validated context (no graph pass).
+    pub(crate) fn decompose_gate(&self, ctx: &InstanceContext<'_>) -> Option<usize> {
+        match self.request.decompose {
+            DecomposePolicy::Off => None,
+            // Auto declines when the Auto backend policy would take the
+            // Theorem 1 fast path anyway: on an internal-cycle-free host
+            // the monolithic solve is already optimal (`w = π`) in
+            // near-linear time, so sharding could only add overhead, never
+            // save colors. Pinned/Portfolio policies still shard (smaller
+            // per-shard graphs genuinely help heuristic and exact
+            // backends), as does `Always`.
             DecomposePolicy::Auto { min_paths } => {
-                if ctx.family.len() < min_paths.max(1) {
-                    return None;
-                }
-                true
+                let fast_path =
+                    self.request.policy == Policy::Auto && ctx.class == DagClass::InternalCycleFree;
+                // Auto only pays the shard machinery when it actually
+                // splits.
+                (ctx.family.len() >= min_paths.max(1) && !fast_path).then_some(2)
             }
-            DecomposePolicy::Always => {
-                if ctx.family.is_empty() {
-                    return None;
-                }
-                false
-            }
-        };
-        // Auto declines when the Auto backend policy would take the
-        // Theorem 1 fast path anyway: on an internal-cycle-free host the
-        // monolithic solve is already optimal (`w = π`) in near-linear
-        // time, so sharding could only add overhead, never save colors.
-        // Pinned/Portfolio policies still shard (smaller per-shard graphs
-        // genuinely help heuristic and exact backends), as does `Always`.
-        if auto && self.request.policy == Policy::Auto && ctx.class == DagClass::InternalCycleFree {
-            return None;
+            DecomposePolicy::Always => (!ctx.family.is_empty()).then_some(1),
         }
-        let components = components();
-        if auto && components.len() <= 1 {
-            // Auto only pays the shard machinery when it actually splits.
-            return None;
-        }
-        Some(components)
     }
 
     /// Solve the shards concurrently and merge with a shared palette.
@@ -362,7 +348,12 @@ impl SolveSession {
         // First shard error wins, in shard order — deterministic.
         let shards: Vec<(Vec<PathId>, Solution)> = self
             .shard_session()
-            .solve_components(ctx.graph, ctx.family, &components)
+            .solve_components(
+                ctx.graph,
+                ctx.family,
+                &components,
+                &mut ExtractScratch::new(),
+            )
             .into_iter()
             .collect::<Result<_, _>>()?;
         Ok(merge_shards(ctx, shards))
@@ -383,23 +374,24 @@ impl SolveSession {
     /// [`SubInstance`] and solved with its original ids recorded; results
     /// come back in component order regardless of completion order, so the
     /// caller's merge is bit-identical at every thread budget. Shared by
-    /// the one-shot decomposed solve and the incremental workspace (which
-    /// passes only its dirty components).
+    /// the one-shot decomposed solve (a fresh `scratch` per solve) and the
+    /// incremental workspace (its dirty components only, through the one
+    /// scratch it keeps across refreshes).
     pub(crate) fn solve_components(
         &self,
         g: &dagwave_graph::Digraph,
         family: &DipathFamily,
         components: &[Vec<PathId>],
+        scratch: &mut ExtractScratch,
     ) -> Vec<Result<(Vec<PathId>, Solution), CoreError>> {
         // Extraction is a near-linear renumbering pass; it runs sequentially
         // through ONE shared scratch (flat host-indexed tables, stamped per
         // shard — see [`ExtractScratch`]) so every shard reuses the same
         // buffers instead of sorting and binary-searching its own. Only the
         // solves — the actual work — fan out onto the pool.
-        let mut scratch = ExtractScratch::new();
         let subs: Vec<SubInstance> = components
             .iter()
-            .map(|members| SubInstance::extract_with(g, family, members, &mut scratch))
+            .map(|members| SubInstance::extract_with(g, family, members, scratch))
             .collect();
         let mut slots: Vec<ShardSlot> = components.iter().map(|_| None).collect();
         rayon::scope(|s| {

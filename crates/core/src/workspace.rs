@@ -20,14 +20,27 @@
 //! buckets); [`Workspace::solution`] then re-solves only the unsolved
 //! shards and re-merges with the shared normalized palette.
 //!
-//! Everything heavyweight is O(dirty), not O(instance): the family keeps an
-//! incrementally-patched dense view ([`PathFamily::dense_view`]) so the
-//! query path never deep-clones, the instance class is computed once (the
-//! graph is immutable) and `π(G, P)` is maintained through a per-load
-//! histogram patched at each arc-user edit, and each shard carries a
-//! content fingerprint so a shard dropped and reconstituted with identical
-//! dipaths (e.g. remove + re-add) adopts its old solve from a reuse pool
-//! instead of recomputing — [`Resolve::shards_reused`] counts adoptions.
+//! The mutate → refresh step is O(dirty): every structure it touches is
+//! patched for just the shards a mutation dirties, never rescanned.
+//! Shards sit in an ordered map keyed by their smallest member (canonical
+//! order without sorting), with a slot-indexed id → shard index for the
+//! lookups `apply` makes; a stale set names the shards the next refresh
+//! solves and writes to the color table; the span is the top of a
+//! histogram of shard spans, the twin of the `π(G, P)` load histogram
+//! patched at each arc-user edit; the first errored shard is the first
+//! key of an ordered set; and shard extraction reuses one
+//! [`ExtractScratch`] across refreshes. Batch validation reads only as
+//! many tombstones as the batch adds. The instance class is computed once
+//! (the graph is immutable), and each shard carries a content fingerprint
+//! so a shard dropped and reconstituted with identical dipaths (e.g.
+//! remove + re-add) adopts its old solve from a reuse pool instead of
+//! recomputing — [`Resolve::shards_reused`] counts adoptions.
+//!
+//! Three pieces stay O(live): the family's dense view
+//! ([`PathFamily::dense_view`]) is patched with a pointer-sized `memmove`
+//! per insert or remove; the monolithic path (when the decompose gate
+//! declines to shard) solves and diffs the whole family; and
+//! [`Workspace::solution`] materializes an instance-sized snapshot.
 //!
 //! The *query* side is O(dirty) too. Every refresh patches a persistent
 //! [`ColorTable`] (structurally-shared `Arc` pages keyed by stable id)
@@ -44,7 +57,7 @@
 //! bit-identical to a from-scratch [`SolveSession::solve`] on the mutated
 //! instance (the live members in ascending stable-id order), at every
 //! thread budget. This holds by construction, not by luck: the workspace
-//! runs the *same* decompose gate ([`SolveSession`]'s plan), the same
+//! runs the *same* decompose gate ([`SolveSession`]'s), the same
 //! per-shard solver, and the same merge as the one-shot path — only the
 //! component scan and the already-solved shards are served from cache. The
 //! [`Resolve`] record on the returned solution says how much was reused.
@@ -90,7 +103,9 @@ use crate::error::CoreError;
 use crate::internal::DagClass;
 use crate::solver::{merge_shards, Solution, SolveSession};
 use dagwave_graph::{ArcId, Digraph};
-use dagwave_paths::{conflict_components_among, Dipath, DipathFamily, PathFamily, PathId};
+use dagwave_paths::{
+    conflict_components_among, Dipath, DipathFamily, ExtractScratch, PathFamily, PathId,
+};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -204,7 +219,8 @@ pub struct WorkspaceStats {
 
 /// One tracked component: its live members (stable ids, ascending), the
 /// shared handles of their dipaths, a content fingerprint, and, once
-/// solved, the cached shard-local solution.
+/// solved, the cached shard-local solution. Stored in
+/// `Workspace::shards` under its smallest member.
 #[derive(Clone, Debug)]
 struct CachedShard {
     /// Stable member ids, ascending.
@@ -225,11 +241,6 @@ struct CachedShard {
     /// the family never change — that is what makes the cache survive id
     /// compaction in the dense view.
     solved: Option<Result<Solution, CoreError>>,
-    /// `true` once the persistent color table reflects this shard's solve
-    /// (under its *current* member ids). Fresh and pool-adopted shards
-    /// start unpatched — an adopted solve is content-identical but may sit
-    /// under different stable ids than when it was banked.
-    patched: bool,
 }
 
 /// A solved shard banked when a mutation dropped it: if a freshly derived
@@ -241,6 +252,56 @@ struct ReuseEntry {
     fingerprint: u64,
     paths: Vec<Arc<Dipath>>,
     solved: Result<Solution, CoreError>,
+}
+
+/// Aggregates over the shards' cached solves, patched whenever a solve is
+/// cached or dropped so a refresh never rescans the shards: the merged
+/// span is the top of `span_hist` (the twin of the workspace's load
+/// histogram), and the first errored key is the canonical first error.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct SolveTally {
+    /// `span_hist[s]` = number of shards solved with span `s`. Trailing
+    /// zero buckets are trimmed, so the top index is the maximum span.
+    span_hist: Vec<u32>,
+    /// Shards whose solve failed, by key (ascending = canonical order).
+    errored: BTreeMap<PathId, CoreError>,
+}
+
+impl SolveTally {
+    /// Count the cached solve of the shard under `key`.
+    fn add(&mut self, key: PathId, solved: &Result<Solution, CoreError>) {
+        match solved {
+            Ok(sol) => {
+                if sol.num_colors >= self.span_hist.len() {
+                    self.span_hist.resize(sol.num_colors + 1, 0);
+                }
+                self.span_hist[sol.num_colors] += 1;
+            }
+            Err(e) => {
+                self.errored.insert(key, e.clone());
+            }
+        }
+    }
+
+    /// Uncount a solve that [`SolveTally::add`] counted.
+    fn remove(&mut self, key: PathId, solved: &Result<Solution, CoreError>) {
+        match solved {
+            Ok(sol) => {
+                self.span_hist[sol.num_colors] -= 1;
+                while self.span_hist.last() == Some(&0) {
+                    self.span_hist.pop();
+                }
+            }
+            Err(_) => {
+                self.errored.remove(&key);
+            }
+        }
+    }
+
+    /// The largest span among the counted solves (0 when none).
+    fn span(&self) -> usize {
+        self.span_hist.len().saturating_sub(1)
+    }
 }
 
 /// Hash of a shard's member dipath contents in canonical order — see
@@ -287,8 +348,21 @@ pub struct Workspace {
     /// [`dagwave_paths::ArcIndex`]); `arc_users[a].len()` is arc `a`'s
     /// load, which is what lets the load be patched per mutation below.
     arc_users: Vec<Vec<u32>>,
-    /// The component partition, canonical order (smallest member first).
-    shards: Vec<CachedShard>,
+    /// The component partition, keyed by each shard's smallest member, so
+    /// iterating it is canonical order without any sort.
+    shards: BTreeMap<PathId, CachedShard>,
+    /// Slot-indexed: `shard_of[id]` is the key of the shard holding live
+    /// member `id`, `None` for a tombstone (and, until `apply` re-derives
+    /// components, for an addition of the batch in progress).
+    shard_of: Vec<Option<PathId>>,
+    /// Keys of the shards that are unsolved or not yet written to the
+    /// color table — exactly the set the next refresh solves and patches.
+    stale: BTreeSet<PathId>,
+    /// Span histogram and errored shards over the cached solves.
+    tally: SolveTally,
+    /// Renumbering tables for shard extraction, kept across refreshes so
+    /// re-extraction is proportional to the dirty shards, not the host.
+    extract: ExtractScratch,
     /// Cached merged snapshot of the current state (dropped on any
     /// mutation). Queries hand out clones of the `Arc` — a cache hit is a
     /// refcount bump, never an instance-sized copy.
@@ -372,33 +446,17 @@ impl Workspace {
                 load_hist[users.len()] += 1;
             }
         }
-        let shards = conflict_components_among(editable.iter())
-            .into_iter()
-            .map(|members| {
-                let paths: Vec<Arc<Dipath>> = members
-                    .iter()
-                    .map(|&id| {
-                        editable
-                            .get_shared(id)
-                            .expect("component members are live") // lint: allow(no-panic): components are derived from the live family on the previous line
-                            .clone()
-                    })
-                    .collect();
-                CachedShard {
-                    fingerprint: shard_fingerprint(&paths),
-                    members,
-                    paths,
-                    solved: None,
-                    patched: false,
-                }
-            })
-            .collect();
-        Ok(Workspace {
+        let components = conflict_components_among(editable.iter());
+        let mut ws = Workspace {
             session,
             graph,
+            shard_of: vec![None; editable.slot_count()],
             family: editable,
             arc_users,
-            shards,
+            shards: BTreeMap::new(),
+            stale: BTreeSet::new(),
+            tally: SolveTally::default(),
+            extract: ExtractScratch::new(),
             merged: None,
             last_resolve: Resolve::default(),
             class,
@@ -417,7 +475,12 @@ impl Workspace {
             total_resolved: 0,
             delta_queries: 0,
             delta_resyncs: 0,
-        })
+        };
+        for members in components {
+            ws.track_shard(members);
+        }
+        ws.debug_validate();
+        Ok(ws)
     }
 
     /// The session this workspace solves under.
@@ -444,7 +507,7 @@ impl Workspace {
     /// canonical order (ascending within a shard, shards by smallest
     /// member) — without solving anything.
     pub fn components(&self) -> Vec<Vec<PathId>> {
-        self.shards.iter().map(|s| s.members.clone()).collect()
+        self.shards.values().map(|s| s.members.clone()).collect()
     }
 
     /// `π(G, P)` of the current family — the universal lower bound on the
@@ -525,10 +588,16 @@ impl Workspace {
         // exact free-list discipline of `PathFamily`), so a failing batch
         // mutates nothing. The simulation is delta-based — the family's
         // tombstones plus this batch's own removals/additions — so a batch
-        // costs O((tombstones + batch) log), never O(live): an id is live
-        // iff it was added by an earlier op in the batch, or is live in the
-        // family and not removed by an earlier op.
-        let mut free: BTreeSet<u32> = self.family.free_slots().into_iter().collect();
+        // never reads the O(live) member set: an id is live iff it was
+        // added by an earlier op in the batch, or is live in the family and
+        // not removed by an earlier op. `n` additions can only ever take
+        // the `n` smallest tombstones, so only those are read, whatever the
+        // tombstone count.
+        let additions = batch
+            .iter()
+            .filter(|m| matches!(m, Mutation::Add(_)))
+            .count();
+        let mut free: BTreeSet<u32> = self.family.free_slots().take(additions).collect();
         let mut slots = self.family.slot_count() as u32;
         let mut removed_sim: BTreeSet<PathId> = BTreeSet::new();
         let mut added_sim: BTreeSet<PathId> = BTreeSet::new();
@@ -561,11 +630,8 @@ impl Workspace {
                     Dipath::from_arcs(&self.graph, p.arcs().to_vec())
                         .map_err(|e| CoreError::InvalidPath(e.to_string()))?;
                     // Mirror the insert: smallest free slot, else growth.
-                    let id = match free.iter().next().copied() {
-                        Some(slot) => {
-                            free.remove(&slot);
-                            PathId(slot)
-                        }
+                    let id = match free.pop_first() {
+                        Some(slot) => PathId(slot),
                         None => {
                             slots += 1;
                             PathId(slots - 1)
@@ -576,16 +642,18 @@ impl Workspace {
             }
         }
 
-        // ---- Execute, accumulating the dirty shard set and the added ids.
-        let mut dirty_shards: BTreeSet<usize> = BTreeSet::new();
+        // ---- Execute, accumulating the dirtied shards' keys and the added
+        // ids. Every lookup goes through the slot-indexed `shard_of`.
+        let mut dirty: BTreeSet<PathId> = BTreeSet::new();
         let mut added: Vec<PathId> = Vec::new();
         for m in batch {
             match m {
                 Mutation::Remove(id) => {
                     let p = self.family.remove(id).expect("validated live"); // lint: allow(no-panic): the validation pass above confirmed the id is live
                     self.pending_removed.insert(id);
-                    if let Some(s) = self.shard_containing(id) {
-                        dirty_shards.insert(s);
+                    // An addition of this batch has no shard yet.
+                    if let Some(key) = self.shard_of[id.index()].take() {
+                        dirty.insert(key);
                     }
                     for &a in p.arcs() {
                         let users = &mut self.arc_users[a.index()];
@@ -598,20 +666,23 @@ impl Workspace {
                 }
                 Mutation::Add(p) => {
                     // Every component sharing an arc with the new dipath is
-                    // dirtied — the addition may bridge several. Dedup the
-                    // touched users first: a congested arc lists many
-                    // dipaths, and each shard lookup is a scan.
-                    let touched: BTreeSet<u32> = p
-                        .arcs()
-                        .iter()
-                        .flat_map(|&a| self.arc_users[a.index()].iter().copied())
-                        .collect();
-                    for &user in &touched {
-                        if let Some(s) = self.shard_containing(PathId(user)) {
-                            dirty_shards.insert(s);
+                    // dirtied — the addition may bridge several. Dipaths on
+                    // one arc share one component, so one lookup per arc
+                    // suffices: the first user with a shard. (Users added
+                    // earlier in this batch have none yet; they dirtied the
+                    // shard of the arc's older users when they were added.)
+                    for &a in p.arcs() {
+                        if let Some(key) = self.arc_users[a.index()]
+                            .iter()
+                            .find_map(|&user| self.shard_of[user as usize])
+                        {
+                            dirty.insert(key);
                         }
                     }
                     let id = self.family.insert(p);
+                    if id.index() >= self.shard_of.len() {
+                        self.shard_of.resize(id.index() + 1, None);
+                    }
                     // A reused slot is live again: its pending removal (from
                     // this batch or an earlier one) is superseded — the next
                     // refresh reports a color change, not a removal.
@@ -637,82 +708,30 @@ impl Workspace {
         // ---- Re-derive components over the dirty pool only: members of
         // dirtied shards that are still live, plus the additions (some of
         // which may already be counted via a dirtied shard, or removed
-        // again by the same batch).
+        // again by the same batch — the set deduplicates). Dropping a
+        // dirty shard banks its solve in the reuse pool: a later batch (or
+        // this one) may reconstitute a shard with identical content, and
+        // its solve is then adopted instead of redone.
         let mut pool: BTreeSet<PathId> = added
             .iter()
             .copied()
             .filter(|&id| self.family.contains(id))
             .collect();
-        for &s in &dirty_shards {
-            pool.extend(
-                self.shards[s]
-                    .members
-                    .iter()
-                    .copied()
-                    .filter(|&id| self.family.contains(id)),
-            );
+        for key in dirty {
+            let members = self.untrack_shard(key);
+            pool.extend(members.into_iter().filter(|&id| self.family.contains(id)));
         }
-        // Additions may have landed in a reused slot of a dirtied shard;
-        // the BTreeSet above already deduplicates. Drop the dirty shards,
-        // banking the solved ones in the reuse pool — a later batch (or this
-        // one) may reconstitute a shard with identical content, and its
-        // solve is then adopted instead of redone…
-        for &s in dirty_shards.iter().rev() {
-            let shard = self.shards.remove(s);
-            if let Some(solved) = shard.solved {
-                self.reuse_pool.push(ReuseEntry {
-                    fingerprint: shard.fingerprint,
-                    paths: shard.paths,
-                    solved,
-                });
-            }
-        }
-        // …and re-insert the freshly derived components, checking each
-        // against the pool (fingerprint gate, then exact content equality —
-        // a hash collision can never adopt a wrong solve).
         let fresh = conflict_components_among(
             pool.iter()
                 .map(|&id| (id, self.family.get(id).expect("pool is live"))), // lint: allow(no-panic): shard pools only hold live ids by construction
         );
-        let family = &self.family;
-        let reuse_pool = &mut self.reuse_pool;
-        let fresh_shards: Vec<CachedShard> = fresh
-            .into_iter()
-            .map(|members| {
-                let paths: Vec<Arc<Dipath>> = members
-                    .iter()
-                    .map(|&id| {
-                        family
-                            .get_shared(id)
-                            .expect("pool is live") // lint: allow(no-panic): shard pools only hold live ids by construction
-                            .clone()
-                    })
-                    .collect();
-                let fingerprint = shard_fingerprint(&paths);
-                let solved = reuse_pool
-                    .iter()
-                    .position(|e| e.fingerprint == fingerprint && same_paths(&paths, &e.paths))
-                    .map(|i| reuse_pool.swap_remove(i).solved);
-                CachedShard {
-                    members,
-                    paths,
-                    fingerprint,
-                    solved,
-                    // Adopted solves included: the banked solve is content-
-                    // identical, but the reconstituted shard may sit under
-                    // different stable ids, so the table patch must re-run.
-                    patched: false,
-                }
-            })
-            .collect();
-        self.shards.extend(fresh_shards);
-        // Canonical shard order: by smallest (stable) member. Dense ranks
-        // are monotone in stable ids, so this is exactly the order the
-        // from-scratch component scan would produce.
-        self.shards.sort_by_key(|s| s.members[0]);
+        for members in fresh {
+            self.track_shard(members);
+        }
         self.merged = None;
         self.refreshed = false;
         self.refresh_error = None;
+        self.debug_validate();
         Ok(added)
     }
 
@@ -853,9 +872,9 @@ impl Workspace {
     }
 
     /// Fold every pending mutation into the per-shard caches, the
-    /// persistent color table, the span, and the delta log — O(dirty).
-    /// Idempotent until the next mutation; every query path calls it
-    /// first.
+    /// persistent color table, the span, and the delta log — O(dirty) on
+    /// the sharded path. Idempotent until the next mutation; every query
+    /// path calls it first.
     fn refresh(&mut self) -> Result<(), CoreError> {
         if self.refreshed {
             return match &self.refresh_error {
@@ -870,7 +889,7 @@ impl Workspace {
         // stays bounded by the shards dropped between consecutive solves.
         self.reuse_pool.clear();
 
-        // Borrow-heavy stage: plan + dirty-shard solving. Scoped so the
+        // Borrow-heavy stage: gate + dirty-shard solving. Scoped so the
         // dense-view and context borrows end before the table is patched.
         let mono: Option<Result<Solution, CoreError>> = {
             // The family's incrementally-patched dense view, plus the class
@@ -884,32 +903,13 @@ impl Workspace {
                 self.max_load,
                 self.session.request(),
             );
-            // Stable id → dense rank as a flat table (one pass over the
-            // live ids): the plan and the solve translate every shard
-            // member, and a table lookup beats a per-member binary search
-            // on big instances.
-            let mut rank_of: Vec<u32> = vec![u32::MAX; self.family.slot_count()];
-            for (rank, &id) in self.family.dense_ids().iter().enumerate() {
-                rank_of[id.index()] = rank as u32;
-            }
-            let to_dense = move |members: &[PathId]| -> Vec<PathId> {
-                members
-                    .iter()
-                    .map(|&id| {
-                        let rank = rank_of[id.index()];
-                        debug_assert_ne!(rank, u32::MAX, "shard members are live");
-                        PathId(rank)
-                    })
-                    .collect()
-            };
-
-            // The shared decompose gate, fed by the cached component
-            // partition instead of a from-scratch scan.
-            let shards_ref = &self.shards;
-            let plan = self.session.decomposition_plan_with(&ctx, || {
-                shards_ref.iter().map(|s| to_dense(&s.members)).collect()
-            });
-            if plan.is_none() {
+            // The shared decompose gate, fed the tracked shard count
+            // instead of a from-scratch component scan.
+            let sharded = self
+                .session
+                .decompose_gate(&ctx)
+                .is_some_and(|min_components| self.shards.len() >= min_components);
+            if !sharded {
                 // Monolithic path (small instance, no split, or the
                 // Theorem-1 fast-path skip): same dispatch as one-shot.
                 self.last_resolve = Resolve {
@@ -919,22 +919,43 @@ impl Workspace {
                 self.total_resolved += 1;
                 Some(self.session.dispatch(&ctx))
             } else {
-                // Solve only the dirty shards, concurrently, through the
-                // same per-shard engine as the one-shot decomposed path.
-                let shard_session = self.session.shard_session();
-                let dirty: Vec<usize> = (0..self.shards.len())
-                    .filter(|&i| self.shards[i].solved.is_none())
-                    .collect();
-                let dirty_components: Vec<Vec<PathId>> = dirty
+                // Solve only the unsolved stale shards, concurrently,
+                // through the same per-shard engine as the one-shot
+                // decomposed path. Only their members are translated to
+                // dense ranks.
+                let family = &self.family;
+                let (dirty, dirty_components): (Vec<PathId>, Vec<Vec<PathId>>) = self
+                    .stale
                     .iter()
-                    .map(|&i| to_dense(&self.shards[i].members))
-                    .collect();
-                let results = shard_session.solve_components(&self.graph, dense, &dirty_components);
-                for (&i, result) in dirty.iter().zip(results) {
+                    .map(|key| (*key, &self.shards[key]))
+                    .filter(|(_, shard)| shard.solved.is_none())
+                    .map(|(key, shard)| {
+                        let dense_ids = shard
+                            .members
+                            .iter()
+                            .map(|&id| {
+                                let rank = family.dense_rank(id).expect("shard members are live"); // lint: allow(no-panic): apply keeps every shard's members live
+                                PathId::from_index(rank)
+                            })
+                            .collect();
+                        (key, dense_ids)
+                    })
+                    .unzip();
+                let results = self.session.shard_session().solve_components(
+                    &self.graph,
+                    dense,
+                    &dirty_components,
+                    &mut self.extract,
+                );
+                for (key, result) in dirty.iter().zip(results) {
                     // Cache the shard-local solution only — the dense ids
                     // it was solved under are recomputed per merge, so
                     // later removals elsewhere cannot stale the cache.
-                    self.shards[i].solved = Some(result.map(|(_, sol)| sol));
+                    let solved = result.map(|(_, sol)| sol);
+                    self.tally.add(*key, &solved);
+                    if let Some(shard) = self.shards.get_mut(key) {
+                        shard.solved = Some(solved);
+                    }
                 }
                 self.last_resolve = Resolve {
                     shards_reused: self.shards.len() - dirty.len(),
@@ -946,16 +967,15 @@ impl Workspace {
             }
         };
 
-        match mono {
+        let result = match mono {
             Some(Ok(mut sol)) => {
                 sol.resolve = Some(self.last_resolve);
                 self.patch_from_full(&sol);
                 // The table now holds the *monolithic* coloring, which a
-                // later per-shard normalization may disagree with — no
-                // shard's entries are trustworthy as shard-normalized.
-                for s in &mut self.shards {
-                    s.patched = false;
-                }
+                // later per-shard normalization may disagree with — every
+                // shard's entries must be rewritten by the next sharded
+                // refresh.
+                self.stale.extend(self.shards.keys().copied());
                 self.merged = Some(Arc::new(sol));
                 Ok(())
             }
@@ -964,40 +984,40 @@ impl Workspace {
                 Err(e)
             }
             None => self.patch_from_shards(),
-        }
+        };
+        self.debug_validate();
+        result
     }
 
-    /// Patch the persistent table from every shard it does not yet
-    /// reflect, normalizing each shard's palette by first appearance —
-    /// byte-for-byte the rule [`merge_shards`] applies, and because that
-    /// normalization is *per shard* (it never looks across shards), a
-    /// clean shard's table entries stay valid verbatim.
+    /// Patch the persistent table from the stale shards, normalizing each
+    /// shard's palette by first appearance — byte-for-byte the rule
+    /// [`merge_shards`] applies, and because that normalization is *per
+    /// shard* (it never looks across shards), a clean shard's table
+    /// entries stay valid verbatim.
     fn patch_from_shards(&mut self) -> Result<(), CoreError> {
         // First error in canonical shard order wins — same rule as the
-        // merge. The table, span, epoch, and delta log stay untouched; the
-        // error replays to every query until a mutation clears it.
-        for shard in &self.shards {
-            if let Some(Err(e)) = &shard.solved {
-                let e = e.clone();
-                self.refresh_error = Some(e.clone());
-                return Err(e);
-            }
+        // merge. The table, span, epoch, and delta log stay untouched (and
+        // the stale set with them); the error replays to every query until
+        // a mutation clears it.
+        if let Some((_, e)) = self.tally.errored.first_key_value() {
+            let e = e.clone();
+            self.refresh_error = Some(e.clone());
+            return Err(e);
         }
         let mut changes: Vec<(PathId, u32)> = Vec::new();
         let mut palette: std::collections::HashMap<usize, u32> = std::collections::HashMap::new();
-        let mut span = 0usize;
-        for shard in self.shards.iter_mut() {
-            let sol = match &shard.solved {
-                Some(Ok(sol)) => sol,
-                // lint: allow(no-panic): refresh() solved every shard, and the error scan above returned on failures
-                _ => unreachable!("refresh solved every shard"),
+        for key in std::mem::take(&mut self.stale) {
+            let Some(CachedShard {
+                members,
+                solved: Some(Ok(sol)),
+                ..
+            }) = self.shards.get(&key)
+            else {
+                // lint: allow(no-panic): refresh() solved every stale shard, and the error check above returned on failures
+                unreachable!("refresh solved every stale shard");
             };
-            span = span.max(sol.num_colors);
-            if shard.patched {
-                continue;
-            }
             palette.clear();
-            for (local, &orig) in shard.members.iter().enumerate() {
+            for (local, &orig) in members.iter().enumerate() {
                 let raw = sol.assignment.color(PathId::from_index(local));
                 let next = palette.len() as u32;
                 let color = *palette.entry(raw).or_insert(next);
@@ -1006,10 +1026,9 @@ impl Workspace {
                     changes.push((orig, color));
                 }
             }
-            shard.patched = true;
         }
         let removed = self.drain_removed();
-        self.current_span = span;
+        self.current_span = self.tally.span();
         self.record_delta(changes, removed);
         Ok(())
     }
@@ -1082,7 +1101,7 @@ impl Workspace {
         // clones the clean shards' solutions.
         let shards: Vec<(Vec<PathId>, &Solution)> = self
             .shards
-            .iter()
+            .values()
             .map(|shard| {
                 let members = shard
                     .members
@@ -1127,11 +1146,114 @@ impl Workspace {
         }
     }
 
-    /// Index of the shard whose member list contains `id`.
-    fn shard_containing(&self, id: PathId) -> Option<usize> {
-        self.shards
+    /// Start tracking a freshly derived component (members ascending):
+    /// index its members under its key (the smallest member), adopt a
+    /// banked solve with identical content if the reuse pool holds one
+    /// (fingerprint gate, then exact content equality — a hash collision
+    /// can never adopt a wrong solve), and mark it stale. An adopted solve
+    /// is content-identical but may sit under different stable ids than
+    /// when it was banked, so its table entries must be rewritten too.
+    fn track_shard(&mut self, members: Vec<PathId>) {
+        let paths: Vec<Arc<Dipath>> = members
             .iter()
-            .position(|s| s.members.binary_search(&id).is_ok())
+            .map(|&id| {
+                self.family
+                    .get_shared(id)
+                    .expect("component members are live") // lint: allow(no-panic): components are derived from live members only
+                    .clone()
+            })
+            .collect();
+        let fingerprint = shard_fingerprint(&paths);
+        let solved = self
+            .reuse_pool
+            .iter()
+            .position(|e| e.fingerprint == fingerprint && same_paths(&paths, &e.paths))
+            .map(|i| self.reuse_pool.swap_remove(i).solved);
+        let key = members[0];
+        for &id in &members {
+            self.shard_of[id.index()] = Some(key);
+        }
+        if let Some(solved) = &solved {
+            self.tally.add(key, solved);
+        }
+        self.stale.insert(key);
+        self.shards.insert(
+            key,
+            CachedShard {
+                members,
+                paths,
+                fingerprint,
+                solved,
+            },
+        );
+    }
+
+    /// Stop tracking the shard under `key`, banking its solve (if any) in
+    /// the reuse pool, and return its members. Their `shard_of` entries
+    /// are left for the caller to rewrite when it re-derives them.
+    fn untrack_shard(&mut self, key: PathId) -> Vec<PathId> {
+        let shard = self
+            .shards
+            .remove(&key)
+            .expect("dirty keys name tracked shards"); // lint: allow(no-panic): dirty keys are read from shard_of, which names tracked shards only
+        self.stale.remove(&key);
+        if let Some(solved) = shard.solved {
+            self.tally.remove(key, &solved);
+            self.reuse_pool.push(ReuseEntry {
+                fingerprint: shard.fingerprint,
+                paths: shard.paths,
+                solved,
+            });
+        }
+        shard.members
+    }
+
+    /// Shadow check of the shard state `apply` and refresh maintain
+    /// incrementally (debug builds only; release builds compile this to
+    /// nothing), against a recount from the shards themselves: `shard_of`
+    /// names, for every live id and no other, the shard that holds it;
+    /// each shard is keyed by its smallest member and holds its members
+    /// ascending; every unsolved shard is stale; and the span histogram
+    /// and errored set equal a recount of the cached solves. Runs after
+    /// every `apply` and refresh, where its O(live) sweep is dwarfed by
+    /// `PathFamily`'s own debug sweep.
+    fn debug_validate(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let mut index: Vec<Option<PathId>> = vec![None; self.family.slot_count()];
+        let mut recount = SolveTally::default();
+        let mut tracked = 0usize;
+        for (&key, shard) in &self.shards {
+            debug_assert_eq!(
+                shard.members.first(),
+                Some(&key),
+                "shard key is not its smallest member"
+            );
+            debug_assert!(
+                shard.members.windows(2).all(|w| w[0] < w[1]),
+                "shard {key} members are not strictly ascending"
+            );
+            for &id in &shard.members {
+                debug_assert!(self.family.contains(id), "shard {key} holds dead id {id}");
+                index[id.index()] = Some(key);
+            }
+            tracked += shard.members.len();
+            match &shard.solved {
+                Some(solved) => recount.add(key, solved),
+                None => debug_assert!(
+                    self.stale.contains(&key),
+                    "unsolved shard {key} is missing from the stale set"
+                ),
+            }
+        }
+        debug_assert_eq!(tracked, self.family.len(), "shards do not cover the family");
+        debug_assert_eq!(index, self.shard_of, "shard index diverged from the shards");
+        debug_assert!(
+            self.stale.iter().all(|key| self.shards.contains_key(key)),
+            "stale set names an untracked shard"
+        );
+        debug_assert_eq!(recount, self.tally, "solve tally diverged from a recount");
     }
 }
 
@@ -1262,6 +1384,72 @@ mod tests {
         assert_eq!(err, CoreError::UnknownPath(PathId(0)));
         assert_eq!(ws.components(), before);
         assert_eq!(ws.family().len(), 4);
+
+        // Many tombstones: 600 single-arc dipaths on an 8-arc chain with
+        // 400 of them retired, so the batch's ids are picked out of a
+        // large free set — of which validation reads only the smallest.
+        let g = from_edges(9, &(0..8).map(|i| (i, i + 1)).collect::<Vec<_>>());
+        let hop = |i: usize| path(&g, &[i % 8, i % 8 + 1]);
+        let f = DipathFamily::from_paths((0..600).map(hop).collect());
+        let mut ws = Workspace::new(sharded_session(), g.clone(), f).unwrap();
+        ws.apply(
+            (0..600u32)
+                .filter(|i| i % 3 != 0)
+                .map(|i| Mutation::Remove(PathId(i))),
+        )
+        .unwrap();
+        assert_eq!(ws.family().free_slots().count(), 400);
+        // Removals of family ids, additions, and the removal of an
+        // addition made earlier in the same batch.
+        let batch = |extra: Option<Mutation>| {
+            let mut ops = vec![
+                Mutation::Remove(PathId(0)),
+                Mutation::Add(hop(1)),
+                Mutation::Add(hop(2)),
+                Mutation::Remove(PathId(1)),
+                Mutation::Add(hop(3)),
+                Mutation::Remove(PathId(3)),
+                Mutation::Add(hop(4)),
+                Mutation::Add(hop(5)),
+            ];
+            ops.extend(extra);
+            ops
+        };
+        // A failing batch mutates nothing: not the family, its free set,
+        // the shards, the counters, nor the cached snapshot.
+        let solved = ws.solution().unwrap();
+        let ids: Vec<PathId> = ws.family().ids().collect();
+        let free: Vec<u32> = ws.family().free_slots().collect();
+        let (components, stats) = (ws.components(), ws.stats());
+        let err = ws
+            .apply(batch(Some(Mutation::Remove(PathId(9999)))))
+            .unwrap_err();
+        assert_eq!(err, CoreError::UnknownPath(PathId(9999)));
+        assert_eq!(ws.family().ids().collect::<Vec<_>>(), ids);
+        assert_eq!(ws.family().free_slots().collect::<Vec<_>>(), free);
+        assert_eq!(ws.components(), components);
+        assert_eq!(ws.stats(), stats);
+        assert!(Arc::ptr_eq(&solved, &ws.solution().unwrap()));
+        // The valid batch gets exactly the ids a `PathFamily` mirror
+        // predicts: smallest free slot first, freed slots reused in-batch.
+        let mut mirror = ws.family().clone();
+        let predicted: Vec<PathId> = batch(None)
+            .into_iter()
+            .filter_map(|m| match m {
+                Mutation::Add(p) => Some(mirror.insert(p)),
+                Mutation::Remove(id) => {
+                    mirror.remove(id).unwrap();
+                    None
+                }
+            })
+            .collect();
+        assert_eq!(predicted, [0, 1, 1, 2, 3].map(PathId));
+        assert_eq!(ws.apply(batch(None)).unwrap(), predicted);
+        assert_eq!(
+            ws.family().ids().collect::<Vec<_>>(),
+            mirror.ids().collect::<Vec<_>>()
+        );
+        assert_matches_scratch(&mut ws);
     }
 
     #[test]
@@ -1501,5 +1689,30 @@ mod tests {
         ws.add_path(path(&g, &[4, 5])).unwrap();
         ws.span().unwrap();
         assert_eq!(t1.get(0), ws.color_of(PathId(0)).unwrap());
+    }
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "shard index diverged")]
+    fn shadow_check_catches_a_corrupted_shard_index() {
+        let (g, f) = two_chain_instance();
+        let mut ws = Workspace::new(sharded_session(), g.clone(), f).unwrap();
+        // Point member 1 (first chain, shard key 0) at the second chain's
+        // shard. A mutation on the second chain leaves the entry as it is,
+        // and the sweep after `apply` fires.
+        ws.shard_of[1] = Some(PathId(2));
+        ws.add_path(path(&g, &[4, 5])).unwrap();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "solve tally diverged")]
+    fn shadow_check_catches_a_corrupted_span_histogram() {
+        let (g, f) = two_chain_instance();
+        let mut ws = Workspace::new(sharded_session(), g.clone(), f).unwrap();
+        ws.span().unwrap();
+        // A phantom shard of span 7, then any mutation.
+        ws.tally.span_hist.resize(8, 0);
+        ws.tally.span_hist[7] = 1;
+        ws.add_path(path(&g, &[4, 5])).unwrap();
     }
 }

@@ -27,8 +27,7 @@
 use crate::dipath::Dipath;
 use crate::family::{DipathFamily, PathId};
 use crate::intern::{ArcListArena, ArenaStats};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// A mutable dipath family with stable [`PathId`]s.
@@ -57,8 +56,9 @@ use std::sync::Arc;
 #[derive(Clone, Debug, Default)]
 pub struct PathFamily {
     slots: Vec<Option<Arc<Dipath>>>,
-    /// Min-heap of tombstoned slot indices (smallest reused first).
-    free: BinaryHeap<Reverse<u32>>,
+    /// Tombstoned slot indices, ordered so the smallest is reused first
+    /// and validators can read the smallest few without copying the rest.
+    free: BTreeSet<u32>,
     /// The live members in ascending stable-id order, sharing their
     /// `Arc<Dipath>`s with `slots` — patched per mutation, never rebuilt.
     dense: DipathFamily,
@@ -97,7 +97,7 @@ impl PathFamily {
             .collect();
         PathFamily {
             slots: shared.iter().cloned().map(Some).collect(),
-            free: BinaryHeap::new(),
+            free: BTreeSet::new(),
             dense: DipathFamily::from_shared(shared),
             dense_of: family.ids().collect(),
             arena,
@@ -124,22 +124,20 @@ impl PathFamily {
     }
 
     /// The tombstoned slot ids, ascending — the slots the next inserts
-    /// will fill (smallest first) before the family grows. O(f log f) in
-    /// the tombstone count, which batch validators rely on: simulating a
-    /// mutation batch's id assignment needs only this (typically tiny)
-    /// set plus the batch's own deltas, never the O(live) member set.
-    pub fn free_slots(&self) -> Vec<u32> {
-        let mut free: Vec<u32> = self.free.iter().map(|&Reverse(slot)| slot).collect();
-        free.sort_unstable();
-        free
+    /// will fill (smallest first) before the family grows. Lazy: a batch
+    /// validator simulating `n` insertions reads only the `n` smallest
+    /// (`free_slots().take(n)`), never the whole tombstone set, and never
+    /// the O(live) member set.
+    pub fn free_slots(&self) -> impl Iterator<Item = u32> + '_ {
+        self.free.iter().copied()
     }
 
     /// The id the next [`PathFamily::insert`] will assign: the smallest
     /// tombstoned slot, or a fresh slot past the end. Mutation-script
     /// generators use this to mirror id assignment without inserting.
     pub fn next_id(&self) -> PathId {
-        match self.free.peek() {
-            Some(&Reverse(slot)) => PathId(slot),
+        match self.free.first() {
+            Some(&slot) => PathId(slot),
             None => PathId::from_index(self.slots.len()),
         }
     }
@@ -167,8 +165,8 @@ impl PathFamily {
     /// Slot assignment + dense-view patch shared by the insert paths (the
     /// arc list is already interned/registered by the caller).
     fn insert_slot(&mut self, p: Arc<Dipath>) -> PathId {
-        let id = match self.free.pop() {
-            Some(Reverse(slot)) => {
+        let id = match self.free.pop_first() {
+            Some(slot) => {
                 debug_assert!(self.slots[slot as usize].is_none(), "slot was free");
                 self.slots[slot as usize] = Some(p.clone());
                 PathId(slot)
@@ -193,7 +191,7 @@ impl PathFamily {
     pub fn remove(&mut self, id: PathId) -> Option<Arc<Dipath>> {
         let slot = self.slots.get_mut(id.index())?;
         let p = slot.take()?;
-        self.free.push(Reverse(id.0));
+        self.free.insert(id.0);
         // Patch the dense view: drop the member's rank, shifting later
         // ranks down (a pointer-sized memmove, no per-arc work).
         if let Ok(rank) = self.dense_of.binary_search(&id) {
@@ -208,38 +206,32 @@ impl PathFamily {
 
     /// Shadow validation of the tombstone/free-list bijection **and** the
     /// incrementally-patched dense view (debug builds only; release builds
-    /// compile this to nothing). The free heap must hold exactly the
-    /// tombstoned slot indices, once each — a duplicate would hand the same
-    /// id to two live dipaths, a missing entry would leak the slot forever
-    /// — and the live count must complement it. The dense view must list
-    /// exactly the live slots in ascending id order, each entry sharing its
-    /// slot's dipath (pointer equality, so a patch that cloned or swapped a
-    /// member dies here too). Run after every mutation, where the O(slots)
-    /// sweep is dwarfed by the re-solve the mutation triggers anyway.
+    /// compile this to nothing). The free set must hold exactly the
+    /// tombstoned slot indices — a phantom entry would hand out an id that
+    /// is live or was never allocated, a missing one would leak the slot
+    /// forever — and the live count must complement it. The dense view
+    /// must list exactly the live slots in ascending id order, each entry
+    /// sharing its slot's dipath (pointer equality, so a patch that cloned
+    /// or swapped a member dies here too). Run after every mutation, where
+    /// the O(slots) sweep is dwarfed by the re-solve the mutation triggers
+    /// anyway.
     fn debug_validate(&self) {
         if !cfg!(debug_assertions) {
             return;
         }
-        let tombstoned: std::collections::BTreeSet<u32> = self
+        let tombstoned: BTreeSet<u32> = self
             .slots
             .iter()
             .enumerate()
             .filter(|(_, s)| s.is_none())
             .map(|(i, _)| i as u32)
             .collect();
-        let freed: Vec<u32> = self.free.iter().map(|&Reverse(s)| s).collect();
-        let freed_set: std::collections::BTreeSet<u32> = freed.iter().copied().collect();
         debug_assert_eq!(
-            freed.len(),
-            freed_set.len(),
-            "free list holds a duplicate slot"
-        );
-        debug_assert_eq!(
-            freed_set, tombstoned,
+            self.free, tombstoned,
             "free list and tombstoned slots diverged"
         );
         debug_assert_eq!(
-            self.dense_of.len() + freed.len(),
+            self.dense_of.len() + self.free.len(),
             self.slots.len(),
             "live count diverged from slots minus tombstones"
         );
@@ -482,7 +474,7 @@ mod tests {
     fn shadow_validation_catches_phantom_free_slot() {
         let (_, paths) = chain();
         let mut f = PathFamily::from_family(&DipathFamily::from_paths(paths));
-        f.free.push(Reverse(7)); // a slot that was never allocated
+        f.free.insert(7); // a slot that was never allocated
         f.dense_of.push(PathId(9)); // keep the count check from firing first
         let _ = f.remove(PathId(0));
     }

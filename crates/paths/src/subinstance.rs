@@ -22,8 +22,9 @@
 //! per-shard binary search, and the member arc sequences are read straight
 //! out of the (Arc-shared) family without an intermediate all-occurrences
 //! buffer. A long-lived caller (the incremental `Workspace`) keeps one
-//! scratch across re-solves, making repeated extraction allocation-free
-//! and proportional to the shards actually extracted.
+//! scratch across re-solves: the tables are sized to the host once, so a
+//! later extraction allocates only its output and costs what the shards
+//! actually extracted contain, not what the host does.
 
 use crate::dipath::Dipath;
 use crate::family::{DipathFamily, PathId};

@@ -419,3 +419,90 @@ fn shard_members_attribute_paths_without_union_find() {
         }
     }
 }
+
+/// The decompose gate flips both ways mid-churn: under `Auto { min_paths }`
+/// on a host that is not internal-cycle-free, the live count crosses
+/// `min_paths` up and down, so refreshes alternate between the monolithic
+/// and the sharded path. A client syncing `delta_since` after every step
+/// must still hold exactly `solution()`'s table, which must equal a
+/// from-scratch solve — at every thread budget. This guards the stale-set
+/// bookkeeping, including the rewrite of every shard's entries after a
+/// monolithic refresh.
+#[test]
+fn gate_flip_keeps_delta_replay_exact() {
+    use dagwave::core::internal::{classify, DagClass};
+    use dagwave::paths::{PathFamily, PathId};
+    use dagwave::Mutation;
+    use std::collections::BTreeMap;
+
+    let inst = dagwave::gen::compose::federated(4);
+    assert_ne!(classify(&inst.graph), DagClass::InternalCycleFree);
+    let n = inst.family.len();
+    let session = SolverBuilder::new()
+        .decompose(DecomposePolicy::Auto { min_paths: n + 2 })
+        .build();
+    // Net size changes per step: up across the threshold, down below the
+    // start, and up across it again; a PathFamily mirror picks live ids.
+    let moves = [1, 1, 1, -1, -1, -1, -1, 1, 1, 1, 1, -1, -1, 1];
+    let mut mirror = PathFamily::from_family(&inst.family);
+    let mut script = Vec::new();
+    for (step, &m) in moves.iter().enumerate() {
+        let live: Vec<PathId> = mirror.ids().collect();
+        let pick = live[(step * 7) % live.len()];
+        if m > 0 {
+            let copy = mirror.get(pick).unwrap().clone();
+            mirror.insert(copy.clone());
+            script.push(Mutation::Add(copy));
+        } else {
+            mirror.remove(pick).unwrap();
+            script.push(Mutation::Remove(pick));
+        }
+    }
+
+    let table_of = |ws: &Workspace, sol: &Solution| -> BTreeMap<PathId, u32> {
+        ws.family()
+            .dense_ids()
+            .iter()
+            .zip(sol.assignment.colors())
+            .map(|(&id, &c)| (id, c as u32))
+            .collect()
+    };
+    for threads in BUDGETS {
+        with_threads(threads, || {
+            let mut ws =
+                Workspace::new(session.clone(), inst.graph.clone(), inst.family.clone()).unwrap();
+            let mut replayed: BTreeMap<PathId, u32> = BTreeMap::new();
+            let mut synced = dagwave::Epoch::default();
+            let mut sharded = Vec::new();
+            for op in std::iter::once(None).chain(script.iter().cloned().map(Some)) {
+                if let Some(op) = op {
+                    ws.apply([op]).unwrap();
+                }
+                let d = ws.delta_since(synced).unwrap();
+                if d.full_resync {
+                    replayed.clear();
+                }
+                for id in &d.removed {
+                    replayed.remove(id);
+                }
+                for &(id, c) in &d.changes {
+                    replayed.insert(id, c);
+                }
+                synced = d.epoch;
+                let sol = ws.solution().unwrap();
+                let scratch = from_scratch(&ws);
+                assert_identical(&sol, &scratch);
+                assert_eq!(replayed, table_of(&ws, &sol), "{threads} threads");
+                assert_eq!(replayed, table_of(&ws, &scratch), "{threads} threads");
+                assert_eq!(d.span, sol.num_colors, "{threads} threads");
+                sharded.push(sol.decomposition.is_some());
+            }
+            // The script really crossed the gate both ways, twice over.
+            let flips = sharded.windows(2).filter(|w| w[0] != w[1]).count();
+            assert!(
+                !sharded[0] && flips >= 3,
+                "gate never flipped both ways: {sharded:?}"
+            );
+        });
+    }
+}
