@@ -1,6 +1,7 @@
 //! Regenerates every paper-vs-measured number (the EXPERIMENTS.md data)
-//! in one run, without Criterion timing overhead, and maintains the
-//! persistent benchmark record in `EXPERIMENTS.md`.
+//! in one run and maintains the persistent benchmark record in
+//! `EXPERIMENTS.md`. It is the workspace's one measurement harness: every
+//! row asserts the claim it prints while the table is generated.
 //!
 //! Modes:
 //!
@@ -91,6 +92,8 @@ fn paper_report() {
             .solve(&inst.graph, &inst.family)
             .unwrap();
         assert!(sol.assignment.is_valid(&inst.graph, &inst.family));
+        assert_eq!(sol.load, 2, "staircase k={k}: π = 2 at any k");
+        assert_eq!(sol.num_colors, k, "staircase k={k}: conflict graph K_k");
         row(
             "F1 staircase",
             &format!("k={k}"),
@@ -99,7 +102,13 @@ fn paper_report() {
         );
     }
 
-    // F2 — Figure 2 cycle taxonomy.
+    // F2 — Figure 2 cycle taxonomy. The detector also reports zero
+    // internal cycles on every generated internal-cycle-free DAG.
+    for n in [100usize, 400, 1600] {
+        let mut rng = ChaCha8Rng::seed_from_u64(n as u64);
+        let clean = random::random_internal_cycle_free(&mut rng, n, n / 3);
+        assert!(internal::is_internal_cycle_free(&clean), "n={n}");
+    }
     row(
         "F2 oriented cycle (2a)",
         "diamond",
@@ -125,6 +134,16 @@ fn paper_report() {
         let sol = SolveSession::auto()
             .solve(&inst.graph, &inst.family)
             .unwrap();
+        assert_eq!((sol.load, sol.num_colors), (2, 3), "figure 3: π=2, w=3");
+        // The replicated family needs ⌈5h/2⌉ wavelengths. h=8 is checked
+        // nowhere else (the test suite caps at h=5); it is the slowest
+        // solve in this table, 6–8 s on a shared 2-vCPU host.
+        for h in [1usize, 2, 4, 8] {
+            let family = inst.family.replicate(h);
+            let rep = SolveSession::auto().solve(&inst.graph, &family).unwrap();
+            assert!(rep.assignment.is_valid(&inst.graph, &family));
+            assert_eq!(rep.num_colors, bounds::c5_wavelengths(h), "C5 × {h}");
+        }
         row(
             "F3 C5 instance",
             "5 dipaths",
@@ -162,6 +181,7 @@ fn paper_report() {
         let sol = SolveSession::auto()
             .solve(&inst.graph, &inst.family)
             .unwrap();
+        assert_eq!((sol.load, sol.num_colors), (2, 3), "odd-cycle k={k}");
         row(
             "F5 odd-cycle family",
             &format!("k={k}, 2k+1={} dipaths", 2 * k + 1),
@@ -209,6 +229,8 @@ fn paper_report() {
             .solve(&inst.graph, &inst.family)
             .unwrap();
         assert!(sol.assignment.is_valid(&inst.graph, &inst.family));
+        assert_eq!(sol.load, 2 * h, "havet h={h}");
+        assert_eq!(sol.num_colors, bounds::havet_wavelengths(h), "havet h={h}");
         row(
             "F9/T7 Havet",
             &format!("h={h}"),
@@ -233,6 +255,7 @@ fn paper_report() {
         let res = theorem1::color_optimal(&g, &family).unwrap();
         let dt = t0.elapsed();
         assert!(res.assignment.is_valid(&g, &family));
+        assert_eq!(res.assignment.num_colors(), pi, "T1 n={n}: w = π");
         row(
             "T1 scaling",
             &format!("n={n}, |P|={paths}"),
@@ -258,6 +281,8 @@ fn paper_report() {
             .map(|(_, p)| p.clone())
             .collect();
         let res = theorem6::color_single_cycle_upp(&g, &family).unwrap();
+        assert!(res.assignment.is_valid(&g, &family));
+        assert!(res.within_bound, "T6 k={k}: distinct family past ⌈4π/3⌉");
         row(
             "T6 split/merge",
             &format!("k={k}, |P|={}", family.len()),
@@ -280,21 +305,34 @@ fn paper_report() {
         let pi = load::max_load(&g, &family);
         let cg = dagwave_paths::ConflictGraph::build(&g, &family);
         let ug = dagwave_core::solver::conflict_to_ugraph(&cg);
-        use dagwave_color::{dsatur, greedy};
+        use dagwave_color::{dsatur, exact, greedy};
+        let t1 = theorem1::color_optimal(&g, &family)
+            .unwrap()
+            .assignment
+            .num_colors();
+        let ds = dsatur::dsatur_color_count(&ug);
+        let nat = greedy::greedy_color_count(&ug, greedy::Order::Natural);
+        let sl = greedy::greedy_color_count(&ug, greedy::Order::SmallestLast);
+        assert_eq!(t1, pi, "Theorem 1 is optimal");
+        assert!(ds >= pi && nat >= pi && sl >= pi, "no heuristic beats π");
+        // Exact branch-and-bound confirms χ = π where it is cheap.
+        let mut rng = ChaCha8Rng::seed_from_u64(40);
+        let small_g = random::random_internal_cycle_free(&mut rng, 40, 10);
+        let small = random::random_family(&mut rng, &small_g, 60, 5);
+        let small_cg = dagwave_paths::ConflictGraph::build(&small_g, &small);
+        let chi = exact::chromatic_number(&dagwave_core::solver::conflict_to_ugraph(&small_cg))
+            .chromatic()
+            .expect("small graph closes");
+        assert_eq!(
+            chi,
+            load::max_load(&small_g, &small),
+            "exact confirms Theorem 1"
+        );
         row(
             "B1 baselines",
             "n=80, |P|=200",
             "theorem1 = π ≤ heuristics",
-            &format!(
-                "π={pi}, t1={}, dsatur={}, greedy-nat={}, greedy-sl={}",
-                theorem1::color_optimal(&g, &family)
-                    .unwrap()
-                    .assignment
-                    .num_colors(),
-                dsatur::dsatur_color_count(&ug),
-                greedy::greedy_color_count(&ug, greedy::Order::Natural),
-                greedy::greedy_color_count(&ug, greedy::Order::SmallestLast),
-            ),
+            &format!("π={pi}, t1={t1}, dsatur={ds}, greedy-nat={nat}, greedy-sl={sl}"),
         );
     }
 
@@ -608,10 +646,8 @@ fn paper_report() {
     // absorb more client batches than it issues `Workspace::apply` calls.
     service_row();
 
-    // D6 — connection scaling A/B across front-ends (same workload on
-    // both, per the reproducibility discipline): 8 vs 128 concurrent
-    // connections, Threaded vs Evented, gated on bit-identity, the
-    // evented thread ceiling, and evented throughput at the high tier.
+    // D6 — connection scaling: 8 vs 128 concurrent connections through
+    // the reactor, gated on bit-identity and a flat server thread count.
     connections_row();
 
     // D5 — the O(dirty) query side: after each churn step, a delta query
@@ -753,6 +789,8 @@ fn paper_report() {
             let res =
                 theorem1::color_optimal_with(&g, &family, order, KempeStrategy::ComponentSwap)
                     .unwrap();
+            assert!(res.assignment.is_valid(&g, &family));
+            assert_eq!(res.assignment.num_colors(), res.load, "{order:?}: w = π");
             row(
                 "A1 peel order",
                 &format!("{order:?}"),
@@ -768,6 +806,8 @@ fn paper_report() {
         for strat in [KempeStrategy::ComponentSwap, KempeStrategy::Cascade] {
             let t0 = Instant::now();
             let res = theorem1::color_optimal_with(&g, &family, PeelOrder::Fifo, strat).unwrap();
+            assert!(res.assignment.is_valid(&g, &family));
+            assert_eq!(res.assignment.num_colors(), res.load, "{strat:?}: w = π");
             row(
                 "A2 kempe strategy",
                 &format!("{strat:?}"),
@@ -831,8 +871,6 @@ impl Comparison {
     }
 }
 
-/// Best-of-`reps` wall-clock for `f`, in milliseconds, plus the last run's
-/// result (so callers can verify outputs without recomputing them).
 /// D4 — the service layer under concurrent writers: a loopback TCP
 /// server over the same incremental engine, 8 writer connections
 /// mutating tenant 0 while a reader forces re-solves. Gated in-row: the
@@ -873,61 +911,46 @@ fn service_row() {
 }
 
 /// D6 — connection scaling: the same admit/query/retire workload driven
-/// over 8 vs 128 concurrent connections, thread-per-connection vs the
-/// poll(2) reactor. Gated in-row: every run must be bit-identical to a
-/// from-scratch solve; the evented front-end must hold its server-side
-/// OS-thread delta ≤ 4 even at 128 connections (thread-per-connection
-/// pays one thread per client); and at the high-connection tier evented
-/// throughput must at least match threaded (in practice it runs ~2× —
-/// 128 runnable threads mostly pay the scheduler).
+/// over 8 vs 128 concurrent connections through the `poll(2)` reactor.
+/// Gated in-row: every run must be bit-identical to a from-scratch solve,
+/// and the server-side OS-thread delta must stay ≤ 4 even at 128
+/// connections (connection count costs no threads).
 /// Also runnable alone as `report --connections`.
 fn connections_row() {
     use dagwave_bench::service::connection_scaling;
-    use dagwave_serve::FrontEnd;
-    let mut rps_at_128 = [0.0f64; 2]; // [threaded, evented]
-                                      // federated(32): enough disjoint components that 128 connections'
-                                      // duplicate admissions land on distinct donors instead of stacking
-                                      // into one exponentially-colorable clique.
+    // federated(32): enough disjoint components that 128 connections'
+    // duplicate admissions land on distinct donors instead of stacking
+    // into one exponentially-colorable clique.
     for &(conns, ops) in &[(8usize, 24usize), (128usize, 3usize)] {
-        for fe in [FrontEnd::Threaded, FrontEnd::Evented] {
-            let r = connection_scaling(32, conns, ops, fe);
-            assert!(
+        let r = connection_scaling(32, conns, ops);
+        assert!(
+            r.identical,
+            "served solution diverged from from-scratch at {conns} connections"
+        );
+        assert!(
+            r.thread_delta <= 4,
+            "the reactor spent {} server threads on {conns} connections",
+            r.thread_delta
+        );
+        row(
+            "D6 connection scaling",
+            &format!("federated(32), {conns} conns × {ops} ops, Evented"),
+            "bit-identical, evented ≤4 srv threads",
+            &format!(
+                "identical={}, {:.0} req/s, p50={:.0} µs, p99={:.0} µs, \
+                 +{} srv threads",
                 r.identical,
-                "{fe:?} front-end diverged from from-scratch at {conns} connections"
-            );
-            if fe == FrontEnd::Evented {
-                assert!(
-                    r.thread_delta <= 4,
-                    "evented front-end spent {} server threads on {conns} connections",
-                    r.thread_delta
-                );
-            }
-            if conns == 128 {
-                rps_at_128[matches!(fe, FrontEnd::Evented) as usize] = r.requests_per_sec();
-            }
-            row(
-                "D6 connection scaling",
-                &format!("federated(32), {conns} conns × {ops} ops, {fe:?}"),
-                "bit-identical, evented ≤4 srv threads",
-                &format!(
-                    "identical={}, {:.0} req/s, p50={:.0} µs, p99={:.0} µs, \
-                     +{} srv threads",
-                    r.identical,
-                    r.requests_per_sec(),
-                    r.p50_us,
-                    r.p99_us,
-                    r.thread_delta
-                ),
-            );
-        }
+                r.requests_per_sec(),
+                r.p50_us,
+                r.p99_us,
+                r.thread_delta
+            ),
+        );
     }
-    let [threaded, evented] = rps_at_128;
-    assert!(
-        evented >= threaded,
-        "evented fell behind threaded at 128 connections: {evented:.0} vs {threaded:.0} req/s"
-    );
 }
 
+/// Best-of-`reps` wall-clock for `f`, in milliseconds, plus the last run's
+/// result (so callers can verify outputs without recomputing them).
 fn time_ms_with<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
     let mut best = f64::INFINITY;
     let mut out = None;

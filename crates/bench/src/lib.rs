@@ -1,30 +1,7 @@
-//! Shared helpers for the dagwave benchmark harness.
-//!
-//! Every bench regenerates one paper artifact (see DESIGN.md §2). The
-//! helpers here keep Criterion configuration consistent and print the
-//! paper-claimed vs measured quantities alongside the timing series, so a
-//! `cargo bench` run doubles as the EXPERIMENTS.md data source.
-
-use criterion::Criterion;
-use std::time::Duration;
+//! Shared helpers for the `report` binary: the service load harness
+//! ([`service`]) and the peak-RSS probe its D-series rows print.
 
 pub mod service;
-
-/// Criterion tuned for algorithm-correctness benches: small samples, short
-/// measurement windows (the quantities of interest are wavelength counts
-/// and asymptotic shape, not nanosecond precision).
-pub fn quick_criterion() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_millis(800))
-        .warm_up_time(Duration::from_millis(200))
-        .configure_from_args()
-}
-
-/// Print one row of a paper-vs-measured table (picked up by EXPERIMENTS.md).
-pub fn report_row(experiment: &str, param: &str, claimed: &str, measured: &str) {
-    println!("[dagwave-report] {experiment} | {param} | claimed {claimed} | measured {measured}");
-}
 
 /// Peak resident set size of this process so far, in KiB — `VmHWM` from
 /// `/proc/self/status`. `None` where procfs is unavailable (non-Linux), so

@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use dagwave_core::{DecomposePolicy, SolverBuilder, Workspace};
 use dagwave_gen::compose::federated;
-use dagwave_serve::{Client, FrontEnd, Server, ServerConfig};
+use dagwave_serve::{Client, Server, ServerConfig};
 
 /// What one [`service_load`] run measured.
 #[derive(Clone, Debug)]
@@ -226,18 +226,11 @@ pub fn os_threads() -> usize {
 }
 
 /// Connection-scaling load: `conns` concurrent connections each admit a
-/// donor duplicate, query, and retire it, `ops_per_conn` times, against a
-/// server running the given `front_end`. All connections hold open for
-/// the whole run (the barrier makes the thread count peak measurable),
-/// every connection retires what it admitted, and the final solution is
-/// checked bit-identical to a from-scratch solve — the same workload on
-/// either front-end, so the comparison isolates the connection model.
-pub fn connection_scaling(
-    k: usize,
-    conns: usize,
-    ops_per_conn: usize,
-    front_end: FrontEnd,
-) -> ConnScalingReport {
+/// donor duplicate, query, and retire it, `ops_per_conn` times. All
+/// connections hold open for the whole run (the barrier makes the thread
+/// count peak measurable), every connection retires what it admitted, and
+/// the final solution is checked bit-identical to a from-scratch solve.
+pub fn connection_scaling(k: usize, conns: usize, ops_per_conn: usize) -> ConnScalingReport {
     let inst = federated(k);
     let session = || {
         SolverBuilder::new()
@@ -253,11 +246,7 @@ pub fn connection_scaling(
         )
     });
     let baseline_threads = os_threads();
-    let config = ServerConfig {
-        front_end,
-        ..ServerConfig::default()
-    };
-    let handle = Server::bind("127.0.0.1:0", factory, config)
+    let handle = Server::bind("127.0.0.1:0", factory, ServerConfig::default())
         .expect("bind loopback")
         .spawn();
     let addr = handle.addr();

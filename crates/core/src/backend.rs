@@ -37,8 +37,7 @@ use std::sync::OnceLock;
 
 /// Names every coloring backend reachable through the public API.
 ///
-/// Also used as the `strategy` tag on a solved instance (the legacy name
-/// `Strategy` is an alias for this type).
+/// Also used as the `strategy` tag on a solved instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// Theorem 1 (peel/replay): optimal, `w = π`, internal-cycle-free DAGs.
@@ -104,7 +103,7 @@ impl fmt::Display for BackendKind {
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub enum Policy {
     /// Classify the instance and dispatch to the strongest applicable
-    /// method (the historical `WavelengthSolver::solve` behavior).
+    /// method.
     #[default]
     Auto,
     /// Run exactly this backend; error with

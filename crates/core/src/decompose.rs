@@ -20,9 +20,8 @@
 //! the full per-backend attempt provenance), in deterministic shard order
 //! (components ordered by smallest original path id).
 
-use crate::backend::BackendAttempt;
+use crate::backend::{BackendAttempt, BackendKind};
 use crate::internal::DagClass;
-use crate::solver::Strategy;
 use dagwave_paths::PathId;
 
 /// When the solving surface shards an instance by conflict-graph
@@ -98,7 +97,7 @@ pub struct ShardOutcome {
     /// The shard's own class (often friendlier than the whole instance's).
     pub class: DagClass,
     /// The backend that produced the kept shard coloring.
-    pub strategy: Strategy,
+    pub strategy: BackendKind,
     /// Wavelengths the shard uses (the merged span is the max of these).
     pub num_colors: usize,
     /// The shard's own load `π`.
@@ -157,7 +156,6 @@ impl Decomposition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::BackendKind;
 
     fn shard(paths: usize, class: DagClass, num_colors: usize) -> ShardOutcome {
         ShardOutcome {

@@ -95,7 +95,5 @@ pub use backend::{
 pub use colortable::ColorTable;
 pub use decompose::{DecomposePolicy, Decomposition, ShardOutcome};
 pub use error::CoreError;
-#[allow(deprecated)]
-pub use solver::WavelengthSolver;
-pub use solver::{Instance, Solution, SolveSession, SolverBuilder, Strategy};
+pub use solver::{Instance, Solution, SolveSession, SolverBuilder};
 pub use workspace::{Epoch, Mutation, Resolve, SolutionDelta, Workspace, WorkspaceStats};

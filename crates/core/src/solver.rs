@@ -43,10 +43,6 @@ use std::collections::VecDeque;
 /// unbounded prefix of the source iterator.
 const STREAM_WINDOW_PER_THREAD: usize = 4;
 
-/// Which backend produced a [`Solution`] — an alias for [`BackendKind`],
-/// kept so pre-portfolio code (`Strategy::Theorem1`, …) reads unchanged.
-pub type Strategy = BackendKind;
-
 /// One shard result awaiting merge: the shard's original path ids plus its
 /// solution (or the error that shard produced).
 type ShardSlot = Option<Result<(Vec<PathId>, Solution), CoreError>>;
@@ -67,7 +63,7 @@ pub struct Solution {
     /// The backend that produced the kept assignment. For a decomposed
     /// solve this is the winning backend of the shard that determined the
     /// merged span (the first shard attaining the maximum).
-    pub strategy: Strategy,
+    pub strategy: BackendKind,
     /// Every backend consulted for this solve, in consultation order, with
     /// its bounds and `certify`-backed validity verdict. For a decomposed
     /// solve: the shards' attempts concatenated in shard order (the
@@ -216,11 +212,9 @@ impl SolveSession {
         SolveSession { request }
     }
 
-    /// Session with default budgets and [`Policy::Auto`] — the drop-in
-    /// replacement for the old `WavelengthSolver::new()`, except that the
-    /// default [`DecomposePolicy::Auto`] additionally shards large
-    /// multi-component instances (the deprecated shim itself keeps
-    /// decomposition pinned off).
+    /// Session with default budgets, [`Policy::Auto`], and the default
+    /// [`DecomposePolicy::Auto`], which shards large multi-component
+    /// instances.
     pub fn auto() -> Self {
         Self::default()
     }
@@ -784,7 +778,7 @@ pub(crate) fn merge_shards<S: std::borrow::Borrow<Solution>>(
     let mut colors = vec![usize::MAX; ctx.family.len()];
     let mut span = 0usize;
     let mut best_lower = 0usize;
-    let mut strategy: Option<Strategy> = None;
+    let mut strategy: Option<BackendKind> = None;
     let mut all_optimal = true;
     let mut attempts = Vec::new();
     let mut reports = Vec::with_capacity(shards.len());
@@ -904,129 +898,6 @@ pub fn conflict_to_ugraph(cg: &ConflictGraph) -> UGraph {
     UGraph::from_sorted_adjacency(adj)
 }
 
-// ---------------------------------------------------------------------------
-// Deprecated facade
-// ---------------------------------------------------------------------------
-
-/// The pre-portfolio solver facade, retained as a thin shim.
-///
-/// `WavelengthSolver::new().solve(..)` behaves exactly like
-/// `SolveSession::auto().solve(..)`; the two public budget fields map to
-/// [`SolverBuilder::exact_limit`] and [`SolverBuilder::exact_budget`].
-#[deprecated(
-    since = "0.3.0",
-    note = "use SolverBuilder/SolveSession (SolveSession::auto() matches the old behavior)"
-)]
-#[derive(Clone, Debug)]
-pub struct WavelengthSolver {
-    /// Largest conflict graph handed to the exact solver (vertices).
-    pub exact_limit: usize,
-    /// Node budget for the exact solver.
-    pub exact_budget: u64,
-}
-
-#[allow(deprecated)]
-impl Default for WavelengthSolver {
-    fn default() -> Self {
-        let req = SolveRequest::default();
-        WavelengthSolver {
-            exact_limit: req.exact_limit,
-            exact_budget: req.exact_budget,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl WavelengthSolver {
-    /// Solver with default limits.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn session(&self) -> SolveSession {
-        SolveSession::new(self.request())
-    }
-
-    /// The shim's request: the old facade predates decompose-solve-merge,
-    /// so decomposition is pinned off to honor the "identical behavior"
-    /// contract above.
-    fn request(&self) -> SolveRequest {
-        SolveRequest {
-            exact_limit: self.exact_limit,
-            exact_budget: self.exact_budget,
-            decompose: DecomposePolicy::Off,
-            ..SolveRequest::default()
-        }
-    }
-
-    /// Solve the instance, dispatching on its class.
-    pub fn solve(
-        &self,
-        g: &dagwave_graph::Digraph,
-        family: &DipathFamily,
-    ) -> Result<Solution, CoreError> {
-        self.session().solve(g, family)
-    }
-
-    /// Solve many instances in parallel; see [`SolveSession::solve_batch`].
-    pub fn solve_batch(
-        &self,
-        instances: &[(&dagwave_graph::Digraph, &DipathFamily)],
-    ) -> Vec<Result<Solution, CoreError>> {
-        self.session().solve_batch(instances)
-    }
-
-    /// Weighted-coloring path for families with duplicated dipaths; returns
-    /// `None` when the weighted backend does not apply (no duplicates, or
-    /// base larger than the dedup limit).
-    pub fn solve_weighted(
-        &self,
-        g: &dagwave_graph::Digraph,
-        family: &DipathFamily,
-        class: DagClass,
-    ) -> Option<Solution> {
-        let request = self.request();
-        let ctx = InstanceContext::new(g, family, &request).ok()?;
-        if backend(BackendKind::Weighted).unsupported(&ctx).is_some() {
-            return None;
-        }
-        let (attempt, outcome) = run_required(BackendKind::Weighted, &ctx).ok()?;
-        let mut sol = build_solution(&ctx, BackendKind::Weighted, outcome, vec![attempt]);
-        sol.class = class; // historical signature: caller supplies the class
-        Some(sol)
-    }
-
-    /// Fallback path: exact chromatic on small conflict graphs, DSATUR
-    /// beyond. Also used directly by benches as the baseline.
-    pub fn solve_general(
-        &self,
-        g: &dagwave_graph::Digraph,
-        family: &DipathFamily,
-        class: DagClass,
-    ) -> Result<Solution, CoreError> {
-        let request = self.request();
-        let ctx = InstanceContext::new(g, family, &request)?;
-        let kind = if backend(BackendKind::Exact).unsupported(&ctx).is_none() {
-            BackendKind::Exact
-        } else {
-            BackendKind::Dsatur
-        };
-        let (attempt, outcome) = run_required(kind, &ctx)?;
-        let mut sol = build_solution(&ctx, kind, outcome, vec![attempt]);
-        sol.class = class;
-        Ok(sol)
-    }
-
-    /// See [`SolveSession::guaranteed_bound`].
-    pub fn guaranteed_bound(
-        &self,
-        g: &dagwave_graph::Digraph,
-        family: &DipathFamily,
-    ) -> Option<usize> {
-        self.session().guaranteed_bound(g, family)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1064,7 +935,7 @@ mod tests {
             path(&g, &[1, 2]),
         ]);
         let sol = SolveSession::auto().solve(&g, &f).unwrap();
-        assert_eq!(sol.strategy, Strategy::Theorem1);
+        assert_eq!(sol.strategy, BackendKind::Theorem1);
         assert!(sol.optimal);
         assert_eq!(sol.num_colors, sol.load);
         assert!(sol.assignment.is_valid(&g, &f));
@@ -1101,7 +972,7 @@ mod tests {
             path(&g, &[3, 4]),
         ]);
         let sol = SolveSession::auto().solve(&g, &f).unwrap();
-        assert_eq!(sol.strategy, Strategy::Theorem6);
+        assert_eq!(sol.strategy, BackendKind::Theorem6);
         assert!(sol.assignment.is_valid(&g, &f));
         // Provenance: theorem6 ran, weighted was consulted and declined
         // (no duplicated dipaths in this family).
@@ -1116,7 +987,7 @@ mod tests {
     fn dispatches_exact_on_general_dag() {
         let (g, f) = general_instance();
         let sol = SolveSession::auto().solve(&g, &f).unwrap();
-        assert_eq!(sol.strategy, Strategy::Exact);
+        assert_eq!(sol.strategy, BackendKind::Exact);
         assert!(sol.optimal);
         assert!(sol.assignment.is_valid(&g, &f));
         assert!(sol.num_colors >= sol.load);
@@ -1128,7 +999,7 @@ mod tests {
         let (g, f) = general_instance();
         let f = f.replicate(30); // 120 paths > exact_limit
         let sol = SolveSession::auto().solve(&g, &f).unwrap();
-        assert_eq!(sol.strategy, Strategy::Dsatur);
+        assert_eq!(sol.strategy, BackendKind::Dsatur);
         assert!(sol.assignment.is_valid(&g, &f));
         assert!(sol.num_colors >= sol.load);
     }
@@ -1362,27 +1233,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn deprecated_facade_still_matches_the_session() {
-        #[allow(deprecated)]
-        let old = WavelengthSolver::new();
-        let (g, f) = general_instance();
-        #[allow(deprecated)]
-        let a = old.solve(&g, &f).unwrap();
-        let b = SolveSession::auto().solve(&g, &f).unwrap();
-        assert_eq!(a.num_colors, b.num_colors);
-        assert_eq!(a.strategy, b.strategy);
-        assert_eq!(a.assignment.colors(), b.assignment.colors());
-        #[allow(deprecated)]
-        let w = old
-            .solve_general(&g, &f, crate::internal::classify(&g))
-            .unwrap();
-        assert!(w.assignment.is_valid(&g, &f));
-        #[allow(deprecated)]
-        let none = old.solve_weighted(&g, &f, crate::internal::classify(&g));
-        assert!(none.is_none(), "family has no duplicates");
-    }
-
     /// Three conflict components: the guarded diamond family splits in two
     /// ({p0,p1} and {p2,p3} share no arc) and a disjoint chain part adds a
     /// third. Every shard's restricted graph is internal-cycle-free even
@@ -1425,7 +1275,7 @@ mod tests {
         assert!(d
             .shards
             .iter()
-            .all(|s| s.strategy == Strategy::Theorem1 && s.optimal));
+            .all(|s| s.strategy == BackendKind::Theorem1 && s.optimal));
         assert!(sol.optimal);
         // Whole-instance stats survive the merge.
         assert_eq!(sol.load, dagwave_paths::load::max_load(&g, &f));
@@ -1529,7 +1379,7 @@ mod tests {
             .solve(&g, &f)
             .unwrap();
         assert!(auto.decomposition.is_none());
-        assert_eq!(auto.strategy, Strategy::Theorem1);
+        assert_eq!(auto.strategy, BackendKind::Theorem1);
         // A pinned heuristic backend still shards (smaller graphs help it).
         let pinned = SolveSession::builder()
             .pinned(BackendKind::Dsatur)

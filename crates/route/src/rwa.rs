@@ -214,7 +214,7 @@ impl RwaWorkspace {
 mod tests {
     use super::*;
     use crate::request;
-    use dagwave_core::Strategy;
+    use dagwave_core::BackendKind;
     use dagwave_graph::builder::from_edges;
     use dagwave_graph::VertexId;
 
@@ -230,7 +230,7 @@ mod tests {
         let report = RwaPipeline::new(RoutingStrategy::Shortest)
             .run(&g, &reqs)
             .unwrap();
-        assert_eq!(report.solution.strategy, Strategy::Theorem1);
+        assert_eq!(report.solution.strategy, BackendKind::Theorem1);
         assert!(report.solution.optimal);
         assert_eq!(report.solution.num_colors, report.solution.load);
         assert!(report.solution.assignment.is_valid(&g, &report.family));

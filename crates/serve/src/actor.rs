@@ -4,20 +4,18 @@
 //! The `Workspace` is single-writer by design (every mutation rewrites
 //! shard caches in place), so the service never shares it behind a lock.
 //! Instead each tenant gets an **actor**: a dedicated thread that drains a
-//! command channel, and any number of connection threads holding cloneable
-//! [`TenantHandle`]s that enqueue commands and block on a per-request
-//! reply channel. Ordering within one connection is the order it sends;
-//! across connections, the queue order.
+//! command channel. The reactor holds a cloneable `TenantHandle` per
+//! tenant and enqueues commands; each command carries a callback that
+//! posts the reply back to the reactor and wakes its `poll`. Ordering
+//! within one connection is the order it sends (one request in flight per
+//! connection); across connections, the queue order.
 //!
 //! # Backpressure
 //!
 //! The command queue is a `sync_channel` bounded at
-//! [`ActorConfig::queue_depth`]. Blocking callers ([`TenantHandle`]
-//! methods) simply wait when the actor is behind — natural backpressure
-//! for the threaded front-end. The evented front-end instead uses the
-//! non-blocking crate-internal send and surfaces a full queue to the
-//! client as a typed `Busy` error, so the reactor thread never blocks on
-//! a saturated actor.
+//! [`ActorConfig::queue_depth`]. The reactor enqueues without blocking
+//! and answers a full queue with a typed [`ServeError::Busy`], so a
+//! saturated actor never stalls the connections of other tenants.
 //!
 //! # Coalescing
 //!
@@ -94,9 +92,8 @@ pub enum ServeError {
     },
     /// The actor has stopped (server shutting down).
     Stopped,
-    /// The actor's bounded command queue is full (evented front-end
-    /// only — blocking handles wait instead). Transient: retry after
-    /// draining responses.
+    /// The actor's bounded command queue is full. Nothing was applied.
+    /// Transient: retry after draining responses.
     Busy,
 }
 
@@ -141,15 +138,16 @@ pub enum AdmissionPolicy {
     },
 }
 
-/// Per-tenant actor knobs (see [`spawn_tenant`]).
+/// Per-tenant actor knobs, derived from the server's
+/// [`ServerConfig`](crate::server::ServerConfig).
 #[derive(Clone, Copy, Debug)]
 pub struct ActorConfig {
     /// Admission ceiling on any arc's load (`None` = admit everything).
     pub span_budget: Option<usize>,
     /// Max queued mutation batches one `Workspace::apply` may coalesce.
     pub max_coalesce: usize,
-    /// Bound on the actor's command queue; senders beyond it block
-    /// (threaded) or get [`ServeError::Busy`] (evented).
+    /// Bound on the actor's command queue; requests beyond it get
+    /// [`ServeError::Busy`].
     pub queue_depth: usize,
     /// What to do with over-budget batches.
     pub admission: AdmissionPolicy,
@@ -178,7 +176,7 @@ pub struct ActorStats {
     pub applies: u64,
     /// Solution queries served.
     pub queries: u64,
-    /// Delta queries served ([`TenantHandle::query_delta`]).
+    /// Delta queries served.
     pub delta_queries: u64,
 }
 
@@ -194,8 +192,8 @@ pub struct Snapshot {
 }
 
 /// The actor's answer to one command; the variant mirrors the command
-/// kind so non-blocking callers can route completions without a typed
-/// channel per request.
+/// kind so the reactor can route completions without a typed channel per
+/// request.
 pub(crate) enum ActorReply {
     /// Answer to [`Command::Apply`].
     Applied(Result<Vec<PathId>, ServeError>),
@@ -207,22 +205,17 @@ pub(crate) enum ActorReply {
     Stats(Box<(WorkspaceStats, ActorStats)>),
 }
 
-/// Where one command's reply goes: a blocking per-request channel
-/// (threaded front-end) or a callback that posts a completion and wakes
-/// the reactor (evented front-end). Decouples the actor from reactor
-/// types.
-pub(crate) enum Responder {
-    Blocking(mpsc::Sender<ActorReply>),
-    Callback(Box<dyn FnOnce(ActorReply) + Send>),
-}
+/// Where one command's reply goes: a callback that posts a completion and
+/// wakes the reactor. Decouples the actor from reactor types.
+pub(crate) struct Responder(Box<dyn FnOnce(ActorReply) + Send>);
 
 impl Responder {
+    pub(crate) fn new(f: impl FnOnce(ActorReply) + Send + 'static) -> Self {
+        Responder(Box::new(f))
+    }
+
     fn send(self, reply: ActorReply) {
-        match self {
-            // A dropped receiver just means the client went away.
-            Responder::Blocking(tx) => drop(tx.send(reply)),
-            Responder::Callback(f) => f(reply),
-        }
+        (self.0)(reply)
     }
 }
 
@@ -244,78 +237,78 @@ pub(crate) enum Command {
     Stop,
 }
 
-/// A cloneable client handle to one tenant actor. Every method enqueues a
-/// command and blocks for the reply; [`ServeError::Stopped`] means the
-/// actor is gone (shutdown). The queue is bounded, so a handle blocks in
-/// `send` when the actor is [`ActorConfig::queue_depth`] commands behind.
+/// A cloneable handle to one tenant actor: the reactor enqueues commands
+/// through it without blocking, and the registry stops the actor through
+/// it.
 #[derive(Clone)]
-pub struct TenantHandle {
+pub(crate) struct TenantHandle {
     tx: SyncSender<Command>,
 }
 
+impl TenantHandle {
+    /// Ask the actor to exit after draining already-queued commands.
+    pub(crate) fn stop(&self) {
+        let _ = self.tx.send(Command::Stop);
+    }
+
+    /// Non-blocking enqueue: a full queue comes back as `Err` instead of
+    /// blocking the reactor thread.
+    pub(crate) fn try_send(&self, cmd: Command) -> Result<(), TrySendError<Command>> {
+        self.tx.try_send(cmd)
+    }
+}
+
+/// Blocking request/reply calls for the unit tests below: each one
+/// enqueues a command whose callback sends the reply into a channel, then
+/// waits on that channel.
+#[cfg(test)]
 impl TenantHandle {
     fn round_trip(
         &self,
         make: impl FnOnce(Responder) -> Command,
     ) -> Result<ActorReply, ServeError> {
         let (reply_tx, reply_rx) = mpsc::channel();
+        let respond = Responder::new(move |reply| {
+            // A dropped receiver just means the caller went away.
+            let _ = reply_tx.send(reply);
+        });
         self.tx
-            .send(make(Responder::Blocking(reply_tx)))
+            .send(make(respond))
             .map_err(|_| ServeError::Stopped)?;
         reply_rx.recv().map_err(|_| ServeError::Stopped)
     }
 
-    /// Apply one mutation batch atomically. Returns the stable ids
-    /// assigned to the batch's `Add` ops, in op order.
-    pub fn apply(&self, ops: Vec<ActorOp>) -> Result<Vec<PathId>, ServeError> {
+    fn apply(&self, ops: Vec<ActorOp>) -> Result<Vec<PathId>, ServeError> {
         match self.round_trip(|respond| Command::Apply { ops, respond })? {
             ActorReply::Applied(r) => r,
             _ => Err(ServeError::Stopped),
         }
     }
 
-    /// Fetch the current solution snapshot (served from the workspace's
-    /// shard caches when nothing changed since the last query).
-    pub fn query(&self) -> Result<Snapshot, ServeError> {
+    fn query(&self) -> Result<Snapshot, ServeError> {
         match self.round_trip(|respond| Command::Query { respond })? {
             ActorReply::Snapshot(r) => r,
             _ => Err(ServeError::Stopped),
         }
     }
 
-    /// Fetch everything that changed since the client's last synced
-    /// epoch — O(changed) on the actor thread, no full solution
-    /// materialized. Replaying the deltas in epoch order reconstructs
-    /// exactly the color table [`TenantHandle::query`] would report.
-    pub fn query_delta(&self, since: u64) -> Result<SolutionDelta, ServeError> {
+    fn query_delta(&self, since: u64) -> Result<SolutionDelta, ServeError> {
         match self.round_trip(|respond| Command::QueryDelta { since, respond })? {
             ActorReply::Delta(r) => r,
             _ => Err(ServeError::Stopped),
         }
     }
 
-    /// Fetch the workspace's cumulative counters plus the actor's own.
-    pub fn stats(&self) -> Result<(WorkspaceStats, ActorStats), ServeError> {
+    fn stats(&self) -> Result<(WorkspaceStats, ActorStats), ServeError> {
         match self.round_trip(|respond| Command::Stats { respond })? {
             ActorReply::Stats(pair) => Ok(*pair),
             _ => Err(ServeError::Stopped),
         }
     }
-
-    /// Ask the actor to exit after draining already-queued commands.
-    pub fn stop(&self) {
-        let _ = self.tx.send(Command::Stop);
-    }
-
-    /// Non-blocking enqueue for the evented front-end: a full queue comes
-    /// back as `Err` instead of blocking the reactor thread.
-    pub(crate) fn try_send(&self, cmd: Command) -> Result<(), TrySendError<Command>> {
-        self.tx.try_send(cmd)
-    }
 }
 
 /// Spawn the actor thread for one tenant workspace.
-pub fn spawn_tenant(
+pub(crate) fn spawn_tenant(
     workspace: Workspace,
     config: ActorConfig,
 ) -> (TenantHandle, thread::JoinHandle<()>) {
@@ -599,7 +592,7 @@ fn serve_read(
 }
 
 /// Apply admission-passed batches in a single `Workspace::apply` and
-/// answer every reply channel. Returns whether the workspace mutated.
+/// answer every batch. Returns whether the workspace mutated.
 fn apply_admitted(ws: &mut Workspace, accepted: Vec<PendingBatch>, stats: &mut ActorStats) -> bool {
     if accepted.is_empty() {
         return false;
@@ -690,7 +683,7 @@ fn fail_one_then_apply_each(
 }
 
 /// Apply each batch on its own (the non-coalesced slow path after a
-/// combined failure); answers every reply channel. Returns whether any
+/// combined failure); answers every batch. Returns whether any
 /// batch mutated the workspace.
 fn apply_each(ws: &mut Workspace, batches: Vec<PendingBatch>, stats: &mut ActorStats) -> bool {
     let mut mutated = false;

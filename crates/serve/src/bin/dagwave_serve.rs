@@ -4,7 +4,6 @@
 //! ```text
 //! dagwave-serve [--addr HOST:PORT] [--scenario federated:K | empty:N]
 //!               [--span-budget N] [--max-coalesce N]
-//!               [--front-end threaded|evented]
 //! ```
 //!
 //! Every tenant id gets its own workspace built from the scenario:
@@ -12,10 +11,8 @@
 //! instance (`dagwave-gen`), `empty:N` from an N-vertex line DAG with no
 //! dipaths. `--span-budget` turns on admission control: a mutation batch
 //! that would push any arc's load past the budget is rejected with a
-//! typed error instead of applied. `--front-end` picks the connection
-//! model: `threaded` (default) spawns one OS thread per client,
-//! `evented` drives every connection from a single poll(2) reactor
-//! thread (unix only).
+//! typed error instead of applied. Every connection is driven by one
+//! poll(2) reactor thread, so connection count costs no OS threads.
 
 use std::process::ExitCode;
 
@@ -23,7 +20,7 @@ use dagwave_core::{DecomposePolicy, SolverBuilder, Workspace};
 use dagwave_gen::compose::federated;
 use dagwave_graph::builder::from_edges;
 use dagwave_paths::DipathFamily;
-use dagwave_serve::{FrontEnd, Server, ServerConfig, WorkspaceFactory};
+use dagwave_serve::{Server, ServerConfig, WorkspaceFactory};
 
 #[derive(Clone, Debug)]
 enum Scenario {
@@ -78,13 +75,6 @@ fn parse_args(argv: &[String]) -> Result<Args, Option<String>> {
                     .parse()
                     .map_err(|_| Some(format!("bad coalesce cap {v:?}")))?;
             }
-            "--front-end" => {
-                args.config.front_end = match value("--front-end")?.as_str() {
-                    "threaded" => FrontEnd::Threaded,
-                    "evented" => FrontEnd::Evented,
-                    other => return Err(Some(format!("unknown front-end {other:?}"))),
-                };
-            }
             "--help" | "-h" => return Err(None),
             other => return Err(Some(format!("unknown flag {other:?}"))),
         }
@@ -114,8 +104,7 @@ fn factory_for(scenario: Scenario) -> WorkspaceFactory {
 }
 
 const USAGE: &str = "usage: dagwave-serve [--addr HOST:PORT] \
-[--scenario federated:K | empty:N] [--span-budget N] [--max-coalesce N] \
-[--front-end threaded|evented]";
+[--scenario federated:K | empty:N] [--span-budget N] [--max-coalesce N]";
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();

@@ -1,10 +1,12 @@
 //! # dagwave-serve
 //!
 //! The service layer over the incremental [`Workspace`]: a versioned
-//! binary wire protocol on TCP, a server with selectable front-ends
-//! (thread-per-connection, or a single-threaded `poll(2)` reactor), and a
-//! single-writer actor per tenant that coalesces queued mutations into
-//! shared recomputations.
+//! binary wire protocol on TCP, a server whose single-threaded `poll(2)`
+//! reactor drives every connection, and a single-writer actor per tenant
+//! that coalesces queued mutations into shared recomputations.
+//!
+//! The crate is unix-only (the reactor declares `poll(2)` and `pipe(2)`
+//! itself); Linux is the only target it is built and tested on.
 //!
 //! The `Workspace` (dagwave-core) already makes re-solves O(dirty): only
 //! conflict components touched by a mutation are recomputed, the rest are
@@ -25,13 +27,11 @@
 //!   rejected immediately or parked until capacity frees.
 //! * [`server`] — `std::net` listener, a registry thread that owns the
 //!   tenant map (multi-tenant: independent workspaces keyed by a `u64`
-//!   tenant id), channel-based shutdown, and two front-ends selected by
-//!   [`server::FrontEnd`]: one blocking thread per connection, or a
-//!   single-threaded `poll(2)` reactor (unix) whose OS thread count is
-//!   independent of connection count.
-//! * `reactor` (unix) — the evented front-end: nonblocking sockets,
-//!   incremental frame decode, pooled buffers, bounded write queues with
-//!   typed `Busy` backpressure.
+//!   tenant id), and channel-based shutdown.
+//! * `reactor` — the one connection model, run on the [`Server::run`]
+//!   caller's thread: nonblocking sockets, incremental frame decode,
+//!   pooled buffers, bounded write queues with typed `Busy`
+//!   backpressure. OS thread count is independent of connection count.
 //! * [`client`] — a blocking request/response client used by the tests,
 //!   the demo binary, and the bench harness.
 //!
@@ -68,13 +68,10 @@
 pub mod actor;
 pub mod client;
 pub mod protocol;
-#[cfg(unix)]
 mod reactor;
 pub mod server;
 
-pub use actor::{
-    ActorConfig, ActorOp, ActorStats, AdmissionPolicy, ServeError, Snapshot, TenantHandle,
-};
+pub use actor::{ActorConfig, ActorOp, ActorStats, AdmissionPolicy, ServeError, Snapshot};
 pub use client::{Client, ClientError};
 pub use protocol::{
     ErrorCode, Request, Response, WireDelta, WireError, WireOp, WireSolution, WireStats,

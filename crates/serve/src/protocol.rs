@@ -10,7 +10,7 @@
 //! ```text
 //! offset  size  field
 //! 0       1     magic      0xDA
-//! 1       1     version    0x02 (0x01 accepted; see "Versioning" below)
+//! 1       1     version    0x02 (the only version; see "Versioning" below)
 //! 2       1     opcode     (see the opcode table below)
 //! 3       1     flags      0x00 (reserved; nonzero is rejected)
 //! 4       4     length     payload byte count, u32 little-endian
@@ -33,14 +33,14 @@
 //! | `0x04` | request   | [`Request::Query`] — tenant `u64` |
 //! | `0x05` | request   | [`Request::Stats`] — tenant `u64` |
 //! | `0x06` | request   | [`Request::Shutdown`] — empty |
-//! | `0x07` | request   | [`Request::QueryDelta`] — tenant `u64`, since-epoch `u64` *(v2)* |
+//! | `0x07` | request   | [`Request::QueryDelta`] — tenant `u64`, since-epoch `u64` |
 //! | `0x81` | response  | [`Response::Admitted`] — path id `u32` |
 //! | `0x82` | response  | [`Response::Retired`] — empty |
 //! | `0x83` | response  | [`Response::Applied`] — added ids `vec<u32>` |
 //! | `0x84` | response  | [`Response::Solution`] — see [`WireSolution`] |
 //! | `0x85` | response  | [`Response::Stats`] — see [`WireStats`] |
 //! | `0x86` | response  | [`Response::ShuttingDown`] — empty |
-//! | `0x87` | response  | [`Response::Delta`] — see [`WireDelta`] *(v2)* |
+//! | `0x87` | response  | [`Response::Delta`] — see [`WireDelta`] |
 //! | `0xEE` | response  | [`Response::Error`] — code `u16`, message `string` |
 //!
 //! A batch op is a `u8` tag: `0x00` add (followed by arc ids `vec<u32>`),
@@ -48,14 +48,12 @@
 //!
 //! # Versioning
 //!
-//! The version byte is a *minor* version: v2 adds the `QueryDelta`/`Delta`
-//! opcodes and trailing [`WireStats`] counters, and changes nothing
-//! that existed in v1. This side emits [`VERSION`] (`0x02`) and accepts
-//! any version in `MIN_VERSION..=VERSION`, so v1 frames still decode —
-//! including v1 `Stats` payloads, whose missing trailing counters read as
-//! zero (the `Stats` payload is length-extensible: 9, 15, and 19-counter
-//! stages all decode). Versions outside that range are
-//! [`WireError::UnknownVersion`].
+//! There is one protocol version, [`VERSION`] (`0x02`): this side emits
+//! it and accepts nothing else — any other version byte is
+//! [`WireError::UnknownVersion`]. Each message has exactly one layout (a
+//! `Stats` payload is always 19 counters; a shorter one is
+//! [`WireError::Truncated`]). Changing any layout means bumping
+//! [`VERSION`], and a bump breaks every peer built against the old one.
 //!
 //! Unknown versions, unknown opcodes, truncated payloads, trailing bytes,
 //! and oversized lengths all decode to typed [`WireError`]s — never a
@@ -67,11 +65,8 @@ use std::io::{self, Read, Write};
 
 /// First byte of every frame.
 pub const MAGIC: u8 = 0xDA;
-/// Protocol version this module emits (v2: delta queries + extended
-/// stats).
+/// The protocol version: the only one this module emits or accepts.
 pub const VERSION: u8 = 0x02;
-/// Oldest version this module still accepts (see "Versioning" above).
-pub const MIN_VERSION: u8 = 0x01;
 /// Hard ceiling on a frame's payload length (16 MiB): anything larger is
 /// rejected at the header, before allocation.
 pub const MAX_PAYLOAD: u32 = 1 << 24;
@@ -110,7 +105,7 @@ impl std::fmt::Display for WireError {
             WireError::UnknownVersion(v) => {
                 write!(
                     f,
-                    "unknown protocol version {v} (this side speaks {MIN_VERSION}..={VERSION})"
+                    "unknown protocol version {v} (this side speaks {VERSION})"
                 )
             }
             WireError::UnknownOpcode(op) => write!(f, "unknown opcode {op:#04x}"),
@@ -246,7 +241,7 @@ pub enum Request {
     /// closes after acknowledging with [`Response::ShuttingDown`].
     Shutdown,
     /// Fetch everything that changed in `tenant`'s solution since the
-    /// client's last synced epoch (v2). Answered with
+    /// client's last synced epoch. Answered with
     /// [`Response::Delta`] — O(changed) bytes, never a full solution.
     QueryDelta {
         /// Tenant whose workspace is addressed.
@@ -267,13 +262,13 @@ pub struct WireSolution {
     pub optimal: bool,
     /// Conflict components in the solved decomposition (1 for monolithic).
     pub shard_count: u32,
-    /// Winning backend name (kebab-case `Strategy` rendering).
+    /// Winning backend name (kebab-case `BackendKind` rendering).
     pub strategy: String,
     /// `(stable path id, wavelength)` per live dipath, ascending by id.
     pub colors: Vec<(u32, u32)>,
 }
 
-/// The delta summary carried by [`Response::Delta`] (v2): the changes
+/// The delta summary carried by [`Response::Delta`]: the changes
 /// between the client's last synced epoch and the server's current one.
 ///
 /// Payload layout: epoch `u64`, span `u32`, full-resync flag `u8` (0/1),
@@ -299,18 +294,14 @@ pub struct WireDelta {
 }
 
 /// The counters carried by [`Response::Stats`] — the tenant's cumulative
-/// `WorkspaceStats`, the actor's service-side tallies, and the serving
-/// front-end's transport counters.
+/// `WorkspaceStats`, the actor's service-side tallies, and the reactor's
+/// transport counters.
 ///
-/// On the wire: 19 `u64`s in field order. The payload is
-/// length-extensible in stages: a v1 peer sends 9 counters, early-v2
-/// sends 15, current builds send 19 — decoders accept any stage and zero
-/// the missing tail, so extending the table is never a version bump.
+/// On the wire: exactly 19 `u64`s in field order; a shorter payload is
+/// [`WireError::Truncated`], so adding a counter is a version bump.
 ///
-/// The four transport counters are measured at the serving front-end:
-/// the whole process under the evented reactor, the serving connection
-/// under the threaded model (where no cross-connection aggregation
-/// exists by design — there is no shared mutable state to count into).
+/// The four transport counters are process-wide: the reactor counts
+/// every connection into one instance.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WireStats {
     /// Live dipaths in the tenant's family.
@@ -332,22 +323,22 @@ pub struct WireStats {
     pub applies: u64,
     /// Solution queries served.
     pub queries: u64,
-    /// Distinct arc lists in the tenant's interner arena (v2).
+    /// Distinct arc lists in the tenant's interner arena.
     pub interned_arc_lists: u64,
     /// Arena intern hits — arc lists deduplicated to an existing
-    /// allocation (v2).
+    /// allocation.
     pub intern_hits: u64,
-    /// Arena intern misses — arc lists stored fresh (v2).
+    /// Arena intern misses — arc lists stored fresh.
     pub intern_misses: u64,
-    /// The workspace's current refresh epoch (v2).
+    /// The workspace's current refresh epoch.
     pub epoch: u64,
-    /// Delta queries the workspace answered (v2).
+    /// Delta queries the workspace answered.
     pub delta_queries: u64,
-    /// Delta queries answered with a full resync (v2).
+    /// Delta queries answered with a full resync.
     pub delta_resyncs: u64,
-    /// Request bytes read off the wire by the serving front-end.
+    /// Request bytes read off the wire, across every connection.
     pub bytes_in: u64,
-    /// Response bytes written to the wire by the serving front-end.
+    /// Response bytes written to the wire, across every connection.
     pub bytes_out: u64,
     /// Requests refused with [`ErrorCode::Busy`] because a bounded queue
     /// (actor command queue) was full at dispatch time.
@@ -376,7 +367,7 @@ pub enum Response {
     Solution(WireSolution),
     /// Current counters.
     Stats(WireStats),
-    /// Changes since the client's last synced epoch (v2).
+    /// Changes since the client's last synced epoch.
     Delta(WireDelta),
     /// Shutdown acknowledged; the connection closes after this frame.
     ShuttingDown,
@@ -486,10 +477,6 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed("non-UTF-8 string"))
     }
 
-    fn is_empty(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
     fn finish(self) -> Result<(), WireError> {
         let left = self.buf.len() - self.pos;
         if left != 0 {
@@ -550,7 +537,7 @@ pub fn decode_header(header: &[u8]) -> Result<(u8, u32), WireError> {
     if header[0] != MAGIC {
         return Err(WireError::BadMagic(header[0]));
     }
-    if !(MIN_VERSION..=VERSION).contains(&header[1]) {
+    if header[1] != VERSION {
         return Err(WireError::UnknownVersion(header[1]));
     }
     if header[3] != 0 {
@@ -638,7 +625,7 @@ const COMPACT_THRESHOLD: usize = READ_CHUNK;
 /// An incremental frame decoder: feed it bytes in arbitrary slices
 /// (single bytes, half frames, three frames at once) and pull complete
 /// frames out as they form. This is the nonblocking counterpart of
-/// [`read_frame`] — the evented front-end's read path — and the two agree
+/// [`read_frame`] — the reactor's read path — and the two agree
 /// exactly: any byte stream yields the same frame sequence either way.
 ///
 /// Properties:
@@ -708,7 +695,7 @@ impl FrameDecoder {
     /// Issue one `read` against `r` for up to [`READ_CHUNK`] bytes,
     /// appending whatever arrives. `Ok(0)` is end-of-stream;
     /// `WouldBlock`/`Interrupted` errors pass through untranslated (the
-    /// evented loop treats them as "try again on readiness").
+    /// reactor treats them as "try again on readiness").
     pub fn fill_from(&mut self, r: &mut impl Read) -> io::Result<usize> {
         self.compact();
         let old = self.buf.len();
@@ -1012,38 +999,27 @@ impl Response {
                     colors,
                 })
             }
-            opcode::STATS_OK => {
-                let mut s = WireStats {
-                    live_paths: r.u64()?,
-                    shard_count: r.u64()?,
-                    max_load: r.u64()?,
-                    recomputes: r.u64()?,
-                    shards_reused: r.u64()?,
-                    shards_resolved: r.u64()?,
-                    batches: r.u64()?,
-                    applies: r.u64()?,
-                    queries: r.u64()?,
-                    ..WireStats::default()
-                };
-                // v1 payloads end here; the v2 counters read as zero.
-                if !r.is_empty() {
-                    s.interned_arc_lists = r.u64()?;
-                    s.intern_hits = r.u64()?;
-                    s.intern_misses = r.u64()?;
-                    s.epoch = r.u64()?;
-                    s.delta_queries = r.u64()?;
-                    s.delta_resyncs = r.u64()?;
-                }
-                // Early-v2 payloads end here; the transport counters
-                // (added with the evented front-end) read as zero.
-                if !r.is_empty() {
-                    s.bytes_in = r.u64()?;
-                    s.bytes_out = r.u64()?;
-                    s.busy_rejections = r.u64()?;
-                    s.max_write_queue = r.u64()?;
-                }
-                Response::Stats(s)
-            }
+            opcode::STATS_OK => Response::Stats(WireStats {
+                live_paths: r.u64()?,
+                shard_count: r.u64()?,
+                max_load: r.u64()?,
+                recomputes: r.u64()?,
+                shards_reused: r.u64()?,
+                shards_resolved: r.u64()?,
+                batches: r.u64()?,
+                applies: r.u64()?,
+                queries: r.u64()?,
+                interned_arc_lists: r.u64()?,
+                intern_hits: r.u64()?,
+                intern_misses: r.u64()?,
+                epoch: r.u64()?,
+                delta_queries: r.u64()?,
+                delta_resyncs: r.u64()?,
+                bytes_in: r.u64()?,
+                bytes_out: r.u64()?,
+                busy_rejections: r.u64()?,
+                max_write_queue: r.u64()?,
+            }),
             opcode::DELTA => {
                 let epoch = r.u64()?;
                 let span = r.u32()?;
@@ -1122,7 +1098,7 @@ mod tests {
 
     #[test]
     fn spec_pin_query_delta_frame_bytes() {
-        // The v2 delta request, pinned exactly:
+        // The delta request, pinned exactly:
         // QueryDelta { tenant: 3, since: 9 }.
         let req = Request::QueryDelta {
             tenant: 3,
@@ -1170,30 +1146,31 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_still_decode() {
-        // A v1 peer's frame (version byte 0x01) must keep decoding.
+    fn v1_frames_are_rejected() {
+        // A v1 peer's frame (version byte 0x01) is an unknown version.
         let mut bytes = Request::Query { tenant: 5 }.to_frame();
         bytes[1] = 0x01;
-        let (back, _) = Request::from_frame(&bytes).unwrap();
-        assert_eq!(back, Request::Query { tenant: 5 });
-        // A v1 stats payload (9 counters) decodes with the v2 tail zeroed.
-        let mut payload = Vec::new();
-        for v in 1..=9u64 {
-            put_u64(&mut payload, v);
+        assert_eq!(
+            Request::from_frame(&bytes),
+            Err(WireError::UnknownVersion(1))
+        );
+        // The v1 (9-counter) and early-v2 (15-counter) stats payloads are
+        // short of the one 19-counter layout, even in a current header.
+        for counters in [9u64, 15] {
+            let mut payload = Vec::new();
+            for v in 1..=counters {
+                put_u64(&mut payload, v);
+            }
+            let bytes = encode_frame(0x85, &payload);
+            assert_eq!(
+                Response::from_frame(&bytes),
+                Err(WireError::Truncated),
+                "{counters} counters"
+            );
         }
-        let mut bytes = encode_frame(0x85, &payload);
-        bytes[1] = 0x01;
-        let (back, _) = Response::from_frame(&bytes).unwrap();
-        let Response::Stats(s) = back else {
-            panic!("expected stats");
-        };
-        assert_eq!(s.live_paths, 1);
-        assert_eq!(s.queries, 9);
-        assert_eq!(s.interned_arc_lists, 0);
-        assert_eq!(s.delta_resyncs, 0);
-        // Below MIN_VERSION (0) and above VERSION (9) are both rejected.
+        // Every other version byte on either side of VERSION is rejected.
         let good = Request::Shutdown.to_frame();
-        for v in [0u8, 9] {
+        for v in [0u8, 1, 3, 9] {
             let mut bad = good.clone();
             bad[1] = v;
             assert_eq!(Request::from_frame(&bad), Err(WireError::UnknownVersion(v)));
@@ -1268,21 +1245,15 @@ mod tests {
 
     #[test]
     fn early_v2_stats_payloads_still_decode() {
-        // A 15-counter stats payload (pre-transport-counter v2) decodes
-        // with the 4-counter tail zeroed; a full 19-counter payload
-        // round-trips every field.
+        // Only the full layout decodes: a 15-counter stats payload (the
+        // pre-transport-counter v2 stage) is Truncated, and a full
+        // 19-counter payload round-trips every field.
         let mut payload = Vec::new();
         for v in 1..=15u64 {
             put_u64(&mut payload, v);
         }
         let bytes = encode_frame(0x85, &payload);
-        let (back, _) = Response::from_frame(&bytes).unwrap();
-        let Response::Stats(s) = back else {
-            panic!("expected stats");
-        };
-        assert_eq!(s.delta_resyncs, 15);
-        assert_eq!(s.bytes_in, 0);
-        assert_eq!(s.max_write_queue, 0);
+        assert_eq!(Response::from_frame(&bytes), Err(WireError::Truncated));
 
         let full = Response::Stats(WireStats {
             bytes_in: 101,

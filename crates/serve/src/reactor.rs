@@ -1,4 +1,4 @@
-//! The evented front-end: a single-threaded `poll(2)` reactor driving
+//! The connection model: a single-threaded `poll(2)` reactor driving
 //! every connection through nonblocking sockets.
 //!
 //! # Ownership model
@@ -6,9 +6,8 @@
 //! The reactor runs on the thread that called [`Server::run`] — it spawns
 //! nothing. It owns the listener, every connection (socket, incremental
 //! [`FrameDecoder`], write queue), the buffer pool, and the transport
-//! counters outright; tenant actors stay on their own threads exactly as
-//! under the threaded front-end, reached through the same bounded mpsc
-//! queues. The only things that cross threads are (a) actor commands,
+//! counters outright; tenant actors run on their own threads, reached
+//! through bounded mpsc queues. The only things that cross threads are (a) actor commands,
 //! sent non-blocking, and (b) completions, posted back on an mpsc channel
 //! by a callback that then writes one byte into the reactor's self-pipe
 //! to interrupt `poll`. Total OS threads for N connections: the reactor,
@@ -201,20 +200,6 @@ pub(crate) fn wake_pair() -> io::Result<(WakeReader, Waker)> {
             fd: Arc::new(write_end),
         },
     ))
-}
-
-/// Block until the listener is readable or the waker fires (used by the
-/// threaded front-end's accept loop in place of a sleep-poll).
-pub(crate) fn wait_accept(listener: &TcpListener, wake: &WakeReader) -> io::Result<()> {
-    let mut fds = [
-        sys::PollFd::new(listener.as_raw_fd(), sys::POLLIN),
-        sys::PollFd::new(wake.fd.as_raw_fd(), sys::POLLIN),
-    ];
-    sys::poll_fds(&mut fds, -1)?;
-    if fds[1].revents != 0 {
-        wake.drain();
-    }
-    Ok(())
 }
 
 /// Recycles read/write buffers across frames and connections so
@@ -445,10 +430,10 @@ struct Reactor {
     shutdown_sent: bool,
 }
 
-/// Drive the evented front-end until shutdown. Runs on the calling
-/// thread; returns once the registry has drained every actor and fired
-/// the stop signal.
-pub(crate) fn run_evented(
+/// Drive every connection until shutdown. Runs on the calling thread;
+/// returns once the registry has drained every actor and fired the stop
+/// signal.
+pub(crate) fn run(
     listener: TcpListener,
     registry: Sender<RegistryCmd>,
     stop_rx: Receiver<()>,
@@ -660,7 +645,7 @@ impl Reactor {
                         Err(e) => {
                             // Header-level error: the stream is
                             // unsynchronized. Answer once, then drain and
-                            // close (mirrors the threaded front-end).
+                            // close.
                             let resp = Response::Error {
                                 code: wire_error_code(&e),
                                 message: e.to_string(),
@@ -716,10 +701,10 @@ impl Reactor {
         };
         let tx = self.completions_tx.clone();
         let waker = self.waker.clone();
-        let respond = Responder::Callback(Box::new(move |reply| {
+        let respond = Responder::new(move |reply| {
             let _ = tx.send(Completion { token, reply });
             waker.wake();
-        }));
+        });
         let cmd = match req {
             Request::Admit { arcs, .. } => Command::Apply {
                 ops: vec![ActorOp::Add(server::to_arc_ids(arcs))],

@@ -1,38 +1,30 @@
-//! The TCP server: two selectable front-ends over one actor core, a
-//! registry thread owning the tenant actors, and poll-based accept/stop
-//! wakeups (no sleep-polling).
+//! The TCP server: a registry thread owning the tenant actors, and the
+//! `poll(2)` reactor — the one connection model — on the caller's thread.
 //!
-//! # Front-ends
-//!
-//! [`FrontEnd::Threaded`] spawns one blocking connection thread per
-//! client — simple, and still the portable default. [`FrontEnd::Evented`]
-//! drives every connection from a single `poll(2)` reactor thread (see
-//! the `reactor` module docs for the state machine and backpressure
-//! story); connection count stops costing OS threads.
-//!
-//! # Thread topology (threaded front-end)
+//! # Thread topology
 //!
 //! ```text
-//! accept loop ──spawns──▶ connection threads ──mpsc──▶ registry thread
-//!      ▲                        │  cached TenantHandle      │ owns map
-//!      └──── stop + waker ◀─────┤                           │ tenant → actor
-//!                               └────── mpsc ──▶ tenant actor threads
+//! reactor (Server::run caller) ──mpsc──▶ registry thread
+//!   │ every connection,                   │ owns map
+//!   │ cached TenantHandles                │ tenant → actor
+//!   ├──── try_send ──▶ tenant actor threads
+//!   └◀─── completion + self-pipe wake ───┘
 //! ```
 //!
-//! Under the evented front-end the connection threads collapse into the
-//! reactor running on the [`Server::run`] caller's thread; everything
-//! else is identical. There is no shared mutable state in either mode:
-//! the registry thread *owns* the tenant map (connections lease
-//! [`TenantHandle`]s over a channel and cache them locally), each actor
-//! owns its [`Workspace`], and shutdown is a message plus a self-pipe
-//! wake, not a flag. The accept path blocks in `poll` on the listener and
-//! the wake pipe, so idle servers make zero wakeups and shutdown latency
-//! is one pipe write.
+//! The reactor (see the `reactor` module docs for the state machine and
+//! backpressure story) drives every connection, so connection count
+//! costs no OS threads. There is no shared mutable state: the registry
+//! thread *owns* the tenant map (the reactor leases `TenantHandle`s over
+//! a channel and caches them), each actor owns its [`Workspace`], and
+//! shutdown is a message plus a self-pipe wake, not a flag. The reactor
+//! blocks in `poll` on the listener, the connections and the wake pipe,
+//! so an idle server makes zero wakeups and shutdown latency is one pipe
+//! write.
 
 use std::collections::HashMap;
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread;
 
 use dagwave_core::{CoreError, SolutionDelta, Workspace, WorkspaceStats};
@@ -43,30 +35,30 @@ use crate::actor::{
     spawn_tenant, ActorConfig, ActorOp, ActorStats, AdmissionPolicy, ServeError, Snapshot,
     TenantHandle,
 };
-use crate::protocol::{
-    read_frame, ErrorCode, FrameReadError, Request, Response, WireDelta, WireError, WireOp,
-    WireSolution, WireStats, HEADER_LEN,
-};
+use crate::protocol::{ErrorCode, Response, WireDelta, WireError, WireOp, WireSolution, WireStats};
 
 /// Builds the initial [`Workspace`] for a tenant id the server has not
 /// seen before. Owned by the registry thread, so `Send` suffices.
 pub type WorkspaceFactory = Box<dyn Fn(u64) -> Result<Workspace, CoreError> + Send>;
 
-/// Which connection-handling model [`Server::run`] drives.
+/// The connection model [`Server::run`] drives. There is one: the
+/// single-threaded `poll(2)` reactor, and no code branches on this value.
+/// The type and [`ServerConfig::front_end`] remain only because the
+/// `perfbench` benchmark package writes `ServerConfig { front_end:
+/// FrontEnd::Evented, .. }` and its sources stay fixed across the changes
+/// it measures; both go with the next change to that package.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FrontEnd {
-    /// One blocking OS thread per connection (portable default).
+    /// A single-threaded `poll(2)` reactor over nonblocking sockets: OS
+    /// thread count is independent of connection count.
     #[default]
-    Threaded,
-    /// A single-threaded `poll(2)` reactor over nonblocking sockets:
-    /// OS thread count is independent of connection count. Unix only.
     Evented,
 }
 
 /// Default bound on each tenant actor's command queue.
 pub const DEFAULT_QUEUE_DEPTH: usize = 256;
 /// Default cap on one connection's queued response bytes before the
-/// evented front-end stops reading more requests from it.
+/// reactor stops reading more requests from it.
 pub const DEFAULT_MAX_WRITE_BUFFER: usize = 1 << 20;
 
 /// Server-wide knobs.
@@ -76,16 +68,16 @@ pub struct ServerConfig {
     pub span_budget: Option<usize>,
     /// Max queued mutation batches one `Workspace::apply` may coalesce.
     pub max_coalesce: usize,
-    /// Connection-handling model.
+    /// Connection model; always [`FrontEnd::Evented`] (see there).
     pub front_end: FrontEnd,
     /// What to do with over-budget mutation batches (reject, or park
     /// until capacity frees / a timeout).
     pub admission: AdmissionPolicy,
-    /// Bound on each tenant actor's command queue. Full queues block
-    /// threaded connections and earn evented clients a typed `Busy`.
+    /// Bound on each tenant actor's command queue. A request that finds
+    /// its tenant's queue full is answered with a typed `Busy`.
     pub queue_depth: usize,
-    /// Per-connection cap on queued response bytes (evented front-end):
-    /// past it, the connection stops being read until the client drains.
+    /// Per-connection cap on queued response bytes: past it, the
+    /// connection stops being read until the client drains.
     pub max_write_buffer: usize,
 }
 
@@ -94,7 +86,7 @@ impl Default for ServerConfig {
         ServerConfig {
             span_budget: None,
             max_coalesce: 64,
-            front_end: FrontEnd::Threaded,
+            front_end: FrontEnd::Evented,
             admission: AdmissionPolicy::Reject,
             queue_depth: DEFAULT_QUEUE_DEPTH,
             max_write_buffer: DEFAULT_MAX_WRITE_BUFFER,
@@ -102,10 +94,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// Front-end transport counters surfaced through [`WireStats`]. The
-/// evented reactor keeps one instance for the whole process; the threaded
-/// model keeps one per connection (each thread can only see its own
-/// stream).
+/// Transport counters surfaced through [`WireStats`]: one instance,
+/// owned by the reactor, counting every connection of the process.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct Transport {
     pub(crate) bytes_in: u64,
@@ -120,22 +110,20 @@ pub(crate) enum RegistryCmd {
         tenant: u64,
         reply: Sender<Result<TenantHandle, ServeError>>,
     },
-    /// Stop every actor, signal the accept loop, then exit.
+    /// Stop every actor, signal the reactor, then exit.
     Shutdown,
 }
 
 /// Fired by the registry once every actor has drained: a message for the
-/// accept/reactor loop plus a self-pipe write to interrupt its `poll`.
+/// reactor plus a self-pipe write to interrupt its `poll`.
 struct StopSignal {
     tx: Sender<()>,
-    #[cfg(unix)]
     waker: crate::reactor::Waker,
 }
 
 impl StopSignal {
     fn fire(self) {
         let _ = self.tx.send(());
-        #[cfg(unix)]
         self.waker.wake();
     }
 }
@@ -150,9 +138,7 @@ pub struct Server {
     registry_join: thread::JoinHandle<()>,
     stop_rx: Receiver<()>,
     config: ServerConfig,
-    #[cfg(unix)]
     wake: crate::reactor::WakeReader,
-    #[cfg(unix)]
     waker: crate::reactor::Waker,
 }
 
@@ -186,13 +172,11 @@ impl Server {
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        #[cfg(unix)]
         let (wake, waker) = crate::reactor::wake_pair()?;
         let (registry_tx, registry_rx) = mpsc::channel();
         let (stop_tx, stop_rx) = mpsc::channel();
         let signal = StopSignal {
             tx: stop_tx,
-            #[cfg(unix)]
             waker: waker.clone(),
         };
         // lint: allow(no-raw-sync): the registry thread replaces a shared-map lock — it owns the tenant map outright, mpsc is the only coupling
@@ -204,9 +188,7 @@ impl Server {
             registry_join: join,
             stop_rx,
             config,
-            #[cfg(unix)]
             wake,
-            #[cfg(unix)]
             waker,
         })
     }
@@ -218,17 +200,8 @@ impl Server {
 
     /// Accept and serve connections until a `Shutdown` request arrives,
     /// then join the registry (which has already stopped every tenant
-    /// actor). Runs the front-end selected in [`ServerConfig`] on the
-    /// calling thread.
+    /// actor). Runs the reactor on the calling thread.
     pub fn run(self) -> io::Result<()> {
-        match self.config.front_end {
-            FrontEnd::Threaded => self.run_threaded(),
-            FrontEnd::Evented => self.run_evented(),
-        }
-    }
-
-    #[cfg(unix)]
-    fn run_evented(self) -> io::Result<()> {
         let Server {
             listener,
             registry_tx,
@@ -239,61 +212,15 @@ impl Server {
             waker,
             ..
         } = self;
-        let result =
-            crate::reactor::run_evented(listener, registry_tx, stop_rx, wake, waker, config);
+        let result = crate::reactor::run(listener, registry_tx, stop_rx, wake, waker, config);
         let _ = registry_join.join();
         result
-    }
-
-    #[cfg(not(unix))]
-    fn run_evented(self) -> io::Result<()> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "the evented front-end needs poll(2); use FrontEnd::Threaded on this platform",
-        ))
-    }
-
-    fn run_threaded(self) -> io::Result<()> {
-        // The listener stays nonblocking; between accepts the loop parks
-        // in poll(2) on the listener and the stop waker's pipe, so an
-        // idle server makes zero wakeups and shutdown interrupts the wait
-        // immediately.
-        self.listener.set_nonblocking(true)?;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let registry = self.registry_tx.clone();
-                    // Connections are blocking even though the listener is
-                    // not (accepted sockets inherit nonblocking on some
-                    // platforms).
-                    stream.set_nonblocking(false)?;
-                    // lint: allow(no-raw-sync): thread-per-connection is the server's documented concurrency model; the thread owns its stream outright
-                    thread::spawn(move || serve_connection(stream, registry));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    match self.stop_rx.try_recv() {
-                        Ok(()) | Err(TryRecvError::Disconnected) => break,
-                        Err(TryRecvError::Empty) => {
-                            #[cfg(unix)]
-                            crate::reactor::wait_accept(&self.listener, &self.wake)?;
-                            #[cfg(not(unix))]
-                            // lint: allow(no-raw-sync): non-unix fallback idle poll; 2ms bounds shutdown latency without busy-spinning
-                            thread::sleep(std::time::Duration::from_millis(2));
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        let _ = self.registry_join.join();
-        Ok(())
     }
 
     /// Run the server on its own thread; returns once it is accepting.
     pub fn spawn(self) -> ServerHandle {
         let addr = self.addr;
-        // lint: allow(no-raw-sync): hands the accept loop its own thread; the handle's join() is the only coupling
+        // lint: allow(no-raw-sync): hands the reactor its own thread; the handle's join() is the only coupling
         let join = thread::spawn(move || self.run());
         ServerHandle { addr, join }
     }
@@ -331,103 +258,13 @@ fn run_registry(
             RegistryCmd::Shutdown => break,
         }
     }
-    // Drain the actors before signalling the accept loop, so the port
+    // Drain the actors before signalling the reactor, so the port
     // closes only after every workspace thread has exited.
     for (_, (handle, join)) in tenants {
         handle.stop();
         let _ = join.join();
     }
     signal.fire();
-}
-
-/// Per-connection loop (threaded front-end): read frames, dispatch,
-/// reply. Header-level wire errors leave the stream unsynchronized —
-/// reply once, then close.
-fn serve_connection(mut stream: TcpStream, registry: Sender<RegistryCmd>) {
-    let mut handles: HashMap<u64, TenantHandle> = HashMap::new();
-    let mut transport = Transport::default();
-    loop {
-        let (op, payload) = match read_frame(&mut stream) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return, // clean close between frames
-            Err(FrameReadError::Io(_)) => return,
-            Err(FrameReadError::Wire(e)) => {
-                let resp = Response::Error {
-                    code: wire_error_code(&e),
-                    message: e.to_string(),
-                };
-                let _ = send(&mut stream, &resp, &mut transport);
-                return;
-            }
-        };
-        transport.bytes_in += (HEADER_LEN + payload.len()) as u64;
-        let request = match Request::decode(op, &payload) {
-            Ok(req) => req,
-            Err(e) => {
-                // The frame was fully consumed, so the stream is still
-                // synchronized: report and keep serving.
-                let resp = Response::Error {
-                    code: wire_error_code(&e),
-                    message: e.to_string(),
-                };
-                if send(&mut stream, &resp, &mut transport).is_err() {
-                    return;
-                }
-                continue;
-            }
-        };
-        let shutdown = matches!(request, Request::Shutdown);
-        let response = dispatch(request, &registry, &mut handles, &transport);
-        if send(&mut stream, &response, &mut transport).is_err() {
-            return;
-        }
-        if shutdown {
-            let _ = registry.send(RegistryCmd::Shutdown);
-            return;
-        }
-    }
-}
-
-fn send(stream: &mut TcpStream, resp: &Response, transport: &mut Transport) -> io::Result<()> {
-    let frame = resp.to_frame();
-    stream.write_all(&frame)?;
-    transport.bytes_out += frame.len() as u64;
-    stream.flush()
-}
-
-fn dispatch(
-    request: Request,
-    registry: &Sender<RegistryCmd>,
-    handles: &mut HashMap<u64, TenantHandle>,
-    transport: &Transport,
-) -> Response {
-    match request {
-        Request::Shutdown => Response::ShuttingDown,
-        Request::Admit { tenant, arcs } => with_tenant(registry, handles, tenant, |h| {
-            let ids = h.apply(vec![ActorOp::Add(to_arc_ids(arcs))])?;
-            Ok(admitted_response(ids))
-        }),
-        Request::Retire { tenant, id } => with_tenant(registry, handles, tenant, |h| {
-            h.apply(vec![ActorOp::Remove(PathId(id))])?;
-            Ok(Response::Retired)
-        }),
-        Request::Batch { tenant, ops } => with_tenant(registry, handles, tenant, |h| {
-            let added = h.apply(to_actor_ops(ops))?;
-            Ok(Response::Applied {
-                added: added.into_iter().map(|id| id.0).collect(),
-            })
-        }),
-        Request::Query { tenant } => with_tenant(registry, handles, tenant, |h| {
-            Ok(solution_response(&h.query()?))
-        }),
-        Request::QueryDelta { tenant, since } => with_tenant(registry, handles, tenant, |h| {
-            Ok(delta_response(&h.query_delta(since)?))
-        }),
-        Request::Stats { tenant } => with_tenant(registry, handles, tenant, |h| {
-            let (ws, actor) = h.stats()?;
-            Ok(stats_response(&ws, &actor, transport))
-        }),
-    }
 }
 
 /// Shape a successful single-`Add` apply into the `Admitted` response.
@@ -472,8 +309,8 @@ pub(crate) fn delta_response(d: &SolutionDelta) -> Response {
     })
 }
 
-/// Merge workspace, actor, and front-end transport counters into the
-/// stats wire response.
+/// Merge workspace, actor, and transport counters into the stats wire
+/// response.
 pub(crate) fn stats_response(
     ws: &WorkspaceStats,
     actor: &ActorStats,
@@ -500,37 +337,6 @@ pub(crate) fn stats_response(
         busy_rejections: transport.busy_rejections,
         max_write_queue: transport.max_write_queue,
     })
-}
-
-/// Lease (and locally cache) the tenant's handle, then run `f`; every
-/// [`ServeError`] becomes a typed [`Response::Error`].
-fn with_tenant(
-    registry: &Sender<RegistryCmd>,
-    handles: &mut HashMap<u64, TenantHandle>,
-    tenant: u64,
-    f: impl FnOnce(&TenantHandle) -> Result<Response, ServeError>,
-) -> Response {
-    let handle = match handles.get(&tenant) {
-        Some(h) => h.clone(),
-        None => match lease(registry, tenant) {
-            Ok(h) => {
-                handles.insert(tenant, h.clone());
-                h
-            }
-            Err(e) => return error_response(e),
-        },
-    };
-    match f(&handle) {
-        Ok(resp) => resp,
-        Err(e) => {
-            if matches!(e, ServeError::Stopped) {
-                // The actor is gone (shutdown raced this request); drop the
-                // stale handle so a later lease reflects registry state.
-                handles.remove(&tenant);
-            }
-            error_response(e)
-        }
-    }
 }
 
 pub(crate) fn lease(

@@ -1,9 +1,8 @@
-//! Adversarial-framing and backpressure tests for the evented front-end:
+//! Adversarial-framing and backpressure tests for the `poll(2)` reactor:
 //! raw sockets delivering bytes one at a time, frames split across reads,
 //! pipelined requests, slow readers with full write queues, and typed
 //! `Busy` rejections when the actor queue is bounded at 1. Everything
 //! here talks to a real server over loopback TCP — no mocking.
-#![cfg(unix)]
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -18,13 +17,6 @@ use dagwave_serve::{
     ActorConfig, AdmissionPolicy, Client, ClientError, ErrorCode, FrontEnd, Request, Response,
     Server, ServerConfig, ServerHandle,
 };
-
-fn evented_config() -> ServerConfig {
-    ServerConfig {
-        front_end: FrontEnd::Evented,
-        ..ServerConfig::default()
-    }
-}
 
 fn line_server(n: usize, config: ServerConfig) -> ServerHandle {
     let factory = Box::new(move |_tenant: u64| {
@@ -76,7 +68,7 @@ fn read_response(stream: &mut TcpStream) -> Response {
 /// them, and every response must still arrive in order.
 #[test]
 fn byte_at_a_time_delivery_still_serves() {
-    let handle = line_server(4, evented_config());
+    let handle = line_server(4, ServerConfig::default());
     let mut stream = TcpStream::connect(handle.addr()).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
 
@@ -115,7 +107,7 @@ fn byte_at_a_time_delivery_still_serves() {
 /// mid-header and a split mid-payload — decode identically.
 #[test]
 fn frames_split_across_reads_decode_identically() {
-    let handle = line_server(4, evented_config());
+    let handle = line_server(4, ServerConfig::default());
     let mut stream = TcpStream::connect(handle.addr()).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
 
@@ -151,7 +143,7 @@ fn frames_split_across_reads_decode_identically() {
 /// find both, and the one-in-flight rule must answer them in order.
 #[test]
 fn pipelined_frames_answer_in_order() {
-    let handle = line_server(5, evented_config());
+    let handle = line_server(5, ServerConfig::default());
     let mut stream = TcpStream::connect(handle.addr()).expect("connect");
 
     let mut bytes = Vec::new();
@@ -200,7 +192,7 @@ fn slow_reader_backpressure_keeps_the_loop_live() {
     // Tiny write buffer so backpressure engages after one queued response.
     let config = ServerConfig {
         max_write_buffer: 1024,
-        ..evented_config()
+        ..ServerConfig::default()
     };
     let handle = federated_server(3, config);
 
@@ -265,7 +257,7 @@ fn slow_reader_backpressure_keeps_the_loop_live() {
 fn full_actor_queue_yields_typed_busy() {
     let config = ServerConfig {
         queue_depth: 1,
-        ..evented_config()
+        ..ServerConfig::default()
     };
     let handle = line_server(4, config);
     let addr = handle.addr();
@@ -331,7 +323,7 @@ fn wait_admission_parks_over_the_wire() {
             max_queue: 8,
             timeout: Duration::from_secs(10),
         },
-        ..evented_config()
+        ..ServerConfig::default()
     };
     let handle = line_server(4, config);
     let addr = handle.addr();
@@ -362,7 +354,7 @@ fn wait_admission_parks_over_the_wire() {
             max_queue: 8,
             timeout: Duration::from_millis(50),
         },
-        ..evented_config()
+        ..ServerConfig::default()
     };
     let timeout_handle = line_server(3, config);
     let mut client = Client::connect(timeout_handle.addr()).expect("connect");
@@ -379,7 +371,7 @@ fn wait_admission_parks_over_the_wire() {
     handle.join().expect("clean exit");
 }
 
-/// The evented front-end's whole point: OS thread count stays flat as
+/// The reactor's whole point: OS thread count stays flat as
 /// connections scale. 128 concurrent connections may add at most 4
 /// threads over the 8-connection baseline (in practice: zero — the
 /// reactor is one thread regardless).
@@ -394,7 +386,7 @@ fn thread_count_is_flat_in_connection_count() {
             .expect("Threads: line")
     }
 
-    let handle = line_server(4, evented_config());
+    let handle = line_server(4, ServerConfig::default());
     let addr = handle.addr();
 
     let mut base_conns: Vec<Client> = (0..8)
@@ -414,7 +406,7 @@ fn thread_count_is_flat_in_connection_count() {
     let loaded = os_threads();
     assert!(
         loaded <= baseline + 4,
-        "evented front-end grew {baseline} -> {loaded} threads under 128 connections"
+        "reactor grew {baseline} -> {loaded} threads under 128 connections"
     );
 
     drop(many);
@@ -424,8 +416,9 @@ fn thread_count_is_flat_in_connection_count() {
     drop(base_conns);
 }
 
-/// ActorConfig::default matches the documented knob values (the evented
-/// front-end's backpressure story depends on these bounds existing).
+/// ActorConfig::default matches the documented knob values (the reactor's
+/// backpressure story depends on these bounds existing), and the default
+/// connection model is the reactor.
 #[test]
 fn bounded_defaults_are_in_force() {
     let cfg = ActorConfig::default();
@@ -434,5 +427,5 @@ fn bounded_defaults_are_in_force() {
     let sc = ServerConfig::default();
     assert!(sc.queue_depth > 0);
     assert!(sc.max_write_buffer > 0);
-    assert!(matches!(sc.front_end, FrontEnd::Threaded));
+    assert_eq!(sc.front_end, FrontEnd::Evented);
 }

@@ -17,25 +17,13 @@ fn sharded() -> SolveSession {
         .build()
 }
 
-/// Every e2e invariant must hold under BOTH front-ends: thread-per-
-/// connection and (on unix) the single-threaded poll(2) reactor.
-fn both_configs() -> Vec<ServerConfig> {
-    let mut configs = vec![ServerConfig::default()];
-    #[cfg(unix)]
-    configs.push(ServerConfig {
-        front_end: dagwave_serve::FrontEnd::Evented,
-        ..ServerConfig::default()
-    });
-    configs
-}
-
 /// A server whose every tenant starts from the `federated(k)` instance.
-fn federated_server(k: usize, config: ServerConfig) -> dagwave_serve::ServerHandle {
+fn federated_server(k: usize) -> dagwave_serve::ServerHandle {
     let inst = federated(k);
     let factory = Box::new(move |_tenant: u64| {
         Workspace::new(sharded(), inst.graph.clone(), inst.family.clone())
     });
-    Server::bind("127.0.0.1:0", factory, config)
+    Server::bind("127.0.0.1:0", factory, ServerConfig::default())
         .expect("bind loopback")
         .spawn()
 }
@@ -114,15 +102,9 @@ fn assert_matches_scratch(
 
 #[test]
 fn churned_tenant_is_bit_identical_to_from_scratch() {
-    for config in both_configs() {
-        churned_tenant_case(config);
-    }
-}
-
-fn churned_tenant_case(config: ServerConfig) {
     for (seed, k, steps) in [(7u64, 2usize, 24usize), (41, 3, 40), (1234, 4, 60)] {
         let work = churn(seed, k, steps);
-        let handle = federated_server(k, config);
+        let handle = federated_server(k);
         let mut client = Client::connect(handle.addr()).expect("connect");
         // Solve once up front so churn exercises warm shard caches.
         client.query(0).expect("initial solve");
@@ -142,14 +124,8 @@ fn churned_tenant_case(config: ServerConfig) {
 
 #[test]
 fn batches_are_atomic_over_the_wire() {
-    for config in both_configs() {
-        batches_atomic_case(config);
-    }
-}
-
-fn batches_atomic_case(config: ServerConfig) {
     let work = churn(99, 2, 0);
-    let handle = federated_server(2, config);
+    let handle = federated_server(2);
     let mut client = Client::connect(handle.addr()).expect("connect");
     let before = client.stats(0).expect("stats").live_paths;
 
@@ -197,14 +173,8 @@ fn batches_atomic_case(config: ServerConfig) {
 
 #[test]
 fn tenants_are_isolated() {
-    for config in both_configs() {
-        tenants_isolated_case(config);
-    }
-}
-
-fn tenants_isolated_case(config: ServerConfig) {
     let work = churn(5, 2, 12);
-    let handle = federated_server(2, config);
+    let handle = federated_server(2);
     let mut client = Client::connect(handle.addr()).expect("connect");
     let untouched = client.query(31).expect("tenant 31 baseline");
 
@@ -225,17 +195,11 @@ fn tenants_isolated_case(config: ServerConfig) {
 
 #[test]
 fn span_budget_rejects_with_typed_code() {
-    for config in both_configs() {
-        span_budget_case(config);
-    }
-}
-
-fn span_budget_case(config: ServerConfig) {
     let handle = line_server(
         4,
         ServerConfig {
             span_budget: Some(2),
-            ..config
+            ..ServerConfig::default()
         },
     );
     let mut client = Client::connect(handle.addr()).expect("connect");
@@ -262,19 +226,13 @@ fn span_budget_case(config: ServerConfig) {
 
 #[test]
 fn malformed_frames_get_typed_error_responses() {
-    for config in both_configs() {
-        malformed_frames_case(config);
-    }
-}
-
-fn malformed_frames_case(config: ServerConfig) {
-    let handle = line_server(3, config);
+    let handle = line_server(3, ServerConfig::default());
 
     // Unknown opcode inside a valid header: typed reply, connection keeps
     // serving (the frame was fully consumed, so the stream is still
     // synchronized).
     let mut client = Client::connect(handle.addr()).expect("connect");
-    let frame = [0xDA, 0x01, 0x40, 0x00, 0, 0, 0, 0];
+    let frame = [0xDA, 0x02, 0x40, 0x00, 0, 0, 0, 0];
     match client.raw_round_trip(&frame).expect("typed reply") {
         dagwave_serve::Response::Error { code, .. } => {
             assert_eq!(code, ErrorCode::UnknownOpcode)
@@ -294,16 +252,10 @@ fn malformed_frames_case(config: ServerConfig) {
         other => panic!("expected error frame, got {other:?}"),
     }
 
-    // Truncated payload (length says 8, body carries 4): typed Malformed.
+    // A complete frame whose 4-byte payload is too short for a Query's
+    // u64 tenant: typed Malformed.
     let mut client = Client::connect(handle.addr()).expect("connect");
-    let mut frame = vec![0xDA, 0x01, 0x04, 0x00, 8, 0, 0, 0];
-    frame.extend_from_slice(&[1, 2, 3, 4]);
-    // The server blocks for the declared 8 bytes; send the other 4 as
-    // garbage so the frame completes but the payload is short for a
-    // Query's u64 + anything (here: trailing bytes after tenant would be
-    // needed — 8 bytes IS a valid Query, so use 4 declared instead).
-    drop(frame);
-    let mut short = vec![0xDA, 0x01, 0x04, 0x00, 4, 0, 0, 0];
+    let mut short = vec![0xDA, 0x02, 0x04, 0x00, 4, 0, 0, 0];
     short.extend_from_slice(&[1, 2, 3, 4]);
     match client.raw_round_trip(&short).expect("typed reply") {
         dagwave_serve::Response::Error { code, .. } => {
@@ -319,13 +271,7 @@ fn malformed_frames_case(config: ServerConfig) {
 
 #[test]
 fn shutdown_closes_listener_and_actors() {
-    for config in both_configs() {
-        shutdown_case(config);
-    }
-}
-
-fn shutdown_case(config: ServerConfig) {
-    let handle = line_server(3, config);
+    let handle = line_server(3, ServerConfig::default());
     let addr = handle.addr();
     let mut a = Client::connect(addr).expect("connect");
     let mut b = Client::connect(addr).expect("connect");
@@ -352,12 +298,6 @@ fn shutdown_case(config: ServerConfig) {
 /// typed Solver error, not a hang or a dropped connection.
 #[test]
 fn factory_errors_surface_as_typed_solver_errors() {
-    for config in both_configs() {
-        factory_errors_case(config);
-    }
-}
-
-fn factory_errors_case(config: ServerConfig) {
     let factory = Box::new(|tenant: u64| {
         if tenant == 0 {
             let g = from_edges(3, &[(0, 1), (1, 2)]);
@@ -368,7 +308,7 @@ fn factory_errors_case(config: ServerConfig) {
             Workspace::new(sharded(), g, DipathFamily::new())
         }
     });
-    let handle = Server::bind("127.0.0.1:0", factory, config)
+    let handle = Server::bind("127.0.0.1:0", factory, ServerConfig::default())
         .expect("bind")
         .spawn();
     let mut client = Client::connect(handle.addr()).expect("connect");
@@ -387,15 +327,9 @@ fn factory_errors_case(config: ServerConfig) {
 /// epoch 0 delivering the initial state.
 #[test]
 fn delta_sync_reconstructs_the_full_query() {
-    for config in both_configs() {
-        delta_sync_case(config);
-    }
-}
-
-fn delta_sync_case(config: ServerConfig) {
     use std::collections::BTreeMap;
     let work = churn(23, 3, 30);
-    let handle = federated_server(3, config);
+    let handle = federated_server(3);
     let mut client = Client::connect(handle.addr()).expect("connect");
 
     let mut table: BTreeMap<u32, u32> = BTreeMap::new();
@@ -465,13 +399,7 @@ fn delta_sync_case(config: ServerConfig) {
 /// id in its message (mirrors the in-process error).
 #[test]
 fn unknown_path_retire_is_typed() {
-    for config in both_configs() {
-        unknown_path_case(config);
-    }
-}
-
-fn unknown_path_case(config: ServerConfig) {
-    let handle = line_server(3, config);
+    let handle = line_server(3, ServerConfig::default());
     let mut client = Client::connect(handle.addr()).expect("connect");
     match client.retire(0, 42) {
         Err(ClientError::Remote { code, .. }) => assert_eq!(code, ErrorCode::UnknownPath),

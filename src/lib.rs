@@ -61,10 +61,8 @@ pub use dagwave_paths as paths;
 pub use dagwave_route as route;
 pub use dagwave_serve as serve;
 
-#[allow(deprecated)]
-pub use dagwave_core::WavelengthSolver;
 pub use dagwave_core::{
     BackendAttempt, BackendKind, ColorTable, DecomposePolicy, Decomposition, Epoch, Instance,
     Mutation, Policy, Resolve, ShardOutcome, Solution, SolutionDelta, SolveRequest, SolveSession,
-    SolverBuilder, Strategy, Workspace,
+    SolverBuilder, Workspace,
 };

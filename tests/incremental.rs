@@ -8,7 +8,7 @@
 use dagwave::core::certify;
 use dagwave::gen::compose::churn;
 use dagwave::paths::{Dipath, DipathFamily};
-use dagwave::{DecomposePolicy, Solution, SolveSession, SolverBuilder, Strategy, Workspace};
+use dagwave::{BackendKind, DecomposePolicy, Solution, SolveSession, SolverBuilder, Workspace};
 use dagwave_graph::builder::from_edges;
 use dagwave_graph::{Digraph, VertexId};
 use proptest::prelude::*;
@@ -371,9 +371,9 @@ fn per_shard_backend_selection_pins_by_class() {
     assert_eq!(d.shard_count(), 8);
     for s in &d.shards {
         let expected = match s.class {
-            dagwave::core::internal::DagClass::InternalCycleFree => Strategy::Theorem1,
-            dagwave::core::internal::DagClass::UppSingleCycle => Strategy::Theorem6,
-            _ => Strategy::Exact, // figure shards are small enough for exact
+            dagwave::core::internal::DagClass::InternalCycleFree => BackendKind::Theorem1,
+            dagwave::core::internal::DagClass::UppSingleCycle => BackendKind::Theorem6,
+            _ => BackendKind::Exact, // figure shards are small enough for exact
         };
         assert_eq!(s.strategy, expected, "shard class {}", s.class);
         // Exactly one backend consulted per shard — no weighted rescue.

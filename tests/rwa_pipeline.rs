@@ -1,7 +1,7 @@
 //! End-to-end RWA pipeline tests across crates: requests → routing →
 //! wavelength assignment, plus the grooming extension.
 
-use dagwave_core::Strategy;
+use dagwave_core::BackendKind;
 use dagwave_gen::random;
 use dagwave_route::grooming;
 use dagwave_route::request::{self, Request};
@@ -39,7 +39,7 @@ proptest! {
         for strat in [RoutingStrategy::Shortest, RoutingStrategy::LoadAware] {
             let report = RwaPipeline::new(strat).run(&g, &chosen).unwrap();
             prop_assert!(report.solution.assignment.is_valid(&g, &report.family));
-            prop_assert_eq!(report.solution.strategy, Strategy::Theorem1);
+            prop_assert_eq!(report.solution.strategy, BackendKind::Theorem1);
             prop_assert_eq!(report.solution.num_colors, report.solution.load);
         }
     }
