@@ -116,10 +116,9 @@ pub fn service_load(k: usize, writers: usize, ops_per_writer: usize) -> ServiceL
                     owned.push(id);
                     // Keep at most two of this writer's duplicates live:
                     // adds and removes interleave across writers, and the
-                    // donor's conflict component stays small (duplicate
-                    // lightpaths are pairwise-conflicting, so an unbounded
-                    // pile-up would grow a clique whose exact coloring is
-                    // exponential — a solver workload, not a service one).
+                    // donor's conflict component stays about the size of
+                    // the other components, so D4 measures the service
+                    // step, not one ever-growing shard.
                     if owned.len() >= 2 {
                         let victim = owned.remove(0);
                         let t0 = Instant::now();

@@ -12,6 +12,18 @@
 //! maximum-*remaining-weight* independent set. On vertex-transitive
 //! paper-scale graphs it finds the rotational covering and matches the
 //! optimum; tests verify `⌈8h/3⌉` on the Havet conflict graph exactly.
+//!
+//! [`exact_multicoloring`] proves or improves that greedy answer within a
+//! node budget. Every search it runs spends nodes from that one budget: the
+//! maximum-weight independent set of each greedy round, the independence
+//! number, the enumeration of maximal independent sets, and the covering
+//! branch and bound. A call is therefore bounded however large the base
+//! graph is. It has two callers, both spending the solve request's exact
+//! budget: the weighted backend of `dagwave-core`, which colors the
+//! deduplicated dipath family, and the exact chromatic solver
+//! ([`crate::exact`]), which colors a graph's true-twin quotient with the
+//! root step and then gives the covering search turns against its own
+//! branch and bound.
 
 use crate::ugraph::UGraph;
 use dagwave_graph::BitSet;
@@ -50,18 +62,66 @@ impl Multicoloring {
     }
 }
 
+/// Outcome of [`exact_multicoloring`]: the best multicoloring found and the
+/// best lower bound proven on the fewest colors.
+#[derive(Clone, Debug)]
+pub struct ExactMulticoloring {
+    /// Best multicoloring found: the greedy one unless the search improved
+    /// on it.
+    pub best: Multicoloring,
+    /// Best lower bound proven on the number of colors.
+    pub lower: usize,
+}
+
+impl ExactMulticoloring {
+    /// `true` when [`Self::best`] is proven to use the fewest colors: the
+    /// greedy answer met the root bound, or the search finished within its
+    /// budget.
+    pub fn is_optimal(&self) -> bool {
+        self.best.total <= self.lower
+    }
+}
+
+/// Search nodes left in one budgeted call.
+pub(crate) struct Budget(pub(crate) u64);
+
+impl Budget {
+    /// Spend one node; `false` once none is left.
+    pub(crate) fn spend(&mut self) -> bool {
+        let left = self.0 > 0;
+        self.0 = self.0.saturating_sub(1);
+        left
+    }
+
+    /// Run `f` on at most `allowance` of the nodes left, then charge what
+    /// it spent.
+    pub(crate) fn share<R>(&mut self, allowance: u64, f: impl FnOnce(&mut Budget) -> R) -> R {
+        let mut part = Budget(allowance.min(self.0));
+        let granted = part.0;
+        let result = f(&mut part);
+        self.0 -= granted - part.0;
+        result
+    }
+}
+
 /// Greedy multicoloring by maximum-weight independent sets.
 ///
 /// Exponential in the base graph size (exact max-weight IS per round); use
 /// on paper-scale base graphs (≲ 40 vertices).
 pub fn greedy_multicoloring(g: &UGraph, weights: &[usize]) -> Multicoloring {
-    let n = g.vertex_count();
-    assert_eq!(weights.len(), n);
+    assert_eq!(weights.len(), g.vertex_count());
+    greedy(&neighbour_sets(g), weights, &mut Budget(u64::MAX))
+}
+
+/// [`greedy_multicoloring`] whose independent-set searches spend `budget`.
+/// Once it is spent, each round takes the first maximal set its search
+/// reaches, so the answer is still a valid multicoloring.
+fn greedy(neigh: &[BitSet], weights: &[usize], budget: &mut Budget) -> Multicoloring {
     let mut remaining = weights.to_vec();
-    let mut colors: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut colors: Vec<Vec<usize>> = vec![Vec::new(); neigh.len()];
     let mut next_color = 0usize;
     while remaining.iter().any(|&w| w > 0) {
-        let set = max_weight_independent_set(g, &remaining);
+        let (set, _) = independent_set(neigh, &remaining, budget);
         debug_assert!(!set.is_empty());
         for &v in &set {
             colors[v].push(next_color);
@@ -75,44 +135,162 @@ pub fn greedy_multicoloring(g: &UGraph, weights: &[usize]) -> Multicoloring {
     }
 }
 
-/// Exact multicoloring by branch and bound over *maximal* independent sets.
+/// Exact multicoloring by branch and bound over *maximal* independent sets,
+/// within `budget` search nodes.
 ///
-/// Searches assignments "use maximal IS `S` as a color class" with a
-/// cover-the-heaviest-vertex branching rule and an LP-style lower bound.
-/// Complete for paper-scale base graphs (≲ 20 vertices, weights ≲ 16);
-/// falls back to [`greedy_multicoloring`]'s answer as the incumbent.
-pub fn exact_multicoloring(g: &UGraph, weights: &[usize]) -> Multicoloring {
-    let n = g.vertex_count();
-    assert_eq!(weights.len(), n);
-    let greedy = greedy_multicoloring(g, weights);
-    if greedy.total <= 1 {
-        return greedy;
+/// Starts from [`greedy_multicoloring`]'s answer and returns it at once
+/// when it meets the root bound `max(heaviest weight, ⌈total weight /
+/// α⌉)`: no color covers a vertex twice or more than α vertices. Otherwise
+/// it enumerates the maximal independent sets and searches assignments
+/// "use maximal IS `S` as a color class" with a cover-the-heaviest-vertex
+/// branching rule and the same bound. When the budget runs out, the result
+/// carries the best multicoloring found and the root bound (only the
+/// heaviest weight where α was not proven).
+pub fn exact_multicoloring(g: &UGraph, weights: &[usize], budget: u64) -> ExactMulticoloring {
+    assert_eq!(weights.len(), g.vertex_count());
+    let mut budget = Budget(budget);
+    let root = root_multicoloring(g, weights, &mut budget);
+    if root.is_optimal() {
+        return root;
     }
-    let maximal_sets = all_maximal_independent_sets(g);
-    // Counts per set, reconstructed into classes at the end.
-    let mut best_counts: Option<Vec<usize>> = None;
-    let mut best_total = greedy.total;
-    let mut counts = vec![0usize; maximal_sets.len()];
-    let mut remaining = weights.to_vec();
-    cover_branch(
-        &maximal_sets,
-        &mut remaining,
-        &mut counts,
-        0,
-        &mut best_total,
-        &mut best_counts,
-    );
-    let Some(best_counts) = best_counts else {
-        return greedy; // greedy was already optimal
+    cover_search(g, weights, &root, &mut budget)
+}
+
+/// The covering search of [`exact_multicoloring`], starting from `start`:
+/// a root answer, or the result of an earlier search that the budget cut
+/// short. Returns the best multicoloring found, proven optimal when the
+/// search finished within `budget`.
+pub(crate) fn cover_search(
+    g: &UGraph,
+    weights: &[usize],
+    start: &ExactMulticoloring,
+    budget: &mut Budget,
+) -> ExactMulticoloring {
+    let Some(sets) = maximal_independent_sets(g, budget) else {
+        return start.clone();
     };
-    // Materialize colors.
-    let mut colors: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut containing = vec![Vec::new(); weights.len()];
+    for (si, set) in sets.iter().enumerate() {
+        for &v in set {
+            containing[v].push(si);
+        }
+    }
+    let mut cover = Cover {
+        sets: &sets,
+        containing: &containing,
+        alpha: sets.iter().map(Vec::len).max().unwrap_or(1),
+        remaining: weights.to_vec(),
+        counts: vec![0; sets.len()],
+        best_total: start.best.total,
+        best_counts: None,
+        budget,
+    };
+    let finished = cover.branch(0);
+    let best = match cover.best_counts {
+        Some(counts) => materialize(&sets, &counts, weights),
+        None => start.best.clone(),
+    };
+    ExactMulticoloring {
+        lower: if finished { best.total } else { start.lower },
+        best,
+    }
+}
+
+/// The root step of [`exact_multicoloring`] within `budget`: the greedy
+/// answer and the root bound, with α only where its search finished.
+pub(crate) fn root_multicoloring(
+    g: &UGraph,
+    weights: &[usize],
+    budget: &mut Budget,
+) -> ExactMulticoloring {
+    let neigh = neighbour_sets(g);
+    let best = greedy(&neigh, weights, budget);
+    let heaviest = weights.iter().copied().max().unwrap_or(0);
+    let (largest, alpha_proven) = independent_set(&neigh, &vec![1; weights.len()], budget);
+    let alpha = largest.len();
+    let lower = if alpha_proven && alpha > 0 {
+        heaviest.max(weights.iter().sum::<usize>().div_ceil(alpha))
+    } else {
+        heaviest
+    };
+    ExactMulticoloring { best, lower }
+}
+
+/// Branch and bound over "one more color on maximal independent set `S`".
+struct Cover<'a> {
+    sets: &'a [Vec<usize>],
+    /// `containing[v]`: the indices of the sets that contain `v`.
+    containing: &'a [Vec<usize>],
+    /// The largest set's size, i.e. the independence number.
+    alpha: usize,
+    remaining: Vec<usize>,
+    counts: Vec<usize>,
+    best_total: usize,
+    best_counts: Option<Vec<usize>>,
+    budget: &'a mut Budget,
+}
+
+impl Cover<'_> {
+    /// Returns `false` when the node budget ran out.
+    fn branch(&mut self, used: usize) -> bool {
+        if !self.budget.spend() {
+            return false;
+        }
+        // Lower bounds: heaviest remaining vertex (each class covers it ≤
+        // once) and total remaining weight over the largest class size.
+        let (vmax, wmax) = self
+            .remaining
+            .iter()
+            .enumerate()
+            .max_by_key(|&(_, &w)| w)
+            .map(|(v, &w)| (v, w))
+            .unwrap_or((0, 0));
+        if wmax == 0 {
+            if used < self.best_total {
+                self.best_total = used;
+                self.best_counts = Some(self.counts.clone());
+            }
+            return true;
+        }
+        let total: usize = self.remaining.iter().sum();
+        let lb = wmax.max(total.div_ceil(self.alpha));
+        if used + lb >= self.best_total {
+            return true;
+        }
+        // Branch: which maximal set covers one unit of vmax next.
+        let (sets, containing) = (self.sets, self.containing);
+        for &si in &containing[vmax] {
+            self.counts[si] += 1;
+            let mut touched = Vec::new();
+            for &v in &sets[si] {
+                if self.remaining[v] > 0 {
+                    self.remaining[v] -= 1;
+                    touched.push(v);
+                }
+            }
+            let finished = self.branch(used + 1);
+            for v in touched {
+                self.remaining[v] += 1;
+            }
+            self.counts[si] -= 1;
+            if !finished {
+                return false;
+            }
+        }
+        true
+    }
+}
+
+/// Colors from per-set use counts: each use of a set is one fresh color on
+/// its members that still need one.
+fn materialize(sets: &[Vec<usize>], counts: &[usize], weights: &[usize]) -> Multicoloring {
+    let mut colors: Vec<Vec<usize>> = vec![Vec::new(); weights.len()];
     let mut need = weights.to_vec();
     let mut next_color = 0usize;
-    for (si, &c) in best_counts.iter().enumerate() {
+    for (set, &c) in sets.iter().zip(counts) {
         for _ in 0..c {
             let mut used = false;
-            for &v in &maximal_sets[si] {
+            for &v in set {
                 if need[v] > 0 {
                     colors[v].push(next_color);
                     need[v] -= 1;
@@ -131,59 +309,9 @@ pub fn exact_multicoloring(g: &UGraph, weights: &[usize]) -> Multicoloring {
     }
 }
 
-fn cover_branch(
-    sets: &[Vec<usize>],
-    remaining: &mut [usize],
-    counts: &mut [usize],
-    used: usize,
-    best_total: &mut usize,
-    best_counts: &mut Option<Vec<usize>>,
-) {
-    // Lower bounds: heaviest remaining vertex (each class covers it ≤ once)
-    // and total remaining weight over the largest class size.
-    let (vmax, wmax) = remaining
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, &w)| w)
-        .map(|(v, &w)| (v, w))
-        .unwrap_or((0, 0));
-    if wmax == 0 {
-        if used < *best_total {
-            *best_total = used;
-            *best_counts = Some(counts.to_vec());
-        }
-        return;
-    }
-    let total: usize = remaining.iter().sum();
-    let alpha = sets.iter().map(|s| s.len()).max().unwrap_or(1);
-    let lb = wmax.max(total.div_ceil(alpha));
-    if used + lb >= *best_total {
-        return;
-    }
-    // Branch: which maximal set covers one unit of vmax next.
-    for (si, set) in sets.iter().enumerate() {
-        if !set.contains(&vmax) {
-            continue;
-        }
-        counts[si] += 1;
-        let mut touched = Vec::new();
-        for &v in set {
-            if remaining[v] > 0 {
-                remaining[v] -= 1;
-                touched.push(v);
-            }
-        }
-        cover_branch(sets, remaining, counts, used + 1, best_total, best_counts);
-        for v in touched {
-            remaining[v] += 1;
-        }
-        counts[si] -= 1;
-    }
-}
-
 /// All maximal independent sets (Bron–Kerbosch on the complement's cliques,
-/// done directly on independence).
-pub fn all_maximal_independent_sets(g: &UGraph) -> Vec<Vec<usize>> {
+/// done directly on independence), or `None` when `budget` ran out first.
+fn maximal_independent_sets(g: &UGraph, budget: &mut Budget) -> Option<Vec<Vec<usize>>> {
     let n = g.vertex_count();
     let non_neigh: Vec<BitSet> = (0..n)
         .map(|v| {
@@ -203,28 +331,31 @@ pub fn all_maximal_independent_sets(g: &UGraph) -> Vec<Vec<usize>> {
         p.insert(v);
     }
     let x = BitSet::new(n);
-    bk_all(&non_neigh, &mut r, p, x, &mut results);
-    results
+    bk_all(&non_neigh, &mut r, p, x, &mut results, budget).then_some(results)
 }
 
+/// Returns `false` when the node budget ran out.
 fn bk_all(
     non_neigh: &[BitSet],
     r: &mut Vec<usize>,
     p: BitSet,
     x: BitSet,
     out: &mut Vec<Vec<usize>>,
-) {
+    budget: &mut Budget,
+) -> bool {
+    if !budget.spend() {
+        return false;
+    }
     if p.is_empty() && x.is_empty() {
         out.push(r.clone());
-        return;
+        return true;
     }
     let pivot = p
         .iter()
         .chain(x.iter())
         .max_by_key(|&u| {
-            let mut t = p.clone();
-            t.intersect_with(&non_neigh[u]);
-            t.count()
+            let common = p.words().iter().zip(non_neigh[u].words());
+            common.map(|(a, b)| (a & b).count_ones()).sum::<u32>()
         })
         .expect("P ∪ X non-empty"); // lint: allow(no-panic): the caller only recurses with P ∪ X non-empty, so a candidate exists
     let mut candidates = p.clone();
@@ -237,20 +368,21 @@ fn bk_all(
         let mut x2 = x.clone();
         x2.intersect_with(&non_neigh[v]);
         r.push(v);
-        bk_all(non_neigh, r, p2, x2, out);
+        let finished = bk_all(non_neigh, r, p2, x2, out, budget);
         r.pop();
+        if !finished {
+            return false;
+        }
         p.remove(v);
         x.insert(v);
     }
+    true
 }
 
-/// Exact maximum-weight independent set (branch and bound over vertices in
-/// decreasing weight order). Vertices with zero weight are excluded.
-pub fn max_weight_independent_set(g: &UGraph, weights: &[usize]) -> Vec<usize> {
+/// `neigh[v]`: the neighbours of `v` as a bit set.
+fn neighbour_sets(g: &UGraph) -> Vec<BitSet> {
     let n = g.vertex_count();
-    let mut order: Vec<usize> = (0..n).filter(|&v| weights[v] > 0).collect();
-    order.sort_by_key(|&v| std::cmp::Reverse(weights[v]));
-    let neigh: Vec<BitSet> = (0..n)
+    (0..n)
         .map(|v| {
             let mut b = BitSet::new(n);
             for &w in g.neighbors(v) {
@@ -258,112 +390,113 @@ pub fn max_weight_independent_set(g: &UGraph, weights: &[usize]) -> Vec<usize> {
             }
             b
         })
-        .collect();
-    let mut best: Vec<usize> = Vec::new();
-    let mut best_weight = 0usize;
-    let mut current: Vec<usize> = Vec::new();
-    branch(
-        g,
-        weights,
-        &neigh,
-        &order,
-        0,
-        0,
-        &mut BitSet::new(n),
-        &mut current,
-        &mut best,
-        &mut best_weight,
-    );
-    best
+        .collect()
 }
 
-#[allow(clippy::too_many_arguments, clippy::only_used_in_recursion)]
-fn branch(
-    g: &UGraph,
-    weights: &[usize],
-    neigh: &[BitSet],
-    order: &[usize],
-    idx: usize,
-    cur_weight: usize,
-    blocked: &mut BitSet,
-    current: &mut Vec<usize>,
-    best: &mut Vec<usize>,
-    best_weight: &mut usize,
-) {
-    // Upper bound: current + everything not yet decided.
-    let rest: usize = order[idx..]
-        .iter()
-        .filter(|&&v| !blocked.contains(v))
-        .map(|&v| weights[v])
-        .sum();
-    if cur_weight + rest <= *best_weight {
-        return;
-    }
-    let Some(&v) = order.get(idx) else {
-        if cur_weight > *best_weight {
-            *best_weight = cur_weight;
-            *best = current.clone();
-        }
-        return;
+/// Exact maximum-weight independent set (branch and bound over vertices in
+/// decreasing weight order). Vertices with zero weight are excluded.
+pub fn max_weight_independent_set(g: &UGraph, weights: &[usize]) -> Vec<usize> {
+    independent_set(&neighbour_sets(g), weights, &mut Budget(u64::MAX)).0
+}
+
+/// [`max_weight_independent_set`] within `budget` nodes, over the
+/// neighbour sets `neigh`; the flag is `true` when the set is proven
+/// maximum. Once the budget is spent the search still finishes its first
+/// descent, so any positive weight yields a non-empty maximal set.
+fn independent_set(neigh: &[BitSet], weights: &[usize], budget: &mut Budget) -> (Vec<usize>, bool) {
+    let n = neigh.len();
+    let mut order: Vec<usize> = (0..n).filter(|&v| weights[v] > 0).collect();
+    order.sort_by_key(|&v| std::cmp::Reverse(weights[v]));
+    let mut search = IndependentSearch {
+        weights,
+        neigh,
+        order,
+        blocked: BitSet::new(n),
+        current: Vec::new(),
+        best: Vec::new(),
+        best_weight: 0,
+        budget,
+        cut: false,
     };
-    if blocked.contains(v) {
-        branch(
-            g,
-            weights,
-            neigh,
-            order,
-            idx + 1,
-            cur_weight,
-            blocked,
-            current,
-            best,
-            best_weight,
-        );
-        return;
+    search.branch(0, 0);
+    (search.best, !search.cut)
+}
+
+struct IndependentSearch<'a> {
+    weights: &'a [usize],
+    neigh: &'a [BitSet],
+    order: Vec<usize>,
+    blocked: BitSet,
+    current: Vec<usize>,
+    best: Vec<usize>,
+    best_weight: usize,
+    budget: &'a mut Budget,
+    /// Set once the budget cut a node off.
+    cut: bool,
+}
+
+impl IndependentSearch<'_> {
+    fn branch(&mut self, idx: usize, cur_weight: usize) {
+        if !self.budget.spend() {
+            self.cut = true;
+            if !self.best.is_empty() {
+                return;
+            }
+        }
+        // Upper bound: current + everything not yet decided.
+        let rest: usize = self.order[idx..]
+            .iter()
+            .filter(|&&v| !self.blocked.contains(v))
+            .map(|&v| self.weights[v])
+            .sum();
+        if cur_weight + rest <= self.best_weight {
+            return;
+        }
+        let Some(&v) = self.order.get(idx) else {
+            if cur_weight > self.best_weight {
+                self.best_weight = cur_weight;
+                self.best = self.current.clone();
+            }
+            return;
+        };
+        if self.blocked.contains(v) {
+            self.branch(idx + 1, cur_weight);
+            return;
+        }
+        // Include v.
+        let newly: Vec<usize> = self.neigh[v]
+            .iter()
+            .filter(|&w| !self.blocked.contains(w))
+            .collect();
+        self.blocked.insert(v);
+        for &w in &newly {
+            self.blocked.insert(w);
+        }
+        self.current.push(v);
+        self.branch(idx + 1, cur_weight + self.weights[v]);
+        self.current.pop();
+        for &w in &newly {
+            self.blocked.remove(w);
+        }
+        // Exclude v (leave it blocked through this subtree, then restore).
+        self.branch(idx + 1, cur_weight);
+        self.blocked.remove(v);
     }
-    // Include v.
-    let newly: Vec<usize> = neigh[v].iter().filter(|&w| !blocked.contains(w)).collect();
-    blocked.insert(v);
-    for &w in &newly {
-        blocked.insert(w);
-    }
-    current.push(v);
-    branch(
-        g,
-        weights,
-        neigh,
-        order,
-        idx + 1,
-        cur_weight + weights[v],
-        blocked,
-        current,
-        best,
-        best_weight,
-    );
-    current.pop();
-    for &w in &newly {
-        blocked.remove(w);
-    }
-    // Exclude v (leave it blocked through this subtree, then restore).
-    branch(
-        g,
-        weights,
-        neigh,
-        order,
-        idx + 1,
-        cur_weight,
-        blocked,
-        current,
-        best,
-        best_weight,
-    );
-    blocked.remove(v);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exact::DEFAULT_NODE_BUDGET;
     use crate::ugraph::{complete_graph, cycle_graph, UGraph};
+
+    /// [`exact_multicoloring`] with the default budget, which none of these
+    /// graphs exhausts.
+    fn optimum(g: &UGraph, weights: &[usize]) -> Multicoloring {
+        let res = exact_multicoloring(g, weights, DEFAULT_NODE_BUDGET);
+        assert!(res.is_optimal(), "{weights:?}: lower {}", res.lower);
+        res.best
+    }
 
     fn wagner() -> UGraph {
         let mut g = cycle_graph(8);
@@ -398,7 +531,7 @@ mod tests {
         // K3 with weight h: needs exactly 3h colors.
         let g = complete_graph(3);
         for h in 1..5 {
-            let mc = exact_multicoloring(&g, &[h, h, h]);
+            let mc = optimum(&g, &[h, h, h]);
             assert!(mc.is_valid(&g, &[h, h, h]));
             assert_eq!(mc.total, 3 * h);
         }
@@ -410,7 +543,7 @@ mod tests {
         // w(a)+w(b) only when adjacent; here total = max over edges of the
         // sum; for a single edge: w(a)+w(b).
         let g = UGraph::from_edges(2, &[(0, 1)]);
-        let mc = exact_multicoloring(&g, &[3, 2]);
+        let mc = optimum(&g, &[3, 2]);
         assert!(mc.is_valid(&g, &[3, 2]));
         assert_eq!(mc.total, 5);
     }
@@ -421,7 +554,7 @@ mod tests {
         let g = wagner();
         for h in 1..=6 {
             let w = vec![h; 8];
-            let mc = exact_multicoloring(&g, &w);
+            let mc = optimum(&g, &w);
             assert!(mc.is_valid(&g, &w), "h={h}");
             let expected = (8 * h).div_ceil(3);
             assert_eq!(
@@ -439,10 +572,23 @@ mod tests {
         let g = cycle_graph(5);
         for h in 1..=6 {
             let w = vec![h; 5];
-            let mc = exact_multicoloring(&g, &w);
+            let mc = optimum(&g, &w);
             assert!(mc.is_valid(&g, &w));
             assert_eq!(mc.total, (5 * h).div_ceil(2), "h={h}");
         }
+    }
+
+    #[test]
+    fn budget_exhaustion_keeps_a_valid_incumbent() {
+        // C5 with weight 4 needs 10 colors. One node proves nothing past
+        // the greedy's first descent, so only the heaviest weight bounds it.
+        let g = cycle_graph(5);
+        let w = [4; 5];
+        let res = exact_multicoloring(&g, &w, 1);
+        assert!(res.best.is_valid(&g, &w));
+        assert!(!res.is_optimal());
+        assert_eq!(res.lower, 4);
+        assert!(res.best.total >= 10);
     }
 
     #[test]

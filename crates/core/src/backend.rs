@@ -138,7 +138,8 @@ pub struct SolveRequest {
     pub per_shard_backend: bool,
     /// Largest conflict graph (vertices) handed to the exact solver.
     pub exact_limit: usize,
-    /// Branch-node budget for the exact solver.
+    /// Search-node budget for one exact call: the exact solver (its twin
+    /// step included) and the weighted backend's exact multicoloring.
     pub exact_budget: u64,
     /// Largest deduplicated base family the weighted backend accepts
     /// (beyond it the exact independent-set machinery is too expensive).
@@ -435,14 +436,16 @@ impl ColoringBackend for WeightedBackend {
         let weights: Vec<usize> = base.iter().map(|m| m.len()).collect();
         let cg = ConflictGraph::build(ctx.graph, &base_family);
         let ug = crate::solver::conflict_to_ugraph(&cg);
-        // Exact covering only within the configured budget; greedy beyond.
+        // Exact covering only within the configured limits; greedy beyond.
         let total_weight: usize = weights.iter().sum();
-        let mc = if base.len() <= ctx.request.weighted_exact_base_limit
+        let (mc, proven) = if base.len() <= ctx.request.weighted_exact_base_limit
             && total_weight <= ctx.request.weighted_exact_weight_limit
         {
-            multicolor::exact_multicoloring(&ug, &weights)
+            let exact = multicolor::exact_multicoloring(&ug, &weights, ctx.request.exact_budget);
+            let proven = exact.is_optimal();
+            (exact.best, proven)
         } else {
-            multicolor::greedy_multicoloring(&ug, &weights)
+            (multicolor::greedy_multicoloring(&ug, &weights), false)
         };
         debug_assert!(mc.is_valid(&ug, &weights));
         let mut colors = vec![usize::MAX; ctx.family.len()];
@@ -453,10 +456,13 @@ impl ColoringBackend for WeightedBackend {
         }
         let assignment = WavelengthAssignment::new(colors);
         let num = assignment.num_colors();
+        // Identical dipaths are true twins of the conflict graph, which is
+        // therefore the blow-up of the base's: a proven multicoloring is χ.
+        let lower_bound = if proven { num } else { ctx.load };
         Ok(BackendOutcome {
             assignment,
-            lower_bound: ctx.load,
-            optimal: num == ctx.load,
+            lower_bound,
+            optimal: proven || num == ctx.load,
         })
     }
 }

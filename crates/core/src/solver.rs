@@ -166,7 +166,8 @@ impl SolverBuilder {
         self
     }
 
-    /// Branch-node budget for the exact solver.
+    /// Search-node budget for one exact call: the exact solver (its twin
+    /// step included) and the weighted backend's exact multicoloring.
     pub fn exact_budget(mut self, budget: u64) -> Self {
         self.request.exact_budget = budget;
         self
