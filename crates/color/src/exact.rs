@@ -3,10 +3,12 @@
 //! A DSATUR-ordered backtracking solver: vertices are colored in saturation
 //! order; a branch assigns either one of the colors already in use or one
 //! fresh color; branches whose used-color count reaches the incumbent are
-//! pruned. The initial lower bound comes from a greedy clique, the upper
-//! bound from DSATUR. Exponential in the worst case — intended for the
-//! verification of `w` on paper-scale conflict graphs (≲ 100 vertices),
-//! with an explicit node budget for safety.
+//! pruned. The initial lower bound is the larger of a greedy clique and
+//! any bound the caller has already proven (for a conflict graph, the load
+//! `π`: the dipaths through a most loaded arc are a clique the greedy one
+//! may miss); the upper bound comes from DSATUR. Exponential in the worst
+//! case — intended for the verification of `w` on paper-scale conflict
+//! graphs (≲ 100 vertices), with an explicit node budget for safety.
 //!
 //! **Twin step.** When those root bounds do not meet, the solver looks for
 //! *true twins*: adjacent vertices with equal closed neighbourhoods, such
@@ -89,11 +91,14 @@ pub const DEFAULT_NODE_BUDGET: u64 = 20_000_000;
 
 /// Exact chromatic number with the default node budget.
 pub fn chromatic_number(g: &UGraph) -> ExactResult {
-    chromatic_number_budgeted(g, DEFAULT_NODE_BUDGET)
+    chromatic_number_budgeted(g, 0, DEFAULT_NODE_BUDGET)
 }
 
-/// Exact chromatic number with an explicit node budget.
-pub fn chromatic_number_budgeted(g: &UGraph, budget: u64) -> ExactResult {
+/// Exact chromatic number with an explicit node budget, from a root lower
+/// bound of at least `lower`, which must be a proven lower bound on `χ(g)`
+/// (0 when none is known). When DSATUR already meets it the search closes
+/// at the root.
+pub fn chromatic_number_budgeted(g: &UGraph, lower: usize, budget: u64) -> ExactResult {
     if g.vertex_count() == 0 {
         return ExactResult::Optimal {
             chromatic: 0,
@@ -104,10 +109,11 @@ pub fn chromatic_number_budgeted(g: &UGraph, budget: u64) -> ExactResult {
     let clique = greedy_clique(g);
     let incumbent = dsatur_coloring(g);
     let mut bounds = Bounds {
-        lower: clique.len().max(1),
+        lower: clique.len().max(lower).max(1),
         upper: incumbent.iter().copied().max().unwrap_or(0) + 1,
         best: incumbent,
     };
+    debug_assert!(bounds.lower <= bounds.upper, "`lower` exceeds a coloring");
     let mut budget = Budget(budget);
     let finished = bounds.closed()
         || match true_twin_classes(g) {
@@ -496,7 +502,7 @@ mod tests {
     #[test]
     fn budget_exhaustion_reports_bounds() {
         let g = complete_graph(12);
-        match chromatic_number_budgeted(&g, 1) {
+        match chromatic_number_budgeted(&g, 0, 1) {
             ExactResult::Optimal { chromatic, .. } => {
                 // Greedy clique == DSATUR here, so it may close instantly.
                 assert_eq!(chromatic, 12);
@@ -599,7 +605,7 @@ mod tests {
         // C5 × 4: the greedy clique (8) and DSATUR do not meet, so the twin
         // step runs; one node proves nothing past its first descent.
         let g = blow_up(&cycle_graph(5), &[4; 5]);
-        match chromatic_number_budgeted(&g, 1) {
+        match chromatic_number_budgeted(&g, 0, 1) {
             ExactResult::BudgetExceeded {
                 lower,
                 upper,

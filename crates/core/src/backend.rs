@@ -488,24 +488,25 @@ impl ColoringBackend for ExactBackend {
 
     fn run(&self, ctx: &InstanceContext<'_>) -> Result<BackendOutcome, CoreError> {
         let ug = ctx.conflict_ugraph();
-        match exact::chromatic_number_budgeted(ug, ctx.request.exact_budget) {
+        // The dipaths through a most loaded arc pairwise conflict, so `π`
+        // is a proven root bound the search would otherwise have to prove.
+        match exact::chromatic_number_budgeted(ug, ctx.load, ctx.request.exact_budget) {
             exact::ExactResult::Optimal {
                 chromatic,
                 coloring,
             } => Ok(BackendOutcome {
                 assignment: WavelengthAssignment::new(coloring),
-                lower_bound: chromatic.max(ctx.load),
+                lower_bound: chromatic,
                 optimal: true,
             }),
             exact::ExactResult::BudgetExceeded {
                 lower, coloring, ..
             } => {
                 let assignment = WavelengthAssignment::new(coloring);
-                let lower_bound = lower.max(ctx.load);
-                let optimal = assignment.num_colors() == lower_bound;
+                let optimal = assignment.num_colors() == lower;
                 Ok(BackendOutcome {
                     assignment,
-                    lower_bound,
+                    lower_bound: lower,
                     optimal,
                 })
             }

@@ -13,6 +13,9 @@
 //!   | UPP, one internal cycle | Theorem 6 (+ weighted rescue) | `w ≤ ⌈4π/3⌉` |
 //!   | otherwise | exact B&B (small) or DSATUR (+ weighted rescue) | best effort, `w ≥ π` |
 //!
+//!   The weighted rescue is consulted only when the primary method is not
+//!   proven optimal: no valid coloring uses fewer than `π` wavelengths.
+//!
 //! * [`Policy::Pinned`] — run exactly one named [`BackendKind`].
 //! * [`Policy::Portfolio`] — race several backends on the rayon pool and
 //!   keep the fewest-colors result deterministically.
@@ -462,38 +465,24 @@ impl SolveSession {
         bounds::class_bound(crate::internal::classify(g), pi)
     }
 
-    /// The historical classify-and-dispatch.
+    /// Classify and dispatch: the class's primary backend, then the
+    /// weighted rescue only when the primary is not proven optimal.
     fn solve_auto(&self, ctx: &InstanceContext<'_>) -> Result<Solution, CoreError> {
-        match ctx.class {
-            DagClass::InternalCycleFree => {
-                let (attempt, outcome) = run_required(BackendKind::Theorem1, ctx)?;
-                Ok(build_solution(
-                    ctx,
-                    BackendKind::Theorem1,
-                    outcome,
-                    vec![attempt],
-                ))
-            }
-            DagClass::UppSingleCycle => {
-                let (attempt, outcome) = run_required(BackendKind::Theorem6, ctx)?;
-                // Replicated families sidestep the constructive merge's
-                // duplicate penalty via weighted coloring (Theorem 7's
-                // ⌈8h/3⌉); keep whichever uses fewer wavelengths.
-                Ok(self.improve_with_weighted(ctx, BackendKind::Theorem6, attempt, outcome))
-            }
-            DagClass::UppMultiCycle { .. } | DagClass::General { .. } => {
-                let primary = if backend(BackendKind::Exact).unsupported(ctx).is_none() {
-                    BackendKind::Exact
-                } else {
-                    BackendKind::Dsatur
-                };
-                let (attempt, outcome) = run_required(primary, ctx)?;
-                if outcome.optimal {
-                    return Ok(build_solution(ctx, primary, outcome, vec![attempt]));
-                }
-                Ok(self.improve_with_weighted(ctx, primary, attempt, outcome))
-            }
+        let primary = match ctx.class {
+            DagClass::InternalCycleFree => BackendKind::Theorem1,
+            DagClass::UppSingleCycle => BackendKind::Theorem6,
+            _ if backend(BackendKind::Exact).unsupported(ctx).is_none() => BackendKind::Exact,
+            _ => BackendKind::Dsatur,
+        };
+        let (attempt, outcome) = run_required(primary, ctx)?;
+        // No valid coloring beats a proven optimum (Theorem 1's always is).
+        // Otherwise replicated families may sidestep the primary's weakness
+        // — Theorem 6's duplicate penalty, Theorem 7's ⌈8h/3⌉ — via
+        // weighted coloring; keep whichever uses fewer wavelengths.
+        if outcome.optimal {
+            return Ok(build_solution(ctx, primary, outcome, vec![attempt]));
         }
+        Ok(self.improve_with_weighted(ctx, primary, attempt, outcome))
     }
 
     /// Consult the weighted backend and keep whichever of the two outcomes
@@ -975,11 +964,12 @@ mod tests {
         let sol = SolveSession::auto().solve(&g, &f).unwrap();
         assert_eq!(sol.strategy, BackendKind::Theorem6);
         assert!(sol.assignment.is_valid(&g, &f));
-        // Provenance: theorem6 ran, weighted was consulted and declined
-        // (no duplicated dipaths in this family).
-        assert_eq!(sol.attempts.len(), 2);
-        assert_eq!(sol.attempts[1].backend, BackendKind::Weighted);
-        assert!(sol.attempts[1].note.is_some());
+        // Provenance: theorem6 met π, so it is the only attempt — no
+        // weighted consult can beat a proven optimum.
+        assert_eq!(sol.num_colors, sol.load);
+        assert!(sol.optimal);
+        assert_eq!(sol.attempts.len(), 1);
+        assert_eq!(sol.attempts[0].backend, BackendKind::Theorem6);
         let bound = SolveSession::auto().guaranteed_bound(&g, &f).unwrap();
         assert!(sol.num_colors <= bound);
     }

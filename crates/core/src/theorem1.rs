@@ -16,13 +16,20 @@
 //! 1. **Peel** ([`peel`]): repeatedly delete an arc out of a current source,
 //!    logging for each deletion the dipaths whose front arc it was (the
 //!    source condition guarantees dipaths are consumed strictly front-first).
+//!    Each dipath waits in the bucket of its current front arc, an intrusive
+//!    FIFO list with one link per dipath, and the log is one flat array of
+//!    steps ([`PeelLog`]); the largest step is `π(G, P)`. Buckets must stay
+//!    FIFO: the replay's duplicate detection reads each step in bucket
+//!    order, so that order decides the coloring.
 //! 2. **Replay** ([`color_optimal_with`]): process the log in reverse.
 //!    Adding arc `e` back extends the logged dipaths at the front; before
 //!    extension, Kempe swaps make their colors pairwise distinct; dipaths
 //!    born as the single arc `e` take fresh palette colors. The palette has
 //!    exactly `π(G, P)` colors and never runs out (the proof's counting
 //!    argument), so the final assignment uses at most — hence exactly —
-//!    `π` wavelengths whenever any arc is loaded.
+//!    `π` wavelengths whenever any arc is loaded. Its working buffers, the
+//!    Kempe searches' included, are sized once, so neither a step nor a
+//!    swap allocates.
 
 use crate::assignment::WavelengthAssignment;
 use crate::error::CoreError;
@@ -57,31 +64,105 @@ pub enum KempeStrategy {
     Cascade,
 }
 
-/// One peel step: the removed arc and the dipaths whose front arc it was.
-#[derive(Clone, Debug)]
-pub struct PeelStep {
+/// One peel step, borrowed from a [`PeelLog`]: the removed arc and the
+/// dipaths whose front arc it was.
+#[derive(Clone, Copy, Debug)]
+pub struct PeelStep<'a> {
     /// The removed arc (its tail was a source at removal time).
     pub arc: ArcId,
     /// Dipaths that contained the arc; at removal time it was their front
     /// arc. `was_last` marks dipaths for which it was also their final
     /// remaining arc (they vanish — the paper's "`Q` reduced to `(x0,y0)`").
-    pub affected: Vec<(PathId, bool)>,
+    /// In the order the dipaths reached the arc's bucket (see [`PeelLog`]).
+    pub affected: &'a [(PathId, bool)],
 }
 
-/// The full peel log plus bookkeeping for the replay.
+/// The full peel log, stored flat: step `i` removed `arcs[i]` and affected
+/// `affected[offsets[i]..offsets[i + 1]]`, so the whole log is three
+/// allocations however many arcs and dipaths it records.
+///
+/// Each step lists its dipaths in FIFO order: the order in which they
+/// reached the arc's bucket, which is the order their previous front arcs
+/// were peeled (family order for first arcs). The replay's duplicate
+/// detection scans a step in this order and keeps the first dipath of each
+/// color, so the order decides which dipath a Kempe swap flips — and with
+/// it the coloring, the swap count and any obstruction chain.
 #[derive(Clone, Debug)]
 pub struct PeelLog {
+    arcs: Vec<ArcId>,
+    offsets: Vec<usize>,
+    affected: Vec<(PathId, bool)>,
+    /// The largest step: every dipath through an arc is affected at its
+    /// step, so this is `π(G, P)`.
+    load: usize,
+}
+
+impl PeelLog {
+    /// Number of steps (the arc count of the peeled DAG).
+    pub fn len(&self) -> usize {
+        self.arcs.len()
+    }
+
+    /// `true` when the peeled graph has no arc.
+    pub fn is_empty(&self) -> bool {
+        self.arcs.is_empty()
+    }
+
     /// Steps in removal order (replay walks them in reverse).
-    pub steps: Vec<PeelStep>,
+    pub fn steps(&self) -> impl DoubleEndedIterator<Item = PeelStep<'_>> + ExactSizeIterator {
+        self.arcs
+            .iter()
+            .zip(self.offsets.windows(2))
+            .map(|(&arc, span)| PeelStep {
+                arc,
+                affected: &self.affected[span[0]..span[1]],
+            })
+    }
+}
+
+/// End of an intrusive list.
+const NIL: u32 = u32::MAX;
+
+/// Per-arc FIFO lists of dipaths: the bucket of arc `a` holds the dipaths
+/// whose current front arc is `a`, from `head[a]` to `tail[a]`, linked
+/// through `next[p]`. A dipath sits in exactly one bucket at a time, so one
+/// link per dipath suffices.
+struct Buckets {
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl Buckets {
+    fn new(arcs: usize, paths: usize) -> Self {
+        Buckets {
+            head: vec![NIL; arcs],
+            tail: vec![NIL; arcs],
+            next: vec![NIL; paths],
+        }
+    }
+
+    /// Append dipath `id` to the back of `a`'s bucket.
+    fn push(&mut self, a: ArcId, id: u32) {
+        self.next[id as usize] = NIL;
+        match self.head[a.index()] {
+            NIL => self.head[a.index()] = id,
+            _ => self.next[self.tail[a.index()] as usize] = id,
+        }
+        self.tail[a.index()] = id;
+    }
+
+    /// Empty `a`'s bucket, returning its first dipath (walk on through
+    /// `next`; read each link before pushing that dipath elsewhere).
+    fn take(&mut self, a: ArcId) -> u32 {
+        std::mem::replace(&mut self.head[a.index()], NIL)
+    }
 }
 
 /// Peel all arcs of `g`, front-consuming `family` (paper's induction order).
 ///
 /// Requires a DAG; errors with the directed-cycle witness otherwise.
 pub fn peel(g: &Digraph, family: &DipathFamily, order: PeelOrder) -> Result<PeelLog, CoreError> {
-    if let Err(dagwave_graph::GraphError::NotADag(c)) = topo::topological_order(g) {
-        return Err(CoreError::NotADag(c));
-    }
     let n = g.vertex_count();
     let m = g.arc_count();
 
@@ -92,10 +173,10 @@ pub fn peel(g: &Digraph, family: &DipathFamily, order: PeelOrder) -> Result<Peel
     let mut out_cursor = vec![0usize; n]; // next out-arc to try per vertex
 
     // front_of[p]: index into the dipath's arc list of its current front.
-    // bucket[a]: dipaths whose current front arc is `a`.
-    let mut bucket: Vec<Vec<PathId>> = vec![Vec::new(); m];
+    let mut front_of: Vec<usize> = vec![0; family.len()];
+    let mut buckets = Buckets::new(m, family.len());
     for (id, p) in family.iter() {
-        bucket[p.first_arc().index()].push(id);
+        buckets.push(p.first_arc(), id.0);
     }
 
     // Ready pool: sources with remaining out-arcs.
@@ -103,8 +184,13 @@ pub fn peel(g: &Digraph, family: &DipathFamily, order: PeelOrder) -> Result<Peel
         .vertices()
         .filter(|&v| indeg[v.index()] == 0 && g.outdegree(v) > 0)
         .collect();
-    let mut steps = Vec::with_capacity(m);
-    let mut front_of: Vec<usize> = vec![0; family.len()];
+    let mut log = PeelLog {
+        arcs: Vec::with_capacity(m),
+        offsets: Vec::with_capacity(m + 1),
+        affected: Vec::with_capacity(family.total_arcs()),
+        load: 0,
+    };
+    log.offsets.push(0);
 
     while let Some(&x0) = match order {
         PeelOrder::Fifo => ready.front(),
@@ -147,27 +233,39 @@ pub fn peel(g: &Digraph, family: &DipathFamily, order: PeelOrder) -> Result<Peel
             ready.push_back(y0);
         }
 
-        // Advance the dipaths whose front is `arc`.
-        let mut affected = Vec::new();
-        for id in std::mem::take(&mut bucket[arc.index()]) {
-            let path = family.path(id);
-            front_of[id.index()] += 1;
-            let was_last = front_of[id.index()] == path.len();
+        // Advance the dipaths whose front is `arc`, in bucket order.
+        let mut cur = buckets.take(arc);
+        while cur != NIL {
+            let id = cur;
+            cur = buckets.next[id as usize];
+            let path = family.path(PathId(id));
+            let front = &mut front_of[id as usize];
+            *front += 1;
+            let was_last = *front == path.len();
             if !was_last {
-                let next = path.arcs()[front_of[id.index()]];
-                bucket[next.index()].push(id);
+                buckets.push(path.arcs()[*front], id);
             }
-            affected.push((id, was_last));
+            log.affected.push((PathId(id), was_last));
         }
-        steps.push(PeelStep { arc, affected });
+        let step_len = log.affected.len() - log.offsets[log.arcs.len()];
+        log.load = log.load.max(step_len);
+        log.arcs.push(arc);
+        log.offsets.push(log.affected.len());
     }
 
-    debug_assert_eq!(steps.len(), m, "every arc of a DAG gets peeled");
+    if log.len() < m {
+        // Arcs on a directed cycle never get a source tail.
+        let cycle = topo::find_directed_cycle(g);
+        debug_assert!(cycle.is_some(), "a DAG peels completely");
+        if let Some(c) = cycle {
+            return Err(CoreError::NotADag(c));
+        }
+    }
     debug_assert!(front_of
         .iter()
         .enumerate()
         .all(|(i, &f)| f == family.path(PathId::from_index(i)).len()));
-    Ok(PeelLog { steps })
+    Ok(log)
 }
 
 /// Outcome of the Theorem-1 coloring, including the quantities the theorem
@@ -199,45 +297,55 @@ pub fn color_optimal_with(
     replay(g, family, &log, kempe)
 }
 
+const UNCOLORED: usize = usize::MAX;
+
 /// The replay phase: rebuild the graph arc by arc (reverse peel order),
-/// keeping an always-valid partial coloring.
+/// keeping an always-valid partial coloring. Every buffer, the conflict
+/// adjacency included, is sized once up front, so no step and no Kempe
+/// swap allocates.
 fn replay(
     g: &Digraph,
     family: &DipathFamily,
     log: &PeelLog,
     kempe: KempeStrategy,
 ) -> Result<Theorem1Result, CoreError> {
-    let pi = load::max_load(g, family);
+    let pi = log.load;
+    debug_assert_eq!(pi, load::max_load(g, family));
     let np = family.len();
-    const UNCOLORED: usize = usize::MAX;
     let mut colors = vec![UNCOLORED; np];
 
     // Dynamic conflict adjacency: grows by one clique per replayed arc
     // (before a step, no live dipath contains the step's arc, so all new
     // conflicts are within the step's affected set).
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); np];
+    let mut adj = Adjacency::new(log, np);
     let mut kempe_swaps = 0usize;
 
-    // Scratch palette bitset, reused per step.
+    // Scratch reused by every step: the palette bitset, P0, the first P0
+    // member seen per color, the neighbour stamps of the clique wiring, and
+    // the Kempe searches' marks.
     let mut used = BitSet::new(pi.max(1));
+    let mut p0: Vec<PathId> = Vec::with_capacity(pi);
+    let mut keeper_of: Vec<Option<PathId>> = vec![None; pi.max(1)];
+    let mut wired = vec![NIL; np];
+    let mut scratch = KempeScratch::new(np);
 
-    for step in log.steps.iter().rev() {
+    for step in log.steps().rev() {
         if step.affected.is_empty() {
             continue;
         }
         // P0 = already-live dipaths being extended; newborns take fresh colors.
-        let p0: Vec<PathId> = step
-            .affected
-            .iter()
-            .filter(|&&(_, was_last)| !was_last)
-            .map(|&(id, _)| id)
-            .collect();
+        p0.clear();
+        p0.extend(
+            step.affected
+                .iter()
+                .filter(|&&(_, was_last)| !was_last)
+                .map(|&(id, _)| id),
+        );
 
         // Make P0's colors pairwise distinct via Kempe swaps.
         loop {
             used.clear();
             let mut dup: Option<(PathId, PathId)> = None; // (keeper, to-flip)
-            let mut keeper_of: Vec<Option<PathId>> = vec![None; pi.max(1)];
             for &p in &p0 {
                 let c = colors[p.index()];
                 debug_assert_ne!(c, UNCOLORED, "live dipath must be colored");
@@ -250,6 +358,9 @@ fn replay(
                 }
                 used.insert(c);
             }
+            for &p in &p0 {
+                keeper_of[colors[p.index()]] = None;
+            }
             let Some((keeper, flip)) = dup else { break };
             // β: a palette color unused by P0. Exists because P0 shows at
             // most |P0| − 1 < π distinct colors (the duplication).
@@ -257,10 +368,10 @@ fn replay(
             let alpha = colors[flip.index()];
             let swapped = match kempe {
                 KempeStrategy::ComponentSwap => {
-                    kempe_component_swap(&adj, &mut colors, flip, alpha, beta, keeper)
+                    scratch.component_swap(&adj, &mut colors, flip, alpha, beta, keeper)
                 }
                 KempeStrategy::Cascade => {
-                    kempe_cascade(&adj, &mut colors, flip, alpha, beta, keeper)
+                    scratch.cascade(&adj, &mut colors, flip, alpha, beta, keeper)
                 }
             };
             match swapped {
@@ -275,20 +386,27 @@ fn replay(
         for &p in &p0 {
             used.insert(colors[p.index()]);
         }
-        for &(id, was_last) in &step.affected {
+        for &(id, was_last) in step.affected {
             if was_last {
                 let c = used.first_absent().expect("π bounds the arc's clique"); // lint: allow(no-panic): π bounds the clique at this arc, so a color is free
                 used.insert(c);
                 colors[id.index()] = c;
             }
         }
-        let members: Vec<PathId> = step.affected.iter().map(|&(id, _)| id).collect();
-        for (i, &p) in members.iter().enumerate() {
-            for &q in &members[i + 1..] {
-                // Parallel growth can re-announce a pair; dedup on insert.
-                if !adj[p.index()].contains(&q.0) {
-                    adj[p.index()].push(q.0);
-                    adj[q.index()].push(p.0);
+        for (i, &(p, _)) in step.affected.iter().enumerate() {
+            let later = &step.affected[i + 1..];
+            if later.is_empty() {
+                break;
+            }
+            // Parallel growth can re-announce a pair: stamp p's neighbours
+            // and wire only the new ones.
+            for &q in adj.neighbors(p) {
+                wired[q as usize] = p.0;
+            }
+            for &(q, _) in later {
+                if wired[q.index()] != p.0 {
+                    adj.push(p, q);
+                    adj.push(q, p);
                 }
             }
         }
@@ -304,114 +422,199 @@ fn replay(
     })
 }
 
-/// Flip α↔β on the conflict component of `start`, refusing to touch
-/// `protected`. `Err` carries the discovery chain from `start` towards
-/// `protected` — the paper's Figure 4 sequence `P1, …, Pp = P0`.
-fn kempe_component_swap(
-    adj: &[Vec<u32>],
-    colors: &mut [usize],
-    start: PathId,
-    alpha: usize,
-    beta: usize,
-    protected: PathId,
-) -> Result<(), Vec<PathId>> {
-    let mut parent: Vec<Option<PathId>> = vec![None; colors.len()];
-    let mut comp = vec![start];
-    let mut in_comp = vec![false; colors.len()];
-    in_comp[start.index()] = true;
-    let mut stack = vec![start];
-    while let Some(p) = stack.pop() {
-        for &qn in &adj[p.index()] {
-            let q = PathId(qn);
-            if in_comp[q.index()] {
-                continue;
-            }
-            let c = colors[q.index()];
-            if c != alpha && c != beta {
-                continue;
-            }
-            if q == protected {
-                // Unwind the chain start → … → protected.
-                let mut chain = vec![q, p];
-                let mut cur = p;
-                while let Some(par) = parent[cur.index()] {
-                    chain.push(par);
-                    cur = par;
-                }
-                chain.reverse();
-                return Err(chain);
-            }
-            in_comp[q.index()] = true;
-            parent[q.index()] = Some(p);
-            comp.push(q);
-            stack.push(q);
-        }
-    }
-    for p in comp {
-        let c = &mut colors[p.index()];
-        *c = if *c == alpha { beta } else { alpha };
-    }
-    Ok(())
+/// The replay's conflict adjacency, grown one clique per step in flat
+/// storage: dipath `p`'s neighbours are `data[start[p]..start[p] +
+/// len[p]]`, in wiring order. Each dipath's room is the number of times its
+/// pairs get announced — once per shared arc, `|step| − 1` per step it is
+/// in — which bounds its degree, so wiring never reallocates.
+struct Adjacency {
+    start: Vec<usize>,
+    len: Vec<u32>,
+    data: Vec<u32>,
 }
 
-/// The paper's literal cascade: flip `start` to β; then the family `P2` of
-/// β-colored dipaths clashing with it flips to α; then the α-colored
-/// dipaths clashing with `P2` flip to β; and so on until no clash remains
-/// (case A) or `protected` must flip (case C). Case B (re-flipping) cannot
-/// occur — asserted.
-fn kempe_cascade(
-    adj: &[Vec<u32>],
-    colors: &mut [usize],
-    start: PathId,
-    alpha: usize,
-    beta: usize,
-    protected: PathId,
-) -> Result<(), Vec<PathId>> {
-    let snapshot: Vec<usize> = colors.to_vec();
-    let mut flipped = vec![false; colors.len()];
-    let mut chain_parent: Vec<Option<PathId>> = vec![None; colors.len()];
-
-    colors[start.index()] = beta;
-    flipped[start.index()] = true;
-    let mut wave = vec![start];
-    // The wave alternates: after flipping to γ′, clashes are with old-γ′.
-    loop {
-        let mut next_wave: Vec<PathId> = Vec::new();
-        for &p in &wave {
-            let pc = colors[p.index()];
-            for &qn in &adj[p.index()] {
-                let q = PathId(qn);
-                if colors[q.index()] != pc {
-                    continue; // no clash
-                }
-                if q == protected {
-                    let mut chain = vec![q, p];
-                    let mut cur = p;
-                    while let Some(par) = chain_parent[cur.index()] {
-                        chain.push(par);
-                        cur = par;
-                    }
-                    chain.reverse();
-                    // Restore: the cascade failed (case C).
-                    colors.copy_from_slice(&snapshot);
-                    return Err(chain);
-                }
-                // Case B impossible: a dipath never flips twice.
-                assert!(!flipped[q.index()], "case B: dipath reflipped");
-                flipped[q.index()] = true;
-                chain_parent[q.index()] = Some(p);
-                colors[q.index()] = if colors[q.index()] == alpha {
-                    beta
-                } else {
-                    alpha
-                };
-                next_wave.push(q);
+impl Adjacency {
+    fn new(log: &PeelLog, np: usize) -> Self {
+        let mut start = vec![0usize; np + 1];
+        for step in log.steps() {
+            for &(p, _) in step.affected {
+                start[p.index() + 1] += step.affected.len() - 1;
             }
         }
-        if next_wave.is_empty() {
-            return Ok(()); // case A
+        for i in 0..np {
+            start[i + 1] += start[i];
         }
-        wave = next_wave;
+        Adjacency {
+            data: vec![0; start[np]],
+            start,
+            len: vec![0; np],
+        }
+    }
+
+    fn neighbors(&self, p: PathId) -> &[u32] {
+        let from = self.start[p.index()];
+        &self.data[from..from + self.len[p.index()] as usize]
+    }
+
+    fn push(&mut self, p: PathId, q: PathId) {
+        let len = &mut self.len[p.index()];
+        self.data[self.start[p.index()] + *len as usize] = q.0;
+        *len += 1;
+    }
+}
+
+/// The Kempe searches' working set, sized once per replay. `mark[p] ==
+/// stamp` means `p` was reached by the current swap (with `parent[p]` its
+/// discoverer, [`NIL`] for the start), so starting a swap is one stamp
+/// bump instead of clearing |P|-sized vectors.
+struct KempeScratch {
+    mark: Vec<u32>,
+    stamp: u32,
+    parent: Vec<u32>,
+    /// Every dipath reached, in discovery order: the component to flip, or
+    /// the dipaths to flip back when a cascade fails.
+    reached: Vec<PathId>,
+    /// The search frontier: the component swap's stack, the cascade's
+    /// current wave.
+    frontier: Vec<PathId>,
+    /// The cascade's next wave.
+    next_wave: Vec<PathId>,
+}
+
+impl KempeScratch {
+    fn new(np: usize) -> Self {
+        KempeScratch {
+            mark: vec![0; np],
+            stamp: 0,
+            parent: vec![NIL; np],
+            reached: Vec::new(),
+            frontier: Vec::new(),
+            next_wave: Vec::new(),
+        }
+    }
+
+    /// Start a new swap from `start`.
+    fn begin(&mut self, start: PathId) {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.mark.fill(0);
+            self.stamp = 1;
+        }
+        self.reached.clear();
+        self.frontier.clear();
+        self.reach(start, NIL);
+    }
+
+    fn reached(&self, p: PathId) -> bool {
+        self.mark[p.index()] == self.stamp
+    }
+
+    fn reach(&mut self, p: PathId, parent: u32) {
+        self.mark[p.index()] = self.stamp;
+        self.parent[p.index()] = parent;
+        self.reached.push(p);
+    }
+
+    /// The discovery chain `start → … → p → protected`.
+    fn chain(&self, p: PathId, protected: PathId) -> Vec<PathId> {
+        let mut chain = vec![protected, p];
+        let mut cur = p;
+        while self.parent[cur.index()] != NIL {
+            cur = PathId(self.parent[cur.index()]);
+            chain.push(cur);
+        }
+        chain.reverse();
+        chain
+    }
+
+    /// Flip α↔β on the conflict component of `start`, refusing to touch
+    /// `protected`. `Err` carries the discovery chain from `start` towards
+    /// `protected` — the paper's Figure 4 sequence `P1, …, Pp = P0`.
+    fn component_swap(
+        &mut self,
+        adj: &Adjacency,
+        colors: &mut [usize],
+        start: PathId,
+        alpha: usize,
+        beta: usize,
+        protected: PathId,
+    ) -> Result<(), Vec<PathId>> {
+        self.begin(start);
+        self.frontier.push(start);
+        while let Some(p) = self.frontier.pop() {
+            for &qn in adj.neighbors(p) {
+                let q = PathId(qn);
+                if self.reached(q) {
+                    continue;
+                }
+                let c = colors[q.index()];
+                if c != alpha && c != beta {
+                    continue;
+                }
+                if q == protected {
+                    return Err(self.chain(p, q));
+                }
+                self.reach(q, p.0);
+                self.frontier.push(q);
+            }
+        }
+        for &p in &self.reached {
+            let c = &mut colors[p.index()];
+            *c = if *c == alpha { beta } else { alpha };
+        }
+        Ok(())
+    }
+
+    /// The paper's literal cascade: flip `start` to β; then the family `P2`
+    /// of β-colored dipaths clashing with it flips to α; then the α-colored
+    /// dipaths clashing with `P2` flip to β; and so on until no clash
+    /// remains (case A) or `protected` must flip (case C). Case B
+    /// (re-flipping) cannot occur — asserted.
+    fn cascade(
+        &mut self,
+        adj: &Adjacency,
+        colors: &mut [usize],
+        start: PathId,
+        alpha: usize,
+        beta: usize,
+        protected: PathId,
+    ) -> Result<(), Vec<PathId>> {
+        let flip = |c: &mut usize| *c = if *c == alpha { beta } else { alpha };
+        self.begin(start);
+        flip(&mut colors[start.index()]);
+        self.frontier.push(start);
+        // The wave alternates: after flipping to γ′, clashes are with old-γ′.
+        loop {
+            self.next_wave.clear();
+            for i in 0..self.frontier.len() {
+                let p = self.frontier[i];
+                let pc = colors[p.index()];
+                for &qn in adj.neighbors(p) {
+                    let q = PathId(qn);
+                    if colors[q.index()] != pc {
+                        continue; // no clash
+                    }
+                    if q == protected {
+                        let chain = self.chain(p, q);
+                        // Restore: the cascade failed (case C). Every
+                        // flipped dipath went α↔β exactly once.
+                        for &r in &self.reached {
+                            flip(&mut colors[r.index()]);
+                        }
+                        return Err(chain);
+                    }
+                    // Case B impossible: a dipath never flips twice.
+                    assert!(!self.reached(q), "case B: dipath reflipped");
+                    self.reach(q, p.0);
+                    flip(&mut colors[q.index()]);
+                    self.next_wave.push(q);
+                }
+            }
+            if self.next_wave.is_empty() {
+                return Ok(()); // case A
+            }
+            std::mem::swap(&mut self.frontier, &mut self.next_wave);
+        }
     }
 }
 
@@ -446,9 +649,9 @@ mod tests {
         let (g, f) = chain_instance();
         for order in [PeelOrder::Fifo, PeelOrder::Lifo, PeelOrder::MinId] {
             let log = peel(&g, &f, order).unwrap();
-            assert_eq!(log.steps.len(), g.arc_count());
+            assert_eq!(log.len(), g.arc_count());
             let mut seen = std::collections::HashSet::new();
-            for s in &log.steps {
+            for s in log.steps() {
                 assert!(seen.insert(s.arc), "arc peeled twice");
             }
         }
@@ -461,8 +664,8 @@ mod tests {
         // Track fronts: a path must be affected exactly len times, in
         // increasing arc positions.
         let mut hits: Vec<Vec<ArcId>> = vec![Vec::new(); f.len()];
-        for s in &log.steps {
-            for &(id, _) in &s.affected {
+        for s in log.steps() {
+            for &(id, _) in s.affected {
                 hits[id.index()].push(s.arc);
             }
         }

@@ -39,13 +39,19 @@ impl SatCount {
 /// DAG; panics otherwise (callers validate with [`topo::is_dag`] first).
 pub fn saturating_path_counts(g: &Digraph, from: VertexId) -> Vec<SatCount> {
     let order = topo::topological_order(g).expect("saturating_path_counts requires a DAG"); // lint: allow(no-panic): documented contract: callers validate acyclicity first
+    counts_along(g, &order, from)
+}
+
+/// [`saturating_path_counts`] over a topological `order` computed once by
+/// the caller, so a sweep over every source sorts the graph only once.
+fn counts_along(g: &Digraph, order: &[VertexId], from: VertexId) -> Vec<SatCount> {
     let mut counts = vec![SatCount::Zero; g.vertex_count()];
     counts[from.index()] = SatCount::One;
-    for v in order {
-        if counts[v.index()] == SatCount::Zero {
+    for &v in order {
+        let cv = counts[v.index()];
+        if cv == SatCount::Zero {
             continue;
         }
-        let cv = counts[v.index()];
         for w in g.successors(v) {
             counts[w.index()] = counts[w.index()].add(cv);
         }
@@ -54,36 +60,34 @@ pub fn saturating_path_counts(g: &Digraph, from: VertexId) -> Vec<SatCount> {
 }
 
 /// `true` if between every ordered pair of vertices there is at most one
-/// dipath — the paper's UPP property. Runs one saturating DP per vertex,
-/// in parallel with rayon.
+/// dipath — the paper's UPP property. Sorts the graph once, then runs one
+/// saturating DP per vertex over that order, in parallel with rayon.
 pub fn is_upp(g: &Digraph) -> bool {
-    if !topo::is_dag(g) {
+    let Ok(order) = topo::topological_order(g) else {
         return false;
-    }
+    };
     (0..g.vertex_count()).into_par_iter().all(|i| {
-        let counts = saturating_path_counts(g, VertexId::from_index(i));
-        counts.iter().all(|&c| c != SatCount::Many)
+        counts_along(g, &order, VertexId::from_index(i))
+            .iter()
+            .all(|&c| c != SatCount::Many)
     })
 }
 
 /// If the DAG violates UPP, return a witness pair `(u, v)` with at least two
-/// distinct dipaths `u → v`; `None` when the digraph is UPP.
+/// distinct dipaths `u → v` — the lexicographically smallest such pair —
+/// or `None` when the digraph is UPP (or not a DAG).
 pub fn upp_violation(g: &Digraph) -> Option<(VertexId, VertexId)> {
-    if !topo::is_dag(g) {
-        return None;
-    }
-    let found: Vec<(VertexId, VertexId)> = (0..g.vertex_count())
+    let order = topo::topological_order(g).ok()?;
+    (0..g.vertex_count())
         .into_par_iter()
         .filter_map(|i| {
             let from = VertexId::from_index(i);
-            let counts = saturating_path_counts(g, from);
-            counts
+            counts_along(g, &order, from)
                 .iter()
                 .position(|&c| c == SatCount::Many)
                 .map(|j| (from, VertexId::from_index(j)))
         })
-        .collect();
-    found.into_iter().min()
+        .min()
 }
 
 /// Enumerate all dipaths from `from` to `to` as arc sequences, stopping after

@@ -80,7 +80,7 @@ fn peel_log_is_arc_permutation() {
     let family = random::random_family(&mut rng, &g, 12, 4);
     for order in [PeelOrder::Fifo, PeelOrder::Lifo, PeelOrder::MinId] {
         let log = theorem1::peel(&g, &family, order).unwrap();
-        let mut arcs: Vec<_> = log.steps.iter().map(|s| s.arc).collect();
+        let mut arcs: Vec<_> = log.steps().map(|s| s.arc).collect();
         arcs.sort_unstable();
         arcs.dedup();
         assert_eq!(arcs.len(), g.arc_count(), "{order:?}");

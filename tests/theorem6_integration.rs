@@ -78,7 +78,8 @@ proptest! {
 
 /// Theorem 7 exact series through the solver: w(havet(h)) = ⌈8h/3⌉. From
 /// h = 2 on the family has duplicates, and the weighted backend's exact
-/// multicoloring proves the count optimal.
+/// multicoloring proves the count optimal. Theorem 6 misses `π = 2h` on
+/// every h, so the weighted rescue is consulted on every h.
 #[test]
 fn theorem7_series() {
     for h in 1..=6 {
@@ -90,6 +91,12 @@ fn theorem7_series() {
         assert_eq!(sol.num_colors, bounds::havet_wavelengths(h), "h = {h}");
         assert_eq!(sol.load, 2 * h);
         assert!(sol.optimal || h == 1, "h = {h}: not proven optimal");
+        let consulted: Vec<BackendKind> = sol.attempts.iter().map(|a| a.backend).collect();
+        assert_eq!(
+            consulted,
+            [BackendKind::Theorem6, BackendKind::Weighted],
+            "h = {h}"
+        );
     }
 }
 
@@ -124,7 +131,7 @@ fn few_twins_among_many_paths_stay_cheap() {
         let g = random::random_layered(&mut rng, 3 + (seed % 5) as usize, 4, 0.5);
         let family = random::random_family(&mut rng, &g, 10 + (seed % 70) as usize, 4);
         let ug = conflict_to_ugraph(&ConflictGraph::build(&g, &family));
-        let result = exact::chromatic_number_budgeted(&ug, 1_000);
+        let result = exact::chromatic_number_budgeted(&ug, 0, 1_000);
         assert!(result.chromatic().is_some(), "seed {seed}: {result:?}");
     }
 }
