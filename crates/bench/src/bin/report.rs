@@ -685,7 +685,11 @@ fn paper_report() {
     // table at every step, and the from-scratch solve at the end.
     {
         use std::collections::BTreeMap;
-        const DELTA_REPS: u32 = 64;
+        // One query takes 0.1–0.2 µs, so in a short batch one interrupt
+        // reads as a 1.6× growth: each step times batches of ≥ ~100 µs and
+        // keeps the fastest.
+        const DELTA_REPS: u32 = 1024;
+        const DELTA_BATCHES: usize = 5;
         let steps = 8usize;
         let mut delta_us_per_k = Vec::new();
         let mut rows = Vec::new();
@@ -727,12 +731,16 @@ fn paper_report() {
                 // The O(dirty) re-solve itself is paid once here, untimed:
                 // D3 gates it. D5 times only the query side behind it.
                 ws.span().unwrap();
-                let t0 = Instant::now();
                 let mut d = None;
-                for _ in 0..DELTA_REPS {
-                    d = Some(black_box(ws.delta_since(synced).unwrap()));
+                let mut best = f64::INFINITY;
+                for _ in 0..DELTA_BATCHES {
+                    let t0 = Instant::now();
+                    for _ in 0..DELTA_REPS {
+                        d = Some(black_box(ws.delta_since(synced).unwrap()));
+                    }
+                    best = best.min(t0.elapsed().as_secs_f64() * 1e6 / DELTA_REPS as f64);
                 }
-                delta_us += t0.elapsed().as_secs_f64() * 1e6 / DELTA_REPS as f64;
+                delta_us += best;
                 let d = d.expect("at least one rep");
                 replay(&mut mirror, &d);
                 synced = d.epoch;
@@ -785,7 +793,7 @@ fn paper_report() {
         assert!(
             growth <= 1.5,
             "per-query delta latency must stay flat in |P|: \
-             {:.1} µs at k=256 vs {:.1} µs at k=4096 ({growth:.2}×)",
+             {:.2} µs at k=256 vs {:.2} µs at k=4096 ({growth:.2}×)",
             delta_us_per_k[0],
             delta_us_per_k[1]
         );
@@ -795,7 +803,7 @@ fn paper_report() {
                 &format!("churn({k}), |P|={paths}, {steps} steps"),
                 "flat in |P| (≤1.5×), ≥5× vs full, bit-identical",
                 &format!(
-                    "delta {delta_avg:.1} µs/query vs full {full_avg:.1} µs \
+                    "delta {delta_avg:.2} µs/query vs full {full_avg:.1} µs \
                      ({:.0}×), growth {growth:.2}×, mirror = solution = scratch, \
                      peakRSS={} MiB",
                     full_avg / delta_avg.max(1e-9),

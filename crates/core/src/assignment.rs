@@ -1,7 +1,13 @@
 //! Wavelength assignments and their validation.
+//!
+//! The solving surface certifies every backend attempt with
+//! [`WavelengthAssignment::is_valid`], and Theorem 6 checks its merge with
+//! [`WavelengthAssignment::first_violation`]. Both bucket the family once
+//! into a flat per-arc [`ArcIndex`] (a counting sort by arc, family order
+//! within a bucket) instead of building a `Vec` per arc.
 
-use dagwave_graph::Digraph;
-use dagwave_paths::{DipathFamily, PathId};
+use dagwave_graph::{ArcId, Digraph};
+use dagwave_paths::{ArcIndex, DipathFamily, PathId};
 
 /// A wavelength (color) assignment for a dipath family: `colors[p]` is the
 /// wavelength of dipath `p`. Valid when dipaths sharing an arc get distinct
@@ -65,44 +71,47 @@ impl WavelengthAssignment {
     }
 
     /// Validate against an instance: two dipaths sharing an arc must have
-    /// different wavelengths. Checked per arc (the load buckets). This is
-    /// the hot path the solving surface stamps every backend attempt with,
-    /// so it detects duplicates by sorting each bucket's colors —
+    /// different wavelengths. This is the hot path the solving surface
+    /// stamps every backend attempt with, so it detects duplicates by
+    /// sorting each arc bucket's colors in one reused scratch —
     /// `O(Σ L log L)` — instead of the pairwise scan
-    /// [`Self::first_violation`] uses to name the offending dipaths.
+    /// [`Self::first_violation`] uses to name the offending dipaths. The
+    /// verdict depends only on each bucket's color multiset, not on how
+    /// the buckets are stored.
     pub fn is_valid(&self, g: &Digraph, family: &DipathFamily) -> bool {
         if self.colors.len() != family.len() {
             return false;
         }
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); g.arc_count()];
-        for (id, p) in family.iter() {
-            for &a in p.arcs() {
-                buckets[a.index()].push(self.colors[id.index()]);
-            }
-        }
-        buckets.iter_mut().all(|b| {
-            b.sort_unstable();
-            b.windows(2).all(|w| w[0] != w[1])
+        let index = ArcIndex::build(g, family);
+        let mut bucket = Vec::new();
+        (0..index.arc_count()).all(|a| {
+            bucket.clear();
+            bucket.extend(
+                index
+                    .paths_through(ArcId::from_index(a))
+                    .iter()
+                    .map(|&p| self.colors[p as usize]),
+            );
+            bucket.sort_unstable();
+            bucket.windows(2).all(|w| w[0] != w[1])
         })
     }
 
-    /// First pair of same-colored conflicting dipaths, if any.
+    /// First pair of same-colored conflicting dipaths, if any: the first
+    /// arc (by id) carrying a clash, and on it the first pair in family
+    /// order, found by a pairwise scan of each bucket.
     pub fn first_violation(&self, g: &Digraph, family: &DipathFamily) -> Option<(PathId, PathId)> {
         if self.colors.len() != family.len() {
             // Treat a length mismatch as a violation on the first dipath.
             return Some((PathId(0), PathId(0)));
         }
-        let mut buckets: Vec<Vec<PathId>> = vec![Vec::new(); g.arc_count()];
-        for (id, p) in family.iter() {
-            for &a in p.arcs() {
-                buckets[a.index()].push(id);
-            }
-        }
-        for bucket in &buckets {
+        let index = ArcIndex::build(g, family);
+        for a in 0..index.arc_count() {
+            let bucket = index.paths_through(ArcId::from_index(a));
             for (i, &p) in bucket.iter().enumerate() {
                 for &q in &bucket[i + 1..] {
-                    if self.colors[p.index()] == self.colors[q.index()] {
-                        return Some((p, q));
+                    if self.colors[p as usize] == self.colors[q as usize] {
+                        return Some((PathId(p), PathId(q)));
                     }
                 }
             }

@@ -23,14 +23,29 @@
 //!    a single `γ`, and a lone `C_2` piggybacks on a longer cycle's freed
 //!    first color — exactly the paper's accounting, which lands on
 //!    `⌈4π/3⌉`.
+//!
+//! **Cost per call.** Every single-cycle UPP solve and shard runs this
+//! merge, so it builds no hash containers and computes each intermediate
+//! once. One internal sub-multigraph serves both the cycle count and the
+//! witness cycle, and one load table serves both `π` and the cycle's
+//! max-load arc. The padding copies, and the dipaths that avoid `(a, b)`,
+//! enter the padded and split families as shared handles, not copies.
+//! Identical crossings are grouped by a stable sort on their arc
+//! sequences, and the patch pass reads its arc buckets in place from one
+//! flat [`ArcIndex`], with generation stamps in place of per-clash hash
+//! sets. The output does not depend on these data structures:
+//! grouping keeps each group's members in crossing order, groups touch
+//! disjoint entries, and a stamp answers exactly "is this color on a
+//! conflict neighbor", so every choice the merge makes is fixed by the
+//! instance and Theorem 1's coloring alone.
 
 use crate::assignment::WavelengthAssignment;
 use crate::bounds;
 use crate::error::CoreError;
 use crate::internal;
 use crate::theorem1;
-use dagwave_graph::{ArcId, Digraph};
-use dagwave_paths::{load, Dipath, DipathFamily, PathId};
+use dagwave_graph::{undirected, ArcId, Digraph};
+use dagwave_paths::{load, ArcIndex, Dipath, DipathFamily, PathId};
 
 /// Outcome of the Theorem-6 coloring.
 #[derive(Clone, Debug)]
@@ -69,12 +84,14 @@ pub fn color_single_cycle_upp(
     if let Some((u, v)) = dagwave_graph::pathcount::upp_violation(g) {
         return Err(CoreError::NotUpp(u, v));
     }
-    let cycles = internal::internal_cycle_count(g);
+    let internal_view = internal::internal_subgraph(g);
+    let cycles = undirected::cyclomatic_number(&internal_view);
     if cycles != 1 {
         return Err(CoreError::WrongInternalCycleCount(cycles));
     }
 
-    let pi = load::max_load(g, family);
+    let table = load::load_table(g, family);
+    let pi = table.iter().copied().max().unwrap_or(0);
     let bound = bounds::theorem6_bound(pi);
     if pi == 0 {
         return Ok(Theorem6Result {
@@ -88,8 +105,7 @@ pub fn color_single_cycle_upp(
     }
 
     // 1. Max-load arc on the unique internal cycle, padded to load π.
-    let cycle = internal::find_internal_cycle(g).expect("count said one cycle"); // lint: allow(no-panic): classify() counted exactly one internal cycle before this call
-    let table = load::load_table(g, family);
+    let cycle = undirected::find_underlying_cycle(&internal_view).expect("count said one cycle"); // lint: allow(no-panic): the cyclomatic number of this view was checked to be exactly 1 above
     let ab = cycle
         .steps
         .iter()
@@ -98,8 +114,9 @@ pub fn color_single_cycle_upp(
         .expect("internal cycle has arcs"); // lint: allow(no-panic): a cycle is non-empty by construction
     let padding = pi - table[ab.index()];
     let mut padded = family.clone();
+    let pad = std::sync::Arc::new(Dipath::single(ab));
     for _ in 0..padding {
-        padded.push(Dipath::single(ab));
+        padded.push_shared(pad.clone());
     }
 
     // 2. Split into G̃ / P̃.
@@ -281,44 +298,30 @@ pub fn color_single_cycle_upp(
 
 /// Re-pair σ/τ inside groups of identical crossing dipaths so that colors
 /// appearing on both sides become fixed points of the palette permutation.
+///
+/// Groups are runs of a stable sort of the crossings by arc sequence, so
+/// each group lists its members in crossing order; groups touch disjoint
+/// σ/τ entries, so their visiting order cannot matter. Membership tests
+/// are scans of the group's own few colors.
 fn repair_identity_groups(
     padded: &DipathFamily,
     split: &SplitInstance,
     sigma: &mut [usize],
     tau: &mut [usize],
 ) {
-    use std::collections::HashMap;
-    let mut groups: HashMap<&[dagwave_graph::ArcId], Vec<usize>> = HashMap::new();
-    for (j, c) in split.crossings.iter().enumerate() {
-        groups
-            .entry(padded.path(c.orig).arcs())
-            .or_default()
-            .push(j);
-    }
-    for members in groups.values() {
+    let arcs_of = |j: usize| padded.path(split.crossings[j].orig).arcs();
+    let mut order: Vec<usize> = (0..split.crossings.len()).collect();
+    order.sort_by(|&x, &y| arcs_of(x).cmp(arcs_of(y)));
+    for members in order.chunk_by(|&x, &y| arcs_of(x) == arcs_of(y)) {
         if members.len() < 2 {
             continue;
         }
         let sset: Vec<usize> = members.iter().map(|&j| sigma[j]).collect();
         let tset: Vec<usize> = members.iter().map(|&j| tau[j]).collect();
-        let t_lookup: std::collections::HashSet<usize> = tset.iter().copied().collect();
         // Fixed-point colors: present on both sides.
-        let mut fixed: Vec<usize> = sset
-            .iter()
-            .copied()
-            .filter(|c| t_lookup.contains(c))
-            .collect();
-        let mut rest_s: Vec<usize> = sset
-            .iter()
-            .copied()
-            .filter(|c| !t_lookup.contains(c))
-            .collect();
-        let s_lookup: std::collections::HashSet<usize> = sset.iter().copied().collect();
-        let mut rest_t: Vec<usize> = tset
-            .iter()
-            .copied()
-            .filter(|c| !s_lookup.contains(c))
-            .collect();
+        let mut fixed: Vec<usize> = sset.iter().copied().filter(|c| tset.contains(c)).collect();
+        let mut rest_s: Vec<usize> = sset.iter().copied().filter(|c| !tset.contains(c)).collect();
+        let mut rest_t: Vec<usize> = tset.iter().copied().filter(|c| !sset.contains(c)).collect();
         debug_assert_eq!(rest_s.len(), rest_t.len());
         for &j in members {
             if let Some(c) = fixed.pop() {
@@ -371,12 +374,12 @@ fn split_instance(g: &Digraph, padded: &DipathFamily, ab: ArcId) -> SplitInstanc
     let mut family = DipathFamily::new();
     let mut crossings = Vec::new();
     let mut noncrossing = Vec::new();
-    for (orig, p) in padded.iter() {
+    for (orig, p) in padded.iter_shared() {
         match p.arc_position(ab) {
             None => {
-                let q = Dipath::from_arcs(&tilde, p.arcs().to_vec())
-                    .expect("id-preserving split keeps contiguity"); // lint: allow(no-panic): the id-preserving split keeps arcs consecutive
-                noncrossing.push((orig, family.push(q)));
+                // Same arc ids in G̃, so the dipath itself is shared.
+                Dipath::validate(&tilde, p.arcs()).expect("id-preserving split keeps contiguity"); // lint: allow(no-panic): the id-preserving split keeps arcs consecutive
+                noncrossing.push((orig, family.push_shared(p.clone())));
             }
             Some(kpos) => {
                 let mut pre = p.arcs()[..kpos].to_vec();
@@ -441,6 +444,12 @@ fn set_crossing_color(split: &SplitInstance, final_colors: &mut [usize], j: usiz
 /// the `γ` unsafe — the patched dipath already conflicts with something of
 /// that color — the patch takes the first extra color that is safe against
 /// its whole conflict neighborhood, allocating a fresh one if none is.
+///
+/// The arc buckets are one flat [`ArcIndex`] over the padded family, read
+/// in place. A clash's forbidden colors are generation stamps in a table
+/// sized by the current `next_gamma`: every candidate (the class's `γ`, a
+/// palette scan of `0..next_gamma`) lies below it, and the fresh color is
+/// taken unchecked, so colors at or above it never need a stamp.
 #[allow(clippy::too_many_arguments)]
 fn patch_conflicts(
     g: &Digraph,
@@ -451,30 +460,16 @@ fn patch_conflicts(
     class_of_crossing: &[usize],
     next_gamma: &mut usize,
 ) -> Result<(), CoreError> {
-    // Arc buckets once, over the padded family in G.
-    let mut buckets: Vec<Vec<PathId>> = vec![Vec::new(); g.arc_count()];
-    for (id, p) in padded.iter() {
-        for &a in p.arcs() {
-            buckets[a.index()].push(id);
-        }
-    }
+    let buckets = ArcIndex::build(g, padded);
     // Which padded ids are merged crossings, and their class.
     let mut crossing_class = vec![usize::MAX; padded.len()];
     for (j, c) in split.crossings.iter().enumerate() {
         crossing_class[c.orig.index()] = class_of_crossing[j];
     }
-    let neighbor_colors = |r: PathId, colors: &[usize]| -> std::collections::HashSet<usize> {
-        let mut set = std::collections::HashSet::new();
-        let mut seen = std::collections::HashSet::new();
-        for &arc in padded.path(r).arcs() {
-            for &q in &buckets[arc.index()] {
-                if q != r && seen.insert(q) {
-                    set.insert(colors[q.index()]);
-                }
-            }
-        }
-        set
-    };
+    // forbidden[c] == stamp ⇔ color c sits on a conflict neighbor of the
+    // dipath being patched (stamp 0 never marks anything).
+    let mut forbidden: Vec<usize> = Vec::new();
+    let mut stamp = 0usize;
     // For every merged dipath, look at its conflicts; recolor clashing
     // non-crossing dipaths.
     for c in &split.crossings {
@@ -482,28 +477,37 @@ fn patch_conflicts(
         let mc = final_colors[m.index()];
         let class = crossing_class[m.index()];
         for &arc in padded.path(m).arcs() {
-            for &r in buckets[arc.index()].clone().iter() {
-                if r == m || crossing_class[r.index()] != usize::MAX {
+            for &r in buckets.paths_through(arc) {
+                let r = r as usize;
+                if r == m.index() || crossing_class[r] != usize::MAX {
                     continue; // merged dipaths are pairwise distinct already
                 }
-                if final_colors[r.index()] != mc {
+                if final_colors[r] != mc {
                     continue;
                 }
-                let forbidden = neighbor_colors(r, final_colors);
-                let gamma = gamma_of[class].filter(|gc| !forbidden.contains(gc));
-                let rescue = gamma.unwrap_or_else(|| {
+                stamp += 1;
+                forbidden.resize(*next_gamma, 0);
+                for &arc in padded.path(PathId::from_index(r)).arcs() {
+                    for &q in buckets.paths_through(arc) {
+                        let color = final_colors[q as usize];
+                        if q as usize != r && color < forbidden.len() {
+                            forbidden[color] = stamp;
+                        }
+                    }
+                }
+                let free = |c: &usize| forbidden[*c] != stamp;
+                let rescue = gamma_of[class].filter(free).unwrap_or_else(|| {
                     // Duplicate-induced corner (Facts 1–2 assume distinct
                     // dipaths): any color safe against the whole conflict
                     // neighborhood works, and a palette color is free —
                     // scan everything before allocating a fresh extra.
-                    let found = (0..*next_gamma).find(|c| !forbidden.contains(c));
-                    found.unwrap_or_else(|| {
+                    (0..*next_gamma).find(free).unwrap_or_else(|| {
                         let fresh = *next_gamma;
                         *next_gamma += 1;
                         fresh
                     })
                 });
-                final_colors[r.index()] = rescue;
+                final_colors[r] = rescue;
             }
         }
     }

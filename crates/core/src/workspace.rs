@@ -613,7 +613,7 @@ impl Workspace {
                     free.insert(id.0);
                 }
                 Mutation::Add(p) => {
-                    // Re-derive the dipath against *this* graph: catches
+                    // Re-validate the dipath against *this* graph: catches
                     // out-of-range arcs and non-contiguous sequences from
                     // paths built elsewhere. (Bounds first — the contiguity
                     // check indexes the graph's arc tables.)
@@ -627,7 +627,7 @@ impl Workspace {
                             self.graph.arc_count()
                         )));
                     }
-                    Dipath::from_arcs(&self.graph, p.arcs().to_vec())
+                    Dipath::validate(&self.graph, p.arcs())
                         .map_err(|e| CoreError::InvalidPath(e.to_string()))?;
                     // Mirror the insert: smallest free slot, else growth.
                     let id = match free.pop_first() {

@@ -39,13 +39,17 @@ impl SatCount {
 /// DAG; panics otherwise (callers validate with [`topo::is_dag`] first).
 pub fn saturating_path_counts(g: &Digraph, from: VertexId) -> Vec<SatCount> {
     let order = topo::topological_order(g).expect("saturating_path_counts requires a DAG"); // lint: allow(no-panic): documented contract: callers validate acyclicity first
-    counts_along(g, &order, from)
+    let mut counts = vec![SatCount::Zero; g.vertex_count()];
+    counts_along(g, &order, from, &mut counts);
+    counts
 }
 
 /// [`saturating_path_counts`] over a topological `order` computed once by
-/// the caller, so a sweep over every source sorts the graph only once.
-fn counts_along(g: &Digraph, order: &[VertexId], from: VertexId) -> Vec<SatCount> {
-    let mut counts = vec![SatCount::Zero; g.vertex_count()];
+/// the caller, into a caller-owned buffer of one entry per vertex
+/// (overwritten), so a sweep over every source sorts the graph once and
+/// reuses one buffer.
+fn counts_along(g: &Digraph, order: &[VertexId], from: VertexId, counts: &mut [SatCount]) {
+    counts.fill(SatCount::Zero);
     counts[from.index()] = SatCount::One;
     for &v in order {
         let cv = counts[v.index()];
@@ -56,36 +60,59 @@ fn counts_along(g: &Digraph, order: &[VertexId], from: VertexId) -> Vec<SatCount
             counts[w.index()] = counts[w.index()].add(cv);
         }
     }
-    counts
+}
+
+/// The sources `0..n` cut into contiguous, ascending runs, one on a single
+/// thread and a few per thread otherwise: each run is one pool task and
+/// reuses one count buffer.
+fn source_runs(n: usize) -> Vec<std::ops::Range<usize>> {
+    let runs = match rayon::current_num_threads() {
+        0 | 1 => 1,
+        t => 4 * t,
+    };
+    let len = n.div_ceil(runs).max(1);
+    (0..n)
+        .step_by(len)
+        .map(|lo| lo..(lo + len).min(n))
+        .collect()
 }
 
 /// `true` if between every ordered pair of vertices there is at most one
 /// dipath — the paper's UPP property. Sorts the graph once, then runs one
-/// saturating DP per vertex over that order, in parallel with rayon.
+/// saturating DP per vertex over that order, in parallel with rayon: one
+/// count buffer per run of sources, not one per source.
 pub fn is_upp(g: &Digraph) -> bool {
     let Ok(order) = topo::topological_order(g) else {
         return false;
     };
-    (0..g.vertex_count()).into_par_iter().all(|i| {
-        counts_along(g, &order, VertexId::from_index(i))
-            .iter()
-            .all(|&c| c != SatCount::Many)
+    source_runs(g.vertex_count()).into_par_iter().all(|run| {
+        let mut counts = vec![SatCount::Zero; g.vertex_count()];
+        run.into_iter().all(|i| {
+            counts_along(g, &order, VertexId::from_index(i), &mut counts);
+            counts.iter().all(|&c| c != SatCount::Many)
+        })
     })
 }
 
 /// If the DAG violates UPP, return a witness pair `(u, v)` with at least two
 /// distinct dipaths `u → v` — the lexicographically smallest such pair —
-/// or `None` when the digraph is UPP (or not a DAG).
+/// or `None` when the digraph is UPP (or not a DAG). Each run of sources
+/// reports its first (smallest) violating source, so the minimum over runs
+/// is the sequential sweep's answer.
 pub fn upp_violation(g: &Digraph) -> Option<(VertexId, VertexId)> {
     let order = topo::topological_order(g).ok()?;
-    (0..g.vertex_count())
+    source_runs(g.vertex_count())
         .into_par_iter()
-        .filter_map(|i| {
-            let from = VertexId::from_index(i);
-            counts_along(g, &order, from)
-                .iter()
-                .position(|&c| c == SatCount::Many)
-                .map(|j| (from, VertexId::from_index(j)))
+        .filter_map(|run| {
+            let mut counts = vec![SatCount::Zero; g.vertex_count()];
+            run.into_iter().find_map(|i| {
+                let from = VertexId::from_index(i);
+                counts_along(g, &order, from, &mut counts);
+                counts
+                    .iter()
+                    .position(|&c| c == SatCount::Many)
+                    .map(|j| (from, VertexId::from_index(j)))
+            })
         })
         .min()
 }

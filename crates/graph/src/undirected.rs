@@ -119,28 +119,20 @@ pub fn is_underlying_forest(view: &SubgraphView<'_>) -> bool {
 /// Cyclomatic number `m − n + c` of the underlying multigraph of the view:
 /// the number of independent cycles. Zero iff the underlying graph is a
 /// forest.
+///
+/// Counted as the arcs that close a cycle: inserting the arcs one by one
+/// into a union-find, the `n − c` arcs that join two components form a
+/// spanning forest and every other arc adds one independent cycle, so no
+/// vertex set or component set is built.
 pub fn cyclomatic_number(view: &SubgraphView<'_>) -> usize {
     let g = view.base();
     let mut uf = UnionFind::new(g.vertex_count());
-    let mut m = 0usize;
-    let mut touched = crate::bitset::BitSet::new(g.vertex_count());
-    for a in view.arcs() {
-        let arc = g.arc(a);
-        touched.insert(arc.tail.index());
-        touched.insert(arc.head.index());
-        uf.union(arc.tail.index(), arc.head.index());
-        m += 1;
-    }
-    let n = touched.count();
-    if n == 0 {
-        return 0;
-    }
-    // Components among touched vertices only.
-    let mut reps = std::collections::HashSet::new();
-    for v in touched.iter() {
-        reps.insert(uf.find(v));
-    }
-    m + reps.len() - n
+    view.arcs()
+        .filter(|&a| {
+            let arc = g.arc(a);
+            !uf.union(arc.tail.index(), arc.head.index())
+        })
+        .count()
 }
 
 /// Find an oriented cycle of the underlying multigraph of the view, if any.

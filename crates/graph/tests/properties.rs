@@ -70,8 +70,30 @@ proptest! {
         if let Some(cycle) = found {
             prop_assert!(cycle.validate(&g));
         }
-        // Cyclomatic number 0 ⟺ forest.
+        // Cyclomatic number 0 ⟺ forest, and it is m − n + c, with c
+        // counted by a search over the underlying multigraph.
         prop_assert_eq!(undirected::cyclomatic_number(&view) == 0, forest);
+        let mut component = vec![usize::MAX; n];
+        let mut c = 0;
+        for s in 0..n {
+            if component[s] != usize::MAX {
+                continue;
+            }
+            component[s] = c;
+            let mut stack = vec![s];
+            while let Some(x) = stack.pop() {
+                for &(a, b) in &edges {
+                    for (p, q) in [(a, b), (b, a)] {
+                        if p == x && component[q] == usize::MAX {
+                            component[q] = c;
+                            stack.push(q);
+                        }
+                    }
+                }
+            }
+            c += 1;
+        }
+        prop_assert_eq!(undirected::cyclomatic_number(&view), g.arc_count() + c - n);
     }
 
     /// Every ordered pair, cross-checked by capped enumeration (the

@@ -10,6 +10,10 @@ use crate::error::PathError;
 use crate::intern::{ArcList, ArcListArena};
 use dagwave_graph::{ArcId, Digraph, VertexId};
 
+/// Longest arc sequence whose simplicity [`Dipath::validate`] checks
+/// pairwise (`O(k²)` compares, no allocation); longer ones use a `HashSet`.
+pub const SHORT_PATH: usize = 32;
+
 /// A non-empty contiguous arc sequence in some digraph.
 ///
 /// The dipath stores arc ids only; endpoint queries take the digraph. Equality
@@ -26,8 +30,27 @@ pub struct Dipath {
 }
 
 impl Dipath {
-    /// Build from an arc id sequence, validating contiguity and simplicity.
+    /// Build from an arc id sequence, validating contiguity and simplicity
+    /// ([`Dipath::validate`]).
     pub fn from_arcs(g: &Digraph, arcs: Vec<ArcId>) -> Result<Self, PathError> {
+        Dipath::validate(g, &arcs)?;
+        Ok(Dipath {
+            arcs: ArcList::from_vec(arcs),
+        })
+    }
+
+    /// The checks behind [`Dipath::from_arcs`], without building a dipath:
+    /// `arcs` is non-empty, contiguous and simple in `g`. Every arc id must
+    /// be in range for `g` (callers holding untrusted ids bound-check
+    /// first).
+    ///
+    /// Errors name the first offence in sequence order: the first gap, or
+    /// else the first vertex the walk revisits. Vertex `x_{i+1}` (the head
+    /// of arc `i`) is checked against `x_1, …, x_{i+1}`, the tails of arcs
+    /// `0..=i`. Paths up to [`SHORT_PATH`] arcs compare pairwise, which
+    /// allocates nothing and beats hashing at that length; longer ones keep
+    /// a `HashSet`. Both report the same vertex.
+    pub fn validate(g: &Digraph, arcs: &[ArcId]) -> Result<(), PathError> {
         if arcs.is_empty() {
             return Err(PathError::Empty);
         }
@@ -40,17 +63,24 @@ impl Dipath {
             }
         }
         // Simplicity: k arcs visit k+1 distinct vertices.
-        let mut seen = std::collections::HashSet::with_capacity(arcs.len() + 1);
-        seen.insert(g.tail(arcs[0]));
-        for &a in &arcs {
-            let h = g.head(a);
-            if !seen.insert(h) {
-                return Err(PathError::RepeatedVertex(h));
+        if arcs.len() <= SHORT_PATH {
+            for (i, &a) in arcs.iter().enumerate() {
+                let h = g.head(a);
+                if arcs[..=i].iter().any(|&b| g.tail(b) == h) {
+                    return Err(PathError::RepeatedVertex(h));
+                }
+            }
+        } else {
+            let mut seen = std::collections::HashSet::with_capacity(arcs.len() + 1);
+            seen.insert(g.tail(arcs[0]));
+            for &a in arcs {
+                let h = g.head(a);
+                if !seen.insert(h) {
+                    return Err(PathError::RepeatedVertex(h));
+                }
             }
         }
-        Ok(Dipath {
-            arcs: ArcList::from_vec(arcs),
-        })
+        Ok(())
     }
 
     /// Build from a vertex route `x_1, …, x_k`, picking the first arc between
@@ -81,14 +111,14 @@ impl Dipath {
     /// Build from an (already-interned) arc list the *caller* guarantees is
     /// contiguous and simple in `g` — the shard-extraction fast path, where
     /// the sequence is an index remap of an already-validated dipath coming
-    /// straight out of the extraction scratch's arena, so re-running the
-    /// `HashSet` simplicity sweep per shard member would be pure overhead.
+    /// straight out of the extraction scratch's arena, so re-running
+    /// [`Dipath::validate`] per shard member would be pure overhead.
     /// Debug builds re-validate anyway (the shadow-check discipline);
     /// release builds trust the remap invariant.
     pub(crate) fn from_list_trusted(g: &Digraph, arcs: ArcList) -> Self {
         if cfg!(debug_assertions) {
-            Dipath::from_arcs(g, arcs.as_slice().to_vec())
-                .expect("trusted arc sequence re-validates"); // lint: allow(no-panic): debug-only shadow re-validation of the remap invariant
+            // lint: allow(no-panic): debug-only shadow re-validation of the remap invariant
+            Dipath::validate(g, arcs.as_slice()).expect("trusted arc sequence re-validates");
         }
         let _ = g;
         Dipath { arcs }

@@ -1,5 +1,7 @@
 //! A blocking client for the dagwave-serve protocol: one `TcpStream`,
-//! one request/response pair at a time.
+//! one request/response pair at a time. Replies are read through a
+//! [`FrameDecoder`], the decoder the server's reactor uses, so both ends
+//! share one decode path and a reply usually costs one `read`.
 //!
 //! The client is deliberately thin — it frames requests, reads exactly
 //! one response, and maps typed server errors into
@@ -13,8 +15,8 @@ use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 
 use crate::protocol::{
-    read_frame, write_frame, ErrorCode, FrameReadError, Request, Response, WireDelta, WireError,
-    WireOp, WireSolution, WireStats,
+    write_frame, ErrorCode, FrameDecoder, Request, Response, WireDelta, WireError, WireOp,
+    WireSolution, WireStats,
 };
 
 /// Client-side failures.
@@ -61,19 +63,11 @@ impl From<io::Error> for ClientError {
     }
 }
 
-impl From<FrameReadError> for ClientError {
-    fn from(e: FrameReadError) -> Self {
-        match e {
-            FrameReadError::Io(e) => ClientError::Io(e),
-            FrameReadError::Wire(e) => ClientError::Wire(e),
-        }
-    }
-}
-
 /// A connected client. Every method sends one request and blocks for its
 /// response.
 pub struct Client {
     stream: TcpStream,
+    decoder: FrameDecoder,
 }
 
 impl Client {
@@ -81,22 +75,42 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
         Ok(Client {
             stream: TcpStream::connect(addr)?,
+            decoder: FrameDecoder::new(),
         })
     }
 
     fn round_trip(&mut self, req: &Request) -> Result<Response, ClientError> {
         write_frame(&mut self.stream, req.opcode(), &req.encode_payload())?;
-        let (op, payload) = read_frame(&mut self.stream)?.ok_or_else(|| {
-            ClientError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed before responding",
-            ))
-        })?;
-        let resp = Response::decode(op, &payload).map_err(ClientError::Wire)?;
+        let resp = self.read_response()?;
         if let Response::Error { code, message } = resp {
             return Err(ClientError::Remote { code, message });
         }
         Ok(resp)
+    }
+
+    /// Block until one whole response frame has arrived and decode it. A
+    /// close with nothing buffered is a clean close between replies; a
+    /// close with a partial frame buffered is a close mid-reply. Both are
+    /// [`io::ErrorKind::UnexpectedEof`], told apart by their message.
+    fn read_response(&mut self) -> Result<Response, ClientError> {
+        loop {
+            if let Some((op, payload)) = self.decoder.next_frame().map_err(ClientError::Wire)? {
+                return Response::decode(op, payload).map_err(ClientError::Wire);
+            }
+            match self.decoder.fill_from(&mut self.stream) {
+                Ok(0) => {
+                    let what = if self.decoder.buffered() == 0 {
+                        "server closed before responding"
+                    } else {
+                        "server closed mid-reply"
+                    };
+                    return Err(io::Error::new(io::ErrorKind::UnexpectedEof, what).into());
+                }
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
     }
 
     /// Admit one dipath (as its arc-id sequence) into `tenant`; returns
@@ -169,12 +183,51 @@ impl Client {
         use std::io::Write;
         self.stream.write_all(bytes)?;
         self.stream.flush()?;
-        let (op, payload) = read_frame(&mut self.stream)?.ok_or_else(|| {
-            ClientError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed before responding",
-            ))
-        })?;
-        Response::decode(op, &payload).map_err(ClientError::Wire)
+        self.read_response()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+    use std::net::{Shutdown, TcpListener};
+
+    /// A client whose server side has already sent `reply_bytes` and then
+    /// closed its write half. The server socket is returned so it stays
+    /// open to absorb the client's requests.
+    fn client_after(reply_bytes: &[u8]) -> (Client, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        server.write_all(reply_bytes).unwrap();
+        server.shutdown(Shutdown::Write).unwrap();
+        (client, server)
+    }
+
+    fn eof_message(r: Result<(), ClientError>) -> String {
+        match r {
+            Err(ClientError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => e.to_string(),
+            other => panic!("expected an UnexpectedEof, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn client_distinguishes_clean_close_from_mid_reply_close() {
+        let reply = Response::Retired.to_frame();
+
+        // One whole reply, then a close between replies.
+        let (mut client, _server) = client_after(&reply);
+        client.retire(1, 0).unwrap();
+        let clean = eof_message(client.retire(1, 1));
+        assert_eq!(clean, "server closed before responding");
+
+        // One whole reply and part of the next, then a close mid-reply.
+        let mut bytes = reply.clone();
+        bytes.extend_from_slice(&reply[..reply.len() - 1]);
+        let (mut client, _server) = client_after(&bytes);
+        client.retire(1, 0).unwrap();
+        let mid = eof_message(client.retire(1, 1));
+        assert_eq!(mid, "server closed mid-reply");
     }
 }

@@ -550,64 +550,6 @@ pub fn decode_header(header: &[u8]) -> Result<(u8, u32), WireError> {
     Ok((header[2], len))
 }
 
-/// Errors reading a frame off a stream: transport-level I/O failures vs.
-/// protocol-level [`WireError`]s (after which the stream is
-/// unsynchronized and should be closed).
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum FrameReadError {
-    /// The transport failed (or closed mid-frame).
-    Io(io::Error),
-    /// The bytes did not form a valid frame.
-    Wire(WireError),
-}
-
-impl std::fmt::Display for FrameReadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameReadError::Io(e) => write!(f, "i/o: {e}"),
-            FrameReadError::Wire(e) => write!(f, "wire: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for FrameReadError {}
-
-impl From<io::Error> for FrameReadError {
-    fn from(e: io::Error) -> Self {
-        FrameReadError::Io(e)
-    }
-}
-
-impl From<WireError> for FrameReadError {
-    fn from(e: WireError) -> Self {
-        FrameReadError::Wire(e)
-    }
-}
-
-/// Read one whole frame off a blocking stream. `Ok(None)` is a clean EOF
-/// (the peer closed between frames); EOF mid-frame is an
-/// [`FrameReadError::Io`] with `UnexpectedEof`.
-pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, FrameReadError> {
-    let mut header = [0u8; HEADER_LEN];
-    // Hand-rolled first-byte read so a clean close between frames is
-    // distinguishable from a close inside one.
-    let mut got = 0usize;
-    while got < 1 {
-        match r.read(&mut header[..1]) {
-            Ok(0) => return Ok(None),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    r.read_exact(&mut header[1..])?;
-    let (op, len) = decode_header(&header)?;
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(Some((op, payload)))
-}
-
 /// Write one whole frame to a blocking stream.
 pub fn write_frame(w: &mut impl Write, op: u8, payload: &[u8]) -> io::Result<()> {
     w.write_all(&encode_frame(op, payload))?;
@@ -624,9 +566,10 @@ const COMPACT_THRESHOLD: usize = READ_CHUNK;
 
 /// An incremental frame decoder: feed it bytes in arbitrary slices
 /// (single bytes, half frames, three frames at once) and pull complete
-/// frames out as they form. This is the nonblocking counterpart of
-/// [`read_frame`] — the reactor's read path — and the two agree
-/// exactly: any byte stream yields the same frame sequence either way.
+/// frames out as they form. Both ends of a connection read through it:
+/// the reactor feeds it from nonblocking sockets, and the blocking
+/// [`crate::Client`] reads each reply with it, so one decode path serves
+/// both.
 ///
 /// Properties:
 ///
@@ -641,13 +584,20 @@ const COMPACT_THRESHOLD: usize = READ_CHUNK;
 /// * **Allocation-free in steady state.** The buffer is retained across
 ///   frames (and can be handed in from / returned to a pool via
 ///   [`FrameDecoder::with_buffer`] / [`FrameDecoder::into_buffer`]);
-///   consumed bytes are reclaimed by truncation or an occasional compact,
-///   not by reallocating.
+///   consumed bytes are reclaimed by resetting the read/fill indices or
+///   an occasional compact, not by reallocating.
+/// * **No re-zeroing.** The buffer's length is its initialised space, and
+///   a filled-end index marks where received bytes stop. A read lands in
+///   the initialised space past that index; zero-filling happens only
+///   when the buffer grows.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
+    /// Initialised space; `buf[start..end]` holds the unread bytes.
     buf: Vec<u8>,
     /// Start of the unread region in `buf`.
     start: usize,
+    /// End of the received bytes in `buf`.
+    end: usize,
 }
 
 impl FrameDecoder {
@@ -659,7 +609,11 @@ impl FrameDecoder {
     /// A decoder reusing `buf`'s allocation (contents are discarded).
     pub fn with_buffer(mut buf: Vec<u8>) -> Self {
         buf.clear();
-        FrameDecoder { buf, start: 0 }
+        FrameDecoder {
+            buf,
+            start: 0,
+            end: 0,
+        }
     }
 
     /// Dismantle the decoder, handing its buffer back (for a pool).
@@ -670,26 +624,29 @@ impl FrameDecoder {
 
     /// Bytes buffered but not yet consumed by [`FrameDecoder::next_frame`].
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
-    /// Reclaim consumed bytes: cheap truncate when fully drained, memmove
-    /// when the dead prefix got large, nothing otherwise.
+    /// Reclaim consumed bytes: reset the indices when fully drained,
+    /// memmove when the dead prefix got large, nothing otherwise.
     fn compact(&mut self) {
-        if self.start == self.buf.len() {
-            self.buf.clear();
+        if self.start == self.end {
             self.start = 0;
+            self.end = 0;
         } else if self.start >= COMPACT_THRESHOLD {
-            self.buf.drain(..self.start);
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
             self.start = 0;
         }
     }
 
-    /// Append raw bytes (a test/adversarial entry point; the server path
-    /// uses [`FrameDecoder::fill_from`]).
+    /// Append raw bytes (a test/adversarial entry point; the transport
+    /// path uses [`FrameDecoder::fill_from`]).
     pub fn push(&mut self, bytes: &[u8]) {
         self.compact();
+        self.buf.truncate(self.end);
         self.buf.extend_from_slice(bytes);
+        self.end = self.buf.len();
     }
 
     /// Issue one `read` against `r` for up to [`READ_CHUNK`] bytes,
@@ -698,18 +655,12 @@ impl FrameDecoder {
     /// reactor treats them as "try again on readiness").
     pub fn fill_from(&mut self, r: &mut impl Read) -> io::Result<usize> {
         self.compact();
-        let old = self.buf.len();
-        self.buf.resize(old + READ_CHUNK, 0);
-        match r.read(&mut self.buf[old..]) {
-            Ok(n) => {
-                self.buf.truncate(old + n);
-                Ok(n)
-            }
-            Err(e) => {
-                self.buf.truncate(old);
-                Err(e)
-            }
+        if self.buf.len() < self.end + READ_CHUNK {
+            self.buf.resize(self.end + READ_CHUNK, 0);
         }
+        let n = r.read(&mut self.buf[self.end..self.end + READ_CHUNK])?;
+        self.end += n;
+        Ok(n)
     }
 
     /// Pull the next complete frame, if one has fully arrived. Returns
@@ -718,7 +669,7 @@ impl FrameDecoder {
     /// call — decode the payload immediately), or a typed [`WireError`]
     /// if the buffered bytes cannot be a frame.
     pub fn next_frame(&mut self) -> Result<Option<(u8, &[u8])>, WireError> {
-        let avail = self.buf.len() - self.start;
+        let avail = self.end - self.start;
         if avail < HEADER_LEN {
             return Ok(None);
         }
@@ -798,8 +749,8 @@ impl Request {
     }
 
     /// Decode a request from an opcode/payload pair (the output of
-    /// [`read_frame`]). Response opcodes are [`WireError::UnknownOpcode`]
-    /// here.
+    /// [`FrameDecoder::next_frame`]). Response opcodes are
+    /// [`WireError::UnknownOpcode`] here.
     pub fn decode(op: u8, payload: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(payload);
         let req = match op {
@@ -1333,24 +1284,5 @@ mod tests {
         let mut pooled = vec![0xFF; 64]; // stale pooled contents
         resp.encode_frame_into(&mut pooled);
         assert_eq!(pooled, resp.to_frame());
-    }
-
-    #[test]
-    fn stream_read_distinguishes_clean_eof_from_mid_frame_eof() {
-        let frame = Request::Stats { tenant: 3 }.to_frame();
-        let mut cursor = io::Cursor::new(frame.clone());
-        let (op, payload) = read_frame(&mut cursor).unwrap().expect("one frame");
-        assert_eq!(
-            Request::decode(op, &payload),
-            Ok(Request::Stats { tenant: 3 })
-        );
-        assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF");
-        let mut cursor = io::Cursor::new(frame[..frame.len() - 1].to_vec());
-        match read_frame(&mut cursor) {
-            Err(FrameReadError::Io(e)) => {
-                assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof)
-            }
-            other => panic!("expected mid-frame EOF error, got {other:?}"),
-        }
     }
 }

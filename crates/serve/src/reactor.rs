@@ -153,13 +153,15 @@ mod sys {
         let _ = unsafe { write(fd, (&byte as *const u8).cast::<c_void>(), 1) };
     }
 
-    /// Drain every pending wake byte from the read end.
+    /// Drain every pending wake byte from the read end. A short read
+    /// means the pipe is empty, so the loop stops there instead of paying
+    /// one more `read` that could only fail with `EAGAIN`.
     pub fn drain(fd: RawFd) {
         let mut buf = [0u8; 64];
         loop {
             // SAFETY: `buf` is a live 64-byte scratch buffer.
             let n = unsafe { read(fd, buf.as_mut_ptr().cast::<c_void>(), buf.len()) };
-            if n <= 0 {
+            if n < buf.len() as isize {
                 return;
             }
         }

@@ -1,6 +1,8 @@
 //! Golden colorings: the exact assignments Auto hands out on fixed
-//! instances, folded into one hash per group. Also home to the slow exact
-//! seeds, whose golden colorings and root closure at `π` share one fixture.
+//! instances, folded into one hash per group, and Theorem 6's own merges,
+//! which Auto can replace by a rescue backend's answer. Also home to the
+//! slow exact seeds, whose golden colorings and root closure at `π` share
+//! one fixture.
 //!
 //! Validity alone does not pin a coloring, yet Theorem 6's merge — and
 //! with it every span it reports — depends on the particular coloring
@@ -12,6 +14,7 @@
 use dagwave_color::exact;
 use dagwave_core::solver::conflict_to_ugraph;
 use dagwave_core::theorem1::{self, KempeStrategy, PeelOrder};
+use dagwave_core::theorem6;
 use dagwave_core::{CoreError, SolveSession};
 use dagwave_gen::{compose, figures, havet, random, Instance};
 use dagwave_paths::{load, ConflictGraph};
@@ -81,6 +84,21 @@ fn upp1_draws() -> Vec<Instance> {
     (0..32)
         .map(|i| random::random_cycle_family(&mut rng, 2 + i % 4, 1 + (i / 4) % 2))
         .collect()
+}
+
+/// Fold Theorem 6's own answer on every instance: the merged coloring, its
+/// extra colors and the palette permutation's class profile. Auto's
+/// coloring can hide it behind a rescue backend; this cannot.
+fn theorem6_hash<'a>(instances: impl IntoIterator<Item = &'a Instance>) -> u64 {
+    let mut h = Fold::new();
+    for inst in instances {
+        let res = theorem6::color_single_cycle_upp(&inst.graph, &inst.family)
+            .unwrap_or_else(|e| panic!("{}: {e}", inst.name));
+        h.colors(res.assignment.colors());
+        h.word(res.extra_colors);
+        h.colors(&res.class_profile);
+    }
+    h.0
 }
 
 /// General families on layered DAGs whose greedy clique is smaller than
@@ -159,6 +177,22 @@ fn upp1_auto_colorings_are_golden() {
 fn havet_auto_colorings_are_golden() {
     let instances: Vec<Instance> = (1..=6).map(havet::havet).collect();
     assert_eq!(auto_hash(&instances), 0xad2a5dcefb334433);
+}
+
+/// The merge's patch pass keeps each clashing dipath on its class's `γ`
+/// where that is safe; several upp1 draws take that branch.
+#[test]
+fn upp1_theorem6_merges_are_golden() {
+    assert_eq!(theorem6_hash(&upp1_draws()), 0x7c98f207bdb178cc);
+}
+
+/// Replicated Havet families reach every rescue branch of the patch pass:
+/// `γ` safe (h = 2…6), `γ` forbidden with a free palette color (h = 4…6),
+/// and `γ` forbidden with a fresh color (h = 2…6).
+#[test]
+fn havet_theorem6_merges_are_golden() {
+    let instances: Vec<Instance> = (1..=6).map(havet::havet).collect();
+    assert_eq!(theorem6_hash(&instances), 0x61cd1b2ddfb83770);
 }
 
 #[test]
