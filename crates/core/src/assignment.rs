@@ -122,20 +122,44 @@ impl WavelengthAssignment {
     /// Renumber wavelengths to the dense range `0..num_colors()`, preserving
     /// the partition (first-seen order).
     pub fn normalized(&self) -> WavelengthAssignment {
-        let mut map = std::collections::HashMap::new();
-        let mut next = 0usize;
-        let colors = self
-            .colors
-            .iter()
-            .map(|&c| {
-                *map.entry(c).or_insert_with(|| {
-                    let v = next;
-                    next += 1;
-                    v
-                })
-            })
-            .collect();
+        let mut colors = vec![0; self.colors.len()];
+        self.for_each_normalized(&mut Vec::new(), |i, c| colors[i] = c as usize);
         WavelengthAssignment { colors }
+    }
+
+    /// Call `visit(i, c)` for every dipath `i` in id order, with `c` its
+    /// color renumbered as [`Self::normalized`] numbers it. The decomposed
+    /// merge and the workspace's table patch renumber each shard this way,
+    /// passing one `table` across shards. A dense palette renumbers through
+    /// that flat table, indexed by color; the guard [`Self::num_colors`]
+    /// applies sends a sparse palette to a hash map instead, so a huge
+    /// color never sizes the table.
+    pub(crate) fn for_each_normalized(
+        &self,
+        table: &mut Vec<u32>,
+        mut visit: impl FnMut(usize, u32),
+    ) {
+        let Some(&max) = self.colors.iter().max() else {
+            return;
+        };
+        if max < 2 * self.colors.len() {
+            table.clear();
+            table.resize(max + 1, u32::MAX);
+            let mut next = 0;
+            for (i, &c) in self.colors.iter().enumerate() {
+                if table[c] == u32::MAX {
+                    table[c] = next;
+                    next += 1;
+                }
+                visit(i, table[c]);
+            }
+        } else {
+            let mut map = std::collections::HashMap::new();
+            for (i, &c) in self.colors.iter().enumerate() {
+                let next = map.len() as u32;
+                visit(i, *map.entry(c).or_insert(next));
+            }
+        }
     }
 
     /// Dipaths per wavelength, indexed by normalized color.
@@ -201,6 +225,20 @@ mod tests {
         assert_eq!(n.colors(), &[0, 1, 0, 2]);
         assert_eq!(n.num_colors(), 3);
         assert_eq!(w.num_colors(), 3);
+        // Dense palettes renumber through the flat table (reused across
+        // calls, whatever it held before), sparse ones through a map; both
+        // number by first appearance.
+        let mut table = vec![5; 40];
+        for (colors, want) in [
+            (vec![3, 1, 3, 0, 2], vec![0, 1, 0, 2, 3]),
+            (vec![usize::MAX, 0, usize::MAX, 1 << 40], vec![0, 1, 0, 2]),
+            (vec![1, 1], vec![0, 0]),
+        ] {
+            let mut got = vec![u32::MAX; colors.len()];
+            WavelengthAssignment::new(colors.clone())
+                .for_each_normalized(&mut table, |i, c| got[i] = c);
+            assert_eq!(got, want, "{colors:?}");
+        }
     }
 
     #[test]

@@ -23,6 +23,13 @@
 //! [`BackendOutcome`]. The [`crate::solver::SolveSession`] orchestrates them
 //! according to a [`Policy`] and records one [`BackendAttempt`] per backend
 //! consulted, so every `Solution` carries its provenance.
+//!
+//! A context proves each fact about its instance once. A whole instance's
+//! context sorts the graph topologically to reject cycles
+//! ([`InstanceContext::new`]); a shard's context inherits that proof from
+//! its host, since a subgraph of a DAG is a DAG, and only classifies and
+//! loads the shard. Backends trust the class: Theorem 6 runs its merge
+//! without re-checking the preconditions classification just proved.
 
 use crate::assignment::WavelengthAssignment;
 use crate::error::CoreError;
@@ -30,7 +37,7 @@ use crate::internal::{self, DagClass};
 use crate::{theorem1, theorem6};
 use dagwave_color::ugraph::UGraph;
 use dagwave_color::{dsatur, exact, greedy, kempe, multicolor};
-use dagwave_graph::Digraph;
+use dagwave_graph::{ArcId, Digraph};
 use dagwave_paths::{load, ConflictGraph, DipathFamily, PathId};
 use std::fmt;
 use std::sync::OnceLock;
@@ -212,7 +219,24 @@ impl<'a> InstanceContext<'a> {
         {
             return Err(CoreError::NotADag(c));
         }
-        Ok(InstanceContext {
+        Ok(Self::of_dag(graph, family, request))
+    }
+
+    /// Classify and compute the load of a graph already known to be a DAG,
+    /// without sorting it topologically again. Shard contexts come through
+    /// here: every shard graph is a subgraph of a host that
+    /// [`InstanceContext::new`] or [`crate::Workspace::new`] validated, and
+    /// a subgraph of a DAG is a DAG. Debug builds still assert it.
+    pub(crate) fn of_dag(
+        graph: &'a Digraph,
+        family: &'a DipathFamily,
+        request: &'a SolveRequest,
+    ) -> Self {
+        debug_assert!(
+            dagwave_graph::topo::is_dag(graph),
+            "context of a subgraph of a validated DAG has a cycle"
+        );
+        InstanceContext {
             graph,
             family,
             class: internal::classify(graph),
@@ -220,7 +244,7 @@ impl<'a> InstanceContext<'a> {
             request,
             ug: OnceLock::new(),
             dedup: OnceLock::new(),
-        })
+        }
     }
 
     /// Assemble a context from *already-known* class and load, skipping the
@@ -278,7 +302,7 @@ impl<'a> InstanceContext<'a> {
     pub fn dedup_groups(&self) -> &[Vec<PathId>] {
         self.dedup.get_or_init(|| {
             use std::collections::HashMap;
-            let mut groups: HashMap<&[dagwave_graph::ArcId], Vec<PathId>> = HashMap::new();
+            let mut groups: HashMap<&[ArcId], Vec<PathId>> = HashMap::new();
             for (id, p) in self.family.iter() {
                 groups.entry(p.arcs()).or_default().push(id);
             }
@@ -395,7 +419,20 @@ impl ColoringBackend for Theorem6Backend {
     }
 
     fn run(&self, ctx: &InstanceContext<'_>) -> Result<BackendOutcome, CoreError> {
-        let res = theorem6::color_single_cycle_upp(ctx.graph, ctx.family)?;
+        // `classify` derived this class from the same UPP test and internal
+        // cycle count the public entry checks, on a graph the context
+        // already proved acyclic: run the body on the proven class. A
+        // caller that skipped `unsupported` gets the public entry's
+        // precondition errors.
+        let res = if ctx.class == DagClass::UppSingleCycle {
+            theorem6::color_proven(
+                ctx.graph,
+                ctx.family,
+                &internal::internal_subgraph(ctx.graph),
+            )
+        } else {
+            theorem6::color_single_cycle_upp(ctx.graph, ctx.family)
+        }?;
         let num = res.assignment.num_colors();
         Ok(BackendOutcome {
             assignment: res.assignment,
@@ -414,10 +451,14 @@ impl ColoringBackend for WeightedBackend {
     }
 
     fn unsupported(&self, ctx: &InstanceContext<'_>) -> Option<String> {
-        let base_count = ctx.dedup_groups().len();
-        if base_count == ctx.family.len() {
+        // Most families have no duplicate: find that out with one sort of
+        // the arc sequences before grouping anything.
+        let mut sequences: Vec<&[ArcId]> = ctx.family.iter().map(|(_, p)| p.arcs()).collect();
+        sequences.sort_unstable();
+        if !sequences.windows(2).any(|w| w[0] == w[1]) {
             return Some("family has no duplicated dipaths".to_string());
         }
+        let base_count = ctx.dedup_groups().len();
         if base_count > ctx.request.weighted_dedup_limit {
             return Some(format!(
                 "deduplicated base has {base_count} dipaths, over the weighted_dedup_limit of {}",

@@ -16,7 +16,8 @@ use dagwave_graph::{Digraph, SubgraphView, VertexId};
 
 /// The view induced on the internal vertices of `g`.
 pub fn internal_subgraph(g: &Digraph) -> SubgraphView<'_> {
-    SubgraphView::induced(g, g.vertices().filter(|&v| g.is_internal(v)))
+    let adjacency = g.adjacency();
+    SubgraphView::induced(g, g.vertices().filter(|&v| adjacency.is_internal(v)))
 }
 
 /// `true` if `g` contains an internal cycle.

@@ -46,10 +46,6 @@ use std::collections::VecDeque;
 /// unbounded prefix of the source iterator.
 const STREAM_WINDOW_PER_THREAD: usize = 4;
 
-/// One shard result awaiting merge: the shard's original path ids plus its
-/// solution (or the error that shard produced).
-type ShardSlot = Option<Result<(Vec<PathId>, Solution), CoreError>>;
-
 /// A solved instance, with full provenance.
 #[derive(Clone, Debug)]
 pub struct Solution {
@@ -255,8 +251,10 @@ impl SolveSession {
         }
     }
 
-    /// One undecomposed solve — the per-shard engine of the decomposed
-    /// path (shards build their own shard-local contexts).
+    /// One undecomposed shard solve — the per-shard engine of the
+    /// decomposed path. The shard builds its own context, which inherits
+    /// the host's DAG proof ([`InstanceContext::of_dag`]): it classifies
+    /// and loads the shard but does not sort it topologically again.
     ///
     /// When [`SolveRequest::per_shard_backend`] is set and the policy is
     /// [`Policy::Auto`], the shard is dispatched straight to the one
@@ -264,12 +262,8 @@ impl SolveSession {
     /// exact-or-DSATUR) instead of the full Auto dispatch with its
     /// weighted-rescue consult — shards re-classify independently, so the
     /// class decides the backend once and for all.
-    fn solve_monolithic(
-        &self,
-        g: &dagwave_graph::Digraph,
-        family: &DipathFamily,
-    ) -> Result<Solution, CoreError> {
-        let ctx = InstanceContext::new(g, family, &self.request)?;
+    fn solve_shard(&self, shard: &SubInstance) -> Result<Solution, CoreError> {
+        let ctx = InstanceContext::of_dag(&shard.graph, &shard.family, &self.request);
         if self.request.per_shard_backend && self.request.policy == Policy::Auto {
             return self.solve_pinned(auto_shard_backend(&ctx), &ctx);
         }
@@ -349,7 +343,7 @@ impl SolveSession {
             .solve_components(
                 ctx.graph,
                 ctx.family,
-                &components,
+                components,
                 &mut ExtractScratch::new(),
             )
             .into_iter()
@@ -369,17 +363,17 @@ impl SolveSession {
     /// Solve each component of `family` as an independent shard on the
     /// rayon pool under this session (callers pass the
     /// [`SolveSession::shard_session`]). Each shard is extracted into a
-    /// [`SubInstance`] and solved with its original ids recorded; results
-    /// come back in component order regardless of completion order, so the
-    /// caller's merge is bit-identical at every thread budget. Shared by
-    /// the one-shot decomposed solve (a fresh `scratch` per solve) and the
-    /// incremental workspace (its dirty components only, through the one
-    /// scratch it keeps across refreshes).
+    /// [`SubInstance`] and solved; each result comes back paired with its
+    /// component's member ids, in component order regardless of completion
+    /// order, so the caller's merge is bit-identical at every thread
+    /// budget. Shared by the one-shot decomposed solve (a fresh `scratch`
+    /// per solve) and the incremental workspace (its dirty components only,
+    /// through the one scratch it keeps across refreshes).
     pub(crate) fn solve_components(
         &self,
         g: &dagwave_graph::Digraph,
         family: &DipathFamily,
-        components: &[Vec<PathId>],
+        components: Vec<Vec<PathId>>,
         scratch: &mut ExtractScratch,
     ) -> Vec<Result<(Vec<PathId>, Solution), CoreError>> {
         // Extraction is a near-linear renumbering pass; it runs sequentially
@@ -391,20 +385,20 @@ impl SolveSession {
             .iter()
             .map(|members| SubInstance::extract_with(g, family, members, scratch))
             .collect();
-        let mut slots: Vec<ShardSlot> = components.iter().map(|_| None).collect();
+        let mut slots: Vec<Option<Result<Solution, CoreError>>> =
+            components.iter().map(|_| None).collect();
         rayon::scope(|s| {
             for (slot, sub) in slots.iter_mut().zip(&subs) {
-                s.spawn(move |_| {
-                    *slot = Some(
-                        self.solve_monolithic(&sub.graph, &sub.family)
-                            .map(|sol| (sub.original_ids().to_vec(), sol)),
-                    );
-                });
+                s.spawn(move |_| *slot = Some(self.solve_shard(sub)));
             }
         });
         slots
             .into_iter()
-            .map(|r| r.expect("shard task completed")) // lint: allow(no-panic): the scope barrier filled every shard slot
+            .zip(components)
+            .map(|(r, members)| {
+                r.expect("shard task completed") // lint: allow(no-panic): the scope barrier filled every shard slot
+                    .map(|sol| (members, sol))
+            })
             .collect()
     }
 
@@ -758,10 +752,11 @@ fn auto_shard_backend(ctx: &InstanceContext<'_>) -> BackendKind {
 /// loses nothing). Properness is structural: colors can only collide
 /// across shards, and cross-shard dipaths never conflict.
 ///
-/// Generic over [`Borrow<Solution>`] so the incremental engine can merge
+/// Generic over [`ShardSolution`] so the incremental engine can merge
 /// its cached shard solutions by reference — a re-merge after a mutation
-/// batch never deep-clones the clean shards.
-pub(crate) fn merge_shards<S: std::borrow::Borrow<Solution>>(
+/// batch never deep-clones the clean shards — while the one-shot merge
+/// moves each shard's attempts into its report.
+pub(crate) fn merge_shards<S: ShardSolution>(
     ctx: &InstanceContext<'_>,
     shards: Vec<(Vec<PathId>, S)>,
 ) -> Solution {
@@ -770,20 +765,17 @@ pub(crate) fn merge_shards<S: std::borrow::Borrow<Solution>>(
     let mut best_lower = 0usize;
     let mut strategy: Option<BackendKind> = None;
     let mut all_optimal = true;
-    let mut attempts = Vec::new();
     let mut reports = Vec::with_capacity(shards.len());
-    // One palette map reused across shards (cleared per shard): same
-    // first-appearance numbering as `WavelengthAssignment::normalized`,
-    // without materializing a normalized copy per shard.
-    let mut palette: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-    for (original_ids, sol) in shards {
-        let sol = sol.borrow();
-        palette.clear();
-        for (local, &orig) in original_ids.iter().enumerate() {
-            let raw = sol.assignment.color(PathId::from_index(local));
-            let next = palette.len();
-            colors[orig.index()] = *palette.entry(raw).or_insert(next);
-        }
+    // One palette table reused across shards: the first-appearance
+    // numbering of `WavelengthAssignment::normalized`, without
+    // materializing a normalized copy per shard.
+    let mut palette = Vec::new();
+    for (original_ids, shard) in shards {
+        let sol = shard.borrow();
+        sol.assignment
+            .for_each_normalized(&mut palette, |local, c| {
+                colors[original_ids[local].index()] = c as usize;
+            });
         // The merged strategy tag: winner of the first shard attaining the
         // merged span (strictly-greater update keeps the earliest).
         if strategy.is_none() || sol.num_colors > span {
@@ -800,18 +792,25 @@ pub(crate) fn merge_shards<S: std::borrow::Borrow<Solution>>(
             .unwrap_or(sol.load);
         best_lower = best_lower.max(shard_lower);
         all_optimal &= sol.optimal;
-        attempts.extend(sol.attempts.iter().cloned());
-        reports.push(ShardOutcome {
+        let report = ShardOutcome {
             paths: original_ids.len(),
             class: sol.class,
             strategy: sol.strategy,
             num_colors: sol.num_colors,
             load: sol.load,
             optimal: sol.optimal,
-            attempts: sol.attempts.clone(),
+            attempts: Vec::new(),
             members: original_ids,
+        };
+        reports.push(ShardOutcome {
+            attempts: shard.into_attempts(),
+            ..report
         });
     }
+    let attempts = reports
+        .iter()
+        .flat_map(|r| r.attempts.iter().cloned())
+        .collect();
     debug_assert!(
         colors.iter().all(|&c| c != usize::MAX),
         "components partition the family"
@@ -846,6 +845,26 @@ pub(crate) fn merge_shards<S: std::borrow::Borrow<Solution>>(
         attempts,
         decomposition: Some(std::sync::Arc::new(Decomposition { shards: reports })),
         resolve: None,
+    }
+}
+
+/// A shard solution [`merge_shards`] takes: owned by the one-shot merge,
+/// borrowed from the incremental engine's cache.
+pub(crate) trait ShardSolution: std::borrow::Borrow<Solution> {
+    /// The attempts for the shard's [`ShardOutcome`]: moved out of an owned
+    /// solution, cloned from a borrowed one.
+    fn into_attempts(self) -> Vec<BackendAttempt>;
+}
+
+impl ShardSolution for Solution {
+    fn into_attempts(self) -> Vec<BackendAttempt> {
+        self.attempts
+    }
+}
+
+impl ShardSolution for &Solution {
+    fn into_attempts(self) -> Vec<BackendAttempt> {
+        self.attempts.clone()
     }
 }
 

@@ -163,14 +163,12 @@ impl Buckets {
 ///
 /// Requires a DAG; errors with the directed-cycle witness otherwise.
 pub fn peel(g: &Digraph, family: &DipathFamily, order: PeelOrder) -> Result<PeelLog, CoreError> {
-    let n = g.vertex_count();
     let m = g.arc_count();
+    let adjacency = g.adjacency();
 
-    let mut indeg: Vec<usize> = (0..n)
-        .map(|i| g.indegree(VertexId::from_index(i)))
-        .collect();
+    let mut indeg: Vec<usize> = g.vertices().map(|v| adjacency.indegree(v)).collect();
     let mut removed = vec![false; m];
-    let mut out_cursor = vec![0usize; n]; // next out-arc to try per vertex
+    let mut out_cursor = vec![0usize; g.vertex_count()]; // next out-arc to try per vertex
 
     // front_of[p]: index into the dipath's arc list of its current front.
     let mut front_of: Vec<usize> = vec![0; family.len()];
@@ -182,7 +180,7 @@ pub fn peel(g: &Digraph, family: &DipathFamily, order: PeelOrder) -> Result<Peel
     // Ready pool: sources with remaining out-arcs.
     let mut ready: std::collections::VecDeque<VertexId> = g
         .vertices()
-        .filter(|&v| indeg[v.index()] == 0 && g.outdegree(v) > 0)
+        .filter(|&v| indeg[v.index()] == 0 && adjacency.outdegree(v) > 0)
         .collect();
     let mut log = PeelLog {
         arcs: Vec::with_capacity(m),
@@ -199,7 +197,7 @@ pub fn peel(g: &Digraph, family: &DipathFamily, order: PeelOrder) -> Result<Peel
     } {
         // Take one remaining out-arc of x0.
         let arc = loop {
-            let outs = g.out_arcs(x0);
+            let outs = adjacency.out_arcs(x0);
             let cur = out_cursor[x0.index()];
             if cur >= outs.len() {
                 break None;
@@ -229,7 +227,7 @@ pub fn peel(g: &Digraph, family: &DipathFamily, order: PeelOrder) -> Result<Peel
         removed[arc.index()] = true;
         let y0 = g.head(arc);
         indeg[y0.index()] -= 1;
-        if indeg[y0.index()] == 0 && g.out_arcs(y0).iter().any(|&a| !removed[a.index()]) {
+        if indeg[y0.index()] == 0 && adjacency.out_arcs(y0).iter().any(|&a| !removed[a.index()]) {
             ready.push_back(y0);
         }
 

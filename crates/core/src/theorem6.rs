@@ -26,10 +26,15 @@
 //!
 //! **Cost per call.** Every single-cycle UPP solve and shard runs this
 //! merge, so it builds no hash containers and computes each intermediate
-//! once. One internal sub-multigraph serves both the cycle count and the
-//! witness cycle, and one load table serves both `π` and the cycle's
-//! max-load arc. The padding copies, and the dipaths that avoid `(a, b)`,
-//! enter the padded and split families as shared handles, not copies.
+//! once. The preconditions are proven once per instance, not per call:
+//! [`color_single_cycle_upp`] checks them itself, while the solving
+//! surface's backend runs the body on the class its context already
+//! proved (that context proved the graph acyclic, and classification ran
+//! the same UPP test and cycle count). One internal sub-multigraph serves
+//! both the cycle count and the witness cycle, and one load table serves
+//! both `π` and the cycle's max-load arc. The padding copies, and the
+//! dipaths that avoid `(a, b)`, enter the padded and split families as
+//! shared handles, not copies.
 //! Identical crossings are grouped by a stable sort on their arc
 //! sequences, and the patch pass reads its arc buckets in place from one
 //! flat [`ArcIndex`], with generation stamps in place of per-clash hash
@@ -44,7 +49,7 @@ use crate::bounds;
 use crate::error::CoreError;
 use crate::internal;
 use crate::theorem1;
-use dagwave_graph::{undirected, ArcId, Digraph};
+use dagwave_graph::{undirected, ArcId, Digraph, SubgraphView};
 use dagwave_paths::{load, ArcIndex, Dipath, DipathFamily, PathId};
 
 /// Outcome of the Theorem-6 coloring.
@@ -77,7 +82,6 @@ pub fn color_single_cycle_upp(
     g: &Digraph,
     family: &DipathFamily,
 ) -> Result<Theorem6Result, CoreError> {
-    // Preconditions.
     if let Err(dagwave_graph::GraphError::NotADag(c)) = dagwave_graph::topo::topological_order(g) {
         return Err(CoreError::NotADag(c));
     }
@@ -89,6 +93,25 @@ pub fn color_single_cycle_upp(
     if cycles != 1 {
         return Err(CoreError::WrongInternalCycleCount(cycles));
     }
+    color_proven(g, family, &internal_view)
+}
+
+/// The body of [`color_single_cycle_upp`], for a caller that has already
+/// proven its preconditions: `g` is an UPP-DAG and `internal_view`, its
+/// internal sub-multigraph, has exactly one independent cycle. The
+/// solving surface's Theorem 6 backend calls it on the class its context
+/// proved. Debug builds re-assert all three.
+pub(crate) fn color_proven(
+    g: &Digraph,
+    family: &DipathFamily,
+    internal_view: &SubgraphView<'_>,
+) -> Result<Theorem6Result, CoreError> {
+    debug_assert!(
+        dagwave_graph::topo::is_dag(g),
+        "Theorem 6 on a cyclic graph"
+    );
+    debug_assert_eq!(dagwave_graph::pathcount::upp_violation(g), None);
+    debug_assert_eq!(undirected::cyclomatic_number(internal_view), 1);
 
     let table = load::load_table(g, family);
     let pi = table.iter().copied().max().unwrap_or(0);
@@ -105,7 +128,7 @@ pub fn color_single_cycle_upp(
     }
 
     // 1. Max-load arc on the unique internal cycle, padded to load π.
-    let cycle = undirected::find_underlying_cycle(&internal_view).expect("count said one cycle"); // lint: allow(no-panic): the cyclomatic number of this view was checked to be exactly 1 above
+    let cycle = undirected::find_underlying_cycle(internal_view).expect("count said one cycle"); // lint: allow(no-panic): the caller proved this view's cyclomatic number is exactly 1
     let ab = cycle
         .steps
         .iter()
@@ -359,7 +382,7 @@ struct SplitInstance {
 /// is the extra last arc.
 fn split_instance(g: &Digraph, padded: &DipathFamily, ab: ArcId) -> SplitInstance {
     let (a, b) = (g.tail(ab), g.head(ab));
-    let mut tilde = Digraph::with_vertices(g.vertex_count());
+    let mut tilde = Digraph::with_capacity(g.vertex_count(), g.arc_count() + 1);
     let s = tilde.add_vertex();
     let t = tilde.add_vertex();
     for (id, arc) in g.arcs() {

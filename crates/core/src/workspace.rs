@@ -944,7 +944,7 @@ impl Workspace {
                 let results = self.session.shard_session().solve_components(
                     &self.graph,
                     dense,
-                    &dirty_components,
+                    dirty_components,
                     &mut self.extract,
                 );
                 for (key, result) in dirty.iter().zip(results) {
@@ -1005,7 +1005,7 @@ impl Workspace {
             return Err(e);
         }
         let mut changes: Vec<(PathId, u32)> = Vec::new();
-        let mut palette: std::collections::HashMap<usize, u32> = std::collections::HashMap::new();
+        let mut palette = Vec::new();
         for key in std::mem::take(&mut self.stale) {
             let Some(CachedShard {
                 members,
@@ -1016,16 +1016,15 @@ impl Workspace {
                 // lint: allow(no-panic): refresh() solved every stale shard, and the error check above returned on failures
                 unreachable!("refresh solved every stale shard");
             };
-            palette.clear();
-            for (local, &orig) in members.iter().enumerate() {
-                let raw = sol.assignment.color(PathId::from_index(local));
-                let next = palette.len() as u32;
-                let color = *palette.entry(raw).or_insert(next);
-                if self.table.get(orig.index()) != Some(color) {
-                    self.table.set(orig.index(), color);
-                    changes.push((orig, color));
-                }
-            }
+            let table = &mut self.table;
+            sol.assignment
+                .for_each_normalized(&mut palette, |local, color| {
+                    let orig = members[local];
+                    if table.get(orig.index()) != Some(color) {
+                        table.set(orig.index(), color);
+                        changes.push((orig, color));
+                    }
+                });
         }
         let removed = self.drain_removed();
         self.current_span = self.tally.span();

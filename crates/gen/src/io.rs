@@ -12,7 +12,17 @@
 //!
 //! Arcs are created in file order (their ids are line order); `path` lines
 //! route through existing arcs by vertex sequence (first matching arc per
-//! hop, as in [`dagwave_paths::Dipath::from_vertices`]).
+//! hop, as in [`dagwave_paths::Dipath::from_vertices`]). A hop can only use
+//! an arc from an earlier line: one defined further down fails as a missing
+//! arc, on the `path` line.
+//!
+//! Hops never query the graph's adjacency. A [`Digraph`] builds its flat
+//! adjacency on the first query after the last mutation, so a file that
+//! alternates `arc` and `path` lines would rebuild it on every `path` line,
+//! and parsing would go quadratic. Instead the reader keeps each instance's
+//! out-arc lists beside the graph while it reads (flat arrays, insertion
+//! order) and hands the resolved arcs to [`Dipath::from_arcs`], which reads
+//! only arc endpoints. A loaded graph builds its adjacency on first use.
 //!
 //! A file may hold *several* instances back to back — each `dag` line opens
 //! a new one. [`read_instance`] parses exactly one (a second `dag` line is
@@ -20,8 +30,8 @@
 //! one at a time, never materializing more than the instance in flight.
 
 use crate::Instance;
-use dagwave_graph::{Digraph, VertexId};
-use dagwave_paths::{Dipath, DipathFamily};
+use dagwave_graph::{ArcId, Digraph, GraphError, VertexId};
+use dagwave_paths::{Dipath, DipathFamily, PathError};
 use std::fmt::Write as _;
 
 /// Parse errors with line information.
@@ -57,9 +67,76 @@ fn parse_dag(lineno: usize, tokens: &mut std::str::SplitWhitespace) -> Result<us
         .map_err(|e| err(lineno, format!("bad vertex count: {e}")))
 }
 
+/// The instance being read: its graph, plus each vertex's out-arcs as a
+/// linked list over flat arrays (insertion order), so `path` hops resolve
+/// without adjacency queries on the graph still being built.
+struct Builder {
+    graph: Digraph,
+    /// First and last out-arc of each vertex; [`NO_ARC`] when it has none.
+    first_out: Vec<u32>,
+    last_out: Vec<u32>,
+    /// The next out-arc of the same tail, by arc id.
+    next_out: Vec<u32>,
+}
+
+const NO_ARC: u32 = u32::MAX;
+
+impl Builder {
+    fn new(n: usize) -> Self {
+        Builder {
+            graph: Digraph::with_vertices(n),
+            first_out: vec![NO_ARC; n],
+            last_out: vec![NO_ARC; n],
+            next_out: Vec::new(),
+        }
+    }
+
+    fn add_arc(&mut self, tail: VertexId, head: VertexId) -> Result<(), GraphError> {
+        let id = self.graph.try_add_arc(tail, head)?.0;
+        self.next_out.push(NO_ARC);
+        match self.last_out[tail.index()] {
+            NO_ARC => self.first_out[tail.index()] = id,
+            last => self.next_out[last as usize] = id,
+        }
+        self.last_out[tail.index()] = id;
+        Ok(())
+    }
+
+    /// The first arc `tail → head` added so far, as
+    /// [`Digraph::find_arc`] would find it.
+    fn find_arc(&self, tail: VertexId, head: VertexId) -> Option<ArcId> {
+        let mut a = self.first_out[tail.index()];
+        while a != NO_ARC {
+            if self.graph.head(ArcId(a)) == head {
+                return Some(ArcId(a));
+            }
+            a = self.next_out[a as usize];
+        }
+        None
+    }
+
+    /// [`Dipath::from_vertices`] over the arcs added so far, with the same
+    /// errors.
+    fn dipath(&self, route: &[VertexId]) -> Result<Dipath, PathError> {
+        if route.len() < 2 {
+            return Err(PathError::Empty);
+        }
+        let arcs = route
+            .windows(2)
+            .map(|w| {
+                self.find_arc(w[0], w[1]).ok_or(PathError::MissingArc {
+                    from: w[0],
+                    to: w[1],
+                })
+            })
+            .collect::<Result<Vec<ArcId>, PathError>>()?;
+        Dipath::from_arcs(&self.graph, arcs)
+    }
+}
+
 /// Parse an `arc` line (keyword already consumed) into the graph.
 fn parse_arc(
-    g: &mut Digraph,
+    b: &mut Builder,
     lineno: usize,
     tokens: &mut std::str::SplitWhitespace,
 ) -> Result<(), ParseError> {
@@ -69,21 +146,20 @@ fn parse_arc(
             .ok_or_else(|| err(lineno, format!("missing {what}")))?
             .parse()
             .map_err(|e| err(lineno, format!("bad {what}: {e}")))?;
-        if idx >= g.vertex_count() {
+        if idx >= b.graph.vertex_count() {
             return Err(err(lineno, format!("{what} {idx} out of range")));
         }
         Ok(VertexId::from_index(idx))
     };
     let tail = parse("tail")?;
     let head = parse("head")?;
-    g.try_add_arc(tail, head)
-        .map_err(|e| err(lineno, e.to_string()))?;
-    Ok(())
+    b.add_arc(tail, head)
+        .map_err(|e| err(lineno, e.to_string()))
 }
 
 /// Parse a `path` line (keyword already consumed) into the family.
 fn parse_path(
-    g: &Digraph,
+    b: &Builder,
     family: &mut DipathFamily,
     lineno: usize,
     tokens: &mut std::str::SplitWhitespace,
@@ -93,14 +169,14 @@ fn parse_path(
             let idx: usize = t
                 .parse()
                 .map_err(|e| err(lineno, format!("bad vertex: {e}")))?;
-            if idx >= g.vertex_count() {
+            if idx >= b.graph.vertex_count() {
                 return Err(err(lineno, format!("vertex {idx} out of range")));
             }
             Ok(VertexId::from_index(idx))
         })
         .collect();
     let route = route?;
-    let p = Dipath::from_vertices(g, &route).map_err(|e| err(lineno, e.to_string()))?;
+    let p = b.dipath(&route).map_err(|e| err(lineno, e.to_string()))?;
     family.push(p);
     Ok(())
 }
@@ -127,7 +203,7 @@ pub fn write_instance(inst: &Instance) -> String {
 
 /// Parse an instance from the text format.
 pub fn read_instance(text: &str, name: &str) -> Result<Instance, ParseError> {
-    let mut graph: Option<Digraph> = None;
+    let mut builder: Option<Builder> = None;
     let mut family = DipathFamily::new();
     for (i, raw) in text.lines().enumerate() {
         let lineno = i + 1;
@@ -139,29 +215,29 @@ pub fn read_instance(text: &str, name: &str) -> Result<Instance, ParseError> {
         let keyword = tokens.next().expect("non-empty line"); // lint: allow(no-panic): the blank-line guard above leaves at least one token
         match keyword {
             "dag" => {
-                if graph.is_some() {
+                if builder.is_some() {
                     return Err(err(lineno, "duplicate `dag` line"));
                 }
-                graph = Some(Digraph::with_vertices(parse_dag(lineno, &mut tokens)?));
+                builder = Some(Builder::new(parse_dag(lineno, &mut tokens)?));
             }
             "arc" => {
-                let g = graph
+                let b = builder
                     .as_mut()
                     .ok_or_else(|| err(lineno, "`arc` before `dag`"))?;
-                parse_arc(g, lineno, &mut tokens)?;
+                parse_arc(b, lineno, &mut tokens)?;
             }
             "path" => {
-                let g = graph
+                let b = builder
                     .as_ref()
                     .ok_or_else(|| err(lineno, "`path` before `dag`"))?;
-                parse_path(g, &mut family, lineno, &mut tokens)?;
+                parse_path(b, &mut family, lineno, &mut tokens)?;
             }
             other => return Err(err(lineno, format!("unknown keyword `{other}`"))),
         }
     }
-    let graph = graph.ok_or_else(|| err(1, "missing `dag` line"))?;
+    let builder = builder.ok_or_else(|| err(1, "missing `dag` line"))?;
     Ok(Instance {
-        graph,
+        graph: builder.graph,
         family,
         name: name.to_owned(),
     })
@@ -292,7 +368,7 @@ impl<R: std::io::BufRead> Iterator for InstanceStream<R> {
             },
         };
         // Body: arcs and paths until the next `dag` line or end of input.
-        let mut graph = Digraph::with_vertices(n);
+        let mut builder = Builder::new(n);
         let mut family = DipathFamily::new();
         loop {
             let raw = match self.next_line() {
@@ -323,8 +399,8 @@ impl<R: std::io::BufRead> Iterator for InstanceStream<R> {
                     }
                     Err(e) => Err(e),
                 },
-                "arc" => parse_arc(&mut graph, self.lineno, &mut tokens),
-                "path" => parse_path(&graph, &mut family, self.lineno, &mut tokens),
+                "arc" => parse_arc(&mut builder, self.lineno, &mut tokens),
+                "path" => parse_path(&builder, &mut family, self.lineno, &mut tokens),
                 other => Err(err(self.lineno, format!("unknown keyword `{other}`"))),
             };
             if let Err(e) = step {
@@ -333,7 +409,7 @@ impl<R: std::io::BufRead> Iterator for InstanceStream<R> {
             }
         }
         Some(Ok(Instance {
-            graph,
+            graph: builder.graph,
             family,
             name,
         }))
@@ -481,6 +557,114 @@ mod tests {
             assert_eq!(s.num_colors, e.num_colors);
             assert_eq!(s.assignment.colors(), e.assignment.colors());
         }
+    }
+
+    /// A chain `0 → 1 → … → m` with a parallel copy of every arc, and one
+    /// `path` over the last one to three hops after each new hop, each of
+    /// its lines either right behind its arcs (`interleaved`) or after
+    /// every arc. Both layouts hold the same lines, so they describe one
+    /// instance and number their lines alike from the end.
+    fn chain_text(m: usize, interleaved: bool, tail: &str) -> String {
+        let (mut arcs, mut paths) = (String::new(), String::new());
+        for i in 0..m {
+            for _ in 0..2 {
+                writeln!(arcs, "arc {i} {}", i + 1).unwrap();
+            }
+            let route: Vec<String> = (i.saturating_sub(i % 3)..=i + 1)
+                .map(|v| v.to_string())
+                .collect();
+            writeln!(paths, "path {}", route.join(" ")).unwrap();
+            if interleaved {
+                arcs.push_str(&paths);
+                paths.clear();
+            }
+        }
+        format!("dag {}\n{arcs}{paths}{tail}", m + 1)
+    }
+
+    /// Parsing must stay linear when `arc` and `path` lines alternate. The
+    /// two layouts of a 2,000-hop chain load to the same instance and fail
+    /// alike; at 20,000 hops the interleaved one parses within 4× the
+    /// grouped one (fastest of 3 runs each). A per-line adjacency rebuild
+    /// would make it quadratic.
+    #[test]
+    fn interleaved_and_grouped_files_load_alike() {
+        let m = 2_000;
+        let (inter, grouped) = (chain_text(m, true, ""), chain_text(m, false, ""));
+        let a = read_instance(&inter, "a").unwrap();
+        let b = read_instance(&grouped, "b").unwrap();
+        assert_eq!(a.graph.vertex_count(), b.graph.vertex_count());
+        assert!(a.graph.arcs().eq(b.graph.arcs()));
+        assert_eq!(a.family.len(), m);
+        assert!(a
+            .family
+            .iter()
+            .map(|(_, p)| p.arcs())
+            .eq(b.family.iter().map(|(_, p)| p.arcs())));
+        // Each hop takes the first of its parallel arcs, as
+        // `Dipath::from_vertices` does on the loaded graph.
+        for (_, p) in a.family.iter() {
+            let again = Dipath::from_vertices(&a.graph, &p.vertices(&a.graph)).unwrap();
+            assert_eq!(again.arcs(), p.arcs());
+        }
+        // The streaming reader loads the same instance.
+        let streamed = read_instances(inter.as_bytes()).next().unwrap().unwrap();
+        assert!(streamed.graph.arcs().eq(a.graph.arcs()));
+        assert!(streamed
+            .family
+            .iter()
+            .map(|(_, p)| p.arcs())
+            .eq(a.family.iter().map(|(_, p)| p.arcs())));
+        // A bad last line fails identically in both layouts and readers.
+        let last = 1 + 3 * m + 1;
+        for bad in [
+            "path 5 3",
+            "path 0 1 0",
+            "path 0 99999999",
+            "path 7",
+            "arc 2 2",
+        ] {
+            let errors: Vec<ParseError> = [true, false]
+                .into_iter()
+                .flat_map(|layout| {
+                    let text = chain_text(m, layout, &format!("{bad}\n"));
+                    let streamed = read_instances(text.as_bytes()).next().unwrap();
+                    [
+                        read_instance(&text, "t").unwrap_err(),
+                        streamed.unwrap_err(),
+                    ]
+                })
+                .collect();
+            assert_eq!(errors[0].line, last, "{bad}: {}", errors[0]);
+            assert!(errors.iter().all(|e| *e == errors[0]), "{bad}: {errors:?}");
+        }
+        let fastest = |text: &str| {
+            (0..3)
+                .map(|_| {
+                    let t0 = std::time::Instant::now();
+                    std::hint::black_box(read_instance(text, "t").unwrap());
+                    t0.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let m = 20_000;
+        let (ti, tg) = (
+            fastest(&chain_text(m, true, "")),
+            fastest(&chain_text(m, false, "")),
+        );
+        assert!(ti <= tg * 4, "interleaved {ti:?} vs grouped {tg:?}");
+    }
+
+    /// A hop can only use an arc from an earlier line.
+    #[test]
+    fn forward_arc_reference_is_a_missing_arc() {
+        let text = "dag 3\narc 0 1\npath 0 1 2\narc 1 2\n";
+        let e = read_instance(text, "t").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("no arc v1 → v2"), "{e}");
+        let streamed = read_instances(text.as_bytes()).next().unwrap();
+        assert_eq!(streamed.unwrap_err(), e);
     }
 
     #[test]

@@ -5,9 +5,38 @@
 //! use [`crate::SubgraphView`] masks, which keeps all per-id tables valid
 //! across the workspace). Parallel arcs are allowed; self-loops are rejected
 //! because the paper's model is a DAG.
+//!
+//! ## Adjacency layout
+//!
+//! The graph stores its arcs once, as endpoint pairs in id order. Adjacency
+//! is one flat CSR (compressed sparse row) table beside them, an
+//! [`Adjacency`]: one array of arc ids holding each vertex's out-arcs and
+//! then its in-arcs, and one array of offsets into it. A stable counting
+//! sort over the arc list builds it on the first adjacency query after the
+//! last mutation, so every per-vertex slice lists its arcs in insertion
+//! order — the order a per-vertex push would give, which fixes peel order,
+//! UPP witnesses and cycle witnesses downstream. The table sits in a
+//! [`OnceLock`], so a shared `&Digraph` stays `Sync` and the first reader
+//! builds it for all. A graph costs three allocations, however many
+//! vertices it has.
+//!
+//! Each query on the graph checks that the table is built. A traversal
+//! that queries every vertex (a topological sort, UPP counting, the
+//! Theorem 1 peel) borrows the table once through [`Digraph::adjacency`]
+//! and queries that instead.
+//!
+//! [`Digraph::add_vertex`] and [`Digraph::add_arc`] stay O(1): a mutation
+//! drops a table that was already built, and the next query rebuilds it in
+//! O(n + m). Interleaving mutations with adjacency queries therefore pays
+//! one rebuild per switch; build the graph first, then query it. Arc
+//! endpoints ([`Digraph::arc`], [`Digraph::tail`], [`Digraph::head`]),
+//! counts and id iteration never touch the table, so checking a dipath with
+//! [`Digraph::head`]/[`Digraph::tail`] while arcs are still being added
+//! costs nothing extra.
 
 use crate::error::GraphError;
 use crate::ids::{ArcId, VertexId};
+use std::sync::OnceLock;
 
 /// An arc (directed edge) `tail → head`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -23,11 +52,103 @@ pub struct Arc {
 #[derive(Clone, Debug, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Digraph {
+    vertex_count: usize,
     arcs: Vec<Arc>,
-    /// Outgoing arc ids per vertex, in insertion order.
-    out_arcs: Vec<Vec<ArcId>>,
-    /// Incoming arc ids per vertex, in insertion order.
-    in_arcs: Vec<Vec<ArcId>>,
+    /// Built on the first adjacency query, dropped by every mutation.
+    #[cfg_attr(feature = "serde", serde(skip))]
+    adjacency: OnceLock<Adjacency>,
+}
+
+/// The flat adjacency of a [`Digraph`], borrowed through
+/// [`Digraph::adjacency`].
+///
+/// Vertex `v` owns one run of `ids`: its out-arcs, then its in-arcs, each
+/// in arc-id order. `start[2v]`, `start[2v + 1]` and `start[2v + 2]` bound
+/// the two halves, so every query about one vertex reads three adjacent
+/// offsets. The queries on [`Digraph`] itself check on every call that the
+/// table is built; a loop over many vertices borrows the table once and
+/// queries it directly.
+#[derive(Clone, Debug)]
+pub struct Adjacency {
+    start: Box<[usize]>,
+    ids: Box<[ArcId]>,
+}
+
+impl Adjacency {
+    /// Stable counting sort of the arc ids: by tail into the out-halves, by
+    /// head into the in-halves.
+    fn build(vertex_count: usize, arcs: &[Arc]) -> Adjacency {
+        // Half sizes, then inclusive prefix sums: `start[h]` becomes the end
+        // of half `h` and `start[2n]` the total.
+        let mut start = vec![0usize; 2 * vertex_count + 1];
+        for a in arcs {
+            start[2 * a.tail.index()] += 1;
+            start[2 * a.head.index() + 1] += 1;
+        }
+        let mut end = 0;
+        for s in &mut start {
+            end += *s;
+            *s = end;
+        }
+        // Walking the arcs backwards and filling each half from its end
+        // leaves every half in id order and `start[h]` at its beginning.
+        let mut ids = vec![ArcId(0); 2 * arcs.len()];
+        for (i, a) in arcs.iter().enumerate().rev() {
+            for half in [2 * a.tail.index(), 2 * a.head.index() + 1] {
+                start[half] -= 1;
+                ids[start[half]] = ArcId::from_index(i);
+            }
+        }
+        Adjacency {
+            start: start.into_boxed_slice(),
+            ids: ids.into_boxed_slice(),
+        }
+    }
+
+    /// Where `v`'s out-half begins, where its in-half begins, and where
+    /// its run ends.
+    #[inline]
+    fn bounds(&self, v: VertexId) -> [usize; 3] {
+        let h = 2 * v.index();
+        let b = &self.start[h..h + 3];
+        [b[0], b[1], b[2]]
+    }
+
+    /// Outgoing arc ids of `v`, in insertion order.
+    #[inline]
+    pub fn out_arcs(&self, v: VertexId) -> &[ArcId] {
+        let [out, inc, _] = self.bounds(v);
+        &self.ids[out..inc]
+    }
+
+    /// Incoming arc ids of `v`, in insertion order.
+    #[inline]
+    pub fn in_arcs(&self, v: VertexId) -> &[ArcId] {
+        let [_, inc, end] = self.bounds(v);
+        &self.ids[inc..end]
+    }
+
+    /// Outdegree of `v`.
+    #[inline]
+    pub fn outdegree(&self, v: VertexId) -> usize {
+        let [out, inc, _] = self.bounds(v);
+        inc - out
+    }
+
+    /// Indegree of `v`.
+    #[inline]
+    pub fn indegree(&self, v: VertexId) -> usize {
+        let [_, inc, end] = self.bounds(v);
+        end - inc
+    }
+
+    /// `true` if `v` has both an in-arc and an out-arc (see
+    /// [`Digraph::is_internal`]).
+    #[inline]
+    pub fn is_internal(&self, v: VertexId) -> bool {
+        let [out, inc, end] = self.bounds(v);
+        out < inc && inc < end
+    }
 }
 
 impl Digraph {
@@ -38,17 +159,40 @@ impl Digraph {
 
     /// Create an empty digraph with `n` isolated vertices.
     pub fn with_vertices(n: usize) -> Self {
+        Self::with_capacity(n, 0)
+    }
+
+    /// [`Digraph::with_vertices`] with room for `arcs` arcs, so adding
+    /// that many reallocates nothing.
+    pub fn with_capacity(n: usize, arcs: usize) -> Self {
         Digraph {
-            arcs: Vec::new(),
-            out_arcs: vec![Vec::new(); n],
-            in_arcs: vec![Vec::new(); n],
+            vertex_count: n,
+            arcs: Vec::with_capacity(arcs),
+            adjacency: OnceLock::new(),
         }
+    }
+
+    /// The flat adjacency table, built on the first query after the last
+    /// mutation. Every adjacency query passes here, so the built case is
+    /// one load and a branch; a hot loop borrows the table once instead.
+    #[inline]
+    pub fn adjacency(&self) -> &Adjacency {
+        match self.adjacency.get() {
+            Some(adjacency) => adjacency,
+            None => self.build_adjacency(),
+        }
+    }
+
+    #[cold]
+    fn build_adjacency(&self) -> &Adjacency {
+        self.adjacency
+            .get_or_init(|| Adjacency::build(self.vertex_count, &self.arcs))
     }
 
     /// Number of vertices.
     #[inline]
     pub fn vertex_count(&self) -> usize {
-        self.out_arcs.len()
+        self.vertex_count
     }
 
     /// Number of arcs.
@@ -59,15 +203,20 @@ impl Digraph {
 
     /// Add a new isolated vertex and return its id.
     pub fn add_vertex(&mut self) -> VertexId {
-        let id = VertexId::from_index(self.out_arcs.len());
-        self.out_arcs.push(Vec::new());
-        self.in_arcs.push(Vec::new());
+        let id = VertexId::from_index(self.vertex_count);
+        self.vertex_count += 1;
+        self.adjacency.take();
         id
     }
 
     /// Add `k` vertices, returning their ids in order.
     pub fn add_vertices(&mut self, k: usize) -> Vec<VertexId> {
-        (0..k).map(|_| self.add_vertex()).collect()
+        let first = self.vertex_count;
+        self.vertex_count += k;
+        self.adjacency.take();
+        (first..self.vertex_count)
+            .map(VertexId::from_index)
+            .collect()
     }
 
     /// Add an arc `tail → head`. Parallel arcs are allowed; self-loops panic
@@ -89,8 +238,7 @@ impl Digraph {
         }
         let id = ArcId::from_index(self.arcs.len());
         self.arcs.push(Arc { tail, head });
-        self.out_arcs[tail.index()].push(id);
-        self.in_arcs[head.index()].push(id);
+        self.adjacency.take();
         Ok(id)
     }
 
@@ -115,13 +263,13 @@ impl Digraph {
     /// Outdegree of `v` (number of arcs with initial vertex `v`).
     #[inline]
     pub fn outdegree(&self, v: VertexId) -> usize {
-        self.out_arcs[v.index()].len()
+        self.adjacency().outdegree(v)
     }
 
     /// Indegree of `v` (number of arcs with terminal vertex `v`).
     #[inline]
     pub fn indegree(&self, v: VertexId) -> usize {
-        self.in_arcs[v.index()].len()
+        self.adjacency().indegree(v)
     }
 
     /// `true` if `v` is a source (indegree 0).
@@ -143,7 +291,7 @@ impl Digraph {
     /// an outdegree > 0".
     #[inline]
     pub fn is_internal(&self, v: VertexId) -> bool {
-        self.indegree(v) > 0 && self.outdegree(v) > 0
+        self.adjacency().is_internal(v)
     }
 
     /// Iterate over all vertex ids.
@@ -167,23 +315,23 @@ impl Digraph {
     /// Outgoing arc ids of `v`.
     #[inline]
     pub fn out_arcs(&self, v: VertexId) -> &[ArcId] {
-        &self.out_arcs[v.index()]
+        self.adjacency().out_arcs(v)
     }
 
     /// Incoming arc ids of `v`.
     #[inline]
     pub fn in_arcs(&self, v: VertexId) -> &[ArcId] {
-        &self.in_arcs[v.index()]
+        self.adjacency().in_arcs(v)
     }
 
     /// Out-neighbors of `v` (with multiplicity, in insertion order).
     pub fn successors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        self.out_arcs[v.index()].iter().map(move |&a| self.head(a))
+        self.out_arcs(v).iter().map(move |&a| self.head(a))
     }
 
     /// In-neighbors of `v` (with multiplicity, in insertion order).
     pub fn predecessors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        self.in_arcs[v.index()].iter().map(move |&a| self.tail(a))
+        self.in_arcs(v).iter().map(move |&a| self.tail(a))
     }
 
     /// All sources (indegree 0) in id order.
@@ -203,7 +351,7 @@ impl Digraph {
 
     /// First arc id `tail → head` if one exists (ignores parallel copies).
     pub fn find_arc(&self, tail: VertexId, head: VertexId) -> Option<ArcId> {
-        self.out_arcs[tail.index()]
+        self.out_arcs(tail)
             .iter()
             .copied()
             .find(|&a| self.head(a) == head)
@@ -211,7 +359,7 @@ impl Digraph {
 
     /// All arc ids `tail → head` (parallel arcs included).
     pub fn find_arcs(&self, tail: VertexId, head: VertexId) -> Vec<ArcId> {
-        self.out_arcs[tail.index()]
+        self.out_arcs(tail)
             .iter()
             .copied()
             .filter(|&a| self.head(a) == head)

@@ -8,10 +8,11 @@
 //! The crate is self-contained (no external graph dependency) and provides:
 //!
 //! * [`Digraph`] — an arena-style directed multigraph with stable
-//!   [`VertexId`]/[`ArcId`] handles, O(1) degree queries and parallel-arc
-//!   support (optical fibers between the same pair of nodes are parallel
-//!   arcs, and the paper's internal-cycle semantics treat them as a 2-cycle
-//!   of the underlying multigraph).
+//!   [`VertexId`]/[`ArcId`] handles, one flat adjacency table built lazily
+//!   after the last mutation (O(1) degree queries from then on) and
+//!   parallel-arc support (optical fibers between the same pair of nodes
+//!   are parallel arcs, and the paper's internal-cycle semantics treat them
+//!   as a 2-cycle of the underlying multigraph).
 //! * [`topo`] — topological orderings and DAG validation with cycle
 //!   witnesses.
 //! * [`undirected`] — the *underlying undirected multigraph* view used to
@@ -46,7 +47,6 @@
 
 pub mod bitset;
 pub mod builder;
-pub mod csr;
 pub mod digraph;
 pub mod dot;
 pub mod dsu;
@@ -60,7 +60,7 @@ pub mod view;
 
 pub use bitset::BitSet;
 pub use builder::DigraphBuilder;
-pub use digraph::{Arc, Digraph};
+pub use digraph::{Adjacency, Arc, Digraph};
 pub use dsu::UnionFind;
 pub use error::GraphError;
 pub use ids::{ArcId, VertexId};

@@ -49,6 +49,7 @@ pub fn saturating_path_counts(g: &Digraph, from: VertexId) -> Vec<SatCount> {
 /// (overwritten), so a sweep over every source sorts the graph once and
 /// reuses one buffer.
 fn counts_along(g: &Digraph, order: &[VertexId], from: VertexId, counts: &mut [SatCount]) {
+    let adjacency = g.adjacency();
     counts.fill(SatCount::Zero);
     counts[from.index()] = SatCount::One;
     for &v in order {
@@ -56,7 +57,8 @@ fn counts_along(g: &Digraph, order: &[VertexId], from: VertexId, counts: &mut [S
         if cv == SatCount::Zero {
             continue;
         }
-        for w in g.successors(v) {
+        for &a in adjacency.out_arcs(v) {
+            let w = g.head(a);
             counts[w.index()] = counts[w.index()].add(cv);
         }
     }

@@ -17,9 +17,8 @@ pub fn is_dag(g: &Digraph) -> bool {
 /// directed cycle if none exists.
 pub fn topological_order(g: &Digraph) -> Result<Vec<VertexId>, GraphError> {
     let n = g.vertex_count();
-    let mut indeg: Vec<usize> = (0..n)
-        .map(|i| g.indegree(VertexId::from_index(i)))
-        .collect();
+    let adjacency = g.adjacency();
+    let mut indeg: Vec<usize> = g.vertices().map(|v| adjacency.indegree(v)).collect();
     let mut queue: Vec<VertexId> = g.vertices().filter(|&v| indeg[v.index()] == 0).collect();
     let mut order = Vec::with_capacity(n);
     let mut qi = 0;
@@ -27,7 +26,8 @@ pub fn topological_order(g: &Digraph) -> Result<Vec<VertexId>, GraphError> {
         let v = queue[qi];
         qi += 1;
         order.push(v);
-        for w in g.successors(v) {
+        for &a in adjacency.out_arcs(v) {
+            let w = g.head(a);
             indeg[w.index()] -= 1;
             if indeg[w.index()] == 0 {
                 queue.push(w);
@@ -67,6 +67,7 @@ pub fn find_directed_cycle(g: &Digraph) -> Option<Vec<VertexId>> {
     let mut mark = vec![Mark::White; n];
     let mut parent: Vec<Option<VertexId>> = vec![None; n];
 
+    let adjacency = g.adjacency();
     for start in g.vertices() {
         if mark[start.index()] != Mark::White {
             continue;
@@ -75,7 +76,7 @@ pub fn find_directed_cycle(g: &Digraph) -> Option<Vec<VertexId>> {
         let mut stack: Vec<(VertexId, usize)> = vec![(start, 0)];
         mark[start.index()] = Mark::Gray;
         while let Some(&mut (v, ref mut cursor)) = stack.last_mut() {
-            let outs = g.out_arcs(v);
+            let outs = adjacency.out_arcs(v);
             if *cursor < outs.len() {
                 let w = g.head(outs[*cursor]);
                 *cursor += 1;

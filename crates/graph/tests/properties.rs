@@ -1,9 +1,10 @@
-//! Property tests for the graph substrate: topological-order invariants,
-//! reachability consistency, undirected cycle machinery, and UPP counting.
+//! Property tests for the graph substrate: the flat adjacency against a
+//! per-vertex reference, topological-order invariants, reachability
+//! consistency, undirected cycle machinery, and UPP counting.
 
 use dagwave_graph::builder::from_edges;
 use dagwave_graph::pathcount::{self, SatCount};
-use dagwave_graph::{reach, topo, undirected, Digraph, SubgraphView, VertexId};
+use dagwave_graph::{reach, topo, undirected, ArcId, Digraph, SubgraphView, VertexId};
 use proptest::prelude::*;
 
 /// Random DAG as an edge list with edges oriented low → high (always
@@ -151,6 +152,137 @@ proptest! {
         let depth = topo::longest_path_lengths(&g).unwrap();
         for (_, arc) in g.arcs() {
             prop_assert!(depth[arc.head.index()] > depth[arc.tail.index()]);
+        }
+    }
+}
+
+/// Per-vertex push-order adjacency: what `add_arc` appended to each
+/// vertex's own `Vec` before the flat layout replaced them.
+#[derive(Clone, Default)]
+struct PushOrder {
+    arcs: Vec<(usize, usize)>,
+    out: Vec<Vec<ArcId>>,
+    inc: Vec<Vec<ArcId>>,
+}
+
+impl PushOrder {
+    fn add_vertex(&mut self) {
+        self.out.push(Vec::new());
+        self.inc.push(Vec::new());
+    }
+
+    fn add_arc(&mut self, t: usize, h: usize) {
+        let id = ArcId::from_index(self.arcs.len());
+        self.arcs.push((t, h));
+        self.out[t].push(id);
+        self.inc[h].push(id);
+    }
+
+    /// Kahn's algorithm over the reference lists, as the deleted `Csr`
+    /// snapshot ran it: every source in id order, then FIFO.
+    fn topological_order(&self) -> Option<Vec<VertexId>> {
+        let n = self.out.len();
+        let mut indeg: Vec<usize> = self.inc.iter().map(Vec::len).collect();
+        let mut order: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
+        let mut head = 0;
+        while head < order.len() {
+            let v = order[head];
+            head += 1;
+            for a in &self.out[v] {
+                let w = self.arcs[a.index()].1;
+                indeg[w] -= 1;
+                if indeg[w] == 0 {
+                    order.push(w);
+                }
+            }
+        }
+        (order.len() == n).then(|| order.into_iter().map(VertexId::from_index).collect())
+    }
+}
+
+/// Every adjacency query of `g` against the reference.
+fn check_adjacency(g: &Digraph, r: &PushOrder) {
+    let n = r.out.len();
+    prop_assert_eq!(g.vertex_count(), n);
+    prop_assert_eq!(g.arc_count(), r.arcs.len());
+    let v = VertexId::from_index;
+    for x in 0..n {
+        prop_assert_eq!(g.out_arcs(v(x)), &r.out[x][..]);
+        prop_assert_eq!(g.in_arcs(v(x)), &r.inc[x][..]);
+        prop_assert_eq!(g.outdegree(v(x)), r.out[x].len());
+        prop_assert_eq!(g.indegree(v(x)), r.inc[x].len());
+        let succ: Vec<VertexId> = r.out[x].iter().map(|a| v(r.arcs[a.index()].1)).collect();
+        let pred: Vec<VertexId> = r.inc[x].iter().map(|a| v(r.arcs[a.index()].0)).collect();
+        prop_assert_eq!(g.successors(v(x)).collect::<Vec<_>>(), succ);
+        prop_assert_eq!(g.predecessors(v(x)).collect::<Vec<_>>(), pred);
+        for y in 0..n {
+            let parallel: Vec<ArcId> = r.out[x]
+                .iter()
+                .copied()
+                .filter(|a| r.arcs[a.index()].1 == y)
+                .collect();
+            prop_assert_eq!(g.find_arc(v(x), v(y)), parallel.first().copied());
+            prop_assert_eq!(g.find_arcs(v(x), v(y)), parallel);
+        }
+    }
+    let filter = |keep: &dyn Fn(usize) -> bool| -> Vec<VertexId> {
+        (0..n).filter(|&x| keep(x)).map(v).collect()
+    };
+    prop_assert_eq!(g.sources(), filter(&|x| r.inc[x].is_empty()));
+    prop_assert_eq!(g.sinks(), filter(&|x| r.out[x].is_empty()));
+    prop_assert_eq!(
+        g.internal_vertices(),
+        filter(&|x| !r.inc[x].is_empty() && !r.out[x].is_empty())
+    );
+    prop_assert_eq!(topo::topological_order(g).ok(), r.topological_order());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The flat adjacency against per-vertex push-order lists, on random
+    /// multigraphs (parallel arcs, isolated vertices, cycles or not) grown
+    /// by a script that queries, mutates after a query, and clones a graph
+    /// whose table is already built.
+    #[test]
+    fn flat_adjacency_matches_push_order_reference(
+        (n, ops) in (0usize..12, proptest::collection::vec((0u8..16, 0usize..64, 0usize..64), 0..96))
+    ) {
+        let mut g = Digraph::with_vertices(n);
+        let mut r = PushOrder::default();
+        for _ in 0..n {
+            r.add_vertex();
+        }
+        let mut clones: Vec<(Digraph, PushOrder)> = Vec::new();
+        for (kind, x, y) in ops {
+            let n = r.out.len();
+            match kind {
+                0 | 1 => {
+                    g.add_vertex();
+                    r.add_vertex();
+                }
+                2 | 3 => check_adjacency(&g, &r),
+                4 => {
+                    // Clone after a query, so the copy carries a built table.
+                    check_adjacency(&g, &r);
+                    clones.push((g.clone(), r.clone()));
+                }
+                _ if n >= 2 && x % n != y % n => {
+                    let (mut t, mut h) = (x % n, y % n);
+                    // Mostly low → high (acyclic); some arcs may close cycles.
+                    if kind < 15 && t > h {
+                        std::mem::swap(&mut t, &mut h);
+                    }
+                    g.add_arc(VertexId::from_index(t), VertexId::from_index(h));
+                    r.add_arc(t, h);
+                }
+                _ => {}
+            }
+        }
+        check_adjacency(&g, &r);
+        // A clone is independent of later mutations of its source.
+        for (c, cr) in &clones {
+            check_adjacency(c, cr);
         }
     }
 }

@@ -14,7 +14,11 @@
 //! shard frequently lands in a friendlier class than the whole instance
 //! (e.g. the component never touches the internal cycle that forced the
 //! whole DAG into the general class), unlocking the stronger theorem-backed
-//! solvers per shard.
+//! solvers per shard. The shard graph is a subgraph of the host, so a shard
+//! of a DAG is a DAG: the solving surface classifies each shard without
+//! sorting it topologically again. It is cheap to build and drop, too: its
+//! arcs are one `Vec`, and its adjacency one flat table built on the
+//! shard's first query, not a pair of `Vec`s per vertex.
 //!
 //! Extraction renumbers through an [`ExtractScratch`]: flat host-indexed
 //! arc/vertex tables (CSR-style, one `u32` per host arc/vertex) built once
@@ -161,7 +165,8 @@ impl SubInstance {
             scratch.vert_new[v.index()] = new as u32;
         }
 
-        let mut graph = Digraph::with_vertices(scratch.used_vertices.len());
+        let mut graph =
+            Digraph::with_capacity(scratch.used_vertices.len(), scratch.used_arcs.len());
         for (new, &old) in scratch.used_arcs.iter().enumerate() {
             let added = graph.add_arc(
                 VertexId(scratch.vert_new[g.tail(old).index()]),

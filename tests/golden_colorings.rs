@@ -15,7 +15,7 @@ use dagwave_color::exact;
 use dagwave_core::solver::conflict_to_ugraph;
 use dagwave_core::theorem1::{self, KempeStrategy, PeelOrder};
 use dagwave_core::theorem6;
-use dagwave_core::{CoreError, SolveSession};
+use dagwave_core::{BackendAttempt, CoreError, DecomposePolicy, SolveSession};
 use dagwave_gen::{compose, figures, havet, random, Instance};
 use dagwave_paths::{load, ConflictGraph};
 use rand::{Rng, SeedableRng};
@@ -44,6 +44,27 @@ impl Fold {
             self.word(c);
         }
     }
+
+    /// The length first, then one word per byte.
+    fn text(&mut self, s: &str) {
+        self.word(s.len());
+        for b in s.bytes() {
+            self.word(usize::from(b));
+        }
+    }
+
+    /// Backend, both bounds, the `certify` verdict and the note of every
+    /// attempt; a missing upper bound or note folds as a sentinel.
+    fn attempts(&mut self, attempts: &[BackendAttempt]) {
+        self.word(attempts.len());
+        for a in attempts {
+            self.text(a.backend.name());
+            self.word(a.lower_bound);
+            self.word(a.upper_bound.unwrap_or(usize::MAX));
+            self.word(usize::from(a.valid));
+            self.text(a.note.as_deref().unwrap_or("<none>"));
+        }
+    }
 }
 
 /// Fold Auto's coloring of every instance into one hash.
@@ -56,6 +77,45 @@ fn auto_hash<'a>(instances: impl IntoIterator<Item = &'a Instance>) -> u64 {
             .unwrap_or_else(|e| panic!("{}: {e}", inst.name));
         assert!(sol.assignment.is_valid(&inst.graph, &inst.family));
         h.colors(sol.assignment.colors());
+    }
+    h.0
+}
+
+/// Fold the provenance of every instance's Auto solve, once monolithic
+/// (the default session) and once sharded (`DecomposePolicy::Always`):
+/// class, winner, span and `optimal`, every attempt with its bounds,
+/// verdict and note, and every shard outcome.
+fn provenance_hash<'a>(instances: impl IntoIterator<Item = &'a Instance>) -> u64 {
+    let sessions = [
+        SolveSession::auto(),
+        SolveSession::builder()
+            .decompose(DecomposePolicy::Always)
+            .build(),
+    ];
+    let mut h = Fold::new();
+    for inst in instances {
+        for session in &sessions {
+            let sol = session
+                .solve(&inst.graph, &inst.family)
+                .unwrap_or_else(|e| panic!("{}: {e}", inst.name));
+            h.text(&sol.class.to_string());
+            h.text(sol.strategy.name());
+            h.word(sol.num_colors);
+            h.word(usize::from(sol.optimal));
+            h.attempts(&sol.attempts);
+            let shards = sol.decomposition.as_ref().map_or(&[][..], |d| &d.shards);
+            h.word(shards.len());
+            for s in shards {
+                let members: Vec<usize> = s.members.iter().map(|p| p.index()).collect();
+                h.colors(&members);
+                h.text(&s.class.to_string());
+                h.text(s.strategy.name());
+                h.word(s.num_colors);
+                h.word(s.load);
+                h.word(usize::from(s.optimal));
+                h.attempts(&s.attempts);
+            }
+        }
     }
     h.0
 }
@@ -216,6 +276,27 @@ fn c5_replica_auto_colorings_are_golden() {
 #[test]
 fn federated_auto_coloring_is_golden() {
     assert_eq!(auto_hash(&[compose::federated(64)]), 0x5c80dc70c37a57ba);
+}
+
+/// Provenance, not only colorings: shard contexts, the Theorem 6 entry
+/// and the weighted decline all sit on the paths these solves take.
+#[test]
+fn federated_provenance_is_golden() {
+    assert_eq!(
+        provenance_hash(&[compose::federated(64)]),
+        0x6e73b1dcb8d09234
+    );
+}
+
+#[test]
+fn upp1_provenance_is_golden() {
+    assert_eq!(provenance_hash(&upp1_draws()), 0xafea82ec037e29fc);
+}
+
+#[test]
+fn havet_provenance_is_golden() {
+    let instances: Vec<Instance> = (1..=6).map(havet::havet).collect();
+    assert_eq!(provenance_hash(&instances), 0x556802fe18745553);
 }
 
 #[test]
