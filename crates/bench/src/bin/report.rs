@@ -35,12 +35,16 @@ use dagwave_core::{
 };
 use dagwave_gen::{compose, figures, havet, random, theorem2};
 use dagwave_graph::reach;
-use dagwave_paths::{load, ConflictGraph, PathFamily};
-use rand::SeedableRng;
+use dagwave_paths::{load, ConflictGraph, Dipath, PathFamily, PathId};
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+/// D3's shape gate: the O(dirty) service step may grow at most this much
+/// while `|P|` grows 16×.
+const D3_MAX_GROWTH: f64 = 2.0;
 
 /// Captures every table row so `--experiments` can persist what was printed.
 static SINK: Mutex<Vec<String>> = Mutex::new(Vec::new());
@@ -483,7 +487,6 @@ fn paper_report() {
         const STEPS: usize = 256;
         const SCRATCH_STEPS: usize = 8;
         const PASSES: usize = 5;
-        const MAX_GROWTH: f64 = 2.0;
         let session = SolverBuilder::new()
             .decompose(DecomposePolicy::Always)
             .build();
@@ -628,8 +631,8 @@ fn paper_report() {
         // from-scratch, must stay (nearly) flat in |P|.
         let growth = rows[1].2 / rows[0].2.max(1e-9);
         assert!(
-            growth <= MAX_GROWTH,
-            "apply + span + delta step must grow ≤{MAX_GROWTH}× when |P| grows 16×: \
+            growth <= D3_MAX_GROWTH,
+            "apply + span + delta step must grow ≤{D3_MAX_GROWTH}× when |P| grows 16×: \
              {:.1} µs at k=256 vs {:.1} µs at k=4096 ({growth:.2}×)",
             rows[0].2,
             rows[1].2
@@ -638,7 +641,7 @@ fn paper_report() {
             row(
                 "D3 million-path churn",
                 &format!("churn({k}), |P|={paths}, {STEPS} steps"),
-                "step O(dirty): ≤2× growth over 16× |P|, ≥10× vs scratch",
+                &format!("step O(dirty): ≤{D3_MAX_GROWTH}× growth over 16× |P|, ≥10× vs scratch"),
                 &format!(
                     "step p50 {step_us:.1} µs (apply+span+delta) vs scratch \
                      {:.3} ms/step ({ratio:.0}×), growth {growth:.2}×, \
@@ -662,6 +665,8 @@ fn paper_report() {
             );
         }
     }
+
+    d3_internal_cycle_free_row();
 
     // D4 — the service layer under concurrent writers: a loopback TCP
     // server over the same incremental engine, 8 writer connections
@@ -932,6 +937,138 @@ impl Comparison {
 
     fn ratio(&self) -> f64 {
         best(&self.seq_ms) / best(&self.par_total()).max(1e-9)
+    }
+}
+
+/// D3 on the paper's own class: k = 1, 4, 16 disjoint copies of one
+/// internal-cycle-free instance (as the T1 row builds it: 100 vertices,
+/// 400 walks of at most 6 arcs, seed 7), opened with the *default*
+/// session, whose one-shot solve does not shard this class. Component size
+/// stays fixed while `|P|` grows 16×, so the workspace step must hold D3's
+/// growth bound here too, and stay ≥10× cheaper than a from-scratch solve
+/// at k = 16. A step removes a random dipath, refreshes and syncs a
+/// delta, then re-adds it, refreshes and syncs again; the step's median
+/// is the best of five passes with the tiers interleaved, as in D3.
+fn d3_internal_cycle_free_row() {
+    const STEPS: usize = 256;
+    const SCRATCH_STEPS: usize = 8;
+    const PASSES: usize = 5;
+    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    let graph = random::random_internal_cycle_free(&mut rng, 100, 25);
+    let family = random::random_family(&mut rng, &graph, 400, 6);
+    let copy = dagwave_gen::Instance {
+        graph,
+        family,
+        name: "icf".to_string(),
+    };
+    let session = SolveSession::auto();
+    let tiers: Vec<(usize, dagwave_gen::Instance)> = [1usize, 4, 16]
+        .into_iter()
+        .map(|k| (k, compose::disjoint_union(&vec![copy.clone(); k])))
+        .collect();
+    // The victims, one per step, drawn once per tier.
+    let victims = |inst: &dagwave_gen::Instance| -> Vec<PathId> {
+        let mut rng = ChaCha8Rng::seed_from_u64(inst.family.len() as u64);
+        (0..STEPS)
+            .map(|_| PathId::from_index(rng.random_range(0..inst.family.len())))
+            .collect()
+    };
+    let step = |ws: &mut Workspace, victim: PathId, synced: &mut Epoch| {
+        let p = ws.family().get(victim).expect("victim is live").clone();
+        ws.remove_path(victim).unwrap();
+        ws.span().unwrap();
+        *synced = black_box(ws.delta_since(*synced).unwrap()).epoch;
+        let back = ws.add_path(p).unwrap();
+        let span = ws.span().unwrap();
+        *synced = black_box(ws.delta_since(*synced).unwrap()).epoch;
+        assert_eq!(back, victim, "the freed slot comes back");
+        span
+    };
+    // One timed pass on a fresh, pre-solved workspace: the per-step median.
+    let step_pass = |inst: &dagwave_gen::Instance, victims: &[PathId]| {
+        let mut ws = Workspace::new(session.clone(), inst.graph.clone(), inst.family.clone())
+            .expect("internal-cycle-free host is a DAG");
+        let mut synced = ws.delta_since(Epoch::default()).unwrap().epoch;
+        let mut samples = Vec::with_capacity(STEPS);
+        for &victim in victims {
+            let t0 = Instant::now();
+            let span = step(&mut ws, victim, &mut synced);
+            samples.push(t0.elapsed().as_secs_f64() * 1e6);
+            assert_eq!(span, ws.max_load(), "Theorem 1 shards meet π");
+        }
+        samples.sort_by(f64::total_cmp);
+        // Bit-identical to the kept session's from-scratch solve.
+        let (dense, _) = ws.family().to_dense();
+        let scratch = ws.session().solve(ws.graph(), &dense).unwrap();
+        assert_eq!(
+            ws.solution().unwrap().assignment.colors(),
+            scratch.assignment.colors(),
+            "workspace must be bit-identical to from-scratch"
+        );
+        (samples[STEPS / 2], ws.shard_count())
+    };
+    let drawn: Vec<Vec<PathId>> = tiers.iter().map(|(_, inst)| victims(inst)).collect();
+    let mut best: Vec<(f64, usize)> = tiers
+        .iter()
+        .zip(&drawn)
+        .map(|((_, inst), v)| step_pass(inst, v))
+        .collect();
+    for _ in 1..PASSES {
+        for (kept, ((_, inst), v)) in best.iter_mut().zip(tiers.iter().zip(&drawn)) {
+            let pass = step_pass(inst, v);
+            if pass.0 < kept.0 {
+                *kept = pass;
+            }
+        }
+    }
+    let mut rows = Vec::new();
+    for (((k, inst), victims), (step_us, shards)) in tiers.iter().zip(&drawn).zip(best) {
+        // From scratch, a step is two one-shot solves of the default
+        // session (after the removal and after the re-add); the one-shot
+        // path solves this class whole, with Theorem 1.
+        let (scratch_ms, _) = time_ms_with(3, || {
+            let mut mirror = PathFamily::from_family(&inst.family);
+            for &victim in &victims[..SCRATCH_STEPS] {
+                let p = mirror.remove(victim).expect("victim is live");
+                let (dense, _) = mirror.to_dense();
+                black_box(session.solve(&inst.graph, &dense).unwrap());
+                mirror.insert(Dipath::clone(&p));
+                let (dense, _) = mirror.to_dense();
+                black_box(session.solve(&inst.graph, &dense).unwrap());
+            }
+        });
+        let scratch_us = scratch_ms * 1e3 / SCRATCH_STEPS as f64;
+        rows.push((*k, inst.family.len(), shards, step_us, scratch_us));
+    }
+    let (first, last) = (&rows[0], &rows[rows.len() - 1]);
+    let growth = last.3 / first.3.max(1e-9);
+    assert!(
+        growth <= D3_MAX_GROWTH,
+        "internal-cycle-free step must grow ≤{D3_MAX_GROWTH}× when |P| grows 16×: \
+         {:.1} µs at k=1 vs {:.1} µs at k=16 ({growth:.2}×)",
+        first.3,
+        last.3
+    );
+    let ratio = last.4 / last.3.max(1e-9);
+    assert!(
+        ratio >= 10.0,
+        "the step must be ≥10× cheaper than from scratch at k=16, got {ratio:.1}×"
+    );
+    for &(k, paths, shards, step_us, scratch_us) in &rows {
+        row(
+            "D3 internal-cycle-free host",
+            &format!("{k}× T1(100, 400), |P|={paths}, default session, {STEPS} steps"),
+            &format!("step O(dirty): ≤{D3_MAX_GROWTH}× growth over 16× |P|, ≥10× vs scratch"),
+            &format!(
+                "step p50 {step_us:.1} µs = {:.1} µs/mutation (remove, re-add; each \
+                 refresh+delta) vs scratch {:.3} ms/step ({:.0}×), growth {growth:.2}×, \
+                 {shards} shards, peakRSS={} MiB",
+                step_us / 2.0,
+                scratch_us / 1e3,
+                scratch_us / step_us.max(1e-9),
+                peak_rss_cell()
+            ),
+        );
     }
 }
 

@@ -254,7 +254,8 @@ impl SolveSession {
     /// One undecomposed shard solve — the per-shard engine of the
     /// decomposed path. The shard builds its own context, which inherits
     /// the host's DAG proof ([`InstanceContext::of_dag`]): it classifies
-    /// and loads the shard but does not sort it topologically again.
+    /// and loads the shard but does not sort it topologically again. A
+    /// shard is dispatched whole, never sharded again.
     ///
     /// When [`SolveRequest::per_shard_backend`] is set and the policy is
     /// [`Policy::Auto`], the shard is dispatched straight to the one
@@ -282,54 +283,46 @@ impl SolveSession {
     /// The decompose stage: decide whether to shard and, if so, return the
     /// conflict-graph components in deterministic shard order.
     ///
-    /// The component scan never builds the conflict graph — dipaths are
-    /// unioned through the arc buckets directly
+    /// The gate reads only the already-validated context (no graph pass),
+    /// and the component scan runs only when the gate leaves the decision
+    /// to the component count. The scan never builds the conflict graph —
+    /// dipaths are unioned through the arc buckets directly
     /// ([`dagwave_paths::conflict_components`]), so deciding costs
-    /// `O(Σ|P| · α)` even when the conflict graph would be enormous. It
-    /// runs only when [`SolveSession::decompose_gate`] leaves the decision
-    /// to the component count.
+    /// `O(Σ|P| · α)` even when the conflict graph would be enormous. The
+    /// incremental [`crate::workspace::Workspace`] tracks its components
+    /// itself and always shards.
     fn decomposition_plan(&self, ctx: &InstanceContext<'_>) -> Option<Vec<Vec<PathId>>> {
-        let min_components = self.decompose_gate(ctx)?;
-        let components = conflict_components(ctx.graph, ctx.family);
-        (components.len() >= min_components).then_some(components)
-    }
-
-    /// The shared decompose gate, decided before any component scan:
-    /// `None` when the instance is solved monolithically whatever its
-    /// components, otherwise the fewest conflict components at which it is
-    /// sharded. The one-shot path scans for components only on `Some`; the
-    /// incremental [`crate::workspace::Workspace`] compares its tracked
-    /// shard count — both run through this one gate, so the
-    /// shard/monolithic decision can never diverge between the two paths.
-    /// Checks read only the already-validated context (no graph pass).
-    pub(crate) fn decompose_gate(&self, ctx: &InstanceContext<'_>) -> Option<usize> {
-        match self.request.decompose {
-            DecomposePolicy::Off => None,
+        let min_components = match self.request.decompose {
+            DecomposePolicy::Off => return None,
             // Auto declines when the Auto backend policy would take the
             // Theorem 1 fast path anyway: on an internal-cycle-free host
             // the monolithic solve is already optimal (`w = π`) in
             // near-linear time, so sharding could only add overhead, never
             // save colors. Pinned/Portfolio policies still shard (smaller
             // per-shard graphs genuinely help heuristic and exact
-            // backends), as does `Always`.
+            // backends), as does `Always`. Auto only pays the shard
+            // machinery when it actually splits.
             DecomposePolicy::Auto { min_paths } => {
                 let fast_path =
                     self.request.policy == Policy::Auto && ctx.class == DagClass::InternalCycleFree;
-                // Auto only pays the shard machinery when it actually
-                // splits.
-                (ctx.family.len() >= min_paths.max(1) && !fast_path).then_some(2)
+                if ctx.family.len() < min_paths.max(1) || fast_path {
+                    return None;
+                }
+                2
             }
-            DecomposePolicy::Always => (!ctx.family.is_empty()).then_some(1),
-        }
+            DecomposePolicy::Always if ctx.family.is_empty() => return None,
+            DecomposePolicy::Always => 1,
+        };
+        let components = conflict_components(ctx.graph, ctx.family);
+        (components.len() >= min_components).then_some(components)
     }
 
     /// Solve the shards concurrently and merge with a shared palette.
     ///
     /// Each component is extracted into a [`SubInstance`] (dense local ids,
     /// host graph restricted to the arcs the shard uses) and solved with
-    /// this session's policy and budgets — but with decomposition off, a
-    /// shard is never re-sharded. Shard tasks run on the rayon pool;
-    /// results are merged in deterministic shard order regardless of
+    /// this session's policy and budgets; a shard is never re-sharded.
+    /// Results are merged in deterministic shard order regardless of
     /// completion order, so the output is bit-identical at every thread
     /// budget.
     fn solve_decomposed(
@@ -337,68 +330,42 @@ impl SolveSession {
         ctx: &InstanceContext<'_>,
         components: Vec<Vec<PathId>>,
     ) -> Result<Solution, CoreError> {
+        let mut scratch = ExtractScratch::new();
+        let subs: Vec<SubInstance> = components
+            .iter()
+            .map(|members| {
+                SubInstance::extract_with(
+                    ctx.graph,
+                    members.iter().map(|&id| (id, ctx.family.path(id))),
+                    &mut scratch,
+                )
+            })
+            .collect();
         // First shard error wins, in shard order — deterministic.
-        let shards: Vec<(Vec<PathId>, Solution)> = self
-            .shard_session()
-            .solve_components(
-                ctx.graph,
-                ctx.family,
-                components,
-                &mut ExtractScratch::new(),
-            )
+        let shards: Vec<(Vec<PathId>, Solution)> = components
             .into_iter()
+            .zip(self.solve_extracted(&subs))
+            .map(|(members, result)| result.map(|sol| (members, sol)))
             .collect::<Result<_, _>>()?;
         Ok(merge_shards(ctx, shards))
     }
 
-    /// The session a shard is solved under: same policy and budgets, but
-    /// with decomposition pinned off — a shard is never re-sharded.
-    pub(crate) fn shard_session(&self) -> SolveSession {
-        SolveSession::new(SolveRequest {
-            decompose: DecomposePolicy::Off,
-            ..self.request.clone()
-        })
-    }
-
-    /// Solve each component of `family` as an independent shard on the
-    /// rayon pool under this session (callers pass the
-    /// [`SolveSession::shard_session`]). Each shard is extracted into a
-    /// [`SubInstance`] and solved; each result comes back paired with its
-    /// component's member ids, in component order regardless of completion
-    /// order, so the caller's merge is bit-identical at every thread
-    /// budget. Shared by the one-shot decomposed solve (a fresh `scratch`
-    /// per solve) and the incremental workspace (its dirty components only,
-    /// through the one scratch it keeps across refreshes).
-    pub(crate) fn solve_components(
-        &self,
-        g: &dagwave_graph::Digraph,
-        family: &DipathFamily,
-        components: Vec<Vec<PathId>>,
-        scratch: &mut ExtractScratch,
-    ) -> Vec<Result<(Vec<PathId>, Solution), CoreError>> {
-        // Extraction is a near-linear renumbering pass; it runs sequentially
-        // through ONE shared scratch (flat host-indexed tables, stamped per
-        // shard — see [`ExtractScratch`]) so every shard reuses the same
-        // buffers instead of sorting and binary-searching its own. Only the
-        // solves — the actual work — fan out onto the pool.
-        let subs: Vec<SubInstance> = components
-            .iter()
-            .map(|members| SubInstance::extract_with(g, family, members, scratch))
-            .collect();
+    /// Solve extracted shards as independent tasks on the rayon pool, one
+    /// result per shard in shard order whatever the completion order — the
+    /// one path from shards to answers, for the one-shot decomposed solve
+    /// and the incremental workspace alike. Callers extract sequentially
+    /// through one [`ExtractScratch`]; only the solves fan out.
+    pub(crate) fn solve_extracted(&self, subs: &[SubInstance]) -> Vec<Result<Solution, CoreError>> {
         let mut slots: Vec<Option<Result<Solution, CoreError>>> =
-            components.iter().map(|_| None).collect();
+            subs.iter().map(|_| None).collect();
         rayon::scope(|s| {
-            for (slot, sub) in slots.iter_mut().zip(&subs) {
+            for (slot, sub) in slots.iter_mut().zip(subs) {
                 s.spawn(move |_| *slot = Some(self.solve_shard(sub)));
             }
         });
         slots
             .into_iter()
-            .zip(components)
-            .map(|(r, members)| {
-                r.expect("shard task completed") // lint: allow(no-panic): the scope barrier filled every shard slot
-                    .map(|sol| (members, sol))
-            })
+            .map(|r| r.expect("shard task completed")) // lint: allow(no-panic): the scope barrier filled every shard slot
             .collect()
     }
 

@@ -12,13 +12,14 @@
 //!
 //! A [`Workspace`] owns the instance (graph + an editable
 //! [`PathFamily`] with stable ids), tracks the component partition
-//! incrementally, and caches one solved [`Solution`] per shard. The
-//! mutation API ([`Workspace::add_path`], [`Workspace::remove_path`],
-//! [`Workspace::apply`] with [`Mutation`] batches) re-derives components
-//! only over the dirty member pool
-//! ([`dagwave_paths::conflict_components_among`], scoped to the dirty arc
-//! buckets); [`Workspace::solution`] then re-solves only the unsolved
-//! shards and re-merges with the shared normalized palette.
+//! incrementally, and caches one solved [`Solution`] per shard. It always
+//! shards, whatever the session's [`DecomposePolicy`]: an unsplit family
+//! is one shard, and only the empty family is dispatched whole, as the
+//! one-shot path does. The mutation API ([`Workspace::add_path`],
+//! [`Workspace::remove_path`], [`Workspace::apply`] with [`Mutation`]
+//! batches) re-derives components only over the dirty member pool;
+//! [`Workspace::solution`] then re-solves only the unsolved shards and
+//! re-merges with the shared normalized palette.
 //!
 //! The mutate → refresh step is O(dirty): every structure it touches is
 //! patched for just the shards a mutation dirties, never rescanned.
@@ -28,19 +29,22 @@
 //! solves and writes to the color table; the span is the top of a
 //! histogram of shard spans, the twin of the `π(G, P)` load histogram
 //! patched at each arc-user edit; the first errored shard is the first
-//! key of an ordered set; and shard extraction reuses one
-//! [`ExtractScratch`] across refreshes. Batch validation reads only as
-//! many tombstones as the batch adds. The instance class is computed once
-//! (the graph is immutable), and each shard carries a content fingerprint
-//! so a shard dropped and reconstituted with identical dipaths (e.g.
-//! remove + re-add) adopts its old solve from a reuse pool instead of
-//! recomputing — [`Resolve::shards_reused`] counts adoptions.
+//! key of an ordered set. Components are re-derived by union through the
+//! arc → users index and a slot-indexed scratch, with no hashing. Each
+//! dirty shard is extracted from its own cached dipaths under their stable
+//! ids, through one [`ExtractScratch`] kept across refreshes, so the step
+//! never reads the family's dense view. Batch validation reads only as
+//! many tombstones as the batch adds. The instance class is computed once (the graph is
+//! immutable), and each shard carries a content fingerprint so a shard
+//! dropped and reconstituted with identical dipaths (e.g. remove + re-add)
+//! adopts its old solve from a reuse pool instead of recomputing —
+//! [`Resolve::shards_reused`] counts adoptions.
 //!
-//! Three pieces stay O(live): the family's dense view
-//! ([`PathFamily::dense_view`]) is patched with a pointer-sized `memmove`
-//! per insert or remove; the monolithic path (when the decompose gate
-//! declines to shard) solves and diffs the whole family; and
-//! [`Workspace::solution`] materializes an instance-sized snapshot.
+//! What stays O(live) is what asks for the whole instance:
+//! [`Workspace::solution`] materializes an instance-sized snapshot, and it
+//! and [`Workspace::dense_index_of`] build the family's dense view on
+//! first use, which every later mutation then patches
+//! ([`PathFamily::dense_view`]).
 //!
 //! The *query* side is O(dirty) too. Every refresh patches a persistent
 //! [`ColorTable`] (structurally-shared `Arc` pages keyed by stable id)
@@ -54,16 +58,17 @@
 //! snapshot is actually demanded.
 //!
 //! **Invariant:** after any mutation sequence, [`Workspace::solution`] is
-//! bit-identical to a from-scratch [`SolveSession::solve`] on the mutated
-//! instance (the live members in ascending stable-id order), at every
-//! thread budget. This holds by construction, not by luck: the workspace
-//! runs the *same* decompose gate ([`SolveSession`]'s), the same
-//! per-shard solver, and the same merge as the one-shot path — only the
-//! component scan and the already-solved shards are served from cache. The
-//! [`Resolve`] record on the returned solution says how much was reused.
+//! bit-identical to a from-scratch `ws.session().solve(graph, dense)` on
+//! the mutated instance (the live members in ascending stable-id order),
+//! at every thread budget; [`Workspace::new`] pins
+//! [`DecomposePolicy::Always`] on the session it keeps. This holds by
+//! construction: the workspace hands its shards to the same shard solver
+//! and merge as the one-shot decomposed path — only the component scan
+//! and the already-solved shards are served from cache. The [`Resolve`]
+//! record on the returned solution says how much was reused.
 //!
 //! ```
-//! use dagwave_core::{DecomposePolicy, Mutation, SolverBuilder, Workspace};
+//! use dagwave_core::{DecomposePolicy, Mutation, SolveSession, Workspace};
 //! use dagwave_graph::builder::from_edges;
 //! use dagwave_graph::VertexId;
 //! use dagwave_paths::{Dipath, DipathFamily};
@@ -81,10 +86,9 @@
 //!     p(&[3, 4, 5]),
 //!     p(&[4, 5]),
 //! ]);
-//! let session = SolverBuilder::new()
-//!     .decompose(DecomposePolicy::Always)
-//!     .build();
-//! let mut ws = Workspace::new(session, g.clone(), family.clone()).unwrap();
+//! // Any session works; the workspace keeps it with `Always` pinned.
+//! let mut ws = Workspace::new(SolveSession::auto(), g.clone(), family.clone()).unwrap();
+//! assert_eq!(ws.session().request().decompose, DecomposePolicy::Always);
 //! let first = ws.solution().unwrap();
 //! assert_eq!(first.num_colors, 2);
 //!
@@ -97,15 +101,14 @@
 //! assert_eq!(second.num_colors, 3, "arc 4→5 now carries load 3");
 //! ```
 
-use crate::backend::InstanceContext;
+use crate::backend::{InstanceContext, SolveRequest};
 use crate::colortable::ColorTable;
+use crate::decompose::DecomposePolicy;
 use crate::error::CoreError;
 use crate::internal::DagClass;
 use crate::solver::{merge_shards, Solution, SolveSession};
-use dagwave_graph::{ArcId, Digraph};
-use dagwave_paths::{
-    conflict_components_among, Dipath, DipathFamily, ExtractScratch, PathFamily, PathId,
-};
+use dagwave_graph::{ArcId, Digraph, UnionFind};
+use dagwave_paths::{Dipath, DipathFamily, ExtractScratch, PathFamily, PathId, SubInstance};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -130,12 +133,12 @@ pub enum Mutation {
 
 /// How an incremental re-solve was obtained: shards served from cache vs.
 /// actually recomputed. Attached to [`Solution::resolve`] by
-/// [`Workspace::solution`] (monolithic re-solves count as one shard).
+/// [`Workspace::solution`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Resolve {
     /// Shards whose cached coloring was reused verbatim.
     pub shards_reused: usize,
-    /// Shards (or the single monolithic solve) recomputed this call.
+    /// Shards recomputed this call.
     pub shards_resolved: usize,
 }
 
@@ -198,11 +201,11 @@ pub struct WorkspaceStats {
     /// (fingerprint-pool adoptions count here, exactly as they do in
     /// [`Resolve::shards_reused`]).
     pub shards_reused: usize,
-    /// Shards (or monolithic solves) actually recomputed, summed over
-    /// every recomputation.
+    /// Shards actually recomputed, summed over every recomputation.
     pub shards_resolved: usize,
-    /// Distinct arc sequences held by the family's append-only interner
-    /// (the arena never shrinks; see [`dagwave_paths::ArcListArena`]).
+    /// Distinct arc sequences held by the family's interner (it forgets
+    /// sequences no dipath holds any more; see
+    /// [`dagwave_paths::ArcListArena`]).
     pub interned_arc_lists: usize,
     /// Interner lookups answered by an existing allocation.
     pub intern_hits: u64,
@@ -363,6 +366,10 @@ pub struct Workspace {
     /// Renumbering tables for shard extraction, kept across refreshes so
     /// re-extraction is proportional to the dirty shards, not the host.
     extract: ExtractScratch,
+    /// Slot-indexed scratch for component re-derivation: `pool_pos[id]` is
+    /// live member `id`'s position in the pool being re-derived. Entries
+    /// outside the current pool are stale and never read.
+    pool_pos: Vec<u32>,
     /// Cached merged snapshot of the current state (dropped on any
     /// mutation). Queries hand out clones of the `Arc` — a cache hit is a
     /// refcount bump, never an instance-sized copy.
@@ -419,6 +426,11 @@ impl Workspace {
     /// Open a workspace over an instance, validating the DAG precondition
     /// once (mutations never touch the graph, so it never re-fails).
     ///
+    /// The workspace keeps `session` with [`DecomposePolicy::Always`]
+    /// pinned (policy and budgets as given): it always shards, and
+    /// [`Workspace::session`]'s from-scratch solve of the live members is
+    /// its bit-identity oracle.
+    ///
     /// The initial family is adopted as slots `0..len` of the editable
     /// [`PathFamily`]; nothing is solved until the first
     /// [`Workspace::solution`] call.
@@ -427,6 +439,10 @@ impl Workspace {
         graph: Digraph,
         family: DipathFamily,
     ) -> Result<Self, CoreError> {
+        let session = SolveSession::new(SolveRequest {
+            decompose: DecomposePolicy::Always,
+            ..session.request().clone()
+        });
         // Same rejection the one-shot path performs, hoisted to open time;
         // the class and load it computes seed the patched caches below.
         let ctx = InstanceContext::new(&graph, &family, session.request())?;
@@ -446,7 +462,7 @@ impl Workspace {
                 load_hist[users.len()] += 1;
             }
         }
-        let components = conflict_components_among(editable.iter());
+        let live: Vec<PathId> = editable.ids().collect();
         let mut ws = Workspace {
             session,
             graph,
@@ -457,6 +473,7 @@ impl Workspace {
             stale: BTreeSet::new(),
             tally: SolveTally::default(),
             extract: ExtractScratch::new(),
+            pool_pos: Vec::new(),
             merged: None,
             last_resolve: Resolve::default(),
             class,
@@ -476,14 +493,15 @@ impl Workspace {
             delta_queries: 0,
             delta_resyncs: 0,
         };
-        for members in components {
+        for members in ws.components_of(&live) {
             ws.track_shard(members);
         }
         ws.debug_validate();
         Ok(ws)
     }
 
-    /// The session this workspace solves under.
+    /// The session this workspace solves under: the one it was opened
+    /// with, with [`DecomposePolicy::Always`] pinned.
     pub fn session(&self) -> &SolveSession {
         &self.session
     }
@@ -548,7 +566,8 @@ impl Workspace {
     /// The index [`Workspace::solution`]'s assignment uses for the live
     /// member `id` in the current state: its rank among the live stable
     /// ids (the dense view skips tombstones). `None` when `id` is not
-    /// live.
+    /// live. Builds the family's dense view on first use; see
+    /// [`PathFamily::dense_rank`].
     pub fn dense_index_of(&self, id: PathId) -> Option<usize> {
         self.family.dense_rank(id)
     }
@@ -708,11 +727,11 @@ impl Workspace {
         // ---- Re-derive components over the dirty pool only: members of
         // dirtied shards that are still live, plus the additions (some of
         // which may already be counted via a dirtied shard, or removed
-        // again by the same batch — the set deduplicates). Dropping a
+        // again by the same batch — the dedup drops repeats). Dropping a
         // dirty shard banks its solve in the reuse pool: a later batch (or
         // this one) may reconstitute a shard with identical content, and
         // its solve is then adopted instead of redone.
-        let mut pool: BTreeSet<PathId> = added
+        let mut pool: Vec<PathId> = added
             .iter()
             .copied()
             .filter(|&id| self.family.contains(id))
@@ -721,11 +740,9 @@ impl Workspace {
             let members = self.untrack_shard(key);
             pool.extend(members.into_iter().filter(|&id| self.family.contains(id)));
         }
-        let fresh = conflict_components_among(
-            pool.iter()
-                .map(|&id| (id, self.family.get(id).expect("pool is live"))), // lint: allow(no-panic): shard pools only hold live ids by construction
-        );
-        for members in fresh {
+        pool.sort_unstable();
+        pool.dedup();
+        for members in self.components_of(&pool) {
             self.track_shard(members);
         }
         self.merged = None;
@@ -816,9 +833,8 @@ impl Workspace {
             self.delta_resyncs += 1;
             let changes = self
                 .family
-                .dense_ids()
-                .iter()
-                .map(|&id| {
+                .ids()
+                .map(|id| {
                     let color = self
                         .table
                         .get(id.index())
@@ -872,9 +888,9 @@ impl Workspace {
     }
 
     /// Fold every pending mutation into the per-shard caches, the
-    /// persistent color table, the span, and the delta log — O(dirty) on
-    /// the sharded path. Idempotent until the next mutation; every query
-    /// path calls it first.
+    /// persistent color table, the span, and the delta log — O(dirty).
+    /// Idempotent until the next mutation; every query path calls it
+    /// first.
     fn refresh(&mut self) -> Result<(), CoreError> {
         if self.refreshed {
             return match &self.refresh_error {
@@ -889,104 +905,77 @@ impl Workspace {
         // stays bounded by the shards dropped between consecutive solves.
         self.reuse_pool.clear();
 
-        // Borrow-heavy stage: gate + dirty-shard solving. Scoped so the
-        // dense-view and context borrows end before the table is patched.
-        let mono: Option<Result<Solution, CoreError>> = {
-            // The family's incrementally-patched dense view, plus the class
-            // and load maintained per mutation — nothing rescans the
-            // instance.
-            let dense = self.family.dense_view();
-            let ctx = InstanceContext::from_parts(
-                &self.graph,
-                dense,
-                self.class,
-                self.max_load,
-                self.session.request(),
-            );
-            // The shared decompose gate, fed the tracked shard count
-            // instead of a from-scratch component scan.
-            let sharded = self
-                .session
-                .decompose_gate(&ctx)
-                .is_some_and(|min_components| self.shards.len() >= min_components);
-            if !sharded {
-                // Monolithic path (small instance, no split, or the
-                // Theorem-1 fast-path skip): same dispatch as one-shot.
-                self.last_resolve = Resolve {
-                    shards_reused: 0,
-                    shards_resolved: 1,
-                };
-                self.total_resolved += 1;
-                Some(self.session.dispatch(&ctx))
-            } else {
-                // Solve only the unsolved stale shards, concurrently,
-                // through the same per-shard engine as the one-shot
-                // decomposed path. Only their members are translated to
-                // dense ranks.
-                let family = &self.family;
-                let (dirty, dirty_components): (Vec<PathId>, Vec<Vec<PathId>>) = self
-                    .stale
-                    .iter()
-                    .map(|key| (*key, &self.shards[key]))
-                    .filter(|(_, shard)| shard.solved.is_none())
-                    .map(|(key, shard)| {
-                        let dense_ids = shard
-                            .members
-                            .iter()
-                            .map(|&id| {
-                                let rank = family.dense_rank(id).expect("shard members are live"); // lint: allow(no-panic): apply keeps every shard's members live
-                                PathId::from_index(rank)
-                            })
-                            .collect();
-                        (key, dense_ids)
-                    })
-                    .unzip();
-                let results = self.session.shard_session().solve_components(
+        // Solve only the unsolved stale shards, each extracted from its own
+        // cached dipaths under their stable ids, through the same shard
+        // engine as the one-shot decomposed path.
+        let dirty: Vec<PathId> = self
+            .stale
+            .iter()
+            .copied()
+            .filter(|key| self.shards[key].solved.is_none())
+            .collect();
+        let subs: Vec<SubInstance> = dirty
+            .iter()
+            .map(|key| {
+                let shard = &self.shards[key];
+                let members = shard.members.iter().copied();
+                SubInstance::extract_with(
                     &self.graph,
-                    dense,
-                    dirty_components,
+                    members.zip(shard.paths.iter().map(|p| &**p)),
                     &mut self.extract,
-                );
-                for (key, result) in dirty.iter().zip(results) {
-                    // Cache the shard-local solution only — the dense ids
-                    // it was solved under are recomputed per merge, so
-                    // later removals elsewhere cannot stale the cache.
-                    let solved = result.map(|(_, sol)| sol);
-                    self.tally.add(*key, &solved);
-                    if let Some(shard) = self.shards.get_mut(key) {
-                        shard.solved = Some(solved);
-                    }
-                }
-                self.last_resolve = Resolve {
-                    shards_reused: self.shards.len() - dirty.len(),
-                    shards_resolved: dirty.len(),
-                };
-                self.total_reused += self.shards.len() - dirty.len();
-                self.total_resolved += dirty.len();
-                None
+                )
+            })
+            .collect();
+        let results = self.session.solve_extracted(&subs);
+        for (key, solved) in dirty.iter().zip(results) {
+            // Cache the shard-local solution only: its colors are indexed
+            // by rank within the shard, which removals elsewhere in the
+            // family never change.
+            self.tally.add(*key, &solved);
+            if let Some(shard) = self.shards.get_mut(key) {
+                shard.solved = Some(solved);
             }
+        }
+        let reused = self.shards.len() - dirty.len();
+        self.last_resolve = Resolve {
+            shards_reused: reused,
+            shards_resolved: dirty.len(),
         };
+        self.total_reused += reused;
+        self.total_resolved += dirty.len();
 
-        let result = match mono {
-            Some(Ok(mut sol)) => {
+        let result = if self.shards.is_empty() {
+            self.solve_empty()
+        } else {
+            Ok(())
+        };
+        let result = result.and_then(|()| self.patch_from_shards());
+        self.debug_validate();
+        result
+    }
+
+    /// The empty family has no shard; like the one-shot path, dispatch it
+    /// whole, and keep the answer (or error) as the snapshot.
+    fn solve_empty(&mut self) -> Result<(), CoreError> {
+        let empty = DipathFamily::new();
+        let ctx = InstanceContext::from_parts(
+            &self.graph,
+            &empty,
+            self.class,
+            self.max_load,
+            self.session.request(),
+        );
+        match self.session.dispatch(&ctx) {
+            Ok(mut sol) => {
                 sol.resolve = Some(self.last_resolve);
-                self.patch_from_full(&sol);
-                // The table now holds the *monolithic* coloring, which a
-                // later per-shard normalization may disagree with — every
-                // shard's entries must be rewritten by the next sharded
-                // refresh.
-                self.stale.extend(self.shards.keys().copied());
                 self.merged = Some(Arc::new(sol));
                 Ok(())
             }
-            Some(Err(e)) => {
+            Err(e) => {
                 self.refresh_error = Some(e.clone());
                 Err(e)
             }
-            None => self.patch_from_shards(),
-        };
-        self.debug_validate();
-        result
+        }
     }
 
     /// Patch the persistent table from the stale shards, normalizing each
@@ -1032,23 +1021,6 @@ impl Workspace {
         Ok(())
     }
 
-    /// Monolithic twin of [`Workspace::patch_from_shards`]: diff the full
-    /// dispatch solution against the table (O(live) — the monolithic solve
-    /// was already O(live), so the diff adds no asymptotic cost).
-    fn patch_from_full(&mut self, sol: &Solution) {
-        let mut changes: Vec<(PathId, u32)> = Vec::new();
-        for (rank, &id) in self.family.dense_ids().iter().enumerate() {
-            let color = sol.assignment.color(PathId::from_index(rank)) as u32;
-            if self.table.get(id.index()) != Some(color) {
-                self.table.set(id.index(), color);
-                changes.push((id, color));
-            }
-        }
-        let removed = self.drain_removed();
-        self.current_span = sol.num_colors;
-        self.record_delta(changes, removed);
-    }
-
     /// Clear the table slots of members removed since the last refresh
     /// (skipping slots a later addition re-occupied — those surface as
     /// changes instead) and report which ids actually left the table.
@@ -1080,8 +1052,8 @@ impl Workspace {
 
     /// Merge the (refreshed, all-solved) shard caches into a full
     /// [`Solution`] — the lazy half behind a [`Workspace::solution`] cache
-    /// miss; the delta surface never runs this. Only the sharded refresh
-    /// path lands here (the monolithic path caches its snapshot directly).
+    /// miss; the delta surface never runs this. The empty family never
+    /// lands here: its refresh caches its snapshot directly.
     fn materialize(&mut self) -> Solution {
         let dense = self.family.dense_view();
         let ctx = InstanceContext::from_parts(
@@ -1092,7 +1064,7 @@ impl Workspace {
             self.session.request(),
         );
         let mut rank_of: Vec<u32> = vec![u32::MAX; self.family.slot_count()];
-        for (rank, &id) in self.family.dense_ids().iter().enumerate() {
+        for (rank, id) in self.family.ids().enumerate() {
             rank_of[id.index()] = rank as u32;
         }
         // Merge every shard (cached + fresh) in canonical order — the same
@@ -1143,6 +1115,34 @@ impl Workspace {
         while self.max_load > 0 && self.load_hist[self.max_load] == 0 {
             self.max_load -= 1;
         }
+    }
+
+    /// The conflict components of `pool` (live ids, ascending, no repeats)
+    /// in canonical order. The pool must be closed under sharing an arc,
+    /// as the whole family and whole dirtied shards plus their additions
+    /// are, so each member is unioned, on every arc, with that arc's first
+    /// user, located in the pool through `pool_pos`: `O(Σ|P_pool| · α)`.
+    fn components_of(&mut self, pool: &[PathId]) -> Vec<Vec<PathId>> {
+        if self.pool_pos.len() < self.family.slot_count() {
+            self.pool_pos.resize(self.family.slot_count(), u32::MAX);
+        }
+        for (k, &id) in pool.iter().enumerate() {
+            self.pool_pos[id.index()] = k as u32;
+        }
+        let mut uf = UnionFind::new(pool.len());
+        for (k, &id) in pool.iter().enumerate() {
+            let p = self.family.get(id).expect("pool members are live"); // lint: allow(no-panic): apply and new pool only live ids
+            for &a in p.arcs() {
+                let first = self.arc_users[a.index()][0];
+                let at = self.pool_pos[first as usize] as usize;
+                debug_assert_eq!(pool.get(at), Some(&PathId(first)), "pool not arc-closed");
+                uf.union(k, at);
+            }
+        }
+        uf.components()
+            .into_iter()
+            .map(|c| c.into_iter().map(|k| pool[k]).collect())
+            .collect()
     }
 
     /// Start tracking a freshly derived component (members ascending):
@@ -1689,6 +1689,67 @@ mod tests {
         ws.span().unwrap();
         assert_eq!(t1.get(0), ws.color_of(PathId(0)).unwrap());
     }
+
+    /// A client that keeps naming new dipaths must not grow a tenant's
+    /// memory: both interners the workspace keeps — the family's, and the
+    /// one inside its shard-extraction scratch — forget what no live
+    /// dipath or extracted shard holds. On a 2,000-vertex line, ten anchor
+    /// dipaths cover ten disjoint runs of 70 arcs, and 20,000 distinct
+    /// sub-intervals of them are admitted and retired 20 at a time: each
+    /// batch retires the previous one and admits the next, and a refresh
+    /// follows, extracting an anchor plus a batch. Without the sweep the
+    /// family's interner ends with all 20,010 sequences, and the
+    /// extraction interner with the 2,485 distinct shard-local ones (one
+    /// run's shape); both must stay within twice what is held, or 128.
+    #[test]
+    fn interners_stay_bounded_under_distinct_churn() {
+        const RUN: usize = 70;
+        const STEPS: usize = 20_000;
+        const BATCH: usize = 20;
+        let g = from_edges(2_000, &(0..1_999).map(|i| (i, i + 1)).collect::<Vec<_>>());
+        // Arc `i` of the line is `i → i+1`.
+        let interval =
+            |(a, b): (usize, usize)| Dipath::from_arcs(&g, (a..b).map(ArcId::from_index).collect());
+        let mut ws = Workspace::new(SolveSession::auto(), g.clone(), DipathFamily::new()).unwrap();
+        let runs: Vec<usize> = (0..10).map(|r| r * (RUN + 1)).collect();
+        let anchors = ws
+            .apply(
+                runs.iter()
+                    .map(|&a| Mutation::Add(interval((a, a + RUN)).unwrap())),
+            )
+            .unwrap();
+        let within = |lists: usize, live: usize| lists <= 2 * live.max(64);
+        let intervals: Vec<(usize, usize)> = runs
+            .iter()
+            .flat_map(|&r| (r..r + RUN).flat_map(move |a| (a + 1..=r + RUN).map(move |b| (a, b))))
+            .filter(|&(a, b)| b - a < RUN)
+            .take(STEPS)
+            .collect();
+        assert_eq!(intervals.len(), STEPS);
+        let mut live: Vec<PathId> = Vec::new();
+        for batch in intervals.chunks(BATCH) {
+            let retire = live.drain(..).map(Mutation::Remove);
+            let admit = batch.iter().map(|&ab| Mutation::Add(interval(ab).unwrap()));
+            live = ws.apply(retire.chain(admit)).unwrap();
+            ws.span().unwrap();
+            assert!(within(ws.stats().interned_arc_lists, ws.family().len()));
+            assert!(within(ws.extract.arena_stats().lists, 2 * BATCH));
+        }
+        ws.apply(live.into_iter().chain(anchors).map(Mutation::Remove))
+            .unwrap();
+        ws.span().unwrap();
+        let stats = ws.stats();
+        assert_eq!(stats.live_paths, 0);
+        assert_eq!(stats.intern_misses, STEPS as u64 + 10, "all distinct");
+        assert!(
+            within(stats.interned_arc_lists, 0),
+            "family interner holds {} lists for 0 live dipaths",
+            stats.interned_arc_lists
+        );
+        let extract = ws.extract.arena_stats().lists;
+        assert!(within(extract, 0), "extraction interner holds {extract}");
+    }
+
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "shard index diverged")]

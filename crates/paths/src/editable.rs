@@ -9,26 +9,27 @@
 //! before growing — a deterministic contract that mutation-script
 //! generators (e.g. `dagwave-gen`'s churn workload) can mirror exactly.
 //!
-//! The dense view needed by the one-shot solving surface is *maintained*,
-//! not recomputed: [`PathFamily`] keeps the live members as a
-//! [`DipathFamily`] of shared `Arc<Dipath>` handles in ascending stable-id
-//! order, patched in place on every insert/remove and never invalidated
-//! (tombstones live only in the slot table; the dense view compacts them
-//! as part of the same patch, so the amortized cost per mutation is a
-//! pointer-sized `memmove`, never a per-arc copy). [`PathFamily::to_dense`]
-//! clones the handles (refcount bumps); [`PathFamily::dense_view`] borrows
-//! the view outright, and [`PathFamily::dense_ids`] /
-//! [`PathFamily::dense_rank`] expose the stable↔dense id maps. Because the
-//! view is kept in ascending id order, the dense ranks of the live paths
-//! are *monotone* in their stable ids — the property that keeps component
-//! orderings (and therefore merged colorings) identical between the
-//! incremental and from-scratch solve paths.
+//! Mutations touch only the slot table, the free set and a live count.
+//! The dense view the one-shot solving surface needs — the live members
+//! as a [`DipathFamily`] of shared `Arc<Dipath>` handles in ascending
+//! stable-id order, plus the stable↔dense id maps — is built on the first
+//! dense query ([`PathFamily::dense_view`], [`PathFamily::dense_ids`],
+//! [`PathFamily::dense_rank`], [`PathFamily::to_dense`]) and kept from then
+//! on: every later insert or remove patches it in place, a pointer-sized
+//! `memmove`, and nothing ever drops it. A family that is never asked for
+//! its dense view (the incremental workspace extracts shards from stable
+//! ids) never pays for one, and a caller that does ask once per mutation
+//! pays the patch, not a rebuild. Because the view is kept in ascending
+//! id order, the dense ranks of the live paths are *monotone* in their
+//! stable ids — the property that keeps component orderings (and therefore
+//! merged colorings) identical between the incremental and from-scratch
+//! solve paths.
 
 use crate::dipath::Dipath;
 use crate::family::{DipathFamily, PathId};
 use crate::intern::{ArcListArena, ArenaStats};
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A mutable dipath family with stable [`PathId`]s.
 ///
@@ -59,16 +60,25 @@ pub struct PathFamily {
     /// Tombstoned slot indices, ordered so the smallest is reused first
     /// and validators can read the smallest few without copying the rest.
     free: BTreeSet<u32>,
-    /// The live members in ascending stable-id order, sharing their
-    /// `Arc<Dipath>`s with `slots` — patched per mutation, never rebuilt.
-    dense: DipathFamily,
-    /// `dense_of[rank]` = the stable id at that dense rank (sorted
-    /// ascending, so stable→dense is a binary search).
-    dense_of: Vec<PathId>,
-    /// Append-only arc-list interner: [`PathFamily::insert`] routes every
-    /// dipath through it, so content seen before (replication, remove +
-    /// re-add churn) reuses one allocation and compares by pointer.
+    /// Number of live slots.
+    live: usize,
+    /// The dense view, built on the first dense query and patched by every
+    /// mutation after it.
+    dense: OnceLock<DenseView>,
+    /// Arc-list interner: [`PathFamily::insert`] routes every dipath
+    /// through it, so content seen before (replication, remove + re-add
+    /// churn) reuses one allocation and compares by pointer.
     arena: ArcListArena,
+}
+
+/// The live members in ascending stable-id order, sharing their
+/// `Arc<Dipath>`s with the slot table.
+#[derive(Clone, Debug, Default)]
+struct DenseView {
+    family: DipathFamily,
+    /// `ids[rank]` = the stable id at that dense rank (sorted ascending,
+    /// so stable→dense is a binary search).
+    ids: Vec<PathId>,
 }
 
 impl PathFamily {
@@ -96,10 +106,10 @@ impl PathFamily {
             })
             .collect();
         PathFamily {
-            slots: shared.iter().cloned().map(Some).collect(),
+            live: shared.len(),
+            slots: shared.into_iter().map(Some).collect(),
             free: BTreeSet::new(),
-            dense: DipathFamily::from_shared(shared),
-            dense_of: family.ids().collect(),
+            dense: OnceLock::new(),
             arena,
         }
     }
@@ -107,13 +117,13 @@ impl PathFamily {
     /// Number of live members.
     #[inline]
     pub fn len(&self) -> usize {
-        self.dense_of.len()
+        self.live
     }
 
     /// `true` when no member is live.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.dense_of.is_empty()
+        self.live == 0
     }
 
     /// Number of slots ever allocated (live + tombstoned); stable ids are
@@ -149,39 +159,23 @@ impl PathFamily {
     /// caches can match it by pointer instead of content.
     pub fn insert(&mut self, mut p: Dipath) -> PathId {
         p.intern_into(&mut self.arena);
-        self.insert_slot(Arc::new(p))
-    }
-
-    /// [`PathFamily::insert`] for an already-shared dipath: the slot table
-    /// and the dense view both hold the *same* handle (one refcount bump).
-    /// The handle's arc list is registered with the interner (so later
-    /// [`PathFamily::insert`]s of equal content share it) but never rebound
-    /// — the caller's handle stays the one stored.
-    pub fn insert_shared(&mut self, p: Arc<Dipath>) -> PathId {
-        let _ = self.arena.intern(p.arc_list().clone());
-        self.insert_slot(p)
-    }
-
-    /// Slot assignment + dense-view patch shared by the insert paths (the
-    /// arc list is already interned/registered by the caller).
-    fn insert_slot(&mut self, p: Arc<Dipath>) -> PathId {
+        let p = Arc::new(p);
         let id = match self.free.pop_first() {
-            Some(slot) => {
-                debug_assert!(self.slots[slot as usize].is_none(), "slot was free");
-                self.slots[slot as usize] = Some(p.clone());
-                PathId(slot)
-            }
+            Some(slot) => PathId(slot),
             None => {
-                let id = PathId::from_index(self.slots.len());
-                self.slots.push(Some(p.clone()));
-                id
+                self.slots.push(None);
+                PathId::from_index(self.slots.len() - 1)
             }
         };
-        // Patch the dense view in place: the new member's rank is the
-        // number of live ids below it (dense_of stays sorted).
-        let rank = self.dense_of.partition_point(|&other| other < id);
-        self.dense_of.insert(rank, id);
-        self.dense.insert_shared_at(rank, p);
+        debug_assert!(self.slots[id.index()].is_none(), "slot was free");
+        if let Some(view) = self.dense.get_mut() {
+            // The new member's rank is the number of live ids below it.
+            let rank = view.ids.partition_point(|&other| other < id);
+            view.ids.insert(rank, id);
+            view.family.insert_shared_at(rank, Arc::clone(&p));
+        }
+        self.slots[id.index()] = Some(p);
+        self.live += 1;
         self.debug_validate();
         id
     }
@@ -189,32 +183,49 @@ impl PathFamily {
     /// Remove a live member, tombstoning its slot. Returns the (shared)
     /// dipath, or `None` when the id is unknown or already removed.
     pub fn remove(&mut self, id: PathId) -> Option<Arc<Dipath>> {
-        let slot = self.slots.get_mut(id.index())?;
-        let p = slot.take()?;
+        let p = self.slots.get_mut(id.index())?.take()?;
         self.free.insert(id.0);
-        // Patch the dense view: drop the member's rank, shifting later
-        // ranks down (a pointer-sized memmove, no per-arc work).
-        if let Ok(rank) = self.dense_of.binary_search(&id) {
-            self.dense_of.remove(rank);
-            self.dense.remove_at(rank);
-        } else {
-            debug_assert!(false, "live slot missing from the dense view");
+        self.live -= 1;
+        if let Some(view) = self.dense.get_mut() {
+            // Drop the member's rank, shifting later ranks down.
+            match view.ids.binary_search(&id) {
+                Ok(rank) => {
+                    view.ids.remove(rank);
+                    view.family.remove_at(rank);
+                }
+                Err(_) => debug_assert!(false, "live slot missing from the dense view"),
+            }
         }
         self.debug_validate();
         Some(p)
     }
 
+    /// The dense view, built from the slot table on first use.
+    fn view(&self) -> &DenseView {
+        self.dense.get_or_init(|| {
+            let (ids, paths) = self
+                .slots
+                .iter()
+                .enumerate()
+                .filter_map(|(i, s)| Some((PathId::from_index(i), Arc::clone(s.as_ref()?))))
+                .unzip();
+            DenseView {
+                family: DipathFamily::from_shared(paths),
+                ids,
+            }
+        })
+    }
+
     /// Shadow validation of the tombstone/free-list bijection **and** the
-    /// incrementally-patched dense view (debug builds only; release builds
-    /// compile this to nothing). The free set must hold exactly the
-    /// tombstoned slot indices — a phantom entry would hand out an id that
-    /// is live or was never allocated, a missing one would leak the slot
-    /// forever — and the live count must complement it. The dense view
-    /// must list exactly the live slots in ascending id order, each entry
-    /// sharing its slot's dipath (pointer equality, so a patch that cloned
-    /// or swapped a member dies here too). Run after every mutation, where
-    /// the O(slots) sweep is dwarfed by the re-solve the mutation triggers
-    /// anyway.
+    /// dense view, when built (debug builds only; release builds compile
+    /// this to nothing). The free set must hold exactly the tombstoned slot
+    /// indices — a phantom entry would hand out an id that is live or was
+    /// never allocated, a missing one would leak the slot forever — and
+    /// the live count must complement it. A built view must list exactly
+    /// the live slots in ascending id order, each entry sharing its slot's
+    /// dipath (pointer equality, so a patch that cloned or swapped a member
+    /// dies here too). Run after every mutation, where the O(slots) sweep
+    /// is dwarfed by the re-solve the mutation triggers anyway.
     fn debug_validate(&self) {
         if !cfg!(debug_assertions) {
             return;
@@ -231,34 +242,29 @@ impl PathFamily {
             "free list and tombstoned slots diverged"
         );
         debug_assert_eq!(
-            self.dense_of.len() + self.free.len(),
+            self.live + self.free.len(),
             self.slots.len(),
             "live count diverged from slots minus tombstones"
         );
-        // The cached dense view is bit-identical to a from-scratch rebuild:
-        // same ids, same order, same (shared) dipaths.
-        let fresh_ids: Vec<PathId> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_some())
-            .map(|(i, _)| PathId::from_index(i))
-            .collect();
+        let Some(view) = self.dense.get() else {
+            return;
+        };
         debug_assert_eq!(
-            self.dense_of, fresh_ids,
+            view.ids,
+            self.ids().collect::<Vec<_>>(),
             "dense id map diverged from the live slots"
         );
         debug_assert_eq!(
-            self.dense.len(),
-            self.dense_of.len(),
+            view.family.len(),
+            view.ids.len(),
             "dense view length diverged from its id map"
         );
-        for (rank, &id) in self.dense_of.iter().enumerate() {
+        for (rank, &id) in view.ids.iter().enumerate() {
             let slot = self.slots[id.index()]
                 .as_ref()
                 .expect("dense id map points at a live slot"); // lint: allow(no-panic): debug-only shadow check
             debug_assert!(
-                Arc::ptr_eq(slot, self.dense.shared(PathId::from_index(rank))),
+                Arc::ptr_eq(slot, view.family.shared(PathId::from_index(rank))),
                 "dense view stopped sharing slot {id}'s dipath"
             );
         }
@@ -280,58 +286,59 @@ impl PathFamily {
     }
 
     /// Iterate over the live members as `(stable id, dipath)`, in ascending
-    /// id order.
+    /// id order. Reads the slot table, so it never builds the dense view.
     pub fn iter(&self) -> impl Iterator<Item = (PathId, &Dipath)> {
-        self.dense_of
+        self.slots
             .iter()
-            .zip(self.dense.iter())
-            .map(|(&id, (_, p))| (id, p))
+            .enumerate()
+            .filter_map(|(i, s)| Some((PathId::from_index(i), s.as_deref()?)))
     }
 
     /// Live ids, ascending.
     pub fn ids(&self) -> impl Iterator<Item = PathId> + '_ {
-        self.dense_of.iter().copied()
+        self.iter().map(|(id, _)| id)
     }
 
-    /// The maintained dense view: the live members as a [`DipathFamily`]
-    /// in ascending stable-id order, borrowed without copying anything.
+    /// The dense view: the live members as a [`DipathFamily`] in ascending
+    /// stable-id order, borrowed without copying anything.
     /// `dense_view().path(PathId(r))` is the member at dense rank `r`;
-    /// [`PathFamily::dense_ids`] maps ranks back to stable ids.
-    #[inline]
+    /// [`PathFamily::dense_ids`] maps ranks back to stable ids. Built on
+    /// the first dense query (O(slots)), then patched by every mutation.
     pub fn dense_view(&self) -> &DipathFamily {
-        &self.dense
+        &self.view().family
     }
 
     /// The dense→stable id map: `dense_ids()[rank]` is the stable id of the
     /// member at that dense rank (ascending, so it doubles as a sorted
-    /// array for stable→dense binary search).
-    #[inline]
+    /// array for stable→dense binary search). Builds the dense view on
+    /// first use.
     pub fn dense_ids(&self) -> &[PathId] {
-        &self.dense_of
+        &self.view().ids
     }
 
     /// The stable→dense map: the dense rank of live member `id`, or `None`
     /// when `id` is not live. `O(log n)` (binary search of the sorted
-    /// dense→stable map).
+    /// dense→stable map) once the dense view is built.
     pub fn dense_rank(&self, id: PathId) -> Option<usize> {
-        self.dense_of.binary_search(&id).ok()
+        self.view().ids.binary_search(&id).ok()
     }
 
     /// Materialize the live members as a dense [`DipathFamily`] plus the
     /// dense→stable id map (`map[dense.index()]` is the stable id). Live
     /// members are emitted in ascending stable-id order, so dense ranks are
-    /// monotone in stable ids. Served from the maintained dense view: the
-    /// cost is one handle clone per member (refcount bumps), never a
-    /// per-arc copy. Callers that can hold a borrow should prefer
+    /// monotone in stable ids. Served from the dense view: the cost is one
+    /// handle clone per member (refcount bumps), never a per-arc copy.
+    /// Callers that can hold a borrow should prefer
     /// [`PathFamily::dense_view`] / [`PathFamily::dense_ids`], which copy
     /// nothing at all.
     pub fn to_dense(&self) -> (DipathFamily, Vec<PathId>) {
-        (self.dense.clone(), self.dense_of.clone())
+        let view = self.view();
+        (view.family.clone(), view.ids.clone())
     }
 
     /// Counters of the family's arc-list interner: distinct sequences
-    /// stored (the arena is append-only — removals do not shrink it) plus
-    /// cumulative intern hits/misses.
+    /// stored now (a sweep drops those no dipath holds any more; see
+    /// [`ArcListArena`]) plus cumulative intern hits/misses.
     pub fn arena_stats(&self) -> ArenaStats {
         self.arena.stats()
     }
@@ -464,7 +471,7 @@ mod tests {
     fn shadow_validation_catches_corrupted_live_count() {
         let (_, paths) = chain();
         let mut f = PathFamily::from_family(&DipathFamily::from_paths(paths));
-        f.dense_of.pop(); // corrupt the dense id map (and with it the live count)
+        f.live -= 1; // corrupt the live count
         let _ = f.remove(PathId(0)); // the post-mutation sweep fires
     }
 
@@ -475,7 +482,7 @@ mod tests {
         let (_, paths) = chain();
         let mut f = PathFamily::from_family(&DipathFamily::from_paths(paths));
         f.free.insert(7); // a slot that was never allocated
-        f.dense_of.push(PathId(9)); // keep the count check from firing first
+        f.live -= 1; // keep the count check from firing first
         let _ = f.remove(PathId(0));
     }
 
@@ -492,8 +499,9 @@ mod tests {
                 .ptr_eq(f.get(b).unwrap().arc_list()),
             "duplicate insert shares one arc list"
         );
-        // Remove + re-add resolves through the append-only arena: the
-        // reconstituted member adopts the original allocation.
+        // Remove + re-add resolves through the arena, which still holds the
+        // sequence (member `b` shares it): the reconstituted member adopts
+        // the original allocation.
         f.remove(a).unwrap();
         let c = f.insert(paths[0].clone());
         assert_eq!(c, a, "smallest tombstone reused");

@@ -17,11 +17,17 @@
 //! fingerprint gate, then exact content — a hash collision can never
 //! alias two different sequences).
 //!
-//! The arena is **append-only**: entries are never evicted, so a handle
-//! interned once stays valid for the arena's lifetime and re-interning
-//! after a removal still finds the original. Its footprint is bounded by
-//! the distinct sequences ever seen, not the live family size — the
-//! right trade for a churning service whose dipaths repeat.
+//! The arena forgets what nobody else holds. Whenever it has doubled since
+//! its last sweep (and holds at least 64 entries), it drops every entry
+//! whose only handle is its own (`Arc::strong_count == 1`). A handle still
+//! held elsewhere — by a live dipath, or by a solved shard a workspace
+//! banks for reuse — survives every sweep, so re-interning its content
+//! still returns the original allocation, and two live handles of equal
+//! content from one arena still share it. A sweep costs one pass over the
+//! entries and runs after at least half as many insertions, so it is
+//! amortized O(1) per intern, and the arena never holds more than twice
+//! what survived its last sweep, or the floor, however many distinct
+//! sequences a long-running client names.
 
 use dagwave_graph::ArcId;
 use std::collections::HashMap;
@@ -143,10 +149,10 @@ impl<'de> serde::Deserialize<'de> for ArcList {
     }
 }
 
-/// Cumulative counters of one [`ArcListArena`].
+/// Counters of one [`ArcListArena`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArenaStats {
-    /// Distinct arc sequences stored.
+    /// Distinct arc sequences stored now (sweeps drop the unheld ones).
     pub lists: usize,
     /// Interning calls answered from an existing entry.
     pub hits: u64,
@@ -166,7 +172,12 @@ impl ArenaStats {
     }
 }
 
-/// An append-only deduplicating store of [`ArcList`]s.
+/// Fewest entries at which an [`ArcListArena`] sweeps: below it, the
+/// arena keeps everything it has seen.
+const SWEEP_FLOOR: usize = 64;
+
+/// A deduplicating store of [`ArcList`]s that forgets entries only it
+/// holds (see the [module docs](self)).
 ///
 /// Buckets by fingerprint with exact content confirmation, so a 64-bit
 /// collision can never alias two different sequences — it only costs one
@@ -175,6 +186,8 @@ impl ArenaStats {
 pub struct ArcListArena {
     buckets: HashMap<u64, Vec<ArcList>>,
     lists: usize,
+    /// Entries left by the last sweep (0 before the first).
+    swept: usize,
     hits: u64,
     misses: u64,
 }
@@ -196,9 +209,8 @@ impl ArcListArena {
                 return held.clone();
             }
         }
-        self.misses += 1;
-        self.lists += 1;
         bucket.push(list.clone());
+        self.stored();
         list
     }
 
@@ -213,17 +225,34 @@ impl ArcListArena {
                 return held.clone();
             }
         }
-        self.misses += 1;
-        self.lists += 1;
         let list = ArcList {
             fingerprint,
             arcs: arcs.into(),
         };
         bucket.push(list.clone());
+        self.stored();
         list
     }
 
-    /// Distinct sequences stored.
+    /// Count a new entry, and sweep once the arena has doubled since the
+    /// last sweep. The entry just stored is held by the caller's handle
+    /// too, so the sweep never drops it.
+    fn stored(&mut self) {
+        self.misses += 1;
+        self.lists += 1;
+        if self.lists >= (2 * self.swept).max(SWEEP_FLOOR) {
+            self.buckets.retain(|_, bucket| {
+                bucket.retain(|held| Arc::strong_count(&held.arcs) > 1);
+                !bucket.is_empty()
+            });
+            self.lists = self.buckets.values().map(Vec::len).sum();
+            self.swept = self.lists;
+            // Keep the next sweep's pass proportional to what survived.
+            self.buckets.shrink_to(2 * self.swept);
+        }
+    }
+
+    /// Distinct sequences stored (held elsewhere, or not yet swept).
     #[inline]
     pub fn len(&self) -> usize {
         self.lists
@@ -235,7 +264,7 @@ impl ArcListArena {
         self.lists == 0
     }
 
-    /// The cumulative counters (size, hits, misses).
+    /// The counters: current size, cumulative hits and misses.
     pub fn stats(&self) -> ArenaStats {
         ArenaStats {
             lists: self.lists,
@@ -293,6 +322,48 @@ mod tests {
         };
         assert_eq!(hash(&a), hash(&b));
         assert_ne!(a, ArcList::from_vec(arcs(&[5, 6])));
+    }
+
+    #[test]
+    fn sweep_drops_only_unheld_entries() {
+        let mut arena = ArcListArena::new();
+        // Keep every fourth handle; drop the rest as soon as interned.
+        let held: Vec<ArcList> = (0..1000u32)
+            .filter_map(|i| {
+                let list = arena.intern_slice(&arcs(&[i, i + 1]));
+                (i % 4 == 0).then_some(list)
+            })
+            .collect();
+        // Never more than twice what survived the last sweep, or the floor.
+        assert!(
+            arena.len() <= 2 * held.len().max(SWEEP_FLOOR),
+            "{} entries for {} held handles",
+            arena.len(),
+            held.len()
+        );
+        // Held handles keep their identity through every sweep...
+        for (k, list) in held.iter().enumerate() {
+            let i = 4 * k as u32;
+            assert!(arena.intern_slice(&arcs(&[i, i + 1])).ptr_eq(list));
+        }
+        // ...and a forgotten sequence is simply stored again.
+        let again = arena.intern_slice(&arcs(&[1, 2]));
+        assert_eq!(again.as_slice(), &arcs(&[1, 2])[..]);
+        assert_eq!(arena.stats().misses, 1001);
+    }
+
+    #[test]
+    fn small_arenas_never_sweep() {
+        let mut arena = ArcListArena::new();
+        let first = arena.intern_slice(&arcs(&[0]));
+        let ptr = std::sync::Arc::as_ptr(&first.arcs);
+        drop(first);
+        for i in 1..SWEEP_FLOOR as u32 - 1 {
+            arena.intern_slice(&arcs(&[i]));
+        }
+        assert_eq!(arena.len(), SWEEP_FLOOR - 1, "below the floor nothing goes");
+        let again = arena.intern_slice(&arcs(&[0]));
+        assert_eq!(std::sync::Arc::as_ptr(&again.arcs), ptr, "kept while small");
     }
 
     #[test]

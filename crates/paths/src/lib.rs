@@ -13,21 +13,23 @@
 //!   components ([`ConflictGraph::components`], [`conflict_components`]).
 //! * [`editable`] — [`PathFamily`], the mutable family with *stable* ids
 //!   (removals tombstone their slot, insertions reuse the smallest free
-//!   slot) that the incremental re-solve engine edits in place — it keeps
-//!   an incrementally-patched dense view plus the stable↔dense id maps, so
-//!   dense conversion never deep-clones — plus
-//!   [`conflict_components_among`] for recomputing components over only a
-//!   dirty member pool.
+//!   slot) that the incremental re-solve engine edits in place. Mutations
+//!   touch only the slot table; the dense view and the stable↔dense id
+//!   maps are built on the first dense query and patched from then on, so
+//!   dense conversion never deep-clones — plus [`conflict_components_among`]
+//!   for recomputing components over only a member pool.
 //! * [`intern`] — [`ArcList`] / [`ArcListArena`]: shared, content-addressed
 //!   arc sequences. Every [`Dipath`] stores an `ArcList`; families intern on
 //!   insert, so replicated or churned dipaths share one allocation per
-//!   distinct sequence and compare by pointer.
+//!   distinct sequence and compare by pointer. The arena sweeps the
+//!   sequences only it still holds, so it stays bounded under churn.
 //! * [`subinstance`] — [`SubInstance`] extraction: one conflict-graph
 //!   component as a standalone instance with a dense local family, a
 //!   restricted host graph, and the inverse id map (the decompose half of
-//!   decompose-solve-merge). Extraction renumbers through reusable
-//!   host-indexed tables ([`ExtractScratch`]) instead of per-shard binary
-//!   searches.
+//!   decompose-solve-merge), taking its members as `(id, dipath)` pairs so
+//!   the same entry serves a dense family and a workspace's cached shards.
+//!   Extraction renumbers through reusable host-indexed tables
+//!   ([`ExtractScratch`]) instead of per-shard binary searches.
 //!
 //! ```
 //! use dagwave_graph::builder::from_edges;

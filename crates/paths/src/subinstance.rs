@@ -20,19 +20,26 @@
 //! arcs are one `Vec`, and its adjacency one flat table built on the
 //! shard's first query, not a pair of `Vec`s per vertex.
 //!
+//! The one extraction entry, [`SubInstance::extract_with`], takes the
+//! members as `(original id, dipath)` pairs: a component of a dense
+//! [`DipathFamily`], or a workspace's cached shard under its stable ids.
+//!
 //! Extraction renumbers through an [`ExtractScratch`]: flat host-indexed
 //! arc/vertex tables (CSR-style, one `u32` per host arc/vertex) built once
 //! and stamped per shard, so renumbering is an O(1) table read instead of a
 //! per-shard binary search, and the member arc sequences are read straight
-//! out of the (Arc-shared) family without an intermediate all-occurrences
+//! out of the (Arc-shared) dipaths without an intermediate all-occurrences
 //! buffer. A long-lived caller (the incremental `Workspace`) keeps one
 //! scratch across re-solves: the tables are sized to the host once, so a
 //! later extraction allocates only its output and costs what the shards
-//! actually extracted contain, not what the host does.
+//! actually extracted contain, not what the host does. The scratch's
+//! interner forgets the shard-local sequences no extracted shard still
+//! holds (see [`ArcListArena`]), so a scratch kept for the life of a
+//! service stays bounded by what it extracts at once.
 
 use crate::dipath::Dipath;
 use crate::family::{DipathFamily, PathId};
-use crate::intern::ArcListArena;
+use crate::intern::{ArcListArena, ArenaStats};
 use dagwave_graph::{ArcId, Digraph, VertexId};
 
 /// Reusable renumbering tables for [`SubInstance::extract_with`].
@@ -56,7 +63,7 @@ pub struct ExtractScratch {
     /// Interner for the remapped member sequences: duplicated members
     /// (within one shard or across shards extracted through the same
     /// scratch) share one shard-local arc list instead of re-allocating
-    /// it per extraction.
+    /// it per extraction. Entries no shard holds any more are swept.
     arena: ArcListArena,
     remap_buf: Vec<ArcId>,
 }
@@ -65,6 +72,11 @@ impl ExtractScratch {
     /// A fresh scratch; tables grow to the host size on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Counters of the scratch's interner of shard-local arc sequences.
+    pub fn arena_stats(&self) -> ArenaStats {
+        self.arena.stats()
     }
 
     /// Size the tables for `g` and open a new stamp epoch.
@@ -93,8 +105,8 @@ impl ExtractScratch {
 /// One shard of an instance: a dense local family over a restricted graph,
 /// plus the map back to the original ids.
 ///
-/// Built by [`SubInstance::extract`]; local ids follow the order of the
-/// member list handed in (ascending original id when the members come from
+/// Built by [`SubInstance::extract_with`]; local ids follow the order of
+/// the members handed in (ascending original id when the members come from
 /// [`crate::conflict::ConflictGraph::components`] /
 /// [`crate::conflict::conflict_components`], which keeps the whole
 /// decomposition deterministic).
@@ -120,28 +132,31 @@ impl SubInstance {
     ///
     /// Panics if a member id is out of bounds for `family`.
     pub fn extract(g: &Digraph, family: &DipathFamily, members: &[PathId]) -> SubInstance {
-        Self::extract_with(g, family, members, &mut ExtractScratch::new())
+        Self::extract_with(
+            g,
+            members.iter().map(|&id| (id, family.path(id))),
+            &mut ExtractScratch::new(),
+        )
     }
 
-    /// [`SubInstance::extract`] with caller-owned renumbering tables: the
-    /// scratch's flat host-indexed maps replace the per-shard binary-search
-    /// renumbering, and the `used_*` buffers are reused across shards.
-    /// Output is bit-identical to [`SubInstance::extract`] — the used arcs
-    /// and vertices are still emitted in ascending original order, so local
-    /// ids cannot depend on which scratch (or how warm a scratch) was used.
-    pub fn extract_with(
-        g: &Digraph,
-        family: &DipathFamily,
-        members: &[PathId],
-        scratch: &mut ExtractScratch,
-    ) -> SubInstance {
+    /// Extract the sub-instance of `members` — `(original id, dipath)`
+    /// pairs in local-id order, walked twice (hence `Clone`) — through
+    /// caller-owned renumbering tables, reused across shards. Output
+    /// depends only on the members: used arcs and vertices are emitted in
+    /// ascending host order, whichever scratch (or how warm) is used.
+    pub fn extract_with<'a, I>(g: &Digraph, members: I, scratch: &mut ExtractScratch) -> SubInstance
+    where
+        I: IntoIterator<Item = (PathId, &'a Dipath)>,
+        I::IntoIter: Clone,
+    {
+        let members = members.into_iter();
         scratch.begin(g);
         let stamp = scratch.stamp;
         // Gather the shard's arcs, stamp-deduplicated (each arc is listed
         // once no matter how loaded), then sort the *unique* list — the
         // only per-shard ordering work left.
-        for &id in members {
-            for &a in family.path(id).arcs() {
+        for (_, p) in members.clone() {
+            for &a in p.arcs() {
                 if scratch.arc_stamp[a.index()] != stamp {
                     scratch.arc_stamp[a.index()] = stamp;
                     scratch.used_arcs.push(a);
@@ -175,17 +190,14 @@ impl SubInstance {
             debug_assert_eq!(added.index(), new);
         }
 
-        let family: DipathFamily = members
-            .iter()
-            .map(|&id| {
+        let mut original = Vec::with_capacity(members.size_hint().0);
+        let family = members
+            .map(|(id, p)| {
+                original.push(id);
                 scratch.remap_buf.clear();
-                scratch.remap_buf.extend(
-                    family
-                        .path(id)
-                        .arcs()
-                        .iter()
-                        .map(|&a| ArcId(scratch.arc_new[a.index()])),
-                );
+                scratch
+                    .remap_buf
+                    .extend(p.arcs().iter().map(|&a| ArcId(scratch.arc_new[a.index()])));
                 // Resolve the remapped sequence through the scratch's arena:
                 // a duplicated member costs a lookup, not an allocation.
                 let arcs = scratch.arena.intern_slice(&scratch.remap_buf);
@@ -197,7 +209,7 @@ impl SubInstance {
         SubInstance {
             graph,
             family,
-            original: members.to_vec(),
+            original,
         }
     }
 

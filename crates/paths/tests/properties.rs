@@ -2,8 +2,10 @@
 
 use dagwave_graph::builder::from_edges;
 use dagwave_graph::VertexId;
-use dagwave_paths::{conflict, load, ConflictGraph, Dipath, DipathFamily, PathId};
+use dagwave_paths::{conflict, load, ConflictGraph, Dipath, DipathFamily, PathFamily, PathId};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A chain digraph of `n` arcs plus a family of random sub-intervals.
 fn interval_family() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
@@ -32,6 +34,102 @@ fn build(n: usize, ivs: &[(usize, usize)]) -> (dagwave_graph::Digraph, DipathFam
         })
         .collect();
     (g, family)
+}
+
+/// The live members a [`PathFamily`] must report, by stable id.
+type Reference = BTreeMap<PathId, Dipath>;
+
+/// The accessors that read the slot table: never build the dense view.
+fn check_slots(f: &PathFamily, reference: &Reference) {
+    assert_eq!(f.len(), reference.len());
+    assert_eq!(f.is_empty(), reference.is_empty());
+    let ids: Vec<PathId> = reference.keys().copied().collect();
+    assert_eq!(f.ids().collect::<Vec<_>>(), ids);
+    let members: Vec<(PathId, &Dipath)> = reference.iter().map(|(&id, p)| (id, p)).collect();
+    assert_eq!(f.iter().collect::<Vec<_>>(), members);
+}
+
+/// Every dense query against the reference, plus the sharing contract: the
+/// view and `to_dense` hold each slot's own `Arc`, not a copy.
+fn check_dense(f: &PathFamily, reference: &Reference) {
+    check_slots(f, reference);
+    let ids: Vec<PathId> = reference.keys().copied().collect();
+    assert_eq!(f.dense_ids(), &ids[..]);
+    let view = f.dense_view();
+    assert_eq!(view.len(), ids.len());
+    let (dense, map) = f.to_dense();
+    assert_eq!(map, ids);
+    for (rank, (&id, p)) in reference.iter().enumerate() {
+        let r = PathId::from_index(rank);
+        assert_eq!(f.dense_rank(id), Some(rank));
+        assert_eq!(view.path(r), p);
+        let slot = f.get_shared(id).expect("reference ids are live");
+        assert!(Arc::ptr_eq(view.shared(r), slot), "view copied slot {id}");
+        assert!(
+            Arc::ptr_eq(dense.shared(r), slot),
+            "to_dense copied slot {id}"
+        );
+    }
+    for id in (0..f.slot_count() + 2).map(PathId::from_index) {
+        if !reference.contains_key(&id) {
+            assert_eq!(f.dense_rank(id), None, "{id} is not live");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The lazily built dense view of a [`PathFamily`] agrees with a
+    /// `BTreeMap` reference through random insert/remove scripts with dense
+    /// queries in the middle — so later mutations patch a built view — and
+    /// clones of a family whose view is built keep their own answers while
+    /// the source mutates on.
+    #[test]
+    fn lazy_dense_view_matches_btreemap_reference(
+        (n, ivs) in interval_family(),
+        script in proptest::collection::vec((0u8..10, 0usize..64), 1..80),
+    ) {
+        let (_, base) = build(n, &ivs);
+        let mut f = PathFamily::from_family(&base);
+        let mut reference: Reference = base.iter().map(|(id, p)| (id, p.clone())).collect();
+        let mut clones: Vec<(PathFamily, Reference)> = Vec::new();
+        for &(op, x) in &script {
+            match op {
+                // Insert a base dipath: the smallest id not live.
+                0..=2 => {
+                    let p = base.path(PathId::from_index(x % base.len())).clone();
+                    let expected = (0u32..).map(PathId).find(|id| !reference.contains_key(id));
+                    let id = f.insert(p.clone());
+                    prop_assert_eq!(Some(id), expected);
+                    reference.insert(id, p);
+                }
+                // Remove a live id, or fail to remove a dead one.
+                3..=5 => {
+                    if reference.is_empty() || op == 5 {
+                        let dead = PathId::from_index(f.slot_count() + x);
+                        prop_assert!(f.remove(dead).is_none());
+                    } else {
+                        let id = *reference.keys().nth(x % reference.len()).unwrap();
+                        let gone = f.remove(id).expect("live id");
+                        prop_assert_eq!(&*gone, &reference.remove(&id).unwrap());
+                        prop_assert!(f.remove(id).is_none(), "removed twice");
+                    }
+                }
+                6..=7 => check_dense(&f, &reference),
+                // Clone a family whose view is built; mutate the source on.
+                _ => {
+                    let _ = f.dense_ids();
+                    clones.push((f.clone(), reference.clone()));
+                }
+            }
+            check_slots(&f, &reference);
+        }
+        check_dense(&f, &reference);
+        for (clone, reference) in &clones {
+            check_dense(clone, reference);
+        }
+    }
 }
 
 proptest! {

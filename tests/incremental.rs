@@ -199,20 +199,24 @@ proptest! {
         }
     }
 
-    /// The decompose gate is shared: under the *default* Auto policy
-    /// (threshold 512, fast-path skips) the workspace and the one-shot
-    /// path must make the same shard/monolithic decision and agree
-    /// bit-for-bit.
+    /// A workspace opened with the *default* session (decompose policy
+    /// Auto, threshold 512, Theorem 1 fast-path skip) keeps it with
+    /// `Always` pinned and everything else as given, always shards, and
+    /// agrees bit-for-bit with that kept session's from-scratch solve.
     #[test]
-    fn default_session_gate_parity(seed in 0u64..1_000, steps in 1usize..8) {
+    fn default_session_keeps_its_pinned_oracle(seed in 0u64..1_000, steps in 1usize..8) {
         let work = churn(seed, 3, steps);
         let mut ws = Workspace::new(
             SolveSession::auto(),
             work.instance.graph.clone(),
             work.instance.family.clone(),
         ).unwrap();
+        let kept = ws.session().request();
+        prop_assert_eq!(kept.decompose, DecomposePolicy::Always);
+        prop_assert_eq!(&kept.policy, &SolveSession::auto().request().policy);
         ws.apply(work.script.iter().cloned()).unwrap();
         let incremental = ws.solution().unwrap();
+        prop_assert!(incremental.decomposition.is_some(), "the workspace always shards");
         let scratch = from_scratch(&ws);
         assert_identical(&incremental, &scratch);
     }
@@ -296,8 +300,8 @@ fn remove_to_empty_shard_and_to_empty_family() {
     );
     assert_identical(&sol, &from_scratch(&ws));
 
-    // Empty family: the decompose gate falls back to the monolithic path,
-    // exactly as from-scratch does.
+    // Empty family: no shard is left, and the workspace dispatches the
+    // empty family whole, exactly as from-scratch does.
     ws.remove_path(dagwave::paths::PathId(0)).unwrap();
     assert_eq!(ws.shard_count(), 0);
     let empty = ws.solution().unwrap();
@@ -311,13 +315,52 @@ fn remove_to_empty_shard_and_to_empty_family() {
     assert_identical(&ws.solution().unwrap(), &from_scratch(&ws));
 }
 
+/// The empty family — opened empty, or emptied by churn — answers exactly
+/// as the kept session's from-scratch solve does, success or error, at
+/// every thread budget: the workspace dispatches it whole, as the one-shot
+/// path does. A pinned `weighted` session declines every family without
+/// duplicates, the empty one included, so its error must come back too,
+/// from `span()` as well as `solution()`.
+#[test]
+fn empty_family_answers_as_from_scratch_at_every_budget() {
+    let (g, _) = bridge_instance();
+    let sessions = [
+        SolveSession::auto(),
+        SolverBuilder::new().pinned(BackendKind::Weighted).build(),
+    ];
+    let check = |ws: &mut Workspace| {
+        let (dense, _) = ws.family().to_dense();
+        let scratch = ws.session().solve(ws.graph(), &dense);
+        assert_eq!(ws.span().is_ok(), scratch.is_ok());
+        match (ws.solution(), scratch) {
+            (Ok(a), Ok(b)) => assert_identical(&a, &b),
+            (Err(a), Err(b)) => assert_eq!(a, b),
+            other => panic!("workspace and from-scratch disagree: {other:?}"),
+        }
+    };
+    for threads in BUDGETS {
+        with_threads(threads, || {
+            for session in &sessions {
+                let mut ws =
+                    Workspace::new(session.clone(), g.clone(), DipathFamily::new()).unwrap();
+                check(&mut ws);
+                let id = ws.add_path(path(&g, &[0, 1, 2])).unwrap();
+                check(&mut ws);
+                ws.remove_path(id).unwrap();
+                check(&mut ws);
+            }
+        });
+    }
+}
+
 #[test]
 fn arena_reuse_survives_remove_and_readd() {
     // Arena edge case: retiring a dipath and re-admitting the identical
-    // arc sequence must hit the interner (the arena never forgets), keep
-    // the distinct-list count flat, and leave the delta surface consistent
-    // — the re-added path reports the same color a from-scratch solve
-    // gives it.
+    // arc sequence must hit the interner (the retired dipath's sequence is
+    // still held by its dropped shard, banked for reuse, so no sweep can
+    // forget it), keep the distinct-list count flat, and leave the delta
+    // surface consistent — the re-added path reports the same color a
+    // from-scratch solve gives it.
     let (g, f) = bridge_instance();
     let mut ws = Workspace::new(sharded(), g.clone(), f).unwrap();
     ws.solution().unwrap();
@@ -420,16 +463,16 @@ fn shard_members_attribute_paths_without_union_find() {
     }
 }
 
-/// The decompose gate flips both ways mid-churn: under `Auto { min_paths }`
-/// on a host that is not internal-cycle-free, the live count crosses
-/// `min_paths` up and down, so refreshes alternate between the monolithic
-/// and the sharded path. A client syncing `delta_since` after every step
-/// must still hold exactly `solution()`'s table, which must equal a
+/// The family crosses sizes both ways mid-churn: on a host that is not
+/// internal-cycle-free, under a session whose `Auto { min_paths }` sits
+/// just above the start, the live count crosses `min_paths` up and down.
+/// The workspace keeps that session with `Always` pinned, so it shards at
+/// every size; a client syncing `delta_since` after every step must still
+/// hold exactly `solution()`'s table, which must equal the kept session's
 /// from-scratch solve — at every thread budget. This guards the stale-set
-/// bookkeeping, including the rewrite of every shard's entries after a
-/// monolithic refresh.
+/// and table bookkeeping across growth and shrinkage of the family.
 #[test]
-fn gate_flip_keeps_delta_replay_exact() {
+fn size_crossings_keep_delta_replay_exact() {
     use dagwave::core::internal::{classify, DagClass};
     use dagwave::paths::{PathFamily, PathId};
     use dagwave::Mutation;
@@ -473,7 +516,7 @@ fn gate_flip_keeps_delta_replay_exact() {
                 Workspace::new(session.clone(), inst.graph.clone(), inst.family.clone()).unwrap();
             let mut replayed: BTreeMap<PathId, u32> = BTreeMap::new();
             let mut synced = dagwave::Epoch::default();
-            let mut sharded = Vec::new();
+            let mut sizes = Vec::new();
             for op in std::iter::once(None).chain(script.iter().cloned().map(Some)) {
                 if let Some(op) = op {
                     ws.apply([op]).unwrap();
@@ -495,14 +538,15 @@ fn gate_flip_keeps_delta_replay_exact() {
                 assert_eq!(replayed, table_of(&ws, &sol), "{threads} threads");
                 assert_eq!(replayed, table_of(&ws, &scratch), "{threads} threads");
                 assert_eq!(d.span, sol.num_colors, "{threads} threads");
-                sharded.push(sol.decomposition.is_some());
+                sizes.push(ws.family().len());
+                assert!(sol.decomposition.is_some(), "the workspace always shards");
             }
-            // The script really crossed the gate both ways, twice over.
-            let flips = sharded.windows(2).filter(|w| w[0] != w[1]).count();
-            assert!(
-                !sharded[0] && flips >= 3,
-                "gate never flipped both ways: {sharded:?}"
-            );
+            // The script really crossed `min_paths` both ways, twice over.
+            let crossings = sizes
+                .windows(2)
+                .filter(|w| (w[0] < n + 2) != (w[1] < n + 2))
+                .count();
+            assert!(crossings >= 3, "sizes never crossed both ways: {sizes:?}");
         });
     }
 }

@@ -1,14 +1,16 @@
 //! Oracles for the allocation-light kernels every solve crosses: the
-//! certification checks of [`WavelengthAssignment`] and dipath validation.
-//! Each kernel is compared, on seeded random inputs, with the plain
-//! implementation it must agree with, and each loop checks that its inputs
-//! reached every outcome it is meant to cover.
+//! certification checks of [`WavelengthAssignment`], dipath validation,
+//! and the workspace's incremental component re-derivation. Each kernel is
+//! compared, on seeded random inputs, with the plain implementation it must
+//! agree with, and each loop checks that its inputs reached every outcome
+//! it is meant to cover.
 
-use dagwave_core::WavelengthAssignment;
-use dagwave_gen::random;
+use dagwave_core::{Mutation, SolveSession, WavelengthAssignment, Workspace};
+use dagwave_gen::{compose, random};
+use dagwave_graph::builder::from_edges;
 use dagwave_graph::{ArcId, Digraph, VertexId};
 use dagwave_paths::dipath::SHORT_PATH;
-use dagwave_paths::{Dipath, DipathFamily, PathError, PathId};
+use dagwave_paths::{conflict_components, Dipath, DipathFamily, PathError, PathId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -211,4 +213,93 @@ fn dipath_validation_matches_hashset_reference() {
         );
     }
     assert!(seen[0][3] > 0, "the empty sequence was never drawn");
+}
+
+/// The workspace's partition, checked against `conflict_components` of the
+/// dense family mapped back to stable ids. Returns the component count.
+fn assert_partition(ws: &Workspace, what: &str) -> usize {
+    let (dense, ids) = ws.family().to_dense();
+    let expected: Vec<Vec<PathId>> = conflict_components(ws.graph(), &dense)
+        .into_iter()
+        .map(|c| c.into_iter().map(|rank| ids[rank.index()]).collect())
+        .collect();
+    assert_eq!(ws.components(), expected, "{what}");
+    expected.len()
+}
+
+#[test]
+fn workspace_partition_matches_conflict_components() {
+    // `federated(k)` under its churn script.
+    for seed in 0..8u64 {
+        let work = compose::churn(seed, 2 + seed as usize % 4, 40);
+        let inst = &work.instance;
+        let mut ws = Workspace::new(
+            SolveSession::auto(),
+            inst.graph.clone(),
+            inst.family.clone(),
+        )
+        .unwrap();
+        assert_partition(&ws, "federated open");
+        for (step, op) in work.script.iter().enumerate() {
+            ws.apply([op.clone()]).unwrap();
+            assert_partition(&ws, &format!("federated seed {seed} step {step}"));
+            if step % 4 == 0 {
+                ws.span().unwrap();
+            }
+        }
+    }
+    // Internal-cycle-free hosts and chains under random walks admitted and
+    // retired, one at a time and in mixed batches: single additions that
+    // bridge shards and single removals that split one must both occur.
+    let (mut bridges, mut splits) = (0, 0);
+    for seed in 0..24u64 {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let g = if seed % 2 == 0 {
+            random::random_internal_cycle_free(&mut rng, 30, 8)
+        } else {
+            from_edges(31, &(0..30).map(|i| (i, i + 1)).collect::<Vec<_>>())
+        };
+        let walks = random::random_family(&mut rng, &g, 40, 4);
+        let walk = |rng: &mut ChaCha8Rng| {
+            walks
+                .path(PathId::from_index(rng.random_range(0..40)))
+                .clone()
+        };
+        let start = DipathFamily::from_paths((0..12).map(|_| walk(&mut rng)).collect());
+        let mut ws = Workspace::new(SolveSession::auto(), g.clone(), start).unwrap();
+        let mut count = assert_partition(&ws, "open");
+        for step in 0..60 {
+            let live: Vec<PathId> = ws.family().ids().collect();
+            let pick = |rng: &mut ChaCha8Rng| live[rng.random_range(0..live.len())];
+            let kind = if live.is_empty() {
+                0
+            } else {
+                rng.random_range(0..4)
+            };
+            let batch = match kind {
+                0 | 1 => vec![Mutation::Add(walk(&mut rng))],
+                2 => vec![Mutation::Remove(pick(&mut rng))],
+                _ => vec![
+                    Mutation::Remove(pick(&mut rng)),
+                    Mutation::Add(walk(&mut rng)),
+                    Mutation::Add(walk(&mut rng)),
+                ],
+            };
+            ws.apply(batch).unwrap();
+            let now = assert_partition(&ws, &format!("seed {seed} step {step}"));
+            match kind {
+                0 | 1 if now < count => bridges += 1,
+                2 if now > count => splits += 1,
+                _ => {}
+            }
+            count = now;
+            if step % 3 == 0 {
+                ws.span().unwrap();
+            }
+        }
+    }
+    assert!(
+        bridges >= 10 && splits >= 10,
+        "{bridges} bridging additions, {splits} splitting removals"
+    );
 }
