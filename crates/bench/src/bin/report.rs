@@ -30,14 +30,17 @@
 use dagwave_bench::peak_rss_cell;
 use dagwave_core::theorem1::{self, KempeStrategy, PeelOrder};
 use dagwave_core::{
-    bounds, internal, theorem6, BackendKind, DecomposePolicy, Epoch, Mutation, SolveSession,
-    SolverBuilder, Workspace,
+    bounds, internal, theorem6, BackendKind, DecomposePolicy, Epoch, Mutation, Solution,
+    SolveSession, SolverBuilder, Workspace,
 };
 use dagwave_gen::{compose, figures, havet, random, theorem2};
-use dagwave_graph::reach;
-use dagwave_paths::{load, ConflictGraph, Dipath, PathFamily, PathId};
+use dagwave_graph::{reach, Digraph};
+use dagwave_paths::{
+    conflict_components, load, ConflictGraph, Dipath, DipathFamily, PathFamily, PathId, SubInstance,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::collections::{BTreeMap, BTreeSet};
 use std::hint::black_box;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -429,6 +432,10 @@ fn paper_report() {
         );
     }
 
+    // D1 distinct-shard solves: the federated shards are six distinct
+    // sub-instances however many copies are glued.
+    d1_distinct_shard_row();
+
     // D2 — incremental re-solve on the churn workload: a persistent
     // Workspace applies the mutation script one step at a time, and only
     // the shards each mutation touches are recomputed.
@@ -688,135 +695,7 @@ fn paper_report() {
     // step. Gated in-row on both ratios plus bit-identity: the mirror
     // built ONLY from replayed deltas equals the full solution's color
     // table at every step, and the from-scratch solve at the end.
-    {
-        use std::collections::BTreeMap;
-        // One query takes 0.1–0.2 µs, so in a short batch one interrupt
-        // reads as a 1.6× growth: each step times batches of ≥ ~100 µs and
-        // keeps the fastest.
-        const DELTA_REPS: u32 = 1024;
-        const DELTA_BATCHES: usize = 5;
-        let steps = 8usize;
-        let mut delta_us_per_k = Vec::new();
-        let mut rows = Vec::new();
-        for k in [256usize, 4096] {
-            let work = compose::churn(13, k, steps);
-            let session = SolverBuilder::new()
-                .decompose(DecomposePolicy::Always)
-                .build();
-            let mut ws = Workspace::new(
-                session.clone(),
-                work.instance.graph.clone(),
-                work.instance.family.clone(),
-            )
-            .expect("churn instance is a DAG");
-            // Initial sync: epoch 0 is covered from the first refresh, so
-            // the mirror bootstraps through the same API clients use.
-            let mut mirror: BTreeMap<dagwave_paths::PathId, u32> = BTreeMap::new();
-            let mut synced = dagwave_core::Epoch::default();
-            let replay = |mirror: &mut BTreeMap<dagwave_paths::PathId, u32>,
-                          d: &dagwave_core::SolutionDelta| {
-                if d.full_resync {
-                    mirror.clear();
-                }
-                for id in &d.removed {
-                    mirror.remove(id);
-                }
-                for &(id, c) in &d.changes {
-                    mirror.insert(id, c);
-                }
-            };
-            let first = ws.delta_since(synced).expect("initial sync");
-            replay(&mut mirror, &first);
-            synced = first.epoch;
-
-            let (mut delta_us, mut full_us) = (0.0f64, 0.0f64);
-            let mut identical = true;
-            for op in &work.script {
-                ws.apply([op.clone()]).unwrap();
-                // The O(dirty) re-solve itself is paid once here, untimed:
-                // D3 gates it. D5 times only the query side behind it.
-                ws.span().unwrap();
-                let mut d = None;
-                let mut best = f64::INFINITY;
-                for _ in 0..DELTA_BATCHES {
-                    let t0 = Instant::now();
-                    for _ in 0..DELTA_REPS {
-                        d = Some(black_box(ws.delta_since(synced).unwrap()));
-                    }
-                    best = best.min(t0.elapsed().as_secs_f64() * 1e6 / DELTA_REPS as f64);
-                }
-                delta_us += best;
-                let d = d.expect("at least one rep");
-                replay(&mut mirror, &d);
-                synced = d.epoch;
-
-                let t0 = Instant::now();
-                let sol = ws.solution().unwrap();
-                full_us += t0.elapsed().as_secs_f64() * 1e6;
-                let expected: BTreeMap<dagwave_paths::PathId, u32> = ws
-                    .family()
-                    .dense_ids()
-                    .iter()
-                    .zip(sol.assignment.colors())
-                    .map(|(&id, &c)| (id, c as u32))
-                    .collect();
-                identical &= mirror == expected && d.span == sol.num_colors;
-            }
-            assert!(
-                identical,
-                "delta-replayed mirror diverged from the full solution (k={k})"
-            );
-            // End-of-script anchor: the mirror equals a from-scratch solve
-            // of the mutated instance, not just the workspace's view.
-            let (dense, _) = ws.family().to_dense();
-            let scratch = session.solve(ws.graph(), &dense).unwrap();
-            let scratch_table: BTreeMap<dagwave_paths::PathId, u32> = ws
-                .family()
-                .dense_ids()
-                .iter()
-                .zip(scratch.assignment.colors())
-                .map(|(&id, &c)| (id, c as u32))
-                .collect();
-            assert_eq!(
-                mirror, scratch_table,
-                "delta-replayed mirror diverged from from-scratch (k={k})"
-            );
-
-            let delta_avg = delta_us / steps as f64;
-            let full_avg = full_us / steps as f64;
-            if k == 4096 {
-                assert!(
-                    full_avg / delta_avg.max(1e-9) >= 5.0,
-                    "delta query must be ≥5× cheaper than full materialization \
-                     at k=4096: {delta_avg:.1} µs vs {full_avg:.1} µs"
-                );
-            }
-            delta_us_per_k.push(delta_avg);
-            rows.push((k, work.instance.family.len(), delta_avg, full_avg));
-        }
-        let growth = delta_us_per_k[1] / delta_us_per_k[0].max(1e-9);
-        assert!(
-            growth <= 1.5,
-            "per-query delta latency must stay flat in |P|: \
-             {:.2} µs at k=256 vs {:.2} µs at k=4096 ({growth:.2}×)",
-            delta_us_per_k[0],
-            delta_us_per_k[1]
-        );
-        for (k, paths, delta_avg, full_avg) in rows {
-            row(
-                "D5 delta query path",
-                &format!("churn({k}), |P|={paths}, {steps} steps"),
-                "flat in |P| (≤1.5×), ≥5× vs full, bit-identical",
-                &format!(
-                    "delta {delta_avg:.2} µs/query vs full {full_avg:.1} µs \
-                     ({:.0}×), growth {growth:.2}×, mirror = solution = scratch, \
-                     peakRSS={} MiB",
-                    full_avg / delta_avg.max(1e-9),
-                    peak_rss_cell()
-                ),
-            );
-        }
-    }
+    d5_delta_query_row();
 
     // A1/A2 — ablations.
     {
@@ -937,6 +816,283 @@ impl Comparison {
 
     fn ratio(&self) -> f64 {
         best(&self.seq_ms) / best(&self.par_total()).max(1e-9)
+    }
+}
+
+/// D1's distinct-shard rows: `federated(k)` glues copies of six distinct
+/// figure shards, and the one-shot `Always` solve solves each distinct
+/// shard once. Gated on bit-identity with solving every component on its
+/// own ([`independent_shard_solves`]), on the row's own count of distinct
+/// shard contents (6 at every k), and on the one-shot solve being ≥ 2×
+/// cheaper than that reference at k = 1024. The two are timed
+/// interleaved, best of 5.
+fn d1_distinct_shard_row() {
+    let session = SolverBuilder::new()
+        .decompose(DecomposePolicy::Always)
+        .build();
+    let whole = SolverBuilder::new().decompose(DecomposePolicy::Off).build();
+    for k in [64usize, 256, 1024] {
+        let inst = compose::federated(k);
+        let (g, family) = (&inst.graph, &inst.family);
+        let (mut one_shot_ms, mut per_shard_ms) = (f64::INFINITY, f64::INFINITY);
+        let mut last = None;
+        for _ in 0..5 {
+            let (t, sol) = time_ms_with(1, || session.solve(g, family).unwrap());
+            one_shot_ms = one_shot_ms.min(t);
+            let (t, reference) = time_ms_with(1, || independent_shard_solves(&whole, g, family));
+            per_shard_ms = per_shard_ms.min(t);
+            last = Some((sol, reference));
+        }
+        let (sol, (colors, shards)) = last.expect("five reps ran");
+        assert_eq!(sol.assignment.colors(), colors.as_slice(), "k={k}");
+        let d = sol.decomposition.as_ref().expect("Always shards");
+        assert_eq!(d.shard_count(), shards.len(), "k={k}");
+        let span = shards.iter().map(|s| s.num_colors).max().unwrap_or(0);
+        let first_at_span = shards.iter().find(|s| s.num_colors == span);
+        assert_eq!(sol.num_colors, span, "k={k}");
+        assert_eq!(Some(sol.strategy), first_at_span.map(|s| s.strategy));
+        let attempts = shards.iter().flat_map(|s| &s.attempts);
+        assert!(sol.attempts.iter().eq(attempts), "k={k}: attempts diverged");
+        for (s, r) in d.shards.iter().zip(&shards) {
+            assert!(
+                s.class == r.class
+                    && s.strategy == r.strategy
+                    && s.num_colors == r.num_colors
+                    && s.load == r.load
+                    && s.optimal == r.optimal
+                    && s.attempts == r.attempts,
+                "k={k}: a shard outcome diverged from its own solve"
+            );
+        }
+        let distinct: BTreeSet<ShardContent> = conflict_components(g, family)
+            .iter()
+            .map(|members| shard_content(&SubInstance::extract(g, family, members)))
+            .collect();
+        assert_eq!(distinct.len(), 6, "k={k}: federated shards are six forms");
+        let ratio = per_shard_ms / one_shot_ms;
+        if k == 1024 {
+            assert!(
+                ratio >= 2.0,
+                "one-shot solve must be ≥2× cheaper than per-shard solves at \
+                 k=1024: {one_shot_ms:.2} ms vs {per_shard_ms:.2} ms"
+            );
+        }
+        row(
+            "D1 distinct-shard solves",
+            &format!("k={k}, |P|={}, shards={}", family.len(), d.shard_count()),
+            "each distinct shard solved once, = per-shard solves",
+            &format!(
+                "distinct={}, one-shot {one_shot_ms:.2} ms vs per-shard \
+                 {per_shard_ms:.2} ms ({ratio:.1}×), bit-identical, peakRSS={} MiB",
+                distinct.len(),
+                peak_rss_cell()
+            ),
+        );
+    }
+}
+
+/// A decomposed solve rebuilt without the shared shard path: every
+/// component extracted on its own and solved whole by `whole`, an
+/// undecomposed session, its colors merged in component order through
+/// `WavelengthAssignment::normalized`. Returns the merged colors and the
+/// shard solutions in component order.
+fn independent_shard_solves(
+    whole: &SolveSession,
+    g: &Digraph,
+    family: &DipathFamily,
+) -> (Vec<usize>, Vec<Solution>) {
+    let mut colors = vec![usize::MAX; family.len()];
+    let shards = conflict_components(g, family)
+        .iter()
+        .map(|members| {
+            let sub = SubInstance::extract(g, family, members);
+            let sol = whole.solve(&sub.graph, &sub.family).unwrap();
+            for (local, &c) in sol.assignment.normalized().colors().iter().enumerate() {
+                colors[sub.original_id(PathId::from_index(local)).index()] = c;
+            }
+            sol
+        })
+        .collect();
+    (colors, shards)
+}
+
+/// Everything a shard solve reads, as an owned key: the vertex count, the
+/// arc endpoints in arc order, and the members' arc lists in local order.
+type ShardContent = (usize, Vec<(u32, u32)>, Vec<Vec<u32>>);
+
+fn shard_content(sub: &SubInstance) -> ShardContent {
+    (
+        sub.graph.vertex_count(),
+        sub.graph
+            .arcs()
+            .map(|(_, a)| (a.tail.0, a.head.0))
+            .collect(),
+        sub.family
+            .iter()
+            .map(|(_, p)| p.arcs().iter().map(|a| a.0).collect())
+            .collect(),
+    )
+}
+
+/// D5: the delta query behind each churn step, at churn(256) and
+/// churn(4096). Both tiers' workspaces are opened first; each script step
+/// then advances and times the two tiers back to back, alternating which
+/// goes first, so a slow phase of the host hits both tiers alike.
+fn d5_delta_query_row() {
+    // One query takes 0.1–0.2 µs, so in a short batch one interrupt
+    // reads as a 1.6× growth: each step times batches of ≥ ~100 µs and
+    // keeps the fastest.
+    const DELTA_REPS: u32 = 1024;
+    const DELTA_BATCHES: usize = 5;
+    type Mirror = BTreeMap<PathId, u32>;
+    /// One tier: its workspace, the client mirror rebuilt from deltas
+    /// only, and the time summed over the steps.
+    struct Tier {
+        k: usize,
+        paths: usize,
+        script: Vec<Mutation>,
+        session: SolveSession,
+        ws: Workspace,
+        mirror: Mirror,
+        synced: Epoch,
+        delta_us: f64,
+        full_us: f64,
+        identical: bool,
+    }
+    fn replay(mirror: &mut Mirror, d: &dagwave_core::SolutionDelta) {
+        if d.full_resync {
+            mirror.clear();
+        }
+        for id in &d.removed {
+            mirror.remove(id);
+        }
+        for &(id, c) in &d.changes {
+            mirror.insert(id, c);
+        }
+    }
+    fn color_map(ws: &Workspace, colors: &[usize]) -> Mirror {
+        ws.family()
+            .dense_ids()
+            .iter()
+            .zip(colors)
+            .map(|(&id, &c)| (id, c as u32))
+            .collect()
+    }
+    impl Tier {
+        fn open(k: usize, steps: usize) -> Tier {
+            let work = compose::churn(13, k, steps);
+            let session = SolverBuilder::new()
+                .decompose(DecomposePolicy::Always)
+                .build();
+            let mut ws = Workspace::new(
+                session.clone(),
+                work.instance.graph.clone(),
+                work.instance.family.clone(),
+            )
+            .expect("churn instance is a DAG");
+            // Initial sync: epoch 0 is covered from the first refresh, so
+            // the mirror bootstraps through the same API clients use.
+            let mut mirror = Mirror::new();
+            let first = ws.delta_since(Epoch::default()).expect("initial sync");
+            replay(&mut mirror, &first);
+            Tier {
+                k,
+                paths: work.instance.family.len(),
+                script: work.script,
+                session,
+                ws,
+                mirror,
+                synced: first.epoch,
+                delta_us: 0.0,
+                full_us: 0.0,
+                identical: true,
+            }
+        }
+
+        fn step(&mut self, i: usize) {
+            self.ws.apply([self.script[i].clone()]).unwrap();
+            // The O(dirty) re-solve itself is paid once here, untimed: D3
+            // gates it. D5 times only the query side behind it.
+            self.ws.span().unwrap();
+            let mut d = None;
+            let mut best = f64::INFINITY;
+            for _ in 0..DELTA_BATCHES {
+                let t0 = Instant::now();
+                for _ in 0..DELTA_REPS {
+                    d = Some(black_box(self.ws.delta_since(self.synced).unwrap()));
+                }
+                best = best.min(t0.elapsed().as_secs_f64() * 1e6 / DELTA_REPS as f64);
+            }
+            self.delta_us += best;
+            let d = d.expect("at least one rep");
+            replay(&mut self.mirror, &d);
+            self.synced = d.epoch;
+
+            let t0 = Instant::now();
+            let sol = self.ws.solution().unwrap();
+            self.full_us += t0.elapsed().as_secs_f64() * 1e6;
+            let expected = color_map(&self.ws, sol.assignment.colors());
+            self.identical &= self.mirror == expected && d.span == sol.num_colors;
+        }
+    }
+
+    let steps = 8usize;
+    let mut tiers = [Tier::open(256, steps), Tier::open(4096, steps)];
+    for i in 0..steps {
+        if i % 2 == 0 {
+            tiers[0].step(i);
+            tiers[1].step(i);
+        } else {
+            tiers[1].step(i);
+            tiers[0].step(i);
+        }
+    }
+    for t in &tiers {
+        let k = t.k;
+        assert!(
+            t.identical,
+            "delta-replayed mirror diverged from the full solution (k={k})"
+        );
+        // End-of-script anchor: the mirror equals a from-scratch solve of
+        // the mutated instance, not just the workspace's view.
+        let (dense, _) = t.ws.family().to_dense();
+        let scratch = t.session.solve(t.ws.graph(), &dense).unwrap();
+        assert_eq!(
+            t.mirror,
+            color_map(&t.ws, scratch.assignment.colors()),
+            "delta-replayed mirror diverged from from-scratch (k={k})"
+        );
+    }
+    let avg = |t: &Tier| (t.delta_us / steps as f64, t.full_us / steps as f64);
+    let (small, large) = (avg(&tiers[0]), avg(&tiers[1]));
+    assert!(
+        large.1 / large.0.max(1e-9) >= 5.0,
+        "delta query must be ≥5× cheaper than full materialization at \
+         k=4096: {:.1} µs vs {:.1} µs",
+        large.0,
+        large.1
+    );
+    let growth = large.0 / small.0.max(1e-9);
+    assert!(
+        growth <= 1.5,
+        "per-query delta latency must stay flat in |P|: \
+         {:.2} µs at k=256 vs {:.2} µs at k=4096 ({growth:.2}×)",
+        small.0,
+        large.0
+    );
+    for (t, (delta_avg, full_avg)) in tiers.iter().zip([small, large]) {
+        row(
+            "D5 delta query path",
+            &format!("churn({}), |P|={}, {steps} steps", t.k, t.paths),
+            "flat in |P| (≤1.5×), ≥5× vs full, bit-identical",
+            &format!(
+                "delta {delta_avg:.2} µs/query vs full {full_avg:.1} µs \
+                 ({:.0}×), growth {growth:.2}×, mirror = solution = scratch, \
+                 peakRSS={} MiB",
+                full_avg / delta_avg.max(1e-9),
+                peak_rss_cell()
+            ),
+        );
     }
 }
 

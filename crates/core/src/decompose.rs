@@ -9,11 +9,12 @@
 //! [`dagwave_paths::SubInstance`] shards (one per component), each shard is
 //! classified and solved independently on the rayon pool under the
 //! session's [`crate::Policy`], and the shard colorings are merged back
-//! with a shared palette. Shards frequently land in a friendlier
-//! [`DagClass`] than the whole instance — a component that never touches
-//! the internal cycle is solved by Theorem 1 exactly even when the host
-//! DAG is general — and a shard small enough for the exact solver gets a
-//! certified optimum the monolithic solve could not afford.
+//! with a shared palette; shards with identical content share one solve.
+//! Shards frequently land in a friendlier [`DagClass`] than the whole
+//! instance — a component that never touches the internal cycle is solved
+//! by Theorem 1 exactly even when the host DAG is general — and a shard
+//! small enough for the exact solver gets a certified optimum the
+//! monolithic solve could not afford.
 //!
 //! The merged [`crate::Solution`] carries a [`Decomposition`] record with
 //! one [`ShardOutcome`] per shard (size, class, winning backend, span, and

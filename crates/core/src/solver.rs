@@ -24,6 +24,13 @@
 //! materialized batch ([`SolveSession::solve_batch`]), or from an iterator
 //! that is fed onto the pool incrementally without ever materializing the
 //! whole family ([`SolveSession::solve_stream`]).
+//!
+//! When the session's [`DecomposePolicy`] shards an instance, each
+//! conflict component is solved as its own sub-instance and the shard
+//! colorings are merged. Shards with identical content share one solve,
+//! for the one-shot path and the incremental
+//! [`crate::workspace::Workspace`] alike: the paper's lower-bound
+//! families, and the `federated` workload, glue copies of a few gadgets.
 
 use crate::assignment::WavelengthAssignment;
 use crate::backend::{
@@ -35,9 +42,11 @@ use crate::decompose::{DecomposePolicy, Decomposition, ShardOutcome};
 use crate::error::CoreError;
 use crate::internal::DagClass;
 use dagwave_color::ugraph::UGraph;
+use dagwave_graph::{ArcId, Digraph, VertexId};
 use dagwave_paths::{
     conflict_components, ConflictGraph, DipathFamily, ExtractScratch, PathId, SubInstance,
 };
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 /// How many in-flight instances [`SolveSession::solve_stream`] keeps per
@@ -233,9 +242,10 @@ impl SolveSession {
     ///
     /// Runs the decompose-solve-merge pipeline when the session's
     /// [`DecomposePolicy`] elects to shard (the instance is cut by
-    /// conflict-graph connected components, each shard is classified and
-    /// solved independently on the rayon pool, and the shard colorings are
-    /// merged with a shared palette); otherwise solves monolithically.
+    /// conflict-graph connected components, each distinct shard is
+    /// classified and solved independently on the rayon pool, and the
+    /// shard colorings are merged with a shared palette); otherwise solves
+    /// monolithically.
     pub fn solve(
         &self,
         g: &dagwave_graph::Digraph,
@@ -321,10 +331,11 @@ impl SolveSession {
     ///
     /// Each component is extracted into a [`SubInstance`] (dense local ids,
     /// host graph restricted to the arcs the shard uses) and solved with
-    /// this session's policy and budgets; a shard is never re-sharded.
-    /// Results are merged in deterministic shard order regardless of
-    /// completion order, so the output is bit-identical at every thread
-    /// budget.
+    /// this session's policy and budgets; a shard is never re-sharded, and
+    /// shards with identical content share one solve
+    /// ([`SolveSession::solve_extracted`]). Results are merged in
+    /// deterministic shard order regardless of completion order, so the
+    /// output is bit-identical at every thread budget.
     fn solve_decomposed(
         &self,
         ctx: &InstanceContext<'_>,
@@ -341,32 +352,56 @@ impl SolveSession {
                 )
             })
             .collect();
+        let solves = self.solve_extracted(&subs);
         // First shard error wins, in shard order — deterministic.
-        let shards: Vec<(Vec<PathId>, Solution)> = components
+        let shards: Vec<(Vec<PathId>, &Solution)> = components
             .into_iter()
-            .zip(self.solve_extracted(&subs))
-            .map(|(members, result)| result.map(|sol| (members, sol)))
-            .collect::<Result<_, _>>()?;
+            .zip(solves.per_shard())
+            .map(|(members, result)| result.as_ref().map(|sol| (members, sol)))
+            .collect::<Result<_, _>>()
+            .map_err(CoreError::clone)?;
         Ok(merge_shards(ctx, shards))
     }
 
-    /// Solve extracted shards as independent tasks on the rayon pool, one
-    /// result per shard in shard order whatever the completion order — the
+    /// Solve extracted shards as independent tasks on the rayon pool — the
     /// one path from shards to answers, for the one-shot decomposed solve
     /// and the incremental workspace alike. Callers extract sequentially
     /// through one [`ExtractScratch`]; only the solves fan out.
-    pub(crate) fn solve_extracted(&self, subs: &[SubInstance]) -> Vec<Result<Solution, CoreError>> {
+    ///
+    /// Shards with identical content share one solve. A shard solve reads
+    /// only its sub-instance's graph and family (never the original ids)
+    /// plus this session's request, and backends are deterministic, so
+    /// equal content means an equal answer. The shards are sorted by
+    /// content ([`content_order`]), ties broken by index; the first shard
+    /// of each run of equal content is solved and its result serves the
+    /// whole run. No hashing, and nothing outlives the call. One shard
+    /// costs no comparison.
+    pub(crate) fn solve_extracted(&self, subs: &[SubInstance]) -> ShardSolves {
+        let mut order: Vec<usize> = (0..subs.len()).collect();
+        order.sort_unstable_by(|&a, &b| content_order(&subs[a], &subs[b]).then(a.cmp(&b)));
+        let mut of_shard = vec![0; subs.len()];
+        let distinct: Vec<&SubInstance> = order
+            .chunk_by(|&a, &b| content_order(&subs[a], &subs[b]).is_eq())
+            .enumerate()
+            .map(|(d, run)| {
+                for &i in run {
+                    of_shard[i] = d;
+                }
+                &subs[run[0]]
+            })
+            .collect();
         let mut slots: Vec<Option<Result<Solution, CoreError>>> =
-            subs.iter().map(|_| None).collect();
+            distinct.iter().map(|_| None).collect();
         rayon::scope(|s| {
-            for (slot, sub) in slots.iter_mut().zip(subs) {
+            for (slot, &sub) in slots.iter_mut().zip(&distinct) {
                 s.spawn(move |_| *slot = Some(self.solve_shard(sub)));
             }
         });
-        slots
+        let solved = slots
             .into_iter()
             .map(|r| r.expect("shard task completed")) // lint: allow(no-panic): the scope barrier filled every shard slot
-            .collect()
+            .collect();
+        ShardSolves { solved, of_shard }
     }
 
     /// Solve many instances in parallel — the batch entry point for
@@ -719,13 +754,12 @@ fn auto_shard_backend(ctx: &InstanceContext<'_>) -> BackendKind {
 /// loses nothing). Properness is structural: colors can only collide
 /// across shards, and cross-shard dipaths never conflict.
 ///
-/// Generic over [`ShardSolution`] so the incremental engine can merge
-/// its cached shard solutions by reference — a re-merge after a mutation
-/// batch never deep-clones the clean shards — while the one-shot merge
-/// moves each shard's attempts into its report.
-pub(crate) fn merge_shards<S: ShardSolution>(
+/// Shard solutions are borrowed: identical shards of a one-shot solve
+/// share one, and the incremental engine merges its cache without
+/// deep-cloning the clean shards. Each shard's report copies its attempts.
+pub(crate) fn merge_shards(
     ctx: &InstanceContext<'_>,
-    shards: Vec<(Vec<PathId>, S)>,
+    shards: Vec<(Vec<PathId>, &Solution)>,
 ) -> Solution {
     let mut colors = vec![usize::MAX; ctx.family.len()];
     let mut span = 0usize;
@@ -737,8 +771,7 @@ pub(crate) fn merge_shards<S: ShardSolution>(
     // numbering of `WavelengthAssignment::normalized`, without
     // materializing a normalized copy per shard.
     let mut palette = Vec::new();
-    for (original_ids, shard) in shards {
-        let sol = shard.borrow();
+    for (original_ids, sol) in shards {
         sol.assignment
             .for_each_normalized(&mut palette, |local, c| {
                 colors[original_ids[local].index()] = c as usize;
@@ -759,19 +792,15 @@ pub(crate) fn merge_shards<S: ShardSolution>(
             .unwrap_or(sol.load);
         best_lower = best_lower.max(shard_lower);
         all_optimal &= sol.optimal;
-        let report = ShardOutcome {
+        reports.push(ShardOutcome {
             paths: original_ids.len(),
             class: sol.class,
             strategy: sol.strategy,
             num_colors: sol.num_colors,
             load: sol.load,
             optimal: sol.optimal,
-            attempts: Vec::new(),
+            attempts: sol.attempts.clone(),
             members: original_ids,
-        };
-        reports.push(ShardOutcome {
-            attempts: shard.into_attempts(),
-            ..report
         });
     }
     let attempts = reports
@@ -815,24 +844,35 @@ pub(crate) fn merge_shards<S: ShardSolution>(
     }
 }
 
-/// A shard solution [`merge_shards`] takes: owned by the one-shot merge,
-/// borrowed from the incremental engine's cache.
-pub(crate) trait ShardSolution: std::borrow::Borrow<Solution> {
-    /// The attempts for the shard's [`ShardOutcome`]: moved out of an owned
-    /// solution, cloned from a borrowed one.
-    fn into_attempts(self) -> Vec<BackendAttempt>;
+/// What [`SolveSession::solve_extracted`] returns: one result per distinct
+/// shard content, and each shard's index into them.
+pub(crate) struct ShardSolves {
+    solved: Vec<Result<Solution, CoreError>>,
+    of_shard: Vec<usize>,
 }
 
-impl ShardSolution for Solution {
-    fn into_attempts(self) -> Vec<BackendAttempt> {
-        self.attempts
+impl ShardSolves {
+    /// Each shard's result, in shard order; identical shards share one.
+    pub(crate) fn per_shard(&self) -> impl Iterator<Item = &Result<Solution, CoreError>> {
+        self.of_shard.iter().map(|&d| &self.solved[d])
     }
 }
 
-impl ShardSolution for &Solution {
-    fn into_attempts(self) -> Vec<BackendAttempt> {
-        self.attempts.clone()
+/// Exact order on everything a shard solve reads: the vertex count, then
+/// the arc endpoints in arc order, then the members' arc lists in local
+/// order. Shards equal under it are the same instance.
+fn content_order(a: &SubInstance, b: &SubInstance) -> Ordering {
+    fn ends(g: &Digraph) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
+        g.arcs().map(|(_, arc)| (arc.tail, arc.head))
     }
+    fn lists(f: &DipathFamily) -> impl Iterator<Item = &[ArcId]> {
+        f.iter().map(|(_, p)| p.arcs())
+    }
+    a.graph
+        .vertex_count()
+        .cmp(&b.graph.vertex_count())
+        .then_with(|| ends(&a.graph).cmp(ends(&b.graph)))
+        .then_with(|| lists(&a.family).cmp(lists(&b.family)))
 }
 
 /// One batch/stream instance with panic isolation: a panic anywhere inside

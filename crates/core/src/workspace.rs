@@ -19,7 +19,11 @@
 //! [`Workspace::remove_path`], [`Workspace::apply`] with [`Mutation`]
 //! batches) re-derives components only over the dirty member pool;
 //! [`Workspace::solution`] then re-solves only the unsolved shards and
-//! re-merges with the shared normalized palette.
+//! re-merges with the shared normalized palette. Unsolved shards with
+//! identical content share one solve, as in the one-shot path: the first
+//! refresh of a family glued from copies of a few gadgets runs one solve
+//! per distinct gadget, and a refresh with one dirty shard does no
+//! grouping work.
 //!
 //! The mutate → refresh step is O(dirty): every structure it touches is
 //! patched for just the shards a mutation dirties, never rescanned.
@@ -138,7 +142,9 @@ pub enum Mutation {
 pub struct Resolve {
     /// Shards whose cached coloring was reused verbatim.
     pub shards_reused: usize,
-    /// Shards recomputed this call.
+    /// Shards whose cached coloring was refilled this call. Identical
+    /// shards share one solve, so this counts shards refilled, not
+    /// solves run.
     pub shards_resolved: usize,
 }
 
@@ -201,7 +207,8 @@ pub struct WorkspaceStats {
     /// (fingerprint-pool adoptions count here, exactly as they do in
     /// [`Resolve::shards_reused`]).
     pub shards_reused: usize,
-    /// Shards actually recomputed, summed over every recomputation.
+    /// Shards refilled, summed over every recomputation (as
+    /// [`Resolve::shards_resolved`] counts them: shards, not solves).
     pub shards_resolved: usize,
     /// Distinct arc sequences held by the family's interner (it forgets
     /// sequences no dipath holds any more; see
@@ -907,7 +914,8 @@ impl Workspace {
 
         // Solve only the unsolved stale shards, each extracted from its own
         // cached dipaths under their stable ids, through the same shard
-        // engine as the one-shot decomposed path.
+        // engine as the one-shot decomposed path (identical shards share
+        // one solve).
         let dirty: Vec<PathId> = self
             .stale
             .iter()
@@ -926,14 +934,15 @@ impl Workspace {
                 )
             })
             .collect();
-        let results = self.session.solve_extracted(&subs);
-        for (key, solved) in dirty.iter().zip(results) {
+        let solves = self.session.solve_extracted(&subs);
+        for (key, solved) in dirty.iter().zip(solves.per_shard()) {
             // Cache the shard-local solution only: its colors are indexed
             // by rank within the shard, which removals elsewhere in the
-            // family never change.
-            self.tally.add(*key, &solved);
+            // family never change. Identical shards share one solve, so
+            // each keeps its own copy.
+            self.tally.add(*key, solved);
             if let Some(shard) = self.shards.get_mut(key) {
-                shard.solved = Some(solved);
+                shard.solved = Some(solved.clone());
             }
         }
         let reused = self.shards.len() - dirty.len();

@@ -74,38 +74,13 @@ impl UnionFind {
         self.find(a) == self.find(b)
     }
 
-    /// Reset every element back to a singleton set, reusing the existing
-    /// allocation — the cheap half of a delta rebuild: a caller that
-    /// re-derives a partition after each mutation batch resets its scratch
-    /// structure instead of reallocating it.
-    pub fn reset(&mut self) {
-        for (i, p) in self.parent.iter_mut().enumerate() {
-            *p = i as u32;
-        }
-        self.rank.fill(0);
-        self.components = self.parent.len();
-    }
-
-    /// Grow the universe to `n` elements; the new elements `len()..n` start
-    /// as singletons and existing sets are untouched. No-op when `n` is not
-    /// larger than the current size.
-    pub fn grow(&mut self, n: usize) {
-        let old = self.parent.len();
-        if n <= old {
-            return;
-        }
-        self.parent.extend(old as u32..n as u32);
-        self.rank.resize(n, 0);
-        self.components += n - old;
-    }
-
     /// Shadow structural validation (debug builds only; release builds
     /// compile this to nothing). Checks the forest invariants a corrupted
-    /// `grow`/`reset`/`union` would break: every parent pointer in range,
-    /// rank strictly increasing along parent chains (union by rank plus
-    /// path halving preserves this), and the cached component count equal
-    /// to the number of roots. Run by the partition extractors — they are
-    /// already O(n), so the audit never changes a caller's complexity.
+    /// `union` would break: every parent pointer in range, rank strictly
+    /// increasing along parent chains (union by rank plus path halving
+    /// preserves this), and the cached component count equal to the number
+    /// of roots. Run by [`UnionFind::components`] — it is already O(n), so
+    /// the audit never changes its complexity.
     fn debug_validate(&self) {
         if !cfg!(debug_assertions) {
             return;
@@ -133,33 +108,6 @@ impl UnionFind {
             roots, self.components,
             "cached component count diverged from the number of roots"
         );
-    }
-
-    /// The sets restricted to `members`: like [`UnionFind::components`], but
-    /// only the listed elements appear in the output (sets with no listed
-    /// member are omitted, sets are ordered by their smallest *listed*
-    /// member, members ascend within each set). Duplicated members are
-    /// deduplicated. This is the delta-rebuild primitive: after re-unioning
-    /// only the dirty part of a structure, the caller extracts just the
-    /// dirty sets without paying for the clean remainder.
-    pub fn components_among(&mut self, members: &[usize]) -> Vec<Vec<usize>> {
-        self.debug_validate();
-        let mut members: Vec<usize> = members.to_vec();
-        members.sort_unstable();
-        members.dedup();
-        // slot[root] = position of that root's set in the output; roots are
-        // discovered in ascending member order, so sets come out canonical.
-        let mut slot = std::collections::HashMap::new();
-        let mut sets: Vec<Vec<usize>> = Vec::new();
-        for &x in &members {
-            let r = self.find(x);
-            let s = *slot.entry(r).or_insert_with(|| {
-                sets.push(Vec::new());
-                sets.len() - 1
-            });
-            sets[s].push(x);
-        }
-        sets
     }
 
     /// The disjoint sets as explicit member lists, in a canonical order:
@@ -273,68 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_singletons_in_place() {
-        let mut uf = UnionFind::new(6);
-        uf.union(0, 1);
-        uf.union(2, 3);
-        uf.union(3, 4);
-        assert_eq!(uf.component_count(), 3);
-        uf.reset();
-        assert_eq!(uf.component_count(), 6);
-        assert_eq!(uf.len(), 6);
-        for i in 0..6 {
-            assert_eq!(uf.find(i), i);
-        }
-        // Usable again after the reset.
-        assert!(uf.union(4, 5));
-        assert!(uf.connected(4, 5));
-        assert!(!uf.connected(0, 1));
-    }
-
-    #[test]
-    fn grow_adds_singletons_and_keeps_sets() {
-        let mut uf = UnionFind::new(3);
-        uf.union(0, 2);
-        uf.grow(6);
-        assert_eq!(uf.len(), 6);
-        assert_eq!(uf.component_count(), 5);
-        assert!(uf.connected(0, 2));
-        for i in 3..6 {
-            assert_eq!(uf.find(i), i);
-        }
-        // Shrinking (or equal) requests are no-ops.
-        uf.grow(4);
-        assert_eq!(uf.len(), 6);
-        uf.grow(6);
-        assert_eq!(uf.len(), 6);
-    }
-
-    #[test]
-    fn components_among_restricts_and_stays_canonical() {
-        // Partition {0,3,4} {1,2} {5}; restrict to various member subsets.
-        let mut uf = UnionFind::new(6);
-        uf.union(3, 0);
-        uf.union(4, 3);
-        uf.union(2, 1);
-        assert_eq!(
-            uf.components_among(&[0, 1, 2, 3, 4, 5]),
-            vec![vec![0, 3, 4], vec![1, 2], vec![5]]
-        );
-        // Subset: sets with no listed member vanish, listed members only.
-        assert_eq!(
-            uf.components_among(&[4, 2, 3]),
-            vec![vec![2], vec![3, 4]],
-            "ordered by smallest listed member"
-        );
-        // Duplicates are deduplicated; empty restriction is empty.
-        assert_eq!(uf.components_among(&[1, 1, 1]), vec![vec![1]]);
-        assert!(uf.components_among(&[]).is_empty());
-        // Restricting to everything matches the unrestricted form.
-        let all: Vec<usize> = (0..6).collect();
-        assert_eq!(uf.components_among(&all), uf.components());
-    }
-
-    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "out of range")]
     fn shadow_validation_catches_corrupted_parent_pointers() {
@@ -350,7 +236,7 @@ mod tests {
         let mut uf = UnionFind::new(4);
         uf.union(0, 1);
         uf.components = 4; // stale cache: only 3 roots remain
-        let _ = uf.components_among(&[0, 1, 2, 3]);
+        let _ = uf.components();
     }
 
     #[test]

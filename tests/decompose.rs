@@ -1,12 +1,18 @@
 //! Decompose-solve-merge acceptance: on federated (multi-component)
 //! instances, `DecomposePolicy::Always` must produce a certified coloring
 //! whose span equals the max over per-shard spans, bit-identical across
-//! thread budgets 1/2/4, and never worse than the monolithic Auto solve.
+//! thread budgets 1/2/4, never worse than the monolithic Auto solve, and
+//! equal field for field to solving every component on its own.
 
 use dagwave::core::certify;
 use dagwave::gen::compose::{disjoint_union, federated};
-use dagwave::paths::conflict_components;
-use dagwave::{DecomposePolicy, SolveSession, SolverBuilder};
+use dagwave::gen::{figures, Instance};
+use dagwave::graph::builder::from_edges;
+use dagwave::graph::{Digraph, VertexId};
+use dagwave::paths::{conflict_components, Dipath, DipathFamily, PathId, SubInstance};
+use dagwave::{
+    BackendAttempt, BackendKind, DecomposePolicy, Solution, SolveSession, SolverBuilder,
+};
 
 /// The thread budgets every check runs under (no-op on the sequential
 /// `--no-default-features` build).
@@ -161,5 +167,150 @@ fn decomposition_composes_with_stream_and_batch() {
             "federated(k) has k shards"
         );
         assert_eq!(s.decomposition.as_ref().unwrap().shard_count(), k + 1);
+    }
+}
+
+/// `inst` with its dipaths listed in reverse order.
+fn members_reversed(inst: &Instance) -> Instance {
+    let mut paths: Vec<Dipath> = inst.family.iter().map(|(_, p)| p.clone()).collect();
+    paths.reverse();
+    Instance {
+        graph: inst.graph.clone(),
+        family: DipathFamily::from_paths(paths),
+        name: format!("{} members reversed", inst.name),
+    }
+}
+
+/// `inst` with vertex `v` renumbered `n - 1 - v`, arcs in the same order:
+/// the same local arc lists over different local endpoints.
+fn vertices_reversed(inst: &Instance) -> Instance {
+    let n = inst.graph.vertex_count() as u32;
+    let mut graph = Digraph::with_vertices(n as usize);
+    for (_, arc) in inst.graph.arcs() {
+        graph.add_arc(VertexId(n - 1 - arc.tail.0), VertexId(n - 1 - arc.head.0));
+    }
+    let paths = inst
+        .family
+        .iter()
+        .map(|(_, p)| Dipath::from_arcs(&graph, p.arcs().to_vec()).unwrap())
+        .collect();
+    Instance {
+        graph,
+        family: DipathFamily::from_paths(paths),
+        name: format!("{} vertices reversed", inst.name),
+    }
+}
+
+/// The chain `0 → 1 → 2 → 3` under `[0,1,2]`, `[1,2,3]` and `[2,3]`, or,
+/// with `moved`, `[1,2]` in place of the last: one arc apart, same sizes,
+/// and the load rises from 2 to 3.
+fn chain(moved: bool) -> Instance {
+    let graph = from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+    let last: &[usize] = if moved { &[1, 2] } else { &[2, 3] };
+    let paths = [&[0, 1, 2][..], &[1, 2, 3], last]
+        .iter()
+        .map(|route| {
+            let route: Vec<VertexId> = route.iter().map(|&v| VertexId::from_index(v)).collect();
+            Dipath::from_vertices(&graph, &route).unwrap()
+        })
+        .collect();
+    Instance {
+        graph,
+        family: DipathFamily::from_paths(paths),
+        name: format!("chain moved={moved}"),
+    }
+}
+
+/// The decomposed solve rebuilt without the shared shard path: every
+/// component extracted on its own, solved whole by an undecomposed
+/// session, and merged in component order through
+/// `WavelengthAssignment::normalized`.
+struct Reference {
+    colors: Vec<usize>,
+    span: usize,
+    strategy: BackendKind,
+    attempts: Vec<BackendAttempt>,
+    shards: Vec<(Vec<PathId>, Solution)>,
+}
+
+fn independent_shard_solves(inst: &Instance) -> Reference {
+    let whole = SolverBuilder::new().decompose(DecomposePolicy::Off).build();
+    let mut colors = vec![usize::MAX; inst.family.len()];
+    let (mut span, mut strategy, mut attempts, mut shards) = (0, None, Vec::new(), Vec::new());
+    for members in conflict_components(&inst.graph, &inst.family) {
+        let sub = SubInstance::extract(&inst.graph, &inst.family, &members);
+        let sol = whole.solve(&sub.graph, &sub.family).unwrap();
+        for (local, &c) in sol.assignment.normalized().colors().iter().enumerate() {
+            colors[sub.original_id(PathId::from_index(local)).index()] = c;
+        }
+        if strategy.is_none() || sol.num_colors > span {
+            strategy = Some(sol.strategy);
+        }
+        span = span.max(sol.num_colors);
+        attempts.extend(sol.attempts.iter().cloned());
+        shards.push((members, sol));
+    }
+    Reference {
+        colors,
+        span,
+        strategy: strategy.expect("every fixture has a component"),
+        attempts,
+        shards,
+    }
+}
+
+#[test]
+fn decomposed_solve_matches_independent_shard_solves() {
+    let t2 = figures::theorem2_family(3);
+    let fixtures = [
+        // Exact repeats, and a repeat listing its members in reverse.
+        disjoint_union(&[
+            t2.clone(),
+            figures::figure3(),
+            t2.clone(),
+            figures::crossing_c4(),
+            members_reversed(&t2),
+            figures::figure3(),
+            figures::crossing_c4(),
+            t2.clone(),
+        ]),
+        // Near-repeats: equal sizes, one arc apart.
+        disjoint_union(&[chain(false), chain(true), chain(false), chain(true)]),
+        // Repeats numbered in reverse: equal local arc lists, different
+        // local endpoints (Theorem 6 colors these two differently).
+        disjoint_union(&[
+            t2.clone(),
+            vertices_reversed(&t2),
+            vertices_reversed(&figures::theorem2_family(2)),
+            figures::theorem2_family(2),
+            t2,
+        ]),
+    ];
+    let session = sharded();
+    for inst in &fixtures {
+        let reference = independent_shard_solves(inst);
+        for threads in BUDGETS {
+            let sol = with_threads(threads, || {
+                session.solve(&inst.graph, &inst.family).unwrap()
+            });
+            let at = format!("{} at {threads} threads", inst.name);
+            assert_eq!(sol.assignment.colors(), reference.colors, "{at}");
+            assert_eq!(sol.num_colors, reference.span, "{at}");
+            assert_eq!(sol.strategy, reference.strategy, "{at}");
+            assert_eq!(sol.attempts, reference.attempts, "{at}");
+            let d = sol.decomposition.as_ref().expect("Always shards");
+            assert_eq!(d.shard_count(), reference.shards.len(), "{at}");
+            for (i, (s, (members, r))) in d.shards.iter().zip(&reference.shards).enumerate() {
+                let at = format!("{at}, shard {i}");
+                assert_eq!(&s.members, members, "{at}");
+                assert_eq!(s.paths, members.len(), "{at}");
+                assert_eq!(s.class, r.class, "{at}");
+                assert_eq!(s.strategy, r.strategy, "{at}");
+                assert_eq!(s.num_colors, r.num_colors, "{at}");
+                assert_eq!(s.load, r.load, "{at}");
+                assert_eq!(s.optimal, r.optimal, "{at}");
+                assert_eq!(s.attempts, r.attempts, "{at}");
+            }
+        }
     }
 }
