@@ -18,8 +18,6 @@
 //!   solver) and [`kempe::kempe_reduce`], the palette-reduction refinement
 //!   behind the `KempeGreedy` solver backend.
 //! * [`forbidden`] — `K_{2,3}` detection (Corollary 5 checks).
-//! * [`independent`] — greedy maximal independent sets (Theorem 7's
-//!   lower-bound argument `w ≥ n/α`).
 //! * [`verify`] — proper-coloring validation.
 //!
 //! ## Quick example
@@ -41,13 +39,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bipartite;
 pub mod clique;
 pub mod dsatur;
 pub mod exact;
 pub mod forbidden;
 pub mod greedy;
-pub mod independent;
 pub mod kempe;
 pub mod multicolor;
 pub mod ugraph;

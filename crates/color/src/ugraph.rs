@@ -178,20 +178,6 @@ impl UGraph {
             .max()
             .unwrap_or(0)
     }
-
-    /// Complement graph (for independent-set ↔ clique dualities in tests).
-    pub fn complement(&self) -> UGraph {
-        let n = self.vertex_count();
-        let mut g = UGraph::new(n);
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if !self.has_edge(a, b) {
-                    g.add_edge(a, b);
-                }
-            }
-        }
-        g
-    }
 }
 
 /// Build the cycle graph `C_n`.
@@ -287,14 +273,6 @@ mod tests {
         let tree = UGraph::from_edges(5, &[(0, 1), (0, 2), (1, 3), (1, 4)]);
         assert_eq!(tree.degeneracy(), 1);
         assert_eq!(UGraph::new(3).degeneracy(), 0);
-    }
-
-    #[test]
-    fn complement_involution() {
-        let g = UGraph::from_edges(4, &[(0, 1), (2, 3)]);
-        let cc = g.complement().complement();
-        assert_eq!(cc.edge_list(), g.edge_list());
-        assert_eq!(g.complement().edge_count(), 4);
     }
 
     #[test]

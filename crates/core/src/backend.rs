@@ -123,9 +123,9 @@ pub enum Policy {
     Portfolio(Vec<BackendKind>),
 }
 
-/// Every budget and threshold the solving surface consults, lifted out of
-/// the old hard-coded facade. Carried by [`crate::solver::SolveSession`] and
-/// built with [`crate::solver::SolverBuilder`].
+/// The policy and the budgets a caller sets on the solving surface.
+/// Carried by [`crate::solver::SolveSession`] and built with
+/// [`crate::solver::SolverBuilder`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SolveRequest {
     /// Backend-selection policy.
@@ -133,57 +133,35 @@ pub struct SolveRequest {
     /// When to shard the instance by conflict-graph components before
     /// solving (decompose-solve-merge; see [`crate::DecomposePolicy`]).
     pub decompose: crate::decompose::DecomposePolicy,
-    /// Per-shard backend *selection*: when `true` and the policy is
-    /// [`Policy::Auto`], each shard of a decomposed solve is dispatched to
-    /// the single backend its own class pins (Theorem 1 for
-    /// internal-cycle-free shards, Theorem 6 for single-cycle UPP shards,
-    /// exact-or-DSATUR otherwise) instead of re-running the full Auto
-    /// dispatch — in particular the weighted-rescue consult is skipped per
-    /// shard. Off by default (full Auto per shard, the historical
-    /// behavior); ignored for pinned/portfolio policies and monolithic
-    /// solves.
-    pub per_shard_backend: bool,
     /// Largest conflict graph (vertices) handed to the exact solver.
     pub exact_limit: usize,
     /// Search-node budget for one exact call: the exact solver (its twin
     /// step included) and the weighted backend's exact multicoloring.
     pub exact_budget: u64,
-    /// Largest deduplicated base family the weighted backend accepts
-    /// (beyond it the exact independent-set machinery is too expensive).
-    pub weighted_dedup_limit: usize,
-    /// The weighted backend uses *exact* multicoloring when the base has at
-    /// most this many vertices…
-    pub weighted_exact_base_limit: usize,
-    /// …and the family's total weight (original path count) is at most
-    /// this; otherwise it falls back to greedy multicoloring.
-    pub weighted_exact_weight_limit: usize,
 }
 
 impl SolveRequest {
     /// Default [`SolveRequest::exact_limit`].
     pub const DEFAULT_EXACT_LIMIT: usize = 80;
-    /// Default [`SolveRequest::weighted_dedup_limit`] (was the hard-coded
-    /// `base_count > 40` guard).
-    pub const DEFAULT_WEIGHTED_DEDUP_LIMIT: usize = 40;
-    /// Default [`SolveRequest::weighted_exact_base_limit`] (was the
-    /// hard-coded `base_count <= 16` guard).
-    pub const DEFAULT_WEIGHTED_EXACT_BASE_LIMIT: usize = 16;
-    /// Default [`SolveRequest::weighted_exact_weight_limit`] (was the
-    /// hard-coded `total_weight <= 64` guard).
-    pub const DEFAULT_WEIGHTED_EXACT_WEIGHT_LIMIT: usize = 64;
 }
+
+/// Largest deduplicated base family the weighted backend accepts (beyond it
+/// the exact independent-set machinery is too expensive).
+const WEIGHTED_DEDUP_LIMIT: usize = 40;
+/// The weighted backend uses *exact* multicoloring when the base has at most
+/// this many vertices…
+const WEIGHTED_EXACT_BASE_LIMIT: usize = 16;
+/// …and the family's total weight (original path count) is at most this;
+/// otherwise it falls back to greedy multicoloring.
+const WEIGHTED_EXACT_WEIGHT_LIMIT: usize = 64;
 
 impl Default for SolveRequest {
     fn default() -> Self {
         SolveRequest {
             policy: Policy::Auto,
             decompose: crate::decompose::DecomposePolicy::default(),
-            per_shard_backend: false,
             exact_limit: Self::DEFAULT_EXACT_LIMIT,
             exact_budget: exact::DEFAULT_NODE_BUDGET,
-            weighted_dedup_limit: Self::DEFAULT_WEIGHTED_DEDUP_LIMIT,
-            weighted_exact_base_limit: Self::DEFAULT_WEIGHTED_EXACT_BASE_LIMIT,
-            weighted_exact_weight_limit: Self::DEFAULT_WEIGHTED_EXACT_WEIGHT_LIMIT,
         }
     }
 }
@@ -459,10 +437,9 @@ impl ColoringBackend for WeightedBackend {
             return Some("family has no duplicated dipaths".to_string());
         }
         let base_count = ctx.dedup_groups().len();
-        if base_count > ctx.request.weighted_dedup_limit {
+        if base_count > WEIGHTED_DEDUP_LIMIT {
             return Some(format!(
-                "deduplicated base has {base_count} dipaths, over the weighted_dedup_limit of {}",
-                ctx.request.weighted_dedup_limit
+                "deduplicated base has {base_count} dipaths, over the weighted dedup limit of {WEIGHTED_DEDUP_LIMIT}"
             ));
         }
         None
@@ -479,8 +456,8 @@ impl ColoringBackend for WeightedBackend {
         let ug = crate::solver::conflict_to_ugraph(&cg);
         // Exact covering only within the configured limits; greedy beyond.
         let total_weight: usize = weights.iter().sum();
-        let (mc, proven) = if base.len() <= ctx.request.weighted_exact_base_limit
-            && total_weight <= ctx.request.weighted_exact_weight_limit
+        let (mc, proven) = if base.len() <= WEIGHTED_EXACT_BASE_LIMIT
+            && total_weight <= WEIGHTED_EXACT_WEIGHT_LIMIT
         {
             let exact = multicolor::exact_multicoloring(&ug, &weights, ctx.request.exact_budget);
             let proven = exact.is_optimal();
@@ -667,20 +644,17 @@ mod tests {
 
     #[test]
     fn request_defaults_pin_the_old_magic_numbers() {
-        // The historical hard-coded heuristics, now named configuration:
-        // exact solver limit 80, weighted dedup guard 40, exact
-        // multicoloring guards 16 (base) and 64 (total weight).
+        // The historical hard-coded heuristics: exact solver limit 80 as
+        // configuration, and the weighted backend's dedup guard 40 and
+        // exact multicoloring guards 16 (base) and 64 (total weight) as
+        // named constants.
         let req = SolveRequest::default();
         assert_eq!(req.exact_limit, 80);
         assert_eq!(req.exact_budget, exact::DEFAULT_NODE_BUDGET);
-        assert_eq!(req.weighted_dedup_limit, 40);
-        assert_eq!(req.weighted_exact_base_limit, 16);
-        assert_eq!(req.weighted_exact_weight_limit, 64);
+        assert_eq!(WEIGHTED_DEDUP_LIMIT, 40);
+        assert_eq!(WEIGHTED_EXACT_BASE_LIMIT, 16);
+        assert_eq!(WEIGHTED_EXACT_WEIGHT_LIMIT, 64);
         assert_eq!(req.policy, Policy::Auto);
-        assert!(
-            !req.per_shard_backend,
-            "per-shard backend selection is opt-in"
-        );
         assert_eq!(
             req.decompose,
             crate::decompose::DecomposePolicy::default(),
@@ -735,14 +709,27 @@ mod tests {
         let reason = backend(BackendKind::Weighted).unsupported(&ctx).unwrap();
         assert!(reason.contains("no duplicated"), "{reason}");
 
-        let replicated = f.replicate(3);
-        let tight = SolveRequest {
-            weighted_dedup_limit: 2,
-            ..SolveRequest::default()
+        // Every sub-interval of a 10-vertex path is a distinct dipath (45
+        // of them); the first `distinct` plus one duplicate make the base.
+        let chain: Vec<(usize, usize)> = (0..9).map(|i| (i, i + 1)).collect();
+        let g = from_edges(10, &chain);
+        let intervals: Vec<Dipath> = (0..10)
+            .flat_map(|a| (a + 1..10).map(move |b| (a, b)))
+            .map(|(a, b)| path(&g, &(a..=b).collect::<Vec<_>>()))
+            .collect();
+        let with_duplicate = |distinct: usize| {
+            let mut paths = intervals[..distinct].to_vec();
+            paths.push(intervals[0].clone());
+            DipathFamily::from_paths(paths)
         };
-        let ctx = InstanceContext::new(&g, &replicated, &tight).unwrap();
+        let at_limit = with_duplicate(40);
+        let ctx = InstanceContext::new(&g, &at_limit, &req).unwrap();
+        assert_eq!(backend(BackendKind::Weighted).unsupported(&ctx), None);
+        let over = with_duplicate(41);
+        let ctx = InstanceContext::new(&g, &over, &req).unwrap();
         let reason = backend(BackendKind::Weighted).unsupported(&ctx).unwrap();
-        assert!(reason.contains("weighted_dedup_limit"), "{reason}");
+        assert!(reason.contains("has 41 dipaths"), "{reason}");
+        assert!(reason.contains("dedup limit of 40"), "{reason}");
     }
 
     #[test]

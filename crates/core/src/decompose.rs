@@ -31,9 +31,9 @@ use dagwave_paths::PathId;
 /// Decomposition is correctness-preserving (disjoint components never
 /// conflict), deterministic (shards are ordered by smallest original path
 /// id and each shard solve is deterministic), and composes with every
-/// [`crate::Policy`] and with `solve_batch`/`solve_stream`. The policy
-/// steers one-shot solves only: a [`crate::Workspace`] always shards, and
-/// keeps its session with `Always` pinned.
+/// [`crate::Policy`] and with `solve_stream`. The policy steers one-shot
+/// solves only: a [`crate::Workspace`] always shards, and keeps its session
+/// with `Always` pinned.
 ///
 /// ```
 /// use dagwave_core::{DecomposePolicy, SolverBuilder};

@@ -1,8 +1,8 @@
-//! The solving surface: sessions, policies, batch and streaming entry
-//! points.
+//! The solving surface: sessions, policies, and the one-instance and
+//! streaming entry points.
 //!
 //! A [`SolveSession`] (built with [`SolverBuilder`]) carries a
-//! [`SolveRequest`] — every budget and threshold, plus a [`Policy`]:
+//! [`SolveRequest`] — its budgets, the decompose policy, and a [`Policy`]:
 //!
 //! * [`Policy::Auto`] — classify the instance and dispatch to the strongest
 //!   applicable method (the paper's taxonomy, the historical behavior):
@@ -20,10 +20,10 @@
 //! * [`Policy::Portfolio`] — race several backends on the rayon pool and
 //!   keep the fewest-colors result deterministically.
 //!
-//! Instances can be solved one at a time ([`SolveSession::solve`]), as a
-//! materialized batch ([`SolveSession::solve_batch`]), or from an iterator
-//! that is fed onto the pool incrementally without ever materializing the
-//! whole family ([`SolveSession::solve_stream`]).
+//! Instances can be solved one at a time ([`SolveSession::solve`]) or from
+//! an iterator that is fed onto the pool one bounded window at a time,
+//! without ever materializing the whole sequence
+//! ([`SolveSession::solve_stream`]).
 //!
 //! When the session's [`DecomposePolicy`] shards an instance, each
 //! conflict component is solved as its own sub-instance and the shard
@@ -158,16 +158,6 @@ impl SolverBuilder {
         self
     }
 
-    /// Enable per-shard backend *selection*: under [`Policy::Auto`], each
-    /// shard of a decomposed solve is dispatched straight to the one
-    /// backend its own class pins (Theorem 1 / Theorem 6 /
-    /// exact-or-DSATUR) instead of re-running the full Auto dispatch —
-    /// see [`SolveRequest::per_shard_backend`].
-    pub fn per_shard_backend(mut self, enabled: bool) -> Self {
-        self.request.per_shard_backend = enabled;
-        self
-    }
-
     /// Largest conflict graph (vertices) handed to the exact solver.
     pub fn exact_limit(mut self, limit: usize) -> Self {
         self.request.exact_limit = limit;
@@ -178,24 +168,6 @@ impl SolverBuilder {
     /// step included) and the weighted backend's exact multicoloring.
     pub fn exact_budget(mut self, budget: u64) -> Self {
         self.request.exact_budget = budget;
-        self
-    }
-
-    /// Largest deduplicated base family the weighted backend accepts.
-    pub fn weighted_dedup_limit(mut self, limit: usize) -> Self {
-        self.request.weighted_dedup_limit = limit;
-        self
-    }
-
-    /// Base-size threshold below which weighted coloring is exact.
-    pub fn weighted_exact_base_limit(mut self, limit: usize) -> Self {
-        self.request.weighted_exact_base_limit = limit;
-        self
-    }
-
-    /// Total-weight threshold below which weighted coloring is exact.
-    pub fn weighted_exact_weight_limit(mut self, limit: usize) -> Self {
-        self.request.weighted_exact_weight_limit = limit;
         self
     }
 
@@ -266,18 +238,8 @@ impl SolveSession {
     /// the host's DAG proof ([`InstanceContext::of_dag`]): it classifies
     /// and loads the shard but does not sort it topologically again. A
     /// shard is dispatched whole, never sharded again.
-    ///
-    /// When [`SolveRequest::per_shard_backend`] is set and the policy is
-    /// [`Policy::Auto`], the shard is dispatched straight to the one
-    /// backend its class pins (Theorem 1 / Theorem 6 /
-    /// exact-or-DSATUR) instead of the full Auto dispatch with its
-    /// weighted-rescue consult — shards re-classify independently, so the
-    /// class decides the backend once and for all.
     fn solve_shard(&self, shard: &SubInstance) -> Result<Solution, CoreError> {
         let ctx = InstanceContext::of_dag(&shard.graph, &shard.family, &self.request);
-        if self.request.per_shard_backend && self.request.policy == Policy::Auto {
-            return self.solve_pinned(auto_shard_backend(&ctx), &ctx);
-        }
         self.dispatch(&ctx)
     }
 
@@ -404,29 +366,6 @@ impl SolveSession {
         ShardSolves { solved, of_shard }
     }
 
-    /// Solve many instances in parallel — the batch entry point for
-    /// parameter sweeps. Each instance becomes its own task on the rayon
-    /// pool (a `scope` spawn, so heterogeneous instance costs load-balance
-    /// across workers), panics are isolated per instance and surfaced as
-    /// [`CoreError::SolverPanic`], and the output order always matches the
-    /// input order regardless of completion order.
-    pub fn solve_batch(
-        &self,
-        instances: &[(&dagwave_graph::Digraph, &DipathFamily)],
-    ) -> Vec<Result<Solution, CoreError>> {
-        let mut results: Vec<Option<Result<Solution, CoreError>>> =
-            instances.iter().map(|_| None).collect();
-        rayon::scope(|s| {
-            for (slot, &(g, family)) in results.iter_mut().zip(instances) {
-                s.spawn(move |_| *slot = Some(solve_isolated(self, g, family)));
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("batch task completed")) // lint: allow(no-panic): the scope barrier filled every batch slot
-            .collect()
-    }
-
     /// Solve a *stream* of instances: the iterator is pulled one bounded
     /// window at a time, each window's instances are fanned out onto the
     /// rayon pool, and results are yielded in input order as windows
@@ -435,8 +374,9 @@ impl SolveSession {
     /// the entry point for million-path instance families that must never
     /// be materialized as a slice.
     ///
-    /// Output is exactly what [`SolveSession::solve_batch`] would return on
-    /// the materialized slice, including per-instance panic isolation.
+    /// Each result is exactly what [`SolveSession::solve`] returns on that
+    /// instance, except that a panic inside one solve is isolated to that
+    /// instance and surfaced as [`CoreError::SolverPanic`].
     pub fn solve_stream<I>(&self, instances: I) -> SolveStream<'_, I::IntoIter>
     where
         I: IntoIterator<Item = Instance>,
@@ -727,24 +667,6 @@ fn build_solution(
     }
 }
 
-/// The single backend [`Policy::Auto`] would lead with for this context's
-/// class — the per-shard-selection shortcut
-/// ([`SolveRequest::per_shard_backend`]): a shard's class pins its backend
-/// directly, skipping the full Auto dispatch.
-fn auto_shard_backend(ctx: &InstanceContext<'_>) -> BackendKind {
-    match ctx.class {
-        DagClass::InternalCycleFree => BackendKind::Theorem1,
-        DagClass::UppSingleCycle => BackendKind::Theorem6,
-        DagClass::UppMultiCycle { .. } | DagClass::General { .. } => {
-            if backend(BackendKind::Exact).unsupported(ctx).is_none() {
-                BackendKind::Exact
-            } else {
-                BackendKind::Dsatur
-            }
-        }
-    }
-}
-
 /// Merge per-shard solutions into one whole-instance [`Solution`] with a
 /// shared palette.
 ///
@@ -875,9 +797,9 @@ fn content_order(a: &SubInstance, b: &SubInstance) -> Ordering {
         .then_with(|| lists(&a.family).cmp(lists(&b.family)))
 }
 
-/// One batch/stream instance with panic isolation: a panic anywhere inside
+/// One stream instance with panic isolation: a panic anywhere inside
 /// `solve` is caught and converted to [`CoreError::SolverPanic`] so one
-/// poisoned instance cannot take down the rest of the sweep.
+/// poisoned instance cannot take down the rest of the stream.
 fn solve_isolated(
     session: &SolveSession,
     g: &dagwave_graph::Digraph,
@@ -1147,7 +1069,12 @@ mod tests {
         let g2 = from_edges(3, &[(0, 1), (1, 2)]);
         let f2 = DipathFamily::from_paths(vec![path(&g2, &[0, 1, 2])]).replicate(4);
         let session = SolveSession::auto();
-        let batch = session.solve_batch(&[(&g1, &f1), (&g2, &f2)]);
+        let batch: Vec<_> = session
+            .solve_stream([
+                Instance::new(g1.clone(), f1.clone()),
+                Instance::new(g2.clone(), f2.clone()),
+            ])
+            .collect();
         assert_eq!(batch.len(), 2);
         let s1 = batch[0].as_ref().unwrap();
         let s2 = batch[1].as_ref().unwrap();
@@ -1163,7 +1090,7 @@ mod tests {
         let session = SolveSession::auto();
         assert!(super::solve_isolated(&session, &g, &f).is_ok());
         // ...and an actually panicking solve is converted to SolverPanic
-        // (the same run_isolated path solve_batch's tasks go through),
+        // (the same run_isolated path solve_stream's tasks go through),
         // for both &str and String payloads.
         match super::run_isolated(|| panic!("poisoned instance")) {
             Err(CoreError::SolverPanic(msg)) => assert_eq!(msg, "poisoned instance"),
@@ -1189,8 +1116,10 @@ mod tests {
         let families: Vec<DipathFamily> = (1..=12)
             .map(|h| DipathFamily::from_paths(vec![path(&g, &[0, 1, 2])]).replicate(h))
             .collect();
-        let instances: Vec<_> = families.iter().map(|f| (&g, f)).collect();
-        let batch = session.solve_batch(&instances);
+        let batch: Vec<_> = session
+            .solve_stream(families.iter().map(|f| Instance::new(g.clone(), f.clone())))
+            .collect();
+        assert_eq!(batch.len(), families.len());
         for (i, sol) in batch.iter().enumerate() {
             assert_eq!(sol.as_ref().unwrap().num_colors, i + 1, "instance {i}");
         }
@@ -1201,25 +1130,28 @@ mod tests {
         let good = from_edges(2, &[(0, 1)]);
         let bad = from_edges(2, &[(0, 1), (1, 0)]);
         let f = DipathFamily::new();
-        let batch = SolveSession::auto().solve_batch(&[(&good, &f), (&bad, &f)]);
+        let batch: Vec<_> = SolveSession::auto()
+            .solve_stream([Instance::new(good, f.clone()), Instance::new(bad, f)])
+            .collect();
+        assert_eq!(batch.len(), 2);
         assert!(batch[0].is_ok());
         assert!(matches!(batch[1], Err(CoreError::NotADag(_))));
     }
 
     #[test]
-    fn stream_matches_batch_and_is_windowed() {
+    fn stream_matches_solve_and_is_windowed() {
+        // 25 instances span several stream windows at any pool size here.
         let g = from_edges(3, &[(0, 1), (1, 2)]);
         let session = SolveSession::auto();
         let families: Vec<DipathFamily> = (1..=25)
             .map(|h| DipathFamily::from_paths(vec![path(&g, &[0, 1, 2])]).replicate(h))
             .collect();
-        let slice: Vec<_> = families.iter().map(|f| (&g, f)).collect();
-        let batch = session.solve_batch(&slice);
+        let solved: Vec<_> = families.iter().map(|f| session.solve(&g, f)).collect();
         let streamed: Vec<_> = session
             .solve_stream(families.iter().map(|f| Instance::new(g.clone(), f.clone())))
             .collect();
-        assert_eq!(streamed.len(), batch.len());
-        for (i, (s, b)) in streamed.iter().zip(&batch).enumerate() {
+        assert_eq!(streamed.len(), solved.len());
+        for (i, (s, b)) in streamed.iter().zip(&solved).enumerate() {
             let (s, b) = (s.as_ref().unwrap(), b.as_ref().unwrap());
             assert_eq!(s.num_colors, b.num_colors, "instance {i}");
             assert_eq!(s.assignment.colors(), b.assignment.colors());
@@ -1440,20 +1372,20 @@ mod tests {
     }
 
     #[test]
-    fn decomposition_flows_through_batch_and_stream() {
+    fn decomposition_flows_through_stream() {
         let (g, f) = three_component_instance();
         let session = SolveSession::builder()
             .decompose(crate::DecomposePolicy::Always)
             .build();
         let single = session.solve(&g, &f).unwrap();
-        let batch = session.solve_batch(&[(&g, &f), (&g, &f)]);
         let streamed: Vec<_> = session
             .solve_stream([
                 Instance::new(g.clone(), f.clone()),
                 Instance::new(g.clone(), f.clone()),
             ])
             .collect();
-        for sol in batch.iter().chain(&streamed) {
+        assert_eq!(streamed.len(), 2);
+        for sol in &streamed {
             let sol = sol.as_ref().unwrap();
             assert_eq!(sol.num_colors, single.num_colors);
             assert_eq!(sol.assignment.colors(), single.assignment.colors());

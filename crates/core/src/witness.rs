@@ -48,24 +48,6 @@ pub fn internal_cycle_from_chain(
     Some(cycle)
 }
 
-/// Convenience: run Theorem 1 and, on obstruction, return the explicit
-/// internal cycle (the full Figure-4 pipeline).
-pub fn explain_obstruction(
-    g: &Digraph,
-    family: &DipathFamily,
-) -> Result<crate::theorem1::Theorem1Result, Box<OrientedCycle>> {
-    match crate::theorem1::color_optimal(g, family) {
-        Ok(res) => Ok(res),
-        Err(crate::CoreError::InternalCycleObstruction { chain }) => {
-            let cycle = internal_cycle_from_chain(g, family, &chain)
-                .or_else(|| crate::internal::find_internal_cycle(g))
-                .expect("case C implies an internal cycle exists"); // lint: allow(no-panic): case C of Theorem 1 only arises when an internal cycle exists
-            Err(Box::new(cycle))
-        }
-        Err(other) => panic!("unexpected theorem-1 error: {other}"), // lint: allow(no-panic): color_optimal's only failure mode is the cycle obstruction; anything else is a logic bug worth a loud stop
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,24 +75,6 @@ mod tests {
     }
 
     #[test]
-    fn obstruction_yields_internal_cycle() {
-        let (g, family) = figure3();
-        match explain_obstruction(&g, &family) {
-            Err(cycle) => {
-                assert!(crate::internal::is_internal_cycle(&g, &cycle));
-                // The only internal cycle is b(1), c(2), d(3).
-                let mut vs: Vec<usize> = cycle.vertices.iter().map(|v| v.index()).collect();
-                vs.sort_unstable();
-                assert_eq!(vs, vec![1, 2, 3]);
-            }
-            Ok(res) => panic!(
-                "C5 family must block at π = 2, got {} colors",
-                res.assignment.num_colors()
-            ),
-        }
-    }
-
-    #[test]
     fn chain_support_extraction() {
         let (g, family) = figure3();
         let Err(crate::CoreError::InternalCycleObstruction { chain }) =
@@ -124,12 +88,22 @@ mod tests {
     }
 
     #[test]
-    fn clean_instances_pass_through() {
-        let g = from_edges(3, &[(0, 1), (1, 2)]);
-        let v = |i: usize| VertexId::from_index(i);
-        let family =
-            DipathFamily::from_paths(vec![Dipath::from_vertices(&g, &[v(0), v(1), v(2)]).unwrap()]);
-        let res = explain_obstruction(&g, &family).expect("no obstruction on a chain");
-        assert_eq!(res.assignment.num_colors(), 1);
+    fn obstruction_yields_internal_cycle() {
+        let (g, family) = figure3();
+        match crate::theorem1::color_optimal(&g, &family) {
+            Err(crate::CoreError::InternalCycleObstruction { chain }) => {
+                let cycle = internal_cycle_from_chain(&g, &family, &chain).expect("witness");
+                assert!(crate::internal::is_internal_cycle(&g, &cycle));
+                // The only internal cycle is b(1), c(2), d(3).
+                let mut vs: Vec<usize> = cycle.vertices.iter().map(|v| v.index()).collect();
+                vs.sort_unstable();
+                assert_eq!(vs, vec![1, 2, 3]);
+            }
+            Err(other) => panic!("unexpected theorem-1 error: {other}"),
+            Ok(res) => panic!(
+                "C5 family must block at π = 2, got {} colors",
+                res.assignment.num_colors()
+            ),
+        }
     }
 }

@@ -18,13 +18,12 @@
 //! * [`undirected`] — the *underlying undirected multigraph* view used to
 //!   define oriented/internal cycles, including forest checks and explicit
 //!   cycle extraction.
-//! * [`reach`] — reachability, BFS shortest dipaths, and a rayon-parallel
-//!   bitset transitive closure.
+//! * [`reach`] — reachability, BFS shortest dipaths, and a bitset
+//!   transitive closure.
 //! * [`pathcount`] — saturating dipath counting (the Unique-diPath-Property
 //!   test primitive).
 //! * [`bitset`], [`dsu`] — dense bitsets and union-find used across the
 //!   workspace.
-//! * [`dot`] — Graphviz export for debugging and figures.
 //!
 //! ## Quick example
 //!
@@ -48,7 +47,6 @@
 pub mod bitset;
 pub mod builder;
 pub mod digraph;
-pub mod dot;
 pub mod dsu;
 pub mod error;
 pub mod ids;

@@ -1,8 +1,8 @@
 //! Reachability and shortest dipaths.
 //!
-//! Includes a rayon-parallel bitset transitive closure used by the UPP
-//! router and by instance generators that must avoid creating second
-//! dipaths between vertex pairs.
+//! Includes a bitset transitive closure, which the all-to-all request
+//! generator and the optical-backbone example use to pair only reachable
+//! endpoints.
 
 use crate::bitset::BitSet;
 use crate::digraph::Digraph;
@@ -81,9 +81,9 @@ pub fn shortest_dipath(g: &Digraph, from: VertexId, to: VertexId) -> Option<Vec<
 }
 
 /// Full transitive closure: `closure[v]` is the reachable set of `v`
-/// (including `v` itself). Computed in reverse topological order for DAGs
-/// with rayon-parallel word-level unions per level; falls back to per-vertex
-/// BFS for cyclic digraphs.
+/// (including `v` itself). Computed sequentially in reverse topological
+/// order for DAGs, one word-level union per arc; falls back to per-vertex
+/// BFS on the rayon pool for cyclic digraphs.
 pub fn transitive_closure(g: &Digraph) -> Vec<BitSet> {
     let n = g.vertex_count();
     match topo::topological_order(g) {
@@ -104,60 +104,6 @@ pub fn transitive_closure(g: &Digraph) -> Vec<BitSet> {
             .map(|i| reachable_from(g, VertexId::from_index(i)))
             .collect(),
     }
-}
-
-/// Parallel transitive closure for DAGs: vertices are grouped by longest-path
-/// depth from sinks, and each level is processed as contiguous **row blocks**
-/// on the rayon pool — every block computes a run of closure rows against the
-/// frozen lower levels, and the rows are scattered back in block order, so
-/// the result is bit-identical to [`transitive_closure`]. Exposed separately
-/// for the benchmark harness' scaling ablation.
-pub fn transitive_closure_parallel(g: &Digraph) -> Vec<BitSet> {
-    let n = g.vertex_count();
-    let Ok(order) = topo::topological_order(g) else {
-        return transitive_closure(g);
-    };
-    // height[v] = longest dipath length starting at v.
-    let mut height = vec![0usize; n];
-    for &v in order.iter().rev() {
-        for w in g.successors(v) {
-            height[v.index()] = height[v.index()].max(height[w.index()] + 1);
-        }
-    }
-    let max_h = height.iter().copied().max().unwrap_or(0);
-    let mut levels: Vec<Vec<VertexId>> = vec![Vec::new(); max_h + 1];
-    for v in g.vertices() {
-        levels[height[v.index()]].push(v);
-    }
-    let mut closure: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-    for level in levels {
-        // All vertices in one level only depend on strictly lower levels, so
-        // the level's rows can be computed in independent blocks while the
-        // closure is only read.
-        let block = level
-            .len()
-            .div_ceil(rayon::current_num_threads() * 2)
-            .max(1);
-        let blocks: Vec<Vec<(usize, BitSet)>> = level
-            .par_chunks(block)
-            .map(|rows| {
-                rows.iter()
-                    .map(|&v| {
-                        let mut set = BitSet::new(n);
-                        set.insert(v.index());
-                        for w in g.successors(v) {
-                            set.union_with(&closure[w.index()]);
-                        }
-                        (v.index(), set)
-                    })
-                    .collect()
-            })
-            .collect();
-        for (i, set) in blocks.into_iter().flatten() {
-            closure[i] = set;
-        }
-    }
-    closure
 }
 
 #[cfg(test)]
@@ -216,32 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_closure_agrees_with_sequential() {
-        let g = from_edges(
-            8,
-            &[
-                (0, 2),
-                (1, 2),
-                (2, 3),
-                (2, 4),
-                (3, 5),
-                (4, 5),
-                (5, 6),
-                (5, 7),
-            ],
-        );
-        let seq = transitive_closure(&g);
-        let par = transitive_closure_parallel(&g);
-        for i in 0..8 {
-            assert_eq!(
-                seq[i].iter().collect::<Vec<_>>(),
-                par[i].iter().collect::<Vec<_>>(),
-                "row {i}"
-            );
-        }
-    }
-
-    #[test]
     #[allow(clippy::needless_range_loop)]
     fn closure_on_cyclic_digraph_falls_back() {
         let g = from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
@@ -255,6 +175,5 @@ mod tests {
     fn closure_of_empty_graph() {
         let g = Digraph::new();
         assert!(transitive_closure(&g).is_empty());
-        assert!(transitive_closure_parallel(&g).is_empty());
     }
 }

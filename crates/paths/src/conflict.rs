@@ -7,13 +7,11 @@
 //!
 //! Construction uses the arc-bucket algorithm: group dipaths by the arcs
 //! they use, then every bucket contributes a clique. Cost is
-//! `O(Σ_P Σ_{a∈P} load(a))` — output-sensitive and parallelizable per
-//! dipath, which rayon handles.
+//! `O(Σ_P Σ_{a∈P} load(a))`, output-sensitive and sequential.
 
 use crate::dipath::Dipath;
 use crate::family::{DipathFamily, PathId};
 use dagwave_graph::{ArcId, Digraph, UnionFind};
-use rayon::prelude::*;
 
 /// A CSR arc→paths index: for every host arc, the ids of the family
 /// members traversing it, ascending. Two flat allocations (offsets +
@@ -105,67 +103,6 @@ impl ConflictGraph {
             adj,
             edges: edges / 2,
         }
-    }
-
-    /// Rayon-parallel build; same output as [`ConflictGraph::build`].
-    ///
-    /// Shard-then-merge, in three pool passes with no shared mutable state:
-    ///
-    /// 1. **Shard pass** — the family's id range is cut into contiguous
-    ///    shards, each accumulating a private arc→dipaths bucket table;
-    /// 2. **Merge pass** — bucket `a` is the in-order concatenation of the
-    ///    shards' buckets for `a` (shards cover increasing id ranges, so
-    ///    entries stay sorted by id exactly as the sequential pass emits
-    ///    them), parallel over arcs;
-    /// 3. **Adjacency pass** — neighbor rows are computed per dipath from
-    ///    the merged buckets, parallel over path ids.
-    pub fn build_parallel(g: &Digraph, family: &DipathFamily) -> Self {
-        let n = family.len();
-        let arcs = g.arc_count();
-        let Some(bounds) = crate::shard_bounds(n) else {
-            return Self::build(g, family);
-        };
-        let shard_buckets: Vec<Vec<Vec<u32>>> = bounds
-            .into_par_iter()
-            .map(|(lo, hi)| {
-                let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); arcs];
-                for idx in lo..hi {
-                    let id = PathId::from_index(idx);
-                    for &a in family.path(id).arcs() {
-                        buckets[a.index()].push(id.0);
-                    }
-                }
-                buckets
-            })
-            .collect();
-        let buckets: Vec<Vec<u32>> = (0..arcs)
-            .into_par_iter()
-            .map(|a| {
-                let mut bucket = Vec::new();
-                for shard in &shard_buckets {
-                    bucket.extend_from_slice(&shard[a]);
-                }
-                bucket
-            })
-            .collect();
-        let adj: Vec<Vec<u32>> = (0..n)
-            .into_par_iter()
-            .map(|i| {
-                let id = PathId::from_index(i);
-                let mut neigh: Vec<u32> = family
-                    .path(id)
-                    .arcs()
-                    .iter()
-                    .flat_map(|&a| buckets[a.index()].iter().copied())
-                    .filter(|&j| j != id.0)
-                    .collect();
-                neigh.sort_unstable();
-                neigh.dedup();
-                neigh
-            })
-            .collect();
-        let edges = adj.iter().map(|ns| ns.len()).sum::<usize>() / 2;
-        ConflictGraph { adj, edges }
     }
 
     /// Number of vertices (= dipaths).
@@ -415,22 +352,6 @@ mod tests {
         assert_eq!(cg.degree(PathId(0)), 1);
         assert_eq!(cg.neighbors(PathId(1)), &[0]);
         assert_eq!(cg.max_degree(), 1);
-    }
-
-    #[test]
-    fn parallel_build_matches() {
-        let (g, f) = chain_family();
-        let big = f.replicate(20);
-        let a = ConflictGraph::build(&g, &big);
-        let b = ConflictGraph::build_parallel(&g, &big);
-        assert_eq!(a.vertex_count(), b.vertex_count());
-        assert_eq!(a.edge_count(), b.edge_count());
-        for i in 0..a.vertex_count() {
-            assert_eq!(
-                a.neighbors(PathId::from_index(i)),
-                b.neighbors(PathId::from_index(i))
-            );
-        }
     }
 
     #[test]

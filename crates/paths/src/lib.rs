@@ -58,23 +58,6 @@ pub mod load;
 pub mod stats;
 pub mod subinstance;
 
-/// Contiguous shard bounds `(lo, hi)` covering `0..n`, one shard per rayon
-/// pool slot — the shared scaffolding of the crate's shard-then-merge
-/// parallel builders. Returns `None` when a single shard would remain (no
-/// parallelism available or nothing to split), signalling the caller to
-/// take its sequential path.
-pub(crate) fn shard_bounds(n: usize) -> Option<Vec<(usize, usize)>> {
-    let shards = rayon::current_num_threads().min(n.max(1));
-    if shards <= 1 {
-        return None;
-    }
-    Some(
-        (0..shards)
-            .map(|s| (s * n / shards, (s + 1) * n / shards))
-            .collect(),
-    )
-}
-
 pub use conflict::{conflict_components, conflict_components_among, ArcIndex, ConflictGraph};
 pub use dipath::Dipath;
 pub use editable::PathFamily;

@@ -5,9 +5,8 @@
 //! Section 2). `π` is the universal lower bound on the number of wavelengths
 //! — the whole paper is about when the bound is attained.
 
-use crate::family::{DipathFamily, PathId};
+use crate::family::DipathFamily;
 use dagwave_graph::{ArcId, Digraph};
-use rayon::prelude::*;
 
 /// Per-arc load table, indexed by arc id.
 pub fn load_table(g: &Digraph, family: &DipathFamily) -> Vec<usize> {
@@ -15,38 +14,6 @@ pub fn load_table(g: &Digraph, family: &DipathFamily) -> Vec<usize> {
     for (_, p) in family.iter() {
         for &a in p.arcs() {
             table[a.index()] += 1;
-        }
-    }
-    table
-}
-
-/// Rayon-parallel load table, shard-then-merge: the family's id range is cut
-/// into one contiguous shard per pool slot, every shard accumulates a private
-/// partial table (no shared writes, no atomics), and the partials are merged
-/// in shard order. Identical output to [`load_table`] — `usize` addition is
-/// associative and commutative, and the merge order is fixed — and
-/// preferable when `Σ|P|` is large.
-pub fn load_table_parallel(g: &Digraph, family: &DipathFamily) -> Vec<usize> {
-    let n = g.arc_count();
-    let Some(bounds) = crate::shard_bounds(family.len()) else {
-        return load_table(g, family);
-    };
-    let partials: Vec<Vec<usize>> = bounds
-        .into_par_iter()
-        .map(|(lo, hi)| {
-            let mut acc = vec![0usize; n];
-            for idx in lo..hi {
-                for &a in family.path(PathId::from_index(idx)).arcs() {
-                    acc[a.index()] += 1;
-                }
-            }
-            acc
-        })
-        .collect();
-    let mut table = vec![0usize; n];
-    for partial in partials {
-        for (total, part) in table.iter_mut().zip(partial) {
-            *total += part;
         }
     }
     table
@@ -129,14 +96,7 @@ mod tests {
         assert_eq!(l, 3);
         assert_eq!(g.tail(arc), v(1));
         assert_eq!(arc_load(&f, arc), 3);
-    }
-
-    #[test]
-    fn parallel_table_matches_sequential() {
-        let (g, f) = overlapping_family();
-        let big = f.replicate(37);
-        assert_eq!(load_table(&g, &big), load_table_parallel(&g, &big));
-        assert_eq!(max_load(&g, &big), 3 * 37);
+        assert_eq!(max_load(&g, &f.replicate(37)), 3 * 37);
     }
 
     #[test]

@@ -135,13 +135,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Load table equals brute-force membership counting; parallel agrees.
+    /// Load table equals brute-force membership counting.
     #[test]
     fn load_tables_agree((n, ivs) in interval_family()) {
         let (g, family) = build(n, &ivs);
         let table = load::load_table(&g, &family);
-        let par = load::load_table_parallel(&g, &family);
-        prop_assert_eq!(&table, &par);
         for a in g.arc_ids() {
             prop_assert_eq!(table[a.index()], load::arc_load(&family, a));
         }
@@ -160,8 +158,6 @@ proptest! {
     fn conflict_graph_is_interval_graph((n, ivs) in interval_family()) {
         let (g, family) = build(n, &ivs);
         let cg = ConflictGraph::build(&g, &family);
-        let par = ConflictGraph::build_parallel(&g, &family);
-        prop_assert_eq!(cg.edge_count(), par.edge_count());
         for (i, &(s1, e1)) in ivs.iter().enumerate() {
             for (j, &(s2, e2)) in ivs.iter().enumerate() {
                 if i < j {

@@ -15,8 +15,8 @@
 //! * [`gen`] — figure/witness/random instance generators.
 //! * [`route`] — the end-to-end routing-and-wavelength-assignment pipeline.
 //! * [`serve`] — the TCP service layer: versioned binary wire protocol,
-//!   single-writer coalescing actor per tenant, thread-per-connection
-//!   server over the incremental [`Workspace`].
+//!   single-writer coalescing actor per tenant, and one `poll(2)` reactor
+//!   driving every connection, over the incremental [`Workspace`].
 //!
 //! ```
 //! use dagwave::{graph::Digraph, paths::{Dipath, DipathFamily}, SolveSession};

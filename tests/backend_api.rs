@@ -2,7 +2,7 @@
 //! every named backend is reachable via `Policy::Pinned` and produces a
 //! certify-validated coloring, portfolios race deterministically, and
 //! `solve_stream` over a large generated instance family matches
-//! `solve_batch` exactly.
+//! instance-by-instance `solve` exactly.
 
 use dagwave::core::certify::certify;
 use dagwave::core::CoreError;
@@ -167,10 +167,10 @@ fn pinned_agrees_with_singleton_portfolio() {
     }
 }
 
-/// Acceptance: streaming ≥1000 generated instances matches `solve_batch`
-/// output exactly — same values, same order, same per-instance errors.
+/// Acceptance: streaming ≥1000 generated instances matches solving them
+/// one by one exactly — same values, same order, same per-instance errors.
 #[test]
-fn stream_of_1000_instances_matches_batch_exactly() {
+fn stream_of_1000_instances_matches_solve_exactly() {
     let mut instances: Vec<Instance> = Vec::new();
     for i in 0..1000u64 {
         if i % 97 == 0 {
@@ -185,12 +185,14 @@ fn stream_of_1000_instances_matches_batch_exactly() {
         }
     }
     let session = SolveSession::auto();
-    let slice: Vec<_> = instances.iter().map(|i| (&i.graph, &i.family)).collect();
-    let batch = session.solve_batch(&slice);
+    let solved: Vec<_> = instances
+        .iter()
+        .map(|i| session.solve(&i.graph, &i.family))
+        .collect();
     let streamed: Vec<_> = session.solve_stream(instances.iter().cloned()).collect();
     assert_eq!(streamed.len(), 1000);
-    assert_eq!(batch.len(), 1000);
-    for (i, (s, b)) in streamed.iter().zip(&batch).enumerate() {
+    assert_eq!(solved.len(), 1000);
+    for (i, (s, b)) in streamed.iter().zip(&solved).enumerate() {
         match (s, b) {
             (Ok(s), Ok(b)) => {
                 assert_eq!(s.num_colors, b.num_colors, "instance {i}");

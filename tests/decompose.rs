@@ -146,11 +146,13 @@ fn auto_threshold_shards_large_federated_instances() {
 }
 
 #[test]
-fn decomposition_composes_with_stream_and_batch() {
+fn decomposition_composes_with_stream() {
     let instances: Vec<_> = (1..=4usize).map(federated).collect();
     let session = sharded();
-    let slice: Vec<_> = instances.iter().map(|i| (&i.graph, &i.family)).collect();
-    let batch = session.solve_batch(&slice);
+    let solved: Vec<_> = instances
+        .iter()
+        .map(|i| session.solve(&i.graph, &i.family))
+        .collect();
     let streamed: Vec<_> = session
         .solve_stream(
             instances
@@ -158,7 +160,8 @@ fn decomposition_composes_with_stream_and_batch() {
                 .map(|i| dagwave::Instance::new(i.graph.clone(), i.family.clone())),
         )
         .collect();
-    for (k, (b, s)) in batch.iter().zip(&streamed).enumerate() {
+    assert_eq!(streamed.len(), instances.len());
+    for (k, (b, s)) in solved.iter().zip(&streamed).enumerate() {
         let (b, s) = (b.as_ref().unwrap(), s.as_ref().unwrap());
         assert_eq!(b.assignment.colors(), s.assignment.colors(), "instance {k}");
         assert_eq!(

@@ -400,49 +400,6 @@ fn arena_reuse_survives_remove_and_readd() {
 }
 
 #[test]
-fn per_shard_backend_selection_pins_by_class() {
-    // Federated mixes classes; with per-shard selection every shard's
-    // strategy is exactly the backend its class pins.
-    let inst = dagwave::gen::compose::federated(8);
-    let session = SolverBuilder::new()
-        .decompose(DecomposePolicy::Always)
-        .per_shard_backend(true)
-        .build();
-    let sol = session.solve(&inst.graph, &inst.family).unwrap();
-    assert!(sol.assignment.is_valid(&inst.graph, &inst.family));
-    let d = sol.decomposition.as_ref().expect("sharded");
-    assert_eq!(d.shard_count(), 8);
-    for s in &d.shards {
-        let expected = match s.class {
-            dagwave::core::internal::DagClass::InternalCycleFree => BackendKind::Theorem1,
-            dagwave::core::internal::DagClass::UppSingleCycle => BackendKind::Theorem6,
-            _ => BackendKind::Exact, // figure shards are small enough for exact
-        };
-        assert_eq!(s.strategy, expected, "shard class {}", s.class);
-        // Exactly one backend consulted per shard — no weighted rescue.
-        assert_eq!(s.attempts.len(), 1, "class {}", s.class);
-    }
-    // Same span as the full Auto dispatch on this family (no shard here
-    // depends on the weighted rescue).
-    let auto = SolverBuilder::new()
-        .decompose(DecomposePolicy::Always)
-        .build()
-        .solve(&inst.graph, &inst.family)
-        .unwrap();
-    assert_eq!(sol.num_colors, auto.num_colors);
-    // And the incremental invariant holds under the knob too.
-    let per_shard_session = SolverBuilder::new()
-        .decompose(DecomposePolicy::Always)
-        .per_shard_backend(true)
-        .build();
-    let mut ws =
-        Workspace::new(per_shard_session, inst.graph.clone(), inst.family.clone()).unwrap();
-    let work = churn(5, 8, 6);
-    ws.apply(work.script.iter().cloned()).unwrap();
-    assert_identical(&ws.solution().unwrap(), &from_scratch(&ws));
-}
-
-#[test]
 fn shard_members_attribute_paths_without_union_find() {
     // The small-fix satellite: Solution::decomposition now carries the
     // shard→PathId membership, consistent with conflict_components.

@@ -1,19 +1,21 @@
-//! Parallel determinism: every `*_parallel` entry point must produce output
-//! bit-identical to its sequential counterpart, at every thread budget.
+//! Parallel determinism: everything that runs on the rayon pool — stream
+//! windows, portfolio races, shard solves, UPP detection and the transitive
+//! closure's fallback for cyclic input — must produce output bit-identical
+//! to its single-threaded reference, at every thread budget.
 //!
 //! The rayon shim guarantees order-preserving chunk reassembly, so these
 //! properties hold exactly — not just up to reordering. Each property runs
-//! the parallel path under thread budgets 1, 2, and 4 (via
+//! the pooled path under thread budgets 1, 2, and 4 (via
 //! `ThreadPoolBuilder::install`; on the sequential `--no-default-features`
 //! build the override is a no-op and everything degenerates to
 //! sequential-vs-sequential, which must still pass).
 
 use dagwave::core::CoreError;
 use dagwave::graph::reach;
-use dagwave::paths::{load, ConflictGraph, DipathFamily};
+use dagwave::paths::DipathFamily;
 use dagwave::{BackendKind, DecomposePolicy, Instance, SolveSession, SolverBuilder};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// The thread budgets every property is checked under.
@@ -37,70 +39,54 @@ fn random_instance(seed: u64, n: usize, paths: usize) -> (dagwave::graph::Digrap
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// `transitive_closure_parallel` row-for-row equals `transitive_closure`.
+    /// `transitive_closure` — per-vertex searches on the pool for cyclic
+    /// input, one sequential sweep for DAGs — equals sequential per-vertex
+    /// reachability row for row.
     #[test]
-    fn closure_parallel_matches_sequential(seed in 0u64..10_000, n in 2usize..60) {
+    fn closure_parallel_matches_sequential(seed in 0u64..10_000, n in 2usize..40) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let g = dagwave::gen::random::random_internal_cycle_free(&mut rng, n, n / 2);
-        let seq = reach::transitive_closure(&g);
+        let edges: Vec<(usize, usize)> = (0..2 * n)
+            .map(|_| (rng.random_range(0..n), rng.random_range(0..n)))
+            .filter(|(a, b)| a != b)
+            .collect();
+        let g = dagwave::graph::builder::from_edges(n, &edges);
+        let rows: Vec<Vec<usize>> = g
+            .vertices()
+            .map(|v| reach::reachable_from(&g, v).iter().collect())
+            .collect();
         for threads in BUDGETS {
-            let par = with_threads(threads, || reach::transitive_closure_parallel(&g));
-            prop_assert_eq!(seq.len(), par.len());
-            for (i, (s, p)) in seq.iter().zip(&par).enumerate() {
+            let closure = with_threads(threads, || reach::transitive_closure(&g));
+            prop_assert_eq!(closure.len(), n);
+            for (i, (row, want)) in closure.iter().zip(&rows).enumerate() {
                 prop_assert_eq!(
-                    s.iter().collect::<Vec<_>>(),
-                    p.iter().collect::<Vec<_>>(),
+                    &row.iter().collect::<Vec<_>>(),
+                    want,
                     "row {} at {} threads", i, threads
                 );
             }
         }
     }
 
-    /// `load_table_parallel` equals `load_table` entry-for-entry.
-    #[test]
-    fn load_table_parallel_matches_sequential(seed in 0u64..10_000, paths in 1usize..80) {
-        let (g, family) = random_instance(seed, 30, paths);
-        let seq = load::load_table(&g, &family);
-        for threads in BUDGETS {
-            let par = with_threads(threads, || load::load_table_parallel(&g, &family));
-            prop_assert_eq!(&seq, &par, "{} threads", threads);
-        }
-    }
-
-    /// `ConflictGraph::build_parallel` produces identical adjacency to
-    /// `build` (same neighbor vectors, not just the same edge set).
-    #[test]
-    fn conflict_build_parallel_matches_sequential(seed in 0u64..10_000, paths in 1usize..60) {
-        let (g, family) = random_instance(seed, 25, paths);
-        let seq = ConflictGraph::build(&g, &family);
-        for threads in BUDGETS {
-            let par = with_threads(threads, || ConflictGraph::build_parallel(&g, &family));
-            prop_assert_eq!(seq.vertex_count(), par.vertex_count());
-            prop_assert_eq!(seq.edge_count(), par.edge_count());
-            for i in 0..seq.vertex_count() {
-                let id = dagwave::paths::PathId::from_index(i);
-                prop_assert_eq!(seq.neighbors(id), par.neighbors(id), "{} threads", threads);
-            }
-        }
-    }
-
-    /// `solve_batch` equals instance-by-instance `solve` — same strategy,
-    /// same color count, same assignment vector, same order.
+    /// A batch of instances solved through `solve_stream` equals
+    /// instance-by-instance `solve` — same color count, load, optimality,
+    /// strategy and assignment vector, in input order, with error parity —
+    /// at every thread budget.
     #[test]
     fn solve_batch_matches_individual_solves(seed in 0u64..10_000, count in 1usize..10) {
-        let instances_owned: Vec<_> = (0..count)
+        let instances: Vec<_> = (0..count)
             .map(|i| random_instance(seed.wrapping_add(i as u64), 14, 10))
             .collect();
-        let instances: Vec<_> = instances_owned.iter().map(|(g, f)| (g, f)).collect();
         let solver = SolveSession::auto();
-        let seq: Vec<Result<_, CoreError>> = instances
-            .iter()
-            .map(|&(g, f)| solver.solve(g, f))
-            .collect();
+        let seq: Vec<Result<_, CoreError>> =
+            instances.iter().map(|(g, f)| solver.solve(g, f)).collect();
         for threads in BUDGETS {
-            let par = with_threads(threads, || solver.solve_batch(&instances));
-            prop_assert_eq!(seq.len(), par.len());
-            for (i, (s, p)) in seq.iter().zip(&par).enumerate() {
+            let streamed: Vec<_> = with_threads(threads, || {
+                solver
+                    .solve_stream(instances.iter().map(|(g, f)| Instance::new(g.clone(), f.clone())))
+                    .collect()
+            });
+            prop_assert_eq!(seq.len(), streamed.len(), "{} threads", threads);
+            for (i, (s, p)) in seq.iter().zip(&streamed).enumerate() {
                 match (s, p) {
                     (Ok(s), Ok(p)) => {
                         prop_assert_eq!(s.num_colors, p.num_colors, "instance {}", i);
@@ -110,6 +96,39 @@ proptest! {
                         prop_assert_eq!(s.assignment.colors(), p.assignment.colors());
                     }
                     (Err(se), Err(pe)) => prop_assert_eq!(se, pe),
+                    _ => prop_assert!(false, "Ok/Err mismatch at instance {}", i),
+                }
+            }
+        }
+    }
+
+    /// `solve_stream` yields the same batch, in order, at every thread
+    /// budget: the window grows with the pool, so a batch that spans
+    /// several windows on one thread fits in one on four, and the window
+    /// boundaries must not change a single result.
+    #[test]
+    fn stream_identical_to_batch_across_budgets(seed in 0u64..10_000, count in 1usize..12) {
+        let instances: Vec<_> = (0..count)
+            .map(|i| random_instance(seed.wrapping_add(i as u64), 12, 8))
+            .collect();
+        let session = SolveSession::auto();
+        let stream = || -> Vec<Result<_, CoreError>> {
+            session
+                .solve_stream(instances.iter().map(|(g, f)| Instance::new(g.clone(), f.clone())))
+                .collect()
+        };
+        let batch = with_threads(1, stream);
+        for threads in BUDGETS {
+            let streamed = with_threads(threads, stream);
+            prop_assert_eq!(streamed.len(), batch.len(), "{} threads", threads);
+            for (i, (s, b)) in streamed.iter().zip(&batch).enumerate() {
+                match (s, b) {
+                    (Ok(s), Ok(b)) => {
+                        prop_assert_eq!(s.num_colors, b.num_colors, "instance {}", i);
+                        prop_assert_eq!(s.strategy, b.strategy);
+                        prop_assert_eq!(s.assignment.colors(), b.assignment.colors());
+                    }
+                    (Err(se), Err(be)) => prop_assert_eq!(se, be),
                     _ => prop_assert!(false, "Ok/Err mismatch at instance {}", i),
                 }
             }
@@ -136,41 +155,6 @@ proptest! {
             prop_assert_eq!(par.num_colors, reference.num_colors);
             prop_assert_eq!(par.assignment.colors(), reference.assignment.colors());
             prop_assert_eq!(par.attempts.len(), reference.attempts.len());
-        }
-    }
-
-    /// `solve_stream` yields exactly what `solve_batch` returns, in order,
-    /// at every thread budget.
-    #[test]
-    fn stream_identical_to_batch_across_budgets(seed in 0u64..10_000, count in 1usize..12) {
-        let instances_owned: Vec<_> = (0..count)
-            .map(|i| random_instance(seed.wrapping_add(i as u64), 12, 8))
-            .collect();
-        let slice: Vec<_> = instances_owned.iter().map(|(g, f)| (g, f)).collect();
-        let session = SolveSession::auto();
-        let batch = session.solve_batch(&slice);
-        for threads in BUDGETS {
-            let streamed: Vec<_> = with_threads(threads, || {
-                session
-                    .solve_stream(
-                        instances_owned
-                            .iter()
-                            .map(|(g, f)| Instance::new(g.clone(), f.clone())),
-                    )
-                    .collect()
-            });
-            prop_assert_eq!(streamed.len(), batch.len(), "{} threads", threads);
-            for (i, (s, b)) in streamed.iter().zip(&batch).enumerate() {
-                match (s, b) {
-                    (Ok(s), Ok(b)) => {
-                        prop_assert_eq!(s.num_colors, b.num_colors, "instance {}", i);
-                        prop_assert_eq!(s.strategy, b.strategy);
-                        prop_assert_eq!(s.assignment.colors(), b.assignment.colors());
-                    }
-                    (Err(se), Err(be)) => prop_assert_eq!(se, be),
-                    _ => prop_assert!(false, "Ok/Err mismatch at instance {}", i),
-                }
-            }
         }
     }
 

@@ -1,11 +1,13 @@
 //! Integration + property tests for Theorem 1: on random
 //! internal-cycle-free DAGs, the constructive coloring is always valid and
 //! uses exactly `π(G, P)` wavelengths, for every peel order and Kempe
-//! strategy.
+//! strategy; where the replay blocks, its chain witnesses an internal cycle
+//! (Figure 4).
 
 use dagwave_core::theorem1::{self, KempeStrategy, PeelOrder};
-use dagwave_gen::random;
-use dagwave_paths::load;
+use dagwave_core::{internal, witness, CoreError};
+use dagwave_gen::{compose, figures, havet, random, Instance};
+use dagwave_paths::{load, DipathFamily};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -97,4 +99,47 @@ fn large_instance_smoke() {
     let res = theorem1::color_optimal(&g, &family).unwrap();
     assert!(res.assignment.is_valid(&g, &family));
     assert_eq!(res.assignment.num_colors(), pi);
+}
+
+/// Figure 4 (case C of Theorem 1's proof): a blocked replay's chain
+/// witnesses an internal cycle by itself. On every fixture the cycle
+/// extracted from the chain is internal and lies inside the chain's
+/// support, including a union whose first part is a bare copy of Figure 3's
+/// host: that copy has an internal cycle no dipath uses.
+#[test]
+fn blocked_chains_witness_their_own_internal_cycle() {
+    let fig3 = figures::figure3();
+    let bare = Instance {
+        graph: fig3.graph.clone(),
+        family: DipathFamily::new(),
+        name: "figure 3 host, no dipaths".to_string(),
+    };
+    let mut fixtures = vec![fig3.clone()];
+    fixtures.extend((1..=3).map(havet::havet));
+    fixtures.extend([2, 3, 4, 8].map(figures::theorem2_family));
+    fixtures.push(compose::disjoint_union(&[bare, fig3]));
+    for inst in &fixtures {
+        let Err(CoreError::InternalCycleObstruction { chain }) =
+            theorem1::color_optimal(&inst.graph, &inst.family)
+        else {
+            panic!("{}: Theorem 1's replay must block", inst.name);
+        };
+        let cycle = witness::internal_cycle_from_chain(&inst.graph, &inst.family, &chain)
+            .unwrap_or_else(|| panic!("{}: the chain witnesses no cycle", inst.name));
+        assert!(
+            internal::is_internal_cycle(&inst.graph, &cycle),
+            "{}",
+            inst.name
+        );
+        for step in &cycle.steps {
+            assert!(
+                chain
+                    .iter()
+                    .any(|&p| inst.family.path(p).contains_arc(step.arc)),
+                "{}: witness arc {:?} lies on no dipath of the chain",
+                inst.name,
+                step.arc
+            );
+        }
+    }
 }
