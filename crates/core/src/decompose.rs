@@ -5,11 +5,11 @@
 //! share no arc, so the chromatic number of the whole conflict graph is the
 //! **maximum** over its components — per-component coloring with a shared
 //! palette is exact, not a heuristic. The solving surface exploits this:
-//! under a [`DecomposePolicy`] the instance is cut into
-//! [`dagwave_paths::SubInstance`] shards (one per component), each shard is
-//! classified and solved independently on the rayon pool under the
-//! session's [`crate::Policy`], and the shard colorings are merged back
-//! with a shared palette; shards with identical content share one solve.
+//! under a [`DecomposePolicy`] the instance is cut into shards (one per
+//! component), grouped by exact content, and each group's
+//! [`dagwave_paths::SubInstance`] is classified and solved independently
+//! on the rayon pool under the session's [`crate::Policy`]; the shard
+//! colorings are merged back with a shared palette.
 //! Shards frequently land in a friendlier [`DagClass`] than the whole
 //! instance — a component that never touches the internal cycle is solved
 //! by Theorem 1 exactly even when the host DAG is general — and a shard

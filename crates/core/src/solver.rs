@@ -27,8 +27,9 @@
 //!
 //! When the session's [`DecomposePolicy`] shards an instance, each
 //! conflict component is solved as its own sub-instance and the shard
-//! colorings are merged. Shards with identical content share one solve,
-//! for the one-shot path and the incremental
+//! colorings are merged. Shards are grouped by a flat content key before
+//! anything is built ([`ShardGroups`]), and each group builds and solves
+//! one sub-instance, for the one-shot path and the incremental
 //! [`crate::workspace::Workspace`] alike: the paper's lower-bound
 //! families, and the `federated` workload, glue copies of a few gadgets.
 
@@ -42,12 +43,13 @@ use crate::decompose::{DecomposePolicy, Decomposition, ShardOutcome};
 use crate::error::CoreError;
 use crate::internal::DagClass;
 use dagwave_color::ugraph::UGraph;
-use dagwave_graph::{ArcId, Digraph, VertexId};
+use dagwave_graph::Digraph;
 use dagwave_paths::{
-    conflict_components, ConflictGraph, DipathFamily, ExtractScratch, PathId, SubInstance,
+    conflict_components, ConflictGraph, Dipath, DipathFamily, ExtractScratch, PathId, ShardGroups,
+    SubInstance,
 };
-use std::cmp::Ordering;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// How many in-flight instances [`SolveSession::solve_stream`] keeps per
 /// pool thread. A few windows of slack keep every worker busy across the
@@ -80,11 +82,11 @@ pub struct Solution {
     /// Present when the instance was sharded by conflict-graph components
     /// (decompose-solve-merge): one [`ShardOutcome`] per component, in
     /// deterministic shard order. `None` for monolithic solves. Behind an
-    /// [`Arc`](std::sync::Arc) because the provenance is immutable and can
-    /// be large (one record per shard): cloning a solution — which the
-    /// incremental engine does on every query of its merged cache — bumps
-    /// a refcount instead of deep-copying every shard report.
-    pub decomposition: Option<std::sync::Arc<Decomposition>>,
+    /// [`Arc`] because the provenance is immutable and can be large (one
+    /// record per shard): cloning a solution — which the incremental engine
+    /// does on every query of its merged cache — bumps a refcount instead
+    /// of deep-copying every shard report.
+    pub decomposition: Option<Arc<Decomposition>>,
     /// Present when this solution came out of an incremental
     /// [`crate::workspace::Workspace`] re-solve: how many shards were
     /// served from cache vs. actually recomputed. Always `None` for the
@@ -291,79 +293,89 @@ impl SolveSession {
 
     /// Solve the shards concurrently and merge with a shared palette.
     ///
-    /// Each component is extracted into a [`SubInstance`] (dense local ids,
-    /// host graph restricted to the arcs the shard uses) and solved with
-    /// this session's policy and budgets; a shard is never re-sharded, and
-    /// shards with identical content share one solve
-    /// ([`SolveSession::solve_extracted`]). Results are merged in
-    /// deterministic shard order regardless of completion order, so the
+    /// The components go through [`SolveSession::solve_shards`]: one
+    /// sub-instance per distinct shard content (dense local ids, host graph
+    /// restricted to the arcs the shard uses), solved with this session's
+    /// policy and budgets; a shard is never re-sharded. Results are merged
+    /// in deterministic shard order regardless of completion order, so the
     /// output is bit-identical at every thread budget.
     fn solve_decomposed(
         &self,
         ctx: &InstanceContext<'_>,
         components: Vec<Vec<PathId>>,
     ) -> Result<Solution, CoreError> {
-        let mut scratch = ExtractScratch::new();
-        let subs: Vec<SubInstance> = components
-            .iter()
-            .map(|members| {
-                SubInstance::extract_with(
-                    ctx.graph,
-                    members.iter().map(|&id| (id, ctx.family.path(id))),
-                    &mut scratch,
-                )
-            })
-            .collect();
-        let solves = self.solve_extracted(&subs);
+        let solves = self.solve_shards(
+            ctx.graph,
+            components
+                .iter()
+                .map(|members| members.iter().map(|&id| (id, ctx.family.path(id)))),
+            &mut ExtractScratch::new(),
+        );
         // First shard error wins, in shard order — deterministic.
         let shards: Vec<(Vec<PathId>, &Solution)> = components
             .into_iter()
             .zip(solves.per_shard())
-            .map(|(members, result)| result.as_ref().map(|sol| (members, sol)))
+            .map(|(members, result)| result.as_ref().map(|sol| (members, &**sol)))
             .collect::<Result<_, _>>()
             .map_err(CoreError::clone)?;
         Ok(merge_shards(ctx, shards))
     }
 
-    /// Solve extracted shards as independent tasks on the rayon pool — the
-    /// one path from shards to answers, for the one-shot decomposed solve
-    /// and the incremental workspace alike. Callers extract sequentially
-    /// through one [`ExtractScratch`]; only the solves fan out.
+    /// Solve shards as independent tasks on the rayon pool — the one path
+    /// from shards to answers, for the one-shot decomposed solve and the
+    /// incremental workspace alike. Each shard is given as its members,
+    /// `(id, dipath)` pairs in local-id order.
     ///
     /// Shards with identical content share one solve. A shard solve reads
     /// only its sub-instance's graph and family (never the original ids)
     /// plus this session's request, and backends are deterministic, so
-    /// equal content means an equal answer. The shards are sorted by
-    /// content ([`content_order`]), ties broken by index; the first shard
-    /// of each run of equal content is solved and its result serves the
-    /// whole run. No hashing, and nothing outlives the call. One shard
-    /// costs no comparison.
-    pub(crate) fn solve_extracted(&self, subs: &[SubInstance]) -> ShardSolves {
-        let mut order: Vec<usize> = (0..subs.len()).collect();
-        order.sort_unstable_by(|&a, &b| content_order(&subs[a], &subs[b]).then(a.cmp(&b)));
-        let mut of_shard = vec![0; subs.len()];
-        let distinct: Vec<&SubInstance> = order
-            .chunk_by(|&a, &b| content_order(&subs[a], &subs[b]).is_eq())
-            .enumerate()
-            .map(|(d, run)| {
-                for &i in run {
-                    of_shard[i] = d;
-                }
-                &subs[run[0]]
-            })
-            .collect();
-        let mut slots: Vec<Option<Result<Solution, CoreError>>> =
+    /// equal content means an equal answer. [`ShardGroups`] writes each
+    /// shard's content key through `scratch` and groups equal keys; only
+    /// the first shard of each group is built into a [`SubInstance`] and
+    /// solved, and its result serves the whole group. No hashing, and
+    /// nothing outlives the call. A lone shard, a steady refresh's usual
+    /// load, has nothing to group with and is extracted straight through
+    /// `scratch`'s own key buffer. Keys and builds run sequentially; only
+    /// the solves fan out.
+    pub(crate) fn solve_shards<'a, S, M>(
+        &self,
+        g: &Digraph,
+        shards: S,
+        scratch: &mut ExtractScratch,
+    ) -> ShardSolves
+    where
+        S: IntoIterator<Item = M>,
+        M: Iterator<Item = (PathId, &'a Dipath)> + Clone,
+    {
+        let shards: Vec<M> = shards.into_iter().collect();
+        let (distinct, group_of): (Vec<SubInstance>, _) = match &shards[..] {
+            [only] => (
+                vec![SubInstance::extract_with(g, only.clone(), scratch)],
+                vec![0],
+            ),
+            _ => {
+                let paths = shards.iter().map(|m| m.clone().map(|(_, p)| p));
+                let groups = ShardGroups::new(g, paths, scratch);
+                let distinct = groups
+                    .firsts()
+                    .iter()
+                    .map(|&i| groups.extract(i, shards[i].clone().map(|(id, _)| id), scratch))
+                    .collect();
+                (distinct, groups.group_of().to_vec())
+            }
+        };
+        let mut slots: Vec<Option<Result<Arc<Solution>, CoreError>>> =
             distinct.iter().map(|_| None).collect();
         rayon::scope(|s| {
-            for (slot, &sub) in slots.iter_mut().zip(&distinct) {
-                s.spawn(move |_| *slot = Some(self.solve_shard(sub)));
+            for (slot, sub) in slots.iter_mut().zip(&distinct) {
+                s.spawn(move |_| *slot = Some(self.solve_shard(sub).map(Arc::new)));
             }
         });
         let solved = slots
             .into_iter()
             .map(|r| r.expect("shard task completed")) // lint: allow(no-panic): the scope barrier filled every shard slot
             .collect();
-        ShardSolves { solved, of_shard }
+        ShardSolves { solved, group_of }
     }
 
     /// Solve a *stream* of instances: the iterator is pulled one bounded
@@ -761,40 +773,28 @@ pub(crate) fn merge_shards(
         class: ctx.class,
         strategy: strategy.expect("decomposed solve has at least one shard"), // lint: allow(no-panic): decomposition plans always contain at least one shard
         attempts,
-        decomposition: Some(std::sync::Arc::new(Decomposition { shards: reports })),
+        decomposition: Some(Arc::new(Decomposition { shards: reports })),
         resolve: None,
     }
 }
 
-/// What [`SolveSession::solve_extracted`] returns: one result per distinct
-/// shard content, and each shard's index into them.
+/// What [`SolveSession::solve_shards`] returns: one shared result per
+/// distinct shard content, and each shard's index into them.
 pub(crate) struct ShardSolves {
-    solved: Vec<Result<Solution, CoreError>>,
-    of_shard: Vec<usize>,
+    solved: Vec<Result<Arc<Solution>, CoreError>>,
+    group_of: Vec<usize>,
 }
 
 impl ShardSolves {
     /// Each shard's result, in shard order; identical shards share one.
-    pub(crate) fn per_shard(&self) -> impl Iterator<Item = &Result<Solution, CoreError>> {
-        self.of_shard.iter().map(|&d| &self.solved[d])
+    pub(crate) fn per_shard(&self) -> impl Iterator<Item = &Result<Arc<Solution>, CoreError>> {
+        self.group_of.iter().map(|&d| &self.solved[d])
     }
-}
 
-/// Exact order on everything a shard solve reads: the vertex count, then
-/// the arc endpoints in arc order, then the members' arc lists in local
-/// order. Shards equal under it are the same instance.
-fn content_order(a: &SubInstance, b: &SubInstance) -> Ordering {
-    fn ends(g: &Digraph) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        g.arcs().map(|(_, arc)| (arc.tail, arc.head))
+    /// Sub-instances built and solved: one per distinct shard content.
+    pub(crate) fn solves(&self) -> usize {
+        self.solved.len()
     }
-    fn lists(f: &DipathFamily) -> impl Iterator<Item = &[ArcId]> {
-        f.iter().map(|(_, p)| p.arcs())
-    }
-    a.graph
-        .vertex_count()
-        .cmp(&b.graph.vertex_count())
-        .then_with(|| ends(&a.graph).cmp(ends(&b.graph)))
-        .then_with(|| lists(&a.family).cmp(lists(&b.family)))
 }
 
 /// One stream instance with panic isolation: a panic anywhere inside

@@ -19,11 +19,12 @@
 //! [`Workspace::remove_path`], [`Workspace::apply`] with [`Mutation`]
 //! batches) re-derives components only over the dirty member pool;
 //! [`Workspace::solution`] then re-solves only the unsolved shards and
-//! re-merges with the shared normalized palette. Unsolved shards with
-//! identical content share one solve, as in the one-shot path: the first
-//! refresh of a family glued from copies of a few gadgets runs one solve
-//! per distinct gadget, and a refresh with one dirty shard does no
-//! grouping work.
+//! re-merges with the shared normalized palette. Unsolved shards go through
+//! the one-shot path's shard engine: each writes its content key, equal
+//! keys form one group, and only the first shard of a group is built into
+//! a sub-instance and solved. The first refresh of a family glued from
+//! copies of a few gadgets builds and solves one sub-instance per distinct
+//! gadget, and every shard of a group caches the same shared result.
 //!
 //! The mutate → refresh step is O(dirty): every structure it touches is
 //! patched for just the shards a mutation dirties, never rescanned.
@@ -35,14 +36,15 @@
 //! patched at each arc-user edit; the first errored shard is the first
 //! key of an ordered set. Components are re-derived by union through the
 //! arc → users index and a slot-indexed scratch, with no hashing. Each
-//! dirty shard is extracted from its own cached dipaths under their stable
+//! dirty shard is keyed from its own cached dipaths under their stable
 //! ids, through one [`ExtractScratch`] kept across refreshes, so the step
-//! never reads the family's dense view. Batch validation reads only as
-//! many tombstones as the batch adds. The instance class is computed once (the graph is
-//! immutable), and each shard carries a content fingerprint so a shard
-//! dropped and reconstituted with identical dipaths (e.g. remove + re-add)
-//! adopts its old solve from a reuse pool instead of recomputing —
-//! [`Resolve::shards_reused`] counts adoptions.
+//! never reads the family's dense view; with one dirty shard, writing its
+//! key is the renumbering its extraction needs anyway. Batch validation
+//! reads only as many tombstones as the batch adds. The instance class is
+//! computed once (the graph is immutable), and each shard carries a
+//! content fingerprint so a shard dropped and reconstituted with identical
+//! dipaths (e.g. remove + re-add) adopts its old solve from a reuse pool
+//! instead of recomputing — [`Resolve::shards_reused`] counts adoptions.
 //!
 //! What stays O(live) is what asks for the whole instance:
 //! [`Workspace::solution`] materializes an instance-sized snapshot, and it
@@ -112,7 +114,7 @@ use crate::error::CoreError;
 use crate::internal::DagClass;
 use crate::solver::{merge_shards, Solution, SolveSession};
 use dagwave_graph::{ArcId, Digraph, UnionFind};
-use dagwave_paths::{Dipath, DipathFamily, ExtractScratch, PathFamily, PathId, SubInstance};
+use dagwave_paths::{Dipath, DipathFamily, ExtractScratch, PathFamily, PathId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -146,6 +148,9 @@ pub struct Resolve {
     /// shards share one solve, so this counts shards refilled, not
     /// solves run.
     pub shards_resolved: usize,
+    /// Sub-instances built and solved this call: one per distinct content
+    /// among the refilled shards, so at most `shards_resolved`.
+    pub solves: usize,
 }
 
 /// A refresh generation of a [`Workspace`]: advances by one every time the
@@ -227,6 +232,9 @@ pub struct WorkspaceStats {
     pub delta_resyncs: u64,
 }
 
+/// A cached shard solve. Shards with identical content share one `Arc`.
+type Solved = Result<Arc<Solution>, CoreError>;
+
 /// One tracked component: its live members (stable ids, ascending), the
 /// shared handles of their dipaths, a content fingerprint, and, once
 /// solved, the cached shard-local solution. Stored in
@@ -250,7 +258,7 @@ struct CachedShard {
     /// by the member's *rank* within the shard, which removals elsewhere in
     /// the family never change — that is what makes the cache survive id
     /// compaction in the dense view.
-    solved: Option<Result<Solution, CoreError>>,
+    solved: Option<Solved>,
 }
 
 /// A solved shard banked when a mutation dropped it: if a freshly derived
@@ -261,7 +269,7 @@ struct CachedShard {
 struct ReuseEntry {
     fingerprint: u64,
     paths: Vec<Arc<Dipath>>,
-    solved: Result<Solution, CoreError>,
+    solved: Solved,
 }
 
 /// Aggregates over the shards' cached solves, patched whenever a solve is
@@ -279,7 +287,7 @@ struct SolveTally {
 
 impl SolveTally {
     /// Count the cached solve of the shard under `key`.
-    fn add(&mut self, key: PathId, solved: &Result<Solution, CoreError>) {
+    fn add(&mut self, key: PathId, solved: &Solved) {
         match solved {
             Ok(sol) => {
                 if sol.num_colors >= self.span_hist.len() {
@@ -294,7 +302,7 @@ impl SolveTally {
     }
 
     /// Uncount a solve that [`SolveTally::add`] counted.
-    fn remove(&mut self, key: PathId, solved: &Result<Solution, CoreError>) {
+    fn remove(&mut self, key: PathId, solved: &Solved) {
         match solved {
             Ok(sol) => {
                 self.span_hist[sol.num_colors] -= 1;
@@ -912,7 +920,7 @@ impl Workspace {
         // stays bounded by the shards dropped between consecutive solves.
         self.reuse_pool.clear();
 
-        // Solve only the unsolved stale shards, each extracted from its own
+        // Solve only the unsolved stale shards, each keyed from its own
         // cached dipaths under their stable ids, through the same shard
         // engine as the one-shot decomposed path (identical shards share
         // one solve).
@@ -922,24 +930,19 @@ impl Workspace {
             .copied()
             .filter(|key| self.shards[key].solved.is_none())
             .collect();
-        let subs: Vec<SubInstance> = dirty
-            .iter()
-            .map(|key| {
+        let solves = self.session.solve_shards(
+            &self.graph,
+            dirty.iter().map(|key| {
                 let shard = &self.shards[key];
                 let members = shard.members.iter().copied();
-                SubInstance::extract_with(
-                    &self.graph,
-                    members.zip(shard.paths.iter().map(|p| &**p)),
-                    &mut self.extract,
-                )
-            })
-            .collect();
-        let solves = self.session.solve_extracted(&subs);
+                members.zip(shard.paths.iter().map(|p| &**p))
+            }),
+            &mut self.extract,
+        );
         for (key, solved) in dirty.iter().zip(solves.per_shard()) {
             // Cache the shard-local solution only: its colors are indexed
             // by rank within the shard, which removals elsewhere in the
-            // family never change. Identical shards share one solve, so
-            // each keeps its own copy.
+            // family never change. A group's shards share its result.
             self.tally.add(*key, solved);
             if let Some(shard) = self.shards.get_mut(key) {
                 shard.solved = Some(solved.clone());
@@ -949,6 +952,7 @@ impl Workspace {
         self.last_resolve = Resolve {
             shards_reused: reused,
             shards_resolved: dirty.len(),
+            solves: solves.solves(),
         };
         self.total_reused += reused;
         self.total_resolved += dirty.len();
@@ -1089,7 +1093,7 @@ impl Workspace {
                     .map(|&id| PathId(rank_of[id.index()]))
                     .collect();
                 match shard.solved.as_ref() {
-                    Some(Ok(sol)) => (members, sol),
+                    Some(Ok(sol)) => (members, &**sol),
                     // lint: allow(no-panic): refresh() solved every shard and surfaced any error before this runs
                     _ => unreachable!("refresh solved every shard"),
                 }

@@ -28,8 +28,10 @@
 //!   restricted host graph, and the inverse id map (the decompose half of
 //!   decompose-solve-merge), taking its members as `(id, dipath)` pairs so
 //!   the same entry serves a dense family and a workspace's cached shards.
-//!   Extraction renumbers through reusable host-indexed tables
-//!   ([`ExtractScratch`]) instead of per-shard binary searches.
+//!   Extraction writes a flat content key through reusable host-indexed
+//!   tables ([`ExtractScratch`]) and builds from it; [`ShardGroups`] keys
+//!   a batch of shards, groups equal keys, and builds one sub-instance per
+//!   group.
 //!
 //! ```
 //! use dagwave_graph::builder::from_edges;
@@ -64,4 +66,4 @@ pub use editable::PathFamily;
 pub use error::PathError;
 pub use family::{DipathFamily, PathId};
 pub use intern::{ArcList, ArcListArena, ArenaStats};
-pub use subinstance::{ExtractScratch, SubInstance};
+pub use subinstance::{ExtractScratch, ShardGroups, SubInstance};

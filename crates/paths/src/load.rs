@@ -40,20 +40,6 @@ pub fn max_load_arc(g: &Digraph, family: &DipathFamily) -> Option<(ArcId, usize)
         .map(|(i, l)| (ArcId::from_index(i), l))
 }
 
-/// Among a restricted arc set, the arc of maximum load (Theorem 6 picks the
-/// max-load arc *on the internal cycle*).
-pub fn max_load_arc_among(
-    family: &DipathFamily,
-    table: &[usize],
-    candidates: impl IntoIterator<Item = ArcId>,
-) -> Option<(ArcId, usize)> {
-    let _ = family;
-    candidates
-        .into_iter()
-        .map(|a| (a, table[a.index()]))
-        .max_by_key(|&(_, l)| l)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,18 +93,6 @@ mod tests {
         assert_eq!(max_load_arc(&g, &f), None);
         let g0 = Digraph::new();
         assert_eq!(max_load(&g0, &f), 0);
-    }
-
-    #[test]
-    fn restricted_argmax() {
-        let (g, f) = overlapping_family();
-        let t = load_table(&g, &f);
-        let a01 = g.find_arc(v(0), v(1)).unwrap();
-        let a23 = g.find_arc(v(2), v(3)).unwrap();
-        let (best, l) = max_load_arc_among(&f, &t, [a01, a23]).unwrap();
-        assert_eq!(l, 1);
-        assert!(best == a01 || best == a23);
-        assert_eq!(max_load_arc_among(&f, &t, std::iter::empty()), None);
     }
 
     #[test]

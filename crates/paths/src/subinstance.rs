@@ -20,35 +20,45 @@
 //! arcs are one `Vec`, and its adjacency one flat table built on the
 //! shard's first query, not a pair of `Vec`s per vertex.
 //!
-//! The one extraction entry, [`SubInstance::extract_with`], takes the
-//! members as `(original id, dipath)` pairs: a component of a dense
+//! Extraction is two steps, and the first one is the renumbering. It writes
+//! the shard's *content key* from host ids into a flat `u32` buffer: the
+//! vertex count, the arc count, each used arc's endpoints in local vertex
+//! ids, then each member's length and arc list in local arc ids. The key is
+//! exactly what a shard solve reads, so two shards with equal keys are the
+//! same instance. The second step builds the [`SubInstance`] from the key.
+//! [`SubInstance::extract_with`] runs both on one shard, taking the members
+//! as `(original id, dipath)` pairs: a component of a dense
 //! [`DipathFamily`], or a workspace's cached shard under its stable ids.
+//! [`ShardGroups`] runs the first step on a batch of shards and groups them
+//! by exact key equality; building only each group's first shard, a family
+//! glued from copies of a few gadgets pays one flat key per shard and one
+//! build per distinct gadget.
 //!
-//! Extraction renumbers through an [`ExtractScratch`]: flat host-indexed
-//! arc/vertex tables (CSR-style, one `u32` per host arc/vertex) built once
-//! and stamped per shard, so renumbering is an O(1) table read instead of a
-//! per-shard binary search, and the member arc sequences are read straight
-//! out of the (Arc-shared) dipaths without an intermediate all-occurrences
-//! buffer. A long-lived caller (the incremental `Workspace`) keeps one
-//! scratch across re-solves: the tables are sized to the host once, so a
-//! later extraction allocates only its output and costs what the shards
-//! actually extracted contain, not what the host does. The scratch's
-//! interner forgets the shard-local sequences no extracted shard still
-//! holds (see [`ArcListArena`]), so a scratch kept for the life of a
-//! service stays bounded by what it extracts at once.
+//! The renumbering reads flat host-indexed tables kept in an
+//! [`ExtractScratch`] (one `u32` per host arc/vertex, stamped per shard), so
+//! it is an O(1) table read instead of a per-shard binary search, and the
+//! member arc sequences are read straight out of the (Arc-shared) dipaths.
+//! A long-lived caller (the incremental `Workspace`) keeps one scratch
+//! across re-solves: the tables are sized to the host once, so a later
+//! extraction costs what the shards contain, not what the host does. The
+//! scratch's interner forgets the shard-local sequences no built shard
+//! still holds (see [`ArcListArena`]), so a scratch kept for the life of a
+//! service stays bounded by what it builds at once.
 
 use crate::dipath::Dipath;
 use crate::family::{DipathFamily, PathId};
 use crate::intern::{ArcListArena, ArenaStats};
 use dagwave_graph::{ArcId, Digraph, VertexId};
+use std::collections::BTreeMap;
 
-/// Reusable renumbering tables for [`SubInstance::extract_with`].
+/// Reusable renumbering tables for [`SubInstance::extract_with`] and
+/// [`ShardGroups::new`].
 ///
 /// Holds one `u32` per host arc and per host vertex (grown lazily to the
 /// host size on first use, then reused), plus a stamp that invalidates all
 /// entries at once — clearing between shards costs O(1), not O(host).
 /// The `used_*` buffers keep their capacity across shards, so a warm
-/// scratch extracts without allocating anything but the output itself.
+/// scratch renumbers without allocating.
 #[derive(Clone, Debug, Default)]
 pub struct ExtractScratch {
     /// Host arc → shard-local arc id, valid only when the stamp matches.
@@ -60,12 +70,14 @@ pub struct ExtractScratch {
     stamp: u32,
     used_arcs: Vec<ArcId>,
     used_vertices: Vec<VertexId>,
-    /// Interner for the remapped member sequences: duplicated members
-    /// (within one shard or across shards extracted through the same
-    /// scratch) share one shard-local arc list instead of re-allocating
-    /// it per extraction. Entries no shard holds any more are swept.
+    /// Interner for the built members' sequences: duplicated members
+    /// (within one shard or across shards built through the same scratch)
+    /// share one shard-local arc list instead of re-allocating it per
+    /// build. Entries no shard holds any more are swept.
     arena: ArcListArena,
     remap_buf: Vec<ArcId>,
+    /// The key [`SubInstance::extract_with`] writes and builds from.
+    key: Vec<u32>,
 }
 
 impl ExtractScratch {
@@ -100,13 +112,159 @@ impl ExtractScratch {
         self.used_arcs.clear();
         self.used_vertices.clear();
     }
+
+    /// Append the content key of the shard whose members are `paths`, in
+    /// local-id order, to `key` — the one place shards are renumbered.
+    ///
+    /// The used arcs are numbered in ascending host order, and so are the
+    /// vertices they touch. The key is `[vertices, arcs]`, then each arc's
+    /// `tail, head` in local vertex ids, then each member's length followed
+    /// by its arcs in local ids. The counts and lengths delimit every part,
+    /// so equal keys mean equal vertex counts, arc endpoints and member arc
+    /// lists, and the other way round.
+    fn write_key<'a, I>(&mut self, g: &Digraph, paths: I, key: &mut Vec<u32>)
+    where
+        I: Iterator<Item = &'a Dipath> + Clone,
+    {
+        self.begin(g);
+        let stamp = self.stamp;
+        // Gather the shard's arcs, stamp-deduplicated (each arc is listed
+        // once no matter how loaded), then sort the *unique* list.
+        for p in paths.clone() {
+            for &a in p.arcs() {
+                if self.arc_stamp[a.index()] != stamp {
+                    self.arc_stamp[a.index()] = stamp;
+                    self.used_arcs.push(a);
+                }
+            }
+        }
+        self.used_arcs.sort_unstable();
+        for (new, &a) in self.used_arcs.iter().enumerate() {
+            self.arc_new[a.index()] = new as u32;
+        }
+        for &a in &self.used_arcs {
+            for v in [g.tail(a), g.head(a)] {
+                if self.vert_stamp[v.index()] != stamp {
+                    self.vert_stamp[v.index()] = stamp;
+                    self.used_vertices.push(v);
+                }
+            }
+        }
+        self.used_vertices.sort_unstable();
+        for (new, &v) in self.used_vertices.iter().enumerate() {
+            self.vert_new[v.index()] = new as u32;
+        }
+        key.push(self.used_vertices.len() as u32);
+        key.push(self.used_arcs.len() as u32);
+        for &a in &self.used_arcs {
+            key.push(self.vert_new[g.tail(a).index()]);
+            key.push(self.vert_new[g.head(a).index()]);
+        }
+        for p in paths {
+            key.push(p.len() as u32);
+            key.extend(p.arcs().iter().map(|a| self.arc_new[a.index()]));
+        }
+    }
+}
+
+/// A batch of shards grouped by exact content.
+///
+/// Every shard's content key (see the [module docs](self)) is written back
+/// to back into one flat buffer, and shards with equal keys form one
+/// group, through an ordered map over the key slices: no hashing, so no
+/// collision can merge two different shards. Groups are numbered in order
+/// of their first shard, and [`ShardGroups::extract`] builds any shard's
+/// sub-instance from its key without renumbering again.
+#[derive(Clone, Debug)]
+pub struct ShardGroups {
+    /// Every shard's key, back to back: shard `i`'s is
+    /// `keys[bounds[i]..bounds[i + 1]]`.
+    keys: Vec<u32>,
+    bounds: Vec<usize>,
+    /// `group_of[i]` = shard `i`'s group.
+    group_of: Vec<usize>,
+    /// `firsts[d]` = the first shard of group `d`.
+    firsts: Vec<usize>,
+}
+
+impl ShardGroups {
+    /// Key and group `shards`, each given as its member dipaths in
+    /// local-id order (walked twice, hence `Clone`), renumbering through
+    /// `scratch`.
+    pub fn new<'a, S, P>(g: &Digraph, shards: S, scratch: &mut ExtractScratch) -> ShardGroups
+    where
+        S: IntoIterator<Item = P>,
+        P: IntoIterator<Item = &'a Dipath>,
+        P::IntoIter: Clone,
+    {
+        let (mut keys, mut bounds) = (Vec::new(), vec![0]);
+        for paths in shards {
+            scratch.write_key(g, paths.into_iter(), &mut keys);
+            bounds.push(keys.len());
+        }
+        let mut firsts = Vec::new();
+        let mut groups: BTreeMap<&[u32], usize> = BTreeMap::new();
+        let group_of = bounds
+            .windows(2)
+            .enumerate()
+            .map(|(i, b)| {
+                *groups.entry(&keys[b[0]..b[1]]).or_insert_with(|| {
+                    firsts.push(i);
+                    firsts.len() - 1
+                })
+            })
+            .collect();
+        ShardGroups {
+            keys,
+            bounds,
+            group_of,
+            firsts,
+        }
+    }
+
+    /// Each shard's group, in shard order.
+    pub fn group_of(&self) -> &[usize] {
+        &self.group_of
+    }
+
+    /// The first shard of each group, in group order (ascending): one per
+    /// distinct shard content.
+    pub fn firsts(&self) -> &[usize] {
+        &self.firsts
+    }
+
+    /// The content key of shard `shard`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of range.
+    pub fn key(&self, shard: usize) -> &[u32] {
+        &self.keys[self.bounds[shard]..self.bounds[shard + 1]]
+    }
+
+    /// Build shard `shard`'s sub-instance from its key, recording
+    /// `original` (its members' ids, in local-id order) as the inverse id
+    /// map. Equal to [`SubInstance::extract_with`] on the same members.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of range.
+    pub fn extract(
+        &self,
+        shard: usize,
+        original: impl IntoIterator<Item = PathId>,
+        scratch: &mut ExtractScratch,
+    ) -> SubInstance {
+        SubInstance::from_key(self.key(shard), original.into_iter().collect(), scratch)
+    }
 }
 
 /// One shard of an instance: a dense local family over a restricted graph,
 /// plus the map back to the original ids.
 ///
-/// Built by [`SubInstance::extract_with`]; local ids follow the order of
-/// the members handed in (ascending original id when the members come from
+/// Built by [`SubInstance::extract_with`] or [`ShardGroups::extract`];
+/// local ids follow the order of the members handed in (ascending original
+/// id when the members come from
 /// [`crate::conflict::ConflictGraph::components`] /
 /// [`crate::conflict::conflict_components`], which keeps the whole
 /// decomposition deterministic).
@@ -141,71 +299,49 @@ impl SubInstance {
 
     /// Extract the sub-instance of `members` — `(original id, dipath)`
     /// pairs in local-id order, walked twice (hence `Clone`) — through
-    /// caller-owned renumbering tables, reused across shards. Output
-    /// depends only on the members: used arcs and vertices are emitted in
-    /// ascending host order, whichever scratch (or how warm) is used.
+    /// caller-owned renumbering tables, reused across shards: write the
+    /// shard's content key, then build from it. Output depends only on the
+    /// members: used arcs and vertices are numbered in ascending host
+    /// order, whichever scratch (or how warm) is used.
     pub fn extract_with<'a, I>(g: &Digraph, members: I, scratch: &mut ExtractScratch) -> SubInstance
     where
         I: IntoIterator<Item = (PathId, &'a Dipath)>,
         I::IntoIter: Clone,
     {
         let members = members.into_iter();
-        scratch.begin(g);
-        let stamp = scratch.stamp;
-        // Gather the shard's arcs, stamp-deduplicated (each arc is listed
-        // once no matter how loaded), then sort the *unique* list — the
-        // only per-shard ordering work left.
-        for (_, p) in members.clone() {
-            for &a in p.arcs() {
-                if scratch.arc_stamp[a.index()] != stamp {
-                    scratch.arc_stamp[a.index()] = stamp;
-                    scratch.used_arcs.push(a);
-                }
-            }
-        }
-        scratch.used_arcs.sort_unstable();
-        for (new, &a) in scratch.used_arcs.iter().enumerate() {
-            scratch.arc_new[a.index()] = new as u32;
-        }
-        for &a in &scratch.used_arcs {
-            for v in [g.tail(a), g.head(a)] {
-                if scratch.vert_stamp[v.index()] != stamp {
-                    scratch.vert_stamp[v.index()] = stamp;
-                    scratch.used_vertices.push(v);
-                }
-            }
-        }
-        scratch.used_vertices.sort_unstable();
-        for (new, &v) in scratch.used_vertices.iter().enumerate() {
-            scratch.vert_new[v.index()] = new as u32;
-        }
+        let mut key = std::mem::take(&mut scratch.key);
+        key.clear();
+        scratch.write_key(g, members.clone().map(|(_, p)| p), &mut key);
+        let sub = Self::from_key(&key, members.map(|(id, _)| id).collect(), scratch);
+        scratch.key = key;
+        sub
+    }
 
-        let mut graph =
-            Digraph::with_capacity(scratch.used_vertices.len(), scratch.used_arcs.len());
-        for (new, &old) in scratch.used_arcs.iter().enumerate() {
-            let added = graph.add_arc(
-                VertexId(scratch.vert_new[g.tail(old).index()]),
-                VertexId(scratch.vert_new[g.head(old).index()]),
-            );
-            debug_assert_eq!(added.index(), new);
+    /// Build a sub-instance from a key `ExtractScratch::write_key` wrote.
+    fn from_key(key: &[u32], original: Vec<PathId>, scratch: &mut ExtractScratch) -> SubInstance {
+        let (vertices, arcs) = (key[0] as usize, key[1] as usize);
+        let (ends, mut lists) = key[2..].split_at(2 * arcs);
+        let mut graph = Digraph::with_capacity(vertices, arcs);
+        for end in ends.chunks_exact(2) {
+            graph.add_arc(VertexId(end[0]), VertexId(end[1]));
         }
-
-        let mut original = Vec::with_capacity(members.size_hint().0);
-        let family = members
-            .map(|(id, p)| {
-                original.push(id);
+        // One member per original id: its length, then its arcs.
+        let family = original
+            .iter()
+            .map(|_| {
+                let (arcs, rest) = lists[1..].split_at(lists[0] as usize);
+                lists = rest;
                 scratch.remap_buf.clear();
-                scratch
-                    .remap_buf
-                    .extend(p.arcs().iter().map(|&a| ArcId(scratch.arc_new[a.index()])));
-                // Resolve the remapped sequence through the scratch's arena:
-                // a duplicated member costs a lookup, not an allocation.
+                scratch.remap_buf.extend(arcs.iter().map(|&a| ArcId(a)));
+                // Resolve the sequence through the scratch's arena: a
+                // duplicated member costs a lookup, not an allocation.
                 let arcs = scratch.arena.intern_slice(&scratch.remap_buf);
                 // The remap is monotone on a validated dipath, so contiguity
                 // and simplicity carry over; debug builds re-validate inside.
                 Dipath::from_list_trusted(&graph, arcs)
             })
             .collect();
+        debug_assert!(lists.is_empty(), "one original id per member");
         SubInstance {
             graph,
             family,

@@ -1,8 +1,11 @@
 //! Property tests for dipaths, loads and conflict graphs.
 
 use dagwave_graph::builder::from_edges;
-use dagwave_graph::VertexId;
-use dagwave_paths::{conflict, load, ConflictGraph, Dipath, DipathFamily, PathFamily, PathId};
+use dagwave_graph::{ArcId, Digraph, VertexId};
+use dagwave_paths::{
+    conflict, load, ConflictGraph, Dipath, DipathFamily, ExtractScratch, PathFamily, PathId,
+    ShardGroups, SubInstance,
+};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -128,6 +131,204 @@ proptest! {
         check_dense(&f, &reference);
         for (clone, reference) in &clones {
             check_dense(clone, reference);
+        }
+    }
+}
+
+/// A small gadget: a DAG on `n` vertices whose arcs run `t → h` with
+/// `t < h` (repeated pairs are parallel arcs), and its members as arc
+/// indices into `arcs`.
+#[derive(Clone)]
+struct Gadget {
+    n: usize,
+    arcs: Vec<(usize, usize)>,
+    members: Vec<Vec<usize>>,
+}
+
+impl Gadget {
+    /// Decode raw draws: arc draw `(t, d)` runs from `t mod (n - 1)` to a
+    /// later vertex picked by `d`, and each walk starts on an arc and
+    /// follows the chosen out-arcs until it runs out of turns or arcs.
+    fn decode(n: usize, raw_arcs: &[(usize, usize)], walks: &[(usize, Vec<usize>)]) -> Gadget {
+        let arcs: Vec<(usize, usize)> = raw_arcs
+            .iter()
+            .map(|&(t, d)| {
+                let t = t % (n - 1);
+                (t, t + 1 + d % (n - 1 - t))
+            })
+            .collect();
+        let members = walks
+            .iter()
+            .map(|(start, turns)| {
+                let mut walk = vec![start % arcs.len()];
+                for turn in turns {
+                    let head = arcs[*walk.last().unwrap()].1;
+                    let outs: Vec<usize> = (0..arcs.len()).filter(|&a| arcs[a].0 == head).collect();
+                    if outs.is_empty() {
+                        break;
+                    }
+                    walk.push(outs[turn % outs.len()]);
+                }
+                walk
+            })
+            .collect();
+        Gadget { n, arcs, members }
+    }
+
+    /// Vertex `v` renumbered `n - 1 - v`, arcs and members unchanged.
+    fn vertices_reversed(&self) -> Gadget {
+        let flip = |v: usize| self.n - 1 - v;
+        let mut g = self.clone();
+        g.arcs = self.arcs.iter().map(|&(t, h)| (flip(t), flip(h))).collect();
+        g
+    }
+
+    fn members_reversed(&self) -> Gadget {
+        let mut g = self.clone();
+        g.members.reverse();
+        g
+    }
+
+    /// One member one arc apart: its first arc that has a parallel copy
+    /// takes that copy instead; failing that, it drops its last arc or
+    /// takes one more.
+    fn one_arc_apart(&self, pick: usize) -> Gadget {
+        let mut g = self.clone();
+        let m = &mut g.members[pick % self.members.len()];
+        let twin =
+            |a: usize| (0..self.arcs.len()).find(|&b| b != a && self.arcs[b] == self.arcs[a]);
+        if let Some((i, b)) = m
+            .iter()
+            .enumerate()
+            .find_map(|(i, &a)| twin(a).map(|b| (i, b)))
+        {
+            m[i] = b;
+        } else if m.len() > 1 {
+            m.pop();
+        } else if let Some(next) =
+            (0..self.arcs.len()).find(|&b| self.arcs[b].0 == self.arcs[m[0]].1)
+        {
+            m.push(next);
+        }
+        g
+    }
+}
+
+/// What a shard solve reads: the vertex count, the arc endpoints in arc
+/// order, and the members' arc lists in local order.
+type Content = (usize, Vec<(u32, u32)>, Vec<Vec<u32>>);
+
+fn content(sub: &SubInstance) -> Content {
+    (
+        sub.graph.vertex_count(),
+        sub.graph
+            .arcs()
+            .map(|(_, a)| (a.tail.0, a.head.0))
+            .collect(),
+        sub.family
+            .iter()
+            .map(|(_, p)| p.arcs().iter().map(|a| a.0).collect())
+            .collect(),
+    )
+}
+
+/// The renumbering of `SubInstance::extract`, done by sorting and binary
+/// search: used arcs and their vertices, each in ascending host order.
+fn reference_content(g: &Digraph, members: &[&Dipath]) -> Content {
+    let mut arcs: Vec<ArcId> = members
+        .iter()
+        .flat_map(|p| p.arcs().iter().copied())
+        .collect();
+    arcs.sort_unstable();
+    arcs.dedup();
+    let mut vertices: Vec<VertexId> = arcs.iter().flat_map(|&a| [g.tail(a), g.head(a)]).collect();
+    vertices.sort_unstable();
+    vertices.dedup();
+    let local = |v: VertexId| vertices.binary_search(&v).unwrap() as u32;
+    let ends = arcs
+        .iter()
+        .map(|&a| (local(g.tail(a)), local(g.head(a))))
+        .collect();
+    let lists = members
+        .iter()
+        .map(|p| {
+            p.arcs()
+                .iter()
+                .map(|a| arcs.binary_search(a).unwrap() as u32)
+                .collect()
+        })
+        .collect();
+    (vertices.len(), ends, lists)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Content keys against a reference renumbering. A host glues copies of
+    /// a random gadget with parallel arcs, each copy one of five forms: the
+    /// gadget, its vertices numbered in reverse, its members listed in
+    /// reverse, or one member one arc apart (another parallel copy, one arc
+    /// fewer, or one more). Two shards' keys are equal exactly when their
+    /// reference contents are, shards group exactly by that, and a shard
+    /// built from its key equals `SubInstance::extract` field for field.
+    #[test]
+    fn content_keys_match_reference_extraction(
+        n in 2usize..6,
+        raw_arcs in proptest::collection::vec((0usize..100, 0usize..100), 1..9),
+        walks in proptest::collection::vec((0usize..100, proptest::collection::vec(0usize..100, 0..4)), 1..6),
+        forms in proptest::collection::vec(0usize..5, 2..10),
+        pick in 0usize..100,
+    ) {
+        let base = Gadget::decode(n, &raw_arcs, &walks);
+        let gadgets = [
+            base.clone(),
+            base.vertices_reversed(),
+            base.members_reversed(),
+            base.one_arc_apart(pick),
+            base.vertices_reversed().one_arc_apart(pick + 1),
+        ];
+        let mut g = Digraph::new();
+        let mut family = DipathFamily::new();
+        let mut shards: Vec<Vec<PathId>> = Vec::new();
+        for &form in &forms {
+            let gadget = &gadgets[form];
+            let (v0, a0) = (g.vertex_count(), g.arc_count());
+            g.add_vertices(gadget.n);
+            for &(t, h) in &gadget.arcs {
+                g.add_arc(VertexId::from_index(v0 + t), VertexId::from_index(v0 + h));
+            }
+            let ids = gadget
+                .members
+                .iter()
+                .map(|m| {
+                    let arcs = m.iter().map(|&a| ArcId::from_index(a0 + a)).collect();
+                    family.push(Dipath::from_arcs(&g, arcs).unwrap())
+                })
+                .collect();
+            shards.push(ids);
+        }
+        let paths = |ids: &[PathId]| ids.iter().map(|&id| family.path(id)).collect::<Vec<_>>();
+        let reference: Vec<Content> = shards.iter().map(|ids| reference_content(&g, &paths(ids))).collect();
+        let mut scratch = ExtractScratch::new();
+        let groups = ShardGroups::new(&g, shards.iter().map(|ids| paths(ids)), &mut scratch);
+        prop_assert_eq!(groups.group_of().len(), shards.len());
+        for i in 0..shards.len() {
+            for j in 0..shards.len() {
+                let same = reference[i] == reference[j];
+                prop_assert_eq!(groups.key(i) == groups.key(j), same, "shards {} and {}", i, j);
+                prop_assert_eq!(groups.group_of()[i] == groups.group_of()[j], same);
+            }
+        }
+        for (d, &first) in groups.firsts().iter().enumerate() {
+            prop_assert_eq!(groups.group_of().iter().position(|&x| x == d), Some(first));
+        }
+        for (i, ids) in shards.iter().enumerate() {
+            let built = groups.extract(i, ids.iter().copied(), &mut scratch);
+            let extracted = SubInstance::extract(&g, &family, ids);
+            prop_assert_eq!(&content(&built), &reference[i]);
+            prop_assert_eq!(&content(&extracted), &reference[i]);
+            prop_assert_eq!(built.original_ids(), &ids[..]);
+            prop_assert_eq!(extracted.original_ids(), &ids[..]);
         }
     }
 }

@@ -2,16 +2,19 @@
 //! instances, `DecomposePolicy::Always` must produce a certified coloring
 //! whose span equals the max over per-shard spans, bit-identical across
 //! thread budgets 1/2/4, never worse than the monolithic Auto solve, and
-//! equal field for field to solving every component on its own.
+//! equal field for field to solving every component on its own, with one
+//! sub-instance built per distinct shard content.
 
 use dagwave::core::certify;
 use dagwave::gen::compose::{disjoint_union, federated};
 use dagwave::gen::{figures, Instance};
 use dagwave::graph::builder::from_edges;
 use dagwave::graph::{Digraph, VertexId};
-use dagwave::paths::{conflict_components, Dipath, DipathFamily, PathId, SubInstance};
+use dagwave::paths::{
+    conflict_components, Dipath, DipathFamily, ExtractScratch, PathId, ShardGroups, SubInstance,
+};
 use dagwave::{
-    BackendAttempt, BackendKind, DecomposePolicy, Solution, SolveSession, SolverBuilder,
+    BackendAttempt, BackendKind, DecomposePolicy, Solution, SolveSession, SolverBuilder, Workspace,
 };
 
 /// The thread budgets every check runs under (no-op on the sequential
@@ -224,6 +227,25 @@ fn chain(moved: bool) -> Instance {
     }
 }
 
+/// Arcs `a`, `b` (parallel copies of `0 → 1`) and `c` (`1 → 2`) under
+/// `[a, c]`, `[b, c]` and `[a]`, or, with `swap`, `[b]`: a repeat that
+/// differs only in which parallel copy its last member takes.
+fn parallel_copies(swap: bool) -> Instance {
+    let mut graph = Digraph::with_vertices(3);
+    let a = graph.add_arc(VertexId(0), VertexId(1));
+    let b = graph.add_arc(VertexId(0), VertexId(1));
+    let c = graph.add_arc(VertexId(1), VertexId(2));
+    let paths = [vec![a, c], vec![b, c], vec![if swap { b } else { a }]]
+        .into_iter()
+        .map(|arcs| Dipath::from_arcs(&graph, arcs).unwrap())
+        .collect();
+    Instance {
+        graph,
+        family: DipathFamily::from_paths(paths),
+        name: format!("parallel copies swap={swap}"),
+    }
+}
+
 /// The decomposed solve rebuilt without the shared shard path: every
 /// component extracted on its own, solved whole by an undecomposed
 /// session, and merged in component order through
@@ -288,6 +310,14 @@ fn decomposed_solve_matches_independent_shard_solves() {
             figures::theorem2_family(2),
             t2,
         ]),
+        // Repeats that differ only in which parallel copy a member takes.
+        disjoint_union(&[
+            parallel_copies(false),
+            parallel_copies(true),
+            parallel_copies(false),
+            parallel_copies(true),
+            parallel_copies(true),
+        ]),
     ];
     let session = sharded();
     for inst in &fixtures {
@@ -314,6 +344,56 @@ fn decomposed_solve_matches_independent_shard_solves() {
                 assert_eq!(s.optimal, r.optimal, "{at}");
                 assert_eq!(s.attempts, r.attempts, "{at}");
             }
+            // A workspace opened on the fixture answers bit-identically.
+            let opened = with_threads(threads, || {
+                let graph = inst.graph.clone();
+                let mut ws = Workspace::new(session.clone(), graph, inst.family.clone()).unwrap();
+                ws.solution().unwrap()
+            });
+            assert_eq!(opened.assignment.colors(), sol.assignment.colors(), "{at}");
+            assert_eq!(opened.num_colors, sol.num_colors, "{at}");
+            assert_eq!(opened.load, sol.load, "{at}");
+            assert_eq!(opened.optimal, sol.optimal, "{at}");
+            assert_eq!(opened.class, sol.class, "{at}");
+            assert_eq!(opened.strategy, sol.strategy, "{at}");
+            assert_eq!(opened.attempts, sol.attempts, "{at}");
+            let od = opened.decomposition.as_ref().expect("workspaces shard");
+            assert_eq!(od.shard_count(), d.shard_count(), "{at}");
+            for (o, s) in od.shards.iter().zip(&d.shards) {
+                assert_eq!(o.members, s.members, "{at}");
+                assert_eq!(o.class, s.class, "{at}");
+                assert_eq!(o.strategy, s.strategy, "{at}");
+                assert_eq!(o.num_colors, s.num_colors, "{at}");
+                assert_eq!(o.load, s.load, "{at}");
+                assert_eq!(o.optimal, s.optimal, "{at}");
+                assert_eq!(o.attempts, s.attempts, "{at}");
+            }
         }
+    }
+}
+
+/// `federated(k)` glues copies of six distinct shards, so grouping its
+/// shards by content key yields six groups at every k: on the components
+/// the one-shot path hands to the shard engine, and in a workspace's first
+/// refresh, which builds and solves one sub-instance per group.
+#[test]
+fn federated_builds_one_sub_instance_per_distinct_shard() {
+    for k in [64usize, 256, 1024] {
+        let inst = federated(k);
+        let (g, family) = (&inst.graph, &inst.family);
+        let components = conflict_components(g, family);
+        let groups = ShardGroups::new(
+            g,
+            components
+                .iter()
+                .map(|members| members.iter().map(|&id| family.path(id))),
+            &mut ExtractScratch::new(),
+        );
+        assert_eq!(groups.group_of().len(), k, "k={k}");
+        assert_eq!(groups.firsts().len(), 6, "k={k}: one-shot groups");
+        let mut ws = Workspace::new(sharded(), g.clone(), family.clone()).unwrap();
+        let resolve = ws.solution().unwrap().resolve.expect("workspace resolve");
+        assert_eq!(resolve.shards_resolved, k, "k={k}");
+        assert_eq!(resolve.solves, 6, "k={k}: sub-instances built at open");
     }
 }
