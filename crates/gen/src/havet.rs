@@ -71,6 +71,33 @@ pub fn havet(h: usize) -> Instance {
     }
 }
 
+/// Havet's eight dipaths with `copies[i]` copies of dipath `i`, the copies
+/// of each dipath in a row, in base order.
+pub fn havet_copies(copies: &[usize; 8]) -> Instance {
+    let graph = havet_graph();
+    let base = havet_base_family(&graph);
+    let family = base
+        .iter()
+        .zip(copies)
+        .flat_map(|((_, p), &c)| std::iter::repeat_n(p, c).cloned())
+        .collect();
+    Instance {
+        graph,
+        family,
+        name: format!("havet-copies{copies:?}"),
+    }
+}
+
+/// Copy counts for [`havet_copies`] whose twin quotient is hard to cover:
+/// a covering search that tries every ordering of the same color classes
+/// spends the whole default node budget on each and proves none.
+pub const REPLICATED_FIXTURES: [[usize; 8]; 4] = [
+    [6, 7, 8, 9, 10, 4, 5, 6],
+    [8, 9, 10, 4, 5, 6, 7, 8],
+    [5, 6, 7, 8, 9, 3, 4, 5],
+    [4, 5, 6, 7, 8, 9, 10, 4],
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;

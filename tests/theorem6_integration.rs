@@ -100,6 +100,35 @@ fn theorem7_series() {
     }
 }
 
+/// Havet's eight dipaths with unequal copy counts, the covering search's
+/// adversarial fixtures. Theorem 6 misses the optimum by 4 to 7 colours,
+/// and the weighted rescue's covering search proves it within 50,000
+/// nodes; a search that tried every ordering of the same colour classes
+/// spent the whole 20M-node default on each and proved none.
+#[test]
+fn replicated_havet_fixtures_close_within_50k_nodes() {
+    let expected = [(55, 19, 20), (57, 19, 21), (47, 17, 18), (53, 19, 20)];
+    for (copies, (paths, load, colors)) in havet::REPLICATED_FIXTURES.iter().zip(expected) {
+        let inst = havet::havet_copies(copies);
+        assert_eq!(inst.family.len(), paths, "{copies:?}");
+        let sol = SolveSession::builder()
+            .exact_budget(50_000)
+            .build()
+            .solve(&inst.graph, &inst.family)
+            .unwrap();
+        assert!(sol.assignment.is_valid(&inst.graph, &inst.family));
+        assert_eq!((sol.load, sol.num_colors), (load, colors), "{copies:?}");
+        assert!(sol.optimal, "{copies:?}: not proven optimal");
+        assert_eq!(sol.strategy, BackendKind::Weighted, "{copies:?}");
+        let theorem6 = sol.attempts[0].upper_bound;
+        assert_eq!(sol.attempts[0].backend, BackendKind::Theorem6);
+        assert!(
+            matches!(theorem6, Some(25..=27)),
+            "{copies:?}: {theorem6:?}"
+        );
+    }
+}
+
 /// The C5 family replicated gives ⌈5h/2⌉ (the paper's pre-Theorem-7
 /// remark: ratio 5/4 does not reach the bound). The copies are true twins
 /// of the conflict graph, so the exact solver colors the weighted C5
