@@ -339,6 +339,25 @@ fn paper_report() {
         );
     }
 
+    // T1 on k copies of one dipath over a 3-arc chain: every arc's load is
+    // k, so a conflict graph would hold 3k² entries. The replay reads
+    // conflicts from its peel log instead, and the Auto solve stays linear.
+    for k in [1_000usize, 4_000, 16_000] {
+        let g = dagwave_graph::builder::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let p = Dipath::from_arcs(&g, g.arc_ids().collect()).unwrap();
+        let family = DipathFamily::from_paths(vec![p]).replicate(k);
+        let session = SolveSession::auto();
+        let (ms, sol) = time_ms_with(3, || session.solve(&g, &family).unwrap());
+        assert_eq!((sol.load, sol.num_colors), (k, k), "T1 chain k={k}: w = π");
+        assert!(k < 16_000 || ms < 50.0, "T1 chain k={k}: {ms:.1} ms");
+        row(
+            "T1 replicated chain",
+            &format!("k={k} copies of one dipath, 3-arc chain"),
+            "w=π; < 50 ms at k=16,000",
+            &format!("w={}=π, {ms:.2} ms", sol.num_colors),
+        );
+    }
+
     // T6 — Theorem 6 on random duplicate-free single-cycle UPP instances.
     for &(k, count) in &[(2usize, 12usize), (4, 30), (8, 80), (16, 200)] {
         let mut rng = ChaCha8Rng::seed_from_u64(k as u64);

@@ -329,6 +329,7 @@ fn branch_and_bound(
     Search {
         g,
         colors,
+        seen: dagwave_graph::BitSet::new(bounds.upper + 1),
         bounds,
         budget,
         turns,
@@ -339,6 +340,9 @@ fn branch_and_bound(
 struct Search<'a> {
     g: &'a UGraph,
     colors: Coloring,
+    /// Saturation scratch, sized at the root's upper bound (which only
+    /// falls), reused for every vertex of every node.
+    seen: dagwave_graph::BitSet,
     bounds: &'a mut Bounds,
     budget: &'a mut Budget,
     turns: Option<CoverTurns<'a>>,
@@ -366,11 +370,12 @@ impl Search<'_> {
             if self.colors[v] != usize::MAX {
                 continue;
             }
-            let mut seen = dagwave_graph::BitSet::new(self.bounds.upper + 1);
+            // Saturation counts the colors up to this node's upper bound.
+            self.seen.clear();
             let mut sat = 0;
             for &w in self.g.neighbors(v) {
                 let c = self.colors[w as usize];
-                if c != usize::MAX && c < seen.capacity() && seen.insert(c) {
+                if c != usize::MAX && c <= self.bounds.upper && self.seen.insert(c) {
                     sat += 1;
                 }
             }

@@ -1,10 +1,12 @@
 //! Wavelength assignments and their validation.
 //!
 //! The solving surface certifies every backend attempt with
-//! [`WavelengthAssignment::is_valid`], and Theorem 6 checks its merge with
-//! [`WavelengthAssignment::first_violation`]. Both bucket the family once
-//! into a flat per-arc [`ArcIndex`] (a counting sort by arc, family order
-//! within a bucket) instead of building a `Vec` per arc.
+//! [`WavelengthAssignment::is_valid`], one pass over the dipaths grouped
+//! by color. Theorem 6 checks its merge with
+//! [`WavelengthAssignment::first_violation`], which names the clash: it
+//! buckets the family once into a flat per-arc [`ArcIndex`] (a counting
+//! sort by arc, family order within a bucket) instead of building a `Vec`
+//! per arc.
 
 use dagwave_graph::{ArcId, Digraph};
 use dagwave_paths::{ArcIndex, DipathFamily, PathId};
@@ -71,30 +73,58 @@ impl WavelengthAssignment {
     }
 
     /// Validate against an instance: two dipaths sharing an arc must have
-    /// different wavelengths. This is the hot path the solving surface
-    /// stamps every backend attempt with, so it detects duplicates by
-    /// sorting each arc bucket's colors in one reused scratch —
-    /// `O(Σ L log L)` — instead of the pairwise scan
-    /// [`Self::first_violation`] uses to name the offending dipaths. The
-    /// verdict depends only on each bucket's color multiset, not on how
-    /// the buckets are stored.
+    /// different wavelengths. This is the audit the solving surface stamps
+    /// on every backend attempt, so it is one O(m + |P| + Σ|p|) pass: the
+    /// dipaths are grouped by color (a counting sort on a dense palette, a
+    /// sort otherwise) and each color class stamps its arcs with the
+    /// class's ordinal, so an arc its own class already stamped carries a
+    /// clash. [`Self::first_violation`] names the offending dipaths.
     pub fn is_valid(&self, g: &Digraph, family: &DipathFamily) -> bool {
         if self.colors.len() != family.len() {
             return false;
         }
-        let index = ArcIndex::build(g, family);
-        let mut bucket = Vec::new();
-        (0..index.arc_count()).all(|a| {
-            bucket.clear();
-            bucket.extend(
-                index
-                    .paths_through(ArcId::from_index(a))
-                    .iter()
-                    .map(|&p| self.colors[p as usize]),
-            );
-            bucket.sort_unstable();
-            bucket.windows(2).all(|w| w[0] != w[1])
+        let mut stamp = vec![0u32; g.arc_count()];
+        let (mut class, mut last) = (0u32, None);
+        self.ids_by_color().into_iter().all(|p| {
+            let c = self.colors[p as usize];
+            if last != Some(c) {
+                last = Some(c);
+                class += 1;
+            }
+            family
+                .path(PathId(p))
+                .arcs()
+                .iter()
+                .all(|a| std::mem::replace(&mut stamp[a.index()], class) != class)
         })
+    }
+
+    /// Every dipath id, grouped by color: a counting sort on a dense
+    /// palette (the guard [`Self::num_colors`] applies), a sort otherwise.
+    fn ids_by_color(&self) -> Vec<u32> {
+        let n = self.colors.len();
+        let Some(&max) = self.colors.iter().max() else {
+            return Vec::new();
+        };
+        if max < 2 * n {
+            let mut next = vec![0u32; max + 2];
+            for &c in &self.colors {
+                next[c + 1] += 1;
+            }
+            for c in 0..=max {
+                next[c + 1] += next[c];
+            }
+            let mut ids = vec![0u32; n];
+            for (p, &c) in self.colors.iter().enumerate() {
+                ids[next[c] as usize] = p as u32;
+                next[c] += 1;
+            }
+            ids
+        } else {
+            let mut ids: Vec<u32> = (0..n as u32).collect();
+            ids.sort_unstable_by_key(|&p| self.colors[p as usize]);
+            ids
+        }
     }
 
     /// First pair of same-colored conflicting dipaths, if any: the first

@@ -25,11 +25,14 @@
 //! consulted, so every `Solution` carries its provenance.
 //!
 //! A context proves each fact about its instance once. A whole instance's
-//! context sorts the graph topologically to reject cycles
-//! ([`InstanceContext::new`]); a shard's context inherits that proof from
-//! its host, since a subgraph of a DAG is a DAG, and only classifies and
-//! loads the shard. Backends trust the class: Theorem 6 runs its merge
-//! without re-checking the preconditions classification just proved.
+//! context classifies the graph first ([`InstanceContext::new`]): a
+//! directed cycle is an internal cycle, so an internal-cycle-free graph is
+//! proven acyclic without a sort, and any other graph is sorted
+//! topologically once, which rejects cycles and feeds the UPP test. A
+//! shard's context inherits the proof from its host, since a subgraph of a
+//! DAG is a DAG, and only classifies and loads the shard. Backends trust
+//! the class: Theorem 6 runs its merge without re-checking the
+//! preconditions classification just proved.
 
 use crate::assignment::WavelengthAssignment;
 use crate::error::CoreError;
@@ -186,18 +189,17 @@ pub struct InstanceContext<'a> {
 }
 
 impl<'a> InstanceContext<'a> {
-    /// Validate the DAG precondition, classify, and compute the load.
+    /// Classify, validate the DAG precondition, and compute the load.
+    /// Classification comes first and proves most graphs acyclic for free:
+    /// an internal-cycle-free graph is a DAG and is never sorted, and any
+    /// other graph is sorted once, its order reused by the UPP test.
     pub fn new(
         graph: &'a Digraph,
         family: &'a DipathFamily,
         request: &'a SolveRequest,
     ) -> Result<Self, CoreError> {
-        if let Err(dagwave_graph::GraphError::NotADag(c)) =
-            dagwave_graph::topo::topological_order(graph)
-        {
-            return Err(CoreError::NotADag(c));
-        }
-        Ok(Self::of_dag(graph, family, request))
+        let class = internal::classify_checked(graph).map_err(CoreError::NotADag)?;
+        Ok(Self::classified(graph, family, class, request))
     }
 
     /// Classify and compute the load of a graph already known to be a DAG,
@@ -214,10 +216,19 @@ impl<'a> InstanceContext<'a> {
             dagwave_graph::topo::is_dag(graph),
             "context of a subgraph of a validated DAG has a cycle"
         );
+        Self::classified(graph, family, internal::classify(graph), request)
+    }
+
+    fn classified(
+        graph: &'a Digraph,
+        family: &'a DipathFamily,
+        class: DagClass,
+        request: &'a SolveRequest,
+    ) -> Self {
         InstanceContext {
             graph,
             family,
-            class: internal::classify(graph),
+            class,
             load: load::max_load(graph, family),
             request,
             ug: OnceLock::new(),

@@ -60,9 +60,10 @@ pub enum DecomposePolicy {
     /// least `min_paths` dipaths, the conflict graph actually splits into
     /// ≥ 2 components, and — under the Auto backend policy — the host is
     /// *not* internal-cycle-free (there the monolithic Theorem 1 solve is
-    /// already optimal in near-linear time, so sharding could only add
-    /// overhead). Below the size threshold the component scan is skipped
-    /// entirely, so small instances pay nothing.
+    /// already optimal in O(m + Σ|p|) memory and O(n + m + Σ|p|) time plus
+    /// its Kempe searches, so sharding could only add overhead). Below the
+    /// size threshold the component scan is skipped entirely, so small
+    /// instances pay nothing.
     Auto {
         /// Smallest family size worth scanning for components.
         min_paths: usize,

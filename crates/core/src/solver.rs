@@ -271,8 +271,9 @@ impl SolveSession {
             // Auto declines when the Auto backend policy would take the
             // Theorem 1 fast path anyway: on an internal-cycle-free host
             // the monolithic solve is already optimal (`w = π`) in
-            // near-linear time, so sharding could only add overhead, never
-            // save colors. Pinned/Portfolio policies still shard (smaller
+            // O(m + Σ|p|) memory and O(n + m + Σ|p|) time plus its Kempe
+            // searches, so sharding could only add overhead, never save
+            // colors. Pinned/Portfolio policies still shard (smaller
             // per-shard graphs genuinely help heuristic and exact
             // backends), as does `Always`. Auto only pays the shard
             // machinery when it actually splits.
@@ -1313,7 +1314,7 @@ mod tests {
     #[test]
     fn auto_decompose_skips_the_theorem1_fast_path() {
         // Two disjoint chains: multi-component but internal-cycle-free, so
-        // the monolithic Auto solve is already optimal and near-linear.
+        // the monolithic Auto solve is already optimal.
         let g = from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
         let f = DipathFamily::from_paths(vec![
             path(&g, &[0, 1, 2]),

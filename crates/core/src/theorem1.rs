@@ -27,9 +27,15 @@
 //!    born as the single arc `e` take fresh palette colors. The palette has
 //!    exactly `π(G, P)` colors and never runs out (the proof's counting
 //!    argument), so the final assignment uses at most — hence exactly —
-//!    `π` wavelengths whenever any arc is loaded. Its working buffers, the
-//!    Kempe searches' included, are sized once, so neither a step nor a
-//!    swap allocates.
+//!    `π` wavelengths whenever any arc is loaded.
+//!
+//! The replay builds no conflict graph. A Kempe search reads a live
+//! dipath's neighbours from the log: its arcs peeled after the step being
+//! replayed (a suffix of its arc list, since the peel consumes it
+//! front-first), then each such step's affected list. The solve thus holds
+//! O(m + Σ|p|) memory and takes O(n + m + Σ|p|) time plus the Kempe
+//! searches, each of which pays only for the component it walks. Its
+//! working buffers are sized once, so neither a step nor a swap allocates.
 
 use crate::assignment::WavelengthAssignment;
 use crate::error::CoreError;
@@ -110,13 +116,15 @@ impl PeelLog {
 
     /// Steps in removal order (replay walks them in reverse).
     pub fn steps(&self) -> impl DoubleEndedIterator<Item = PeelStep<'_>> + ExactSizeIterator {
-        self.arcs
-            .iter()
-            .zip(self.offsets.windows(2))
-            .map(|(&arc, span)| PeelStep {
-                arc,
-                affected: &self.affected[span[0]..span[1]],
-            })
+        self.arcs.iter().enumerate().map(|(t, &arc)| PeelStep {
+            arc,
+            affected: self.affected(t),
+        })
+    }
+
+    /// Step `t`'s affected list.
+    fn affected(&self, t: usize) -> &[(PathId, bool)] {
+        &self.affected[self.offsets[t]..self.offsets[t + 1]]
     }
 }
 
@@ -298,9 +306,9 @@ pub fn color_optimal_with(
 const UNCOLORED: usize = usize::MAX;
 
 /// The replay phase: rebuild the graph arc by arc (reverse peel order),
-/// keeping an always-valid partial coloring. Every buffer, the conflict
-/// adjacency included, is sized once up front, so no step and no Kempe
-/// swap allocates.
+/// keeping an always-valid partial coloring. The Kempe searches read
+/// conflicts from the log ([`Live`]), and every buffer is sized once up
+/// front, so no step and no Kempe swap allocates.
 fn replay(
     g: &Digraph,
     family: &DipathFamily,
@@ -311,26 +319,29 @@ fn replay(
     debug_assert_eq!(pi, load::max_load(g, family));
     let np = family.len();
     let mut colors = vec![UNCOLORED; np];
-
-    // Dynamic conflict adjacency: grows by one clique per replayed arc
-    // (before a step, no live dipath contains the step's arc, so all new
-    // conflicts are within the step's affected set).
-    let mut adj = Adjacency::new(log, np);
+    let mut step_of = vec![0u32; g.arc_count()];
+    for (t, &a) in log.arcs.iter().enumerate() {
+        step_of[a.index()] = t as u32;
+    }
     let mut kempe_swaps = 0usize;
 
     // Scratch reused by every step: the palette bitset, P0, the first P0
-    // member seen per color, the neighbour stamps of the clique wiring, and
-    // the Kempe searches' marks.
+    // member seen per color, and the Kempe searches' marks.
     let mut used = BitSet::new(pi.max(1));
     let mut p0: Vec<PathId> = Vec::with_capacity(pi);
     let mut keeper_of: Vec<Option<PathId>> = vec![None; pi.max(1)];
-    let mut wired = vec![NIL; np];
     let mut scratch = KempeScratch::new(np);
 
-    for step in log.steps().rev() {
+    for (now, step) in log.steps().enumerate().rev() {
         if step.affected.is_empty() {
             continue;
         }
+        let live = Live {
+            family,
+            log,
+            step_of: &step_of,
+            now: now as u32,
+        };
         // P0 = already-live dipaths being extended; newborns take fresh colors.
         p0.clear();
         p0.extend(
@@ -366,10 +377,10 @@ fn replay(
             let alpha = colors[flip.index()];
             let swapped = match kempe {
                 KempeStrategy::ComponentSwap => {
-                    scratch.component_swap(&adj, &mut colors, flip, alpha, beta, keeper)
+                    scratch.component_swap(live, &mut colors, flip, alpha, beta, keeper)
                 }
                 KempeStrategy::Cascade => {
-                    scratch.cascade(&adj, &mut colors, flip, alpha, beta, keeper)
+                    scratch.cascade(live, &mut colors, flip, alpha, beta, keeper)
                 }
             };
             match swapped {
@@ -378,8 +389,8 @@ fn replay(
             }
         }
 
-        // Extend: every affected dipath now (re)contains `step.arc`; they are
-        // pairwise in conflict, so wire the clique and color the newborns.
+        // Extend: every affected dipath now (re)contains `step.arc`, so the
+        // newborns take colors no P0 member shows.
         used.clear();
         for &p in &p0 {
             used.insert(colors[p.index()]);
@@ -389,23 +400,6 @@ fn replay(
                 let c = used.first_absent().expect("π bounds the arc's clique"); // lint: allow(no-panic): π bounds the clique at this arc, so a color is free
                 used.insert(c);
                 colors[id.index()] = c;
-            }
-        }
-        for (i, &(p, _)) in step.affected.iter().enumerate() {
-            let later = &step.affected[i + 1..];
-            if later.is_empty() {
-                break;
-            }
-            // Parallel growth can re-announce a pair: stamp p's neighbours
-            // and wire only the new ones.
-            for &q in adj.neighbors(p) {
-                wired[q as usize] = p.0;
-            }
-            for &(q, _) in later {
-                if wired[q.index()] != p.0 {
-                    adj.push(p, q);
-                    adj.push(q, p);
-                }
             }
         }
     }
@@ -420,44 +414,41 @@ fn replay(
     })
 }
 
-/// The replay's conflict adjacency, grown one clique per step in flat
-/// storage: dipath `p`'s neighbours are `data[start[p]..start[p] +
-/// len[p]]`, in wiring order. Each dipath's room is the number of times its
-/// pairs get announced — once per shared arc, `|step| − 1` per step it is
-/// in — which bounds its degree, so wiring never reallocates.
-struct Adjacency {
-    start: Vec<usize>,
-    len: Vec<u32>,
-    data: Vec<u32>,
+/// The conflict graph of the live instance while step `now` is replayed,
+/// read from the log. Dipaths conflict when they share an arc peeled after
+/// `now`, and every dipath through such an arc is in that step's affected
+/// list. A dipath is consumed front-first, so its arcs peeled after `now`
+/// are a suffix of its arc list: [`Live::neighbors`] walks it from the back
+/// and stops at the first arc peeled at or before `now`.
+#[derive(Clone, Copy)]
+struct Live<'a> {
+    family: &'a DipathFamily,
+    log: &'a PeelLog,
+    /// The step each arc was peeled at.
+    step_of: &'a [u32],
+    now: u32,
 }
 
-impl Adjacency {
-    fn new(log: &PeelLog, np: usize) -> Self {
-        let mut start = vec![0usize; np + 1];
-        for step in log.steps() {
-            for &(p, _) in step.affected {
-                start[p.index() + 1] += step.affected.len() - 1;
-            }
-        }
-        for i in 0..np {
-            start[i + 1] += start[i];
-        }
-        Adjacency {
-            data: vec![0; start[np]],
-            start,
-            len: vec![0; np],
-        }
-    }
-
-    fn neighbors(&self, p: PathId) -> &[u32] {
-        let from = self.start[p.index()];
-        &self.data[from..from + self.len[p.index()] as usize]
-    }
-
-    fn push(&mut self, p: PathId, q: PathId) {
-        let len = &mut self.len[p.index()];
-        self.data[self.start[p.index()] + *len as usize] = q.0;
-        *len += 1;
+impl<'a> Live<'a> {
+    /// The live neighbours of `p`, once per shared live arc. The first
+    /// occurrences come in the order the replay announced the conflicts:
+    /// latest step first, and within a step in the step's list order.
+    fn neighbors(self, p: PathId) -> impl Iterator<Item = PathId> + 'a {
+        let Live {
+            family,
+            log,
+            step_of,
+            now,
+        } = self;
+        family
+            .path(p)
+            .arcs()
+            .iter()
+            .rev()
+            .map(move |a| step_of[a.index()])
+            .take_while(move |&t| t > now)
+            .flat_map(move |t| log.affected(t as usize))
+            .filter_map(move |&(q, _)| (q != p).then_some(q))
     }
 }
 
@@ -530,7 +521,7 @@ impl KempeScratch {
     /// `protected` — the paper's Figure 4 sequence `P1, …, Pp = P0`.
     fn component_swap(
         &mut self,
-        adj: &Adjacency,
+        live: Live<'_>,
         colors: &mut [usize],
         start: PathId,
         alpha: usize,
@@ -540,8 +531,7 @@ impl KempeScratch {
         self.begin(start);
         self.frontier.push(start);
         while let Some(p) = self.frontier.pop() {
-            for &qn in adj.neighbors(p) {
-                let q = PathId(qn);
+            for q in live.neighbors(p) {
                 if self.reached(q) {
                     continue;
                 }
@@ -570,7 +560,7 @@ impl KempeScratch {
     /// (re-flipping) cannot occur — asserted.
     fn cascade(
         &mut self,
-        adj: &Adjacency,
+        live: Live<'_>,
         colors: &mut [usize],
         start: PathId,
         alpha: usize,
@@ -587,10 +577,11 @@ impl KempeScratch {
             for i in 0..self.frontier.len() {
                 let p = self.frontier[i];
                 let pc = colors[p.index()];
-                for &qn in adj.neighbors(p) {
-                    let q = PathId(qn);
+                for q in live.neighbors(p) {
                     if colors[q.index()] != pc {
-                        continue; // no clash
+                        // No clash; a neighbour met again through another
+                        // shared arc has already flipped.
+                        continue;
                     }
                     if q == protected {
                         let chain = self.chain(p, q);

@@ -1,14 +1,19 @@
 //! Oracles for the allocation-light kernels every solve crosses: the
 //! certification checks of [`WavelengthAssignment`], dipath validation,
-//! and the workspace's incremental component re-derivation. Each kernel is
+//! the workspace's incremental component re-derivation, and Theorem 1's
+//! replay, which reads conflicts from its peel log. Each kernel is
 //! compared, on seeded random inputs, with the plain implementation it must
 //! agree with, and each loop checks that its inputs reached every outcome
 //! it is meant to cover.
 
-use dagwave_core::{Mutation, SolveSession, WavelengthAssignment, Workspace};
-use dagwave_gen::{compose, random};
+use dagwave_core::theorem1::{self, KempeStrategy, PeelLog, PeelOrder};
+use dagwave_core::{
+    internal, witness, CoreError, InstanceContext, Mutation, SolveRequest, SolveSession,
+    WavelengthAssignment, Workspace,
+};
+use dagwave_gen::{compose, figures, havet, random};
 use dagwave_graph::builder::from_edges;
-use dagwave_graph::{ArcId, Digraph, VertexId};
+use dagwave_graph::{topo, ArcId, BitSet, Digraph, GraphError, VertexId};
 use dagwave_paths::dipath::SHORT_PATH;
 use dagwave_paths::{conflict_components, Dipath, DipathFamily, PathError, PathId};
 use rand::{Rng, SeedableRng};
@@ -302,4 +307,465 @@ fn workspace_partition_matches_conflict_components() {
         bridges >= 10 && splits >= 10,
         "{bridges} bridging additions, {splits} splitting removals"
     );
+}
+
+/// What a Theorem 1 replay yields: the colors and the Kempe swap count, or
+/// the chain that blocked it.
+type Replayed = Result<(Vec<usize>, usize), Vec<PathId>>;
+
+const UNCOLORED: usize = usize::MAX;
+
+/// Theorem 1's replay over a materialised conflict adjacency, grown by one
+/// clique per replayed arc: the reference the library's log-read replay
+/// must match color for color, swap for swap and chain for chain. It holds
+/// Σ_a load(a)² adjacency entries, so it only runs on small inputs.
+fn adjacency_replay(family: &DipathFamily, log: &PeelLog, kempe: KempeStrategy) -> Replayed {
+    let pi = log.steps().map(|s| s.affected.len()).max().unwrap_or(0);
+    let np = family.len();
+    let mut colors = vec![UNCOLORED; np];
+
+    // Dynamic conflict adjacency: grows by one clique per replayed arc
+    // (before a step, no live dipath contains the step's arc, so all new
+    // conflicts are within the step's affected set).
+    let mut adj = Adjacency::new(log, np);
+    let mut kempe_swaps = 0usize;
+
+    // Scratch reused by every step: the palette bitset, P0, the first P0
+    // member seen per color, the neighbour stamps of the clique wiring, and
+    // the Kempe searches' marks.
+    let mut used = BitSet::new(pi.max(1));
+    let mut p0: Vec<PathId> = Vec::with_capacity(pi);
+    let mut keeper_of: Vec<Option<PathId>> = vec![None; pi.max(1)];
+    let mut wired = vec![NIL; np];
+    let mut scratch = KempeScratch::new(np);
+
+    for step in log.steps().rev() {
+        if step.affected.is_empty() {
+            continue;
+        }
+        // P0 = already-live dipaths being extended; newborns take fresh colors.
+        p0.clear();
+        p0.extend(
+            step.affected
+                .iter()
+                .filter(|&&(_, was_last)| !was_last)
+                .map(|&(id, _)| id),
+        );
+
+        // Make P0's colors pairwise distinct via Kempe swaps.
+        loop {
+            used.clear();
+            let mut dup: Option<(PathId, PathId)> = None; // (keeper, to-flip)
+            for &p in &p0 {
+                let c = colors[p.index()];
+                debug_assert_ne!(c, UNCOLORED, "live dipath must be colored");
+                if let Some(k) = keeper_of[c] {
+                    // Record the first duplicate but keep scanning: β must
+                    // avoid the colors of *every* P0 member.
+                    dup.get_or_insert((k, p));
+                } else {
+                    keeper_of[c] = Some(p);
+                }
+                used.insert(c);
+            }
+            for &p in &p0 {
+                keeper_of[colors[p.index()]] = None;
+            }
+            let Some((keeper, flip)) = dup else { break };
+            // β: a palette color unused by P0. Exists because P0 shows at
+            // most |P0| − 1 < π distinct colors (the duplication).
+            let beta = used.first_absent().expect("palette has a free color");
+            let alpha = colors[flip.index()];
+            let swapped = match kempe {
+                KempeStrategy::ComponentSwap => {
+                    scratch.component_swap(&adj, &mut colors, flip, alpha, beta, keeper)
+                }
+                KempeStrategy::Cascade => {
+                    scratch.cascade(&adj, &mut colors, flip, alpha, beta, keeper)
+                }
+            };
+            match swapped {
+                Ok(()) => kempe_swaps += 1,
+                Err(chain) => return Err(chain),
+            }
+        }
+
+        // Extend: every affected dipath now (re)contains `step.arc`; they are
+        // pairwise in conflict, so wire the clique and color the newborns.
+        used.clear();
+        for &p in &p0 {
+            used.insert(colors[p.index()]);
+        }
+        for &(id, was_last) in step.affected {
+            if was_last {
+                let c = used.first_absent().expect("π bounds the arc's clique");
+                used.insert(c);
+                colors[id.index()] = c;
+            }
+        }
+        for (i, &(p, _)) in step.affected.iter().enumerate() {
+            let later = &step.affected[i + 1..];
+            if later.is_empty() {
+                break;
+            }
+            // Parallel growth can re-announce a pair: stamp p's neighbours
+            // and wire only the new ones.
+            for &q in adj.neighbors(p) {
+                wired[q as usize] = p.0;
+            }
+            for &(q, _) in later {
+                if wired[q.index()] != p.0 {
+                    adj.push(p, q);
+                    adj.push(q, p);
+                }
+            }
+        }
+    }
+
+    debug_assert!(colors.iter().all(|&c| c != UNCOLORED || family.is_empty()));
+    Ok((colors, kempe_swaps))
+}
+
+/// End of an intrusive list.
+const NIL: u32 = u32::MAX;
+
+/// The replay's conflict adjacency, grown one clique per step in flat
+/// storage: dipath `p`'s neighbours are `data[start[p]..start[p] +
+/// len[p]]`, in wiring order. Each dipath's room is the number of times its
+/// pairs get announced — once per shared arc, `|step| − 1` per step it is
+/// in — which bounds its degree, so wiring never reallocates.
+struct Adjacency {
+    start: Vec<usize>,
+    len: Vec<u32>,
+    data: Vec<u32>,
+}
+
+impl Adjacency {
+    fn new(log: &PeelLog, np: usize) -> Self {
+        let mut start = vec![0usize; np + 1];
+        for step in log.steps() {
+            for &(p, _) in step.affected {
+                start[p.index() + 1] += step.affected.len() - 1;
+            }
+        }
+        for i in 0..np {
+            start[i + 1] += start[i];
+        }
+        Adjacency {
+            data: vec![0; start[np]],
+            start,
+            len: vec![0; np],
+        }
+    }
+
+    fn neighbors(&self, p: PathId) -> &[u32] {
+        let from = self.start[p.index()];
+        &self.data[from..from + self.len[p.index()] as usize]
+    }
+
+    fn push(&mut self, p: PathId, q: PathId) {
+        let len = &mut self.len[p.index()];
+        self.data[self.start[p.index()] + *len as usize] = q.0;
+        *len += 1;
+    }
+}
+
+/// The Kempe searches' working set, sized once per replay. `mark[p] ==
+/// stamp` means `p` was reached by the current swap (with `parent[p]` its
+/// discoverer, [`NIL`] for the start), so starting a swap is one stamp
+/// bump instead of clearing |P|-sized vectors.
+struct KempeScratch {
+    mark: Vec<u32>,
+    stamp: u32,
+    parent: Vec<u32>,
+    /// Every dipath reached, in discovery order: the component to flip, or
+    /// the dipaths to flip back when a cascade fails.
+    reached: Vec<PathId>,
+    /// The search frontier: the component swap's stack, the cascade's
+    /// current wave.
+    frontier: Vec<PathId>,
+    /// The cascade's next wave.
+    next_wave: Vec<PathId>,
+}
+
+impl KempeScratch {
+    fn new(np: usize) -> Self {
+        KempeScratch {
+            mark: vec![0; np],
+            stamp: 0,
+            parent: vec![NIL; np],
+            reached: Vec::new(),
+            frontier: Vec::new(),
+            next_wave: Vec::new(),
+        }
+    }
+
+    /// Start a new swap from `start`.
+    fn begin(&mut self, start: PathId) {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.mark.fill(0);
+            self.stamp = 1;
+        }
+        self.reached.clear();
+        self.frontier.clear();
+        self.reach(start, NIL);
+    }
+
+    fn reached(&self, p: PathId) -> bool {
+        self.mark[p.index()] == self.stamp
+    }
+
+    fn reach(&mut self, p: PathId, parent: u32) {
+        self.mark[p.index()] = self.stamp;
+        self.parent[p.index()] = parent;
+        self.reached.push(p);
+    }
+
+    /// The discovery chain `start → … → p → protected`.
+    fn chain(&self, p: PathId, protected: PathId) -> Vec<PathId> {
+        let mut chain = vec![protected, p];
+        let mut cur = p;
+        while self.parent[cur.index()] != NIL {
+            cur = PathId(self.parent[cur.index()]);
+            chain.push(cur);
+        }
+        chain.reverse();
+        chain
+    }
+
+    /// Flip α↔β on the conflict component of `start`, refusing to touch
+    /// `protected`. `Err` carries the discovery chain from `start` towards
+    /// `protected` — the paper's Figure 4 sequence `P1, …, Pp = P0`.
+    fn component_swap(
+        &mut self,
+        adj: &Adjacency,
+        colors: &mut [usize],
+        start: PathId,
+        alpha: usize,
+        beta: usize,
+        protected: PathId,
+    ) -> Result<(), Vec<PathId>> {
+        self.begin(start);
+        self.frontier.push(start);
+        while let Some(p) = self.frontier.pop() {
+            for &qn in adj.neighbors(p) {
+                let q = PathId(qn);
+                if self.reached(q) {
+                    continue;
+                }
+                let c = colors[q.index()];
+                if c != alpha && c != beta {
+                    continue;
+                }
+                if q == protected {
+                    return Err(self.chain(p, q));
+                }
+                self.reach(q, p.0);
+                self.frontier.push(q);
+            }
+        }
+        for &p in &self.reached {
+            let c = &mut colors[p.index()];
+            *c = if *c == alpha { beta } else { alpha };
+        }
+        Ok(())
+    }
+
+    /// The paper's literal cascade: flip `start` to β; then the family `P2`
+    /// of β-colored dipaths clashing with it flips to α; then the α-colored
+    /// dipaths clashing with `P2` flip to β; and so on until no clash
+    /// remains (case A) or `protected` must flip (case C). Case B
+    /// (re-flipping) cannot occur — asserted.
+    fn cascade(
+        &mut self,
+        adj: &Adjacency,
+        colors: &mut [usize],
+        start: PathId,
+        alpha: usize,
+        beta: usize,
+        protected: PathId,
+    ) -> Result<(), Vec<PathId>> {
+        let flip = |c: &mut usize| *c = if *c == alpha { beta } else { alpha };
+        self.begin(start);
+        flip(&mut colors[start.index()]);
+        self.frontier.push(start);
+        // The wave alternates: after flipping to γ′, clashes are with old-γ′.
+        loop {
+            self.next_wave.clear();
+            for i in 0..self.frontier.len() {
+                let p = self.frontier[i];
+                let pc = colors[p.index()];
+                for &qn in adj.neighbors(p) {
+                    let q = PathId(qn);
+                    if colors[q.index()] != pc {
+                        continue; // no clash
+                    }
+                    if q == protected {
+                        let chain = self.chain(p, q);
+                        // Restore: the cascade failed (case C). Every
+                        // flipped dipath went α↔β exactly once.
+                        for &r in &self.reached {
+                            flip(&mut colors[r.index()]);
+                        }
+                        return Err(chain);
+                    }
+                    // Case B impossible: a dipath never flips twice.
+                    assert!(!self.reached(q), "case B: dipath reflipped");
+                    self.reach(q, p.0);
+                    flip(&mut colors[q.index()]);
+                    self.next_wave.push(q);
+                }
+            }
+            if self.next_wave.is_empty() {
+                return Ok(()); // case A
+            }
+            std::mem::swap(&mut self.frontier, &mut self.next_wave);
+        }
+    }
+}
+
+/// The library's replay on the same peel, as a [`Replayed`].
+fn library_replay(
+    g: &Digraph,
+    family: &DipathFamily,
+    order: PeelOrder,
+    kempe: KempeStrategy,
+) -> Replayed {
+    match theorem1::color_optimal_with(g, family, order, kempe) {
+        Ok(res) => Ok((res.assignment.colors().to_vec(), res.kempe_swaps)),
+        Err(CoreError::InternalCycleObstruction { chain }) => Err(chain),
+        Err(e) => panic!("unexpected Theorem 1 error: {e}"),
+    }
+}
+
+#[test]
+fn replay_matches_materialised_adjacency_oracle() {
+    let orders = [PeelOrder::Fifo, PeelOrder::Lifo, PeelOrder::MinId];
+    let strategies = [KempeStrategy::ComponentSwap, KempeStrategy::Cascade];
+    let mut swaps = 0;
+    for seed in 0..400u64 {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let n = rng.random_range(6..40usize);
+        let g = random::random_internal_cycle_free(&mut rng, n, n / 3);
+        let count = rng.random_range(0..60usize);
+        let family = random::random_family(&mut rng, &g, count, 6);
+        for order in orders {
+            let log = theorem1::peel(&g, &family, order).unwrap();
+            for kempe in strategies {
+                let want = adjacency_replay(&family, &log, kempe);
+                let got = library_replay(&g, &family, order, kempe);
+                assert_eq!(got, want, "seed {seed}, {order:?}/{kempe:?}");
+                swaps += want.expect("an internal-cycle-free replay never blocks").1;
+            }
+        }
+    }
+    assert!(swaps > 1_000, "only {swaps} Kempe swaps exercised");
+
+    // Blocked replays: Figure 3's family (the F4 row), Havet's and the
+    // odd-cycle families, and random single-cycle families, some of which
+    // replay through. Both sides stop at the same chain, and the chain
+    // witnesses an internal cycle by itself.
+    let mut fixtures = vec![figures::figure3()];
+    fixtures.extend((1..=3).map(havet::havet));
+    fixtures.extend([2, 3, 5].map(figures::theorem2_family));
+    let mut rng = ChaCha8Rng::seed_from_u64(2);
+    fixtures
+        .extend((0..32).map(|i| random::random_cycle_family(&mut rng, 2 + i % 4, 1 + (i / 4) % 2)));
+    let (mut blocked, mut through) = (0, 0);
+    for inst in &fixtures {
+        let (g, family) = (&inst.graph, &inst.family);
+        for order in orders {
+            let log = theorem1::peel(g, family, order).unwrap();
+            for kempe in strategies {
+                let want = adjacency_replay(family, &log, kempe);
+                let got = library_replay(g, family, order, kempe);
+                assert_eq!(got, want, "{}, {order:?}/{kempe:?}", inst.name);
+                let Err(chain) = got else {
+                    through += 1;
+                    continue;
+                };
+                blocked += 1;
+                let cycle = witness::internal_cycle_from_chain(g, family, &chain)
+                    .unwrap_or_else(|| panic!("{}: the chain witnesses no cycle", inst.name));
+                assert!(internal::is_internal_cycle(g, &cycle), "{}", inst.name);
+            }
+        }
+    }
+    assert!(
+        blocked >= 50 && through >= 10,
+        "{blocked} blocked, {through} replayed through"
+    );
+}
+
+/// A random digraph: arcs mostly from lower to higher ids, so many draws
+/// are DAGs, some without and some with internal cycles; now and then an
+/// arc points back (a directed cycle) or comes with its reverse (an
+/// antiparallel 2-cycle).
+fn mostly_acyclic_digraph(rng: &mut ChaCha8Rng) -> Digraph {
+    let n = rng.random_range(2..14usize);
+    let mut g = Digraph::with_vertices(n);
+    let mut percent = || f64::from(rng.random_range(0..10u32)) / 100.0;
+    let (back, antiparallel) = (percent(), percent());
+    for _ in 0..rng.random_range(0..3 * n) {
+        let (a, b) = (rng.random_range(0..n), rng.random_range(0..n));
+        if a == b {
+            continue;
+        }
+        let (lo, hi) = (
+            VertexId::from_index(a.min(b)),
+            VertexId::from_index(a.max(b)),
+        );
+        if rng.random_bool(back) {
+            g.add_arc(hi, lo);
+        } else {
+            g.add_arc(lo, hi);
+            if rng.random_bool(antiparallel) {
+                g.add_arc(hi, lo);
+            }
+        }
+    }
+    g
+}
+
+/// A context proves acyclicity by classifying first: it must reject
+/// exactly the graphs a topological sort rejects, with the sort's cycle,
+/// and a graph classified internal-cycle-free must be a DAG.
+#[test]
+fn context_acyclicity_matches_topological_sort() {
+    let request = SolveRequest::default();
+    let family = DipathFamily::new();
+    // [2-cycle witness, longer cycle, internal-cycle-free, DAG with
+    // internal cycles]
+    let mut seen = [0usize; 4];
+    for seed in 0..2000u64 {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let g = mostly_acyclic_digraph(&mut rng);
+        let class = internal::classify(&g);
+        if class == internal::DagClass::InternalCycleFree {
+            assert!(
+                topo::is_dag(&g),
+                "seed {seed}: an internal-cycle-free class on a cycle"
+            );
+        }
+        match (
+            InstanceContext::new(&g, &family, &request),
+            topo::topological_order(&g),
+        ) {
+            (Err(CoreError::NotADag(got)), Err(GraphError::NotADag(want))) => {
+                assert_eq!(got, want, "seed {seed}: a different cycle witness");
+                seen[usize::from(got.len() > 3)] += 1;
+            }
+            (Ok(ctx), Ok(_)) => {
+                assert_eq!(ctx.class, class, "seed {seed}");
+                seen[2 + usize::from(class != internal::DagClass::InternalCycleFree)] += 1;
+            }
+            (ctx, sorted) => panic!(
+                "seed {seed}: context {:?} vs sort {:?}",
+                ctx.map(|c| c.class),
+                sorted
+            ),
+        }
+    }
+    assert!(seen.iter().all(|&k| k >= 100), "{seen:?}");
 }
