@@ -358,6 +358,68 @@ fn paper_report() {
         );
     }
 
+    // T1 on long dipaths that share long segments and need many Kempe
+    // swaps. A search reads the dipaths listed at the walked dipaths' live
+    // arcs where they part ways; these rows time that case (EXPERIMENTS.md
+    // compares them with a replay that wires the conflict graph).
+    for &(spine, paths, lens) in &[
+        (2_000usize, 500usize, (200usize, 600usize)),
+        (20_000, 1_000, (100, 300)),
+    ] {
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let (g, family) = random::random_spine_family(&mut rng, spine, paths, lens);
+        let pi = load::max_load(&g, &family);
+        let (ms, res) = time_ms_with(3, || theorem1::color_optimal(&g, &family).unwrap());
+        assert!(res.assignment.is_valid(&g, &family));
+        assert_eq!(res.assignment.num_colors(), pi, "T1 spine {spine}: w = π");
+        assert!(res.kempe_swaps >= paths / 2, "T1 spine {spine}: few swaps");
+        row(
+            "T1 long shared segments",
+            &format!(
+                "spine of {spine}, |P|={paths} intervals of {}–{} arcs",
+                lens.0, lens.1
+            ),
+            "w=π",
+            &format!(
+                "w={}=π, {} swaps, {ms:.1} ms",
+                res.assignment.num_colors(),
+                res.kempe_swaps
+            ),
+        );
+    }
+
+    // Nested chains: a staircase of intervals C_j = [100j, 100j + 150] with
+    // a short interval nested in each C_j's stretch that no other C_j
+    // covers. Each nested interval forces a swap whose α/β component is the
+    // rest of the staircase, so the searches walk ~k²/2 long dipaths.
+    for k in [250usize, 1_000] {
+        let intervals: Vec<(usize, usize)> = (0..k)
+            .flat_map(|j| [(100 * j, 100 * j + 150), (100 * j + 60, 100 * j + 90)])
+            .collect();
+        let (g, family) = random::spine_family(100 * k + 52, &intervals);
+        let (ms, res) = time_ms_with(3, || theorem1::color_optimal(&g, &family).unwrap());
+        assert!(res.assignment.is_valid(&g, &family));
+        assert_eq!(
+            res.assignment.num_colors(),
+            res.load,
+            "T1 nested k={k}: w = π"
+        );
+        assert_eq!(
+            res.kempe_swaps, k,
+            "T1 nested k={k}: one swap per nested dipath"
+        );
+        row(
+            "T1 nested chains",
+            &format!("k={k} staircase intervals of 150 arcs, each with one nested"),
+            "w=π",
+            &format!(
+                "w={}=π, {} swaps, {ms:.1} ms",
+                res.assignment.num_colors(),
+                res.kempe_swaps
+            ),
+        );
+    }
+
     // T6 — Theorem 6 on random duplicate-free single-cycle UPP instances.
     for &(k, count) in &[(2usize, 12usize), (4, 30), (8, 80), (16, 200)] {
         let mut rng = ChaCha8Rng::seed_from_u64(k as u64);

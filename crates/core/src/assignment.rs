@@ -75,56 +75,41 @@ impl WavelengthAssignment {
     /// Validate against an instance: two dipaths sharing an arc must have
     /// different wavelengths. This is the audit the solving surface stamps
     /// on every backend attempt, so it is one O(m + |P| + Σ|p|) pass: the
-    /// dipaths are grouped by color (a counting sort on a dense palette, a
-    /// sort otherwise) and each color class stamps its arcs with the
-    /// class's ordinal, so an arc its own class already stamped carries a
-    /// clash. [`Self::first_violation`] names the offending dipaths.
+    /// dipaths are grouped by color (a counting sort over the colors
+    /// renumbered densely, as [`Self::normalized`] numbers them) and each
+    /// color class stamps its arcs with its number, so an arc its own class
+    /// already stamped carries a clash. [`Self::first_violation`] names the
+    /// offending dipaths.
     pub fn is_valid(&self, g: &Digraph, family: &DipathFamily) -> bool {
-        if self.colors.len() != family.len() {
+        let n = self.colors.len();
+        if n != family.len() {
             return false;
         }
+        let mut class = Vec::with_capacity(n);
+        self.for_each_normalized(&mut Vec::new(), |_, c| class.push(c));
+        // Counting sort: `next[c]` is where class `c`'s next dipath goes.
+        let mut next = vec![0u32; n + 1];
+        for &c in &class {
+            next[c as usize + 1] += 1;
+        }
+        for c in 0..n {
+            next[c + 1] += next[c];
+        }
+        let mut by_class = vec![0u32; n];
+        for (p, &c) in class.iter().enumerate() {
+            by_class[next[c as usize] as usize] = p as u32;
+            next[c as usize] += 1;
+        }
         let mut stamp = vec![0u32; g.arc_count()];
-        let (mut class, mut last) = (0u32, None);
-        self.ids_by_color().into_iter().all(|p| {
-            let c = self.colors[p as usize];
-            if last != Some(c) {
-                last = Some(c);
-                class += 1;
-            }
+        by_class.into_iter().all(|p| {
+            // Stamps start at 0, so class `c` stamps `c + 1`.
+            let c = class[p as usize] + 1;
             family
                 .path(PathId(p))
                 .arcs()
                 .iter()
-                .all(|a| std::mem::replace(&mut stamp[a.index()], class) != class)
+                .all(|a| std::mem::replace(&mut stamp[a.index()], c) != c)
         })
-    }
-
-    /// Every dipath id, grouped by color: a counting sort on a dense
-    /// palette (the guard [`Self::num_colors`] applies), a sort otherwise.
-    fn ids_by_color(&self) -> Vec<u32> {
-        let n = self.colors.len();
-        let Some(&max) = self.colors.iter().max() else {
-            return Vec::new();
-        };
-        if max < 2 * n {
-            let mut next = vec![0u32; max + 2];
-            for &c in &self.colors {
-                next[c + 1] += 1;
-            }
-            for c in 0..=max {
-                next[c + 1] += next[c];
-            }
-            let mut ids = vec![0u32; n];
-            for (p, &c) in self.colors.iter().enumerate() {
-                ids[next[c] as usize] = p as u32;
-                next[c] += 1;
-            }
-            ids
-        } else {
-            let mut ids: Vec<u32> = (0..n as u32).collect();
-            ids.sort_unstable_by_key(|&p| self.colors[p as usize]);
-            ids
-        }
     }
 
     /// First pair of same-colored conflicting dipaths, if any: the first
@@ -158,9 +143,10 @@ impl WavelengthAssignment {
     }
 
     /// Call `visit(i, c)` for every dipath `i` in id order, with `c` its
-    /// color renumbered as [`Self::normalized`] numbers it. The decomposed
-    /// merge and the workspace's table patch renumber each shard this way,
-    /// passing one `table` across shards. A dense palette renumbers through
+    /// color renumbered as [`Self::normalized`] numbers it. Certification
+    /// groups dipaths by these numbers, and the decomposed merge and the
+    /// workspace's table patch renumber each shard this way, passing one
+    /// `table` across shards. A dense palette renumbers through
     /// that flat table, indexed by color; the guard [`Self::num_colors`]
     /// applies sends a sparse palette to a hash map instead, so a huge
     /// color never sizes the table.

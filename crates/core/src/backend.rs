@@ -28,11 +28,10 @@
 //! context classifies the graph first ([`InstanceContext::new`]): a
 //! directed cycle is an internal cycle, so an internal-cycle-free graph is
 //! proven acyclic without a sort, and any other graph is sorted
-//! topologically once, which rejects cycles and feeds the UPP test. A
-//! shard's context inherits the proof from its host, since a subgraph of a
-//! DAG is a DAG, and only classifies and loads the shard. Backends trust
-//! the class: Theorem 6 runs its merge without re-checking the
-//! preconditions classification just proved.
+//! topologically to reject cycles. A shard's context inherits the proof
+//! from its host, since a subgraph of a DAG is a DAG, and only classifies
+//! and loads the shard. Backends trust the class: Theorem 6 runs its merge
+//! without re-checking the preconditions classification just proved.
 
 use crate::assignment::WavelengthAssignment;
 use crate::error::CoreError;
@@ -191,14 +190,25 @@ pub struct InstanceContext<'a> {
 impl<'a> InstanceContext<'a> {
     /// Classify, validate the DAG precondition, and compute the load.
     /// Classification comes first and proves most graphs acyclic for free:
-    /// an internal-cycle-free graph is a DAG and is never sorted, and any
-    /// other graph is sorted once, its order reused by the UPP test.
+    /// a directed cycle is an internal cycle, so an internal-cycle-free
+    /// graph is a DAG and is never sorted. Any other graph is sorted to
+    /// reject a cycle.
     pub fn new(
         graph: &'a Digraph,
         family: &'a DipathFamily,
         request: &'a SolveRequest,
     ) -> Result<Self, CoreError> {
-        let class = internal::classify_checked(graph).map_err(CoreError::NotADag)?;
+        let class = internal::classify(graph);
+        if class == DagClass::InternalCycleFree {
+            debug_assert!(
+                dagwave_graph::topo::is_dag(graph),
+                "a directed cycle is an internal cycle"
+            );
+        } else if let Err(dagwave_graph::GraphError::NotADag(c)) =
+            dagwave_graph::topo::topological_order(graph)
+        {
+            return Err(CoreError::NotADag(c));
+        }
         Ok(Self::classified(graph, family, class, request))
     }
 

@@ -61,9 +61,10 @@ pub enum DecomposePolicy {
     /// ≥ 2 components, and — under the Auto backend policy — the host is
     /// *not* internal-cycle-free (there the monolithic Theorem 1 solve is
     /// already optimal in O(m + Σ|p|) memory and O(n + m + Σ|p|) time plus
-    /// its Kempe searches, so sharding could only add overhead). Below the
-    /// size threshold the component scan is skipped entirely, so small
-    /// instances pay nothing.
+    /// its Kempe searches, each costing the loads on the live arcs of the
+    /// dipaths it walks where the dipaths through an arc part ways, so
+    /// sharding could only add overhead). Below the size threshold the
+    /// component scan is skipped entirely, so small instances pay nothing.
     Auto {
         /// Smallest family size worth scanning for components.
         min_paths: usize,

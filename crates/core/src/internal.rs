@@ -12,7 +12,7 @@
 //! sub-multigraph (the dimension of its cycle space).
 
 use dagwave_graph::undirected::{self, OrientedCycle};
-use dagwave_graph::{pathcount, topo, Digraph, GraphError, SubgraphView, VertexId};
+use dagwave_graph::{Digraph, SubgraphView, VertexId};
 
 /// The view induced on the internal vertices of `g`.
 pub fn internal_subgraph(g: &Digraph) -> SubgraphView<'_> {
@@ -87,39 +87,21 @@ impl std::fmt::Display for DagClass {
 /// vertices has an in- and an out-arc), so a graph with one never
 /// classifies as [`DagClass::InternalCycleFree`]; it fails the UPP test
 /// and classifies as [`DagClass::General`]. [`crate::InstanceContext::new`]
-/// classifies and proves acyclicity at once.
+/// relies on this to prove an internal-cycle-free graph acyclic without
+/// sorting it.
 pub fn classify(g: &Digraph) -> DagClass {
-    match internal_cycle_count(g) {
-        0 => DagClass::InternalCycleFree,
-        cycles => with_cycles(cycles, pathcount::is_upp(g)),
-    }
-}
-
-/// [`classify`] that also proves `g` acyclic, `Err` carrying the directed
-/// cycle [`topo::topological_order`] reports. An internal-cycle-free graph
-/// is a DAG (see [`classify`]), so it is never sorted; any other graph is
-/// sorted once, and the UPP test reuses that order.
-pub(crate) fn classify_checked(g: &Digraph) -> Result<DagClass, Vec<VertexId>> {
     let cycles = internal_cycle_count(g);
     if cycles == 0 {
-        debug_assert!(topo::is_dag(g), "a directed cycle is an internal cycle");
-        return Ok(DagClass::InternalCycleFree);
+        return DagClass::InternalCycleFree;
     }
-    let upp = match topo::topological_order(g) {
-        Ok(order) => pathcount::is_upp_along(g, &order),
-        Err(GraphError::NotADag(cycle)) => return Err(cycle),
-        // What `is_upp` answers for a graph it cannot sort.
-        Err(_) => false,
-    };
-    Ok(with_cycles(cycles, upp))
-}
-
-/// The class of a graph with `cycles ≥ 1` independent internal cycles.
-fn with_cycles(cycles: usize, upp: bool) -> DagClass {
-    match (upp, cycles) {
-        (true, 1) => DagClass::UppSingleCycle,
-        (true, _) => DagClass::UppMultiCycle { cycles },
-        (false, _) => DagClass::General { cycles },
+    if dagwave_graph::pathcount::is_upp(g) {
+        if cycles == 1 {
+            DagClass::UppSingleCycle
+        } else {
+            DagClass::UppMultiCycle { cycles }
+        }
+    } else {
+        DagClass::General { cycles }
     }
 }
 

@@ -272,7 +272,9 @@ impl SolveSession {
             // Theorem 1 fast path anyway: on an internal-cycle-free host
             // the monolithic solve is already optimal (`w = π`) in
             // O(m + Σ|p|) memory and O(n + m + Σ|p|) time plus its Kempe
-            // searches, so sharding could only add overhead, never save
+            // searches (each costs the loads on the live arcs of the
+            // dipaths it walks where the dipaths through an arc part
+            // ways), so sharding could only add overhead, never save
             // colors. Pinned/Portfolio policies still shard (smaller
             // per-shard graphs genuinely help heuristic and exact
             // backends), as does `Always`. Auto only pays the shard

@@ -30,12 +30,17 @@
 //!    `π` wavelengths whenever any arc is loaded.
 //!
 //! The replay builds no conflict graph. A Kempe search reads a live
-//! dipath's neighbours from the log: its arcs peeled after the step being
-//! replayed (a suffix of its arc list, since the peel consumes it
-//! front-first), then each such step's affected list. The solve thus holds
-//! O(m + Σ|p|) memory and takes O(n + m + Σ|p|) time plus the Kempe
-//! searches, each of which pays only for the component it walks. Its
-//! working buffers are sized once, so neither a step nor a swap allocates.
+//! dipath's neighbours from the log: its live arcs, those peeled after the
+//! step being replayed (a suffix of its arc list, since the peel consumes
+//! it front-first), then the affected lists of the steps among them where
+//! the listed dipaths part ways (some end there, or they do not all go on
+//! to one next arc); at any other step every listed dipath is listed again
+//! at the next arc. A dipath's first visit finds its parting arcs; each
+//! visit then costs the loads of its parting live arcs, and a neighbour is
+//! read once per parting arc it shares. A conflict graph would list each
+//! neighbour once, but costs Σ_a load(a)² entries to build. The solve
+//! holds O(m + Σ|p|) memory and takes O(n + m + Σ|p|) time plus the Kempe
+//! searches.
 
 use crate::assignment::WavelengthAssignment;
 use crate::error::CoreError;
@@ -98,6 +103,10 @@ pub struct PeelLog {
     arcs: Vec<ArcId>,
     offsets: Vec<usize>,
     affected: Vec<(PathId, bool)>,
+    /// Whether step `i`'s dipaths part ways: some end there, or they do not
+    /// all go on to one next arc. At a step that does not part, every
+    /// dipath listed is listed again at the step of their common next arc.
+    parts: Vec<bool>,
     /// The largest step: every dipath through an arc is affected at its
     /// step, so this is `π(G, P)`.
     load: usize,
@@ -194,6 +203,7 @@ pub fn peel(g: &Digraph, family: &DipathFamily, order: PeelOrder) -> Result<Peel
         arcs: Vec::with_capacity(m),
         offsets: Vec::with_capacity(m + 1),
         affected: Vec::with_capacity(family.total_arcs()),
+        parts: Vec::with_capacity(m),
         load: 0,
     };
     log.offsets.push(0);
@@ -241,6 +251,7 @@ pub fn peel(g: &Digraph, family: &DipathFamily, order: PeelOrder) -> Result<Peel
 
         // Advance the dipaths whose front is `arc`, in bucket order.
         let mut cur = buckets.take(arc);
+        let (mut ahead, mut parts) = (None, false);
         while cur != NIL {
             let id = cur;
             cur = buckets.next[id as usize];
@@ -248,8 +259,13 @@ pub fn peel(g: &Digraph, family: &DipathFamily, order: PeelOrder) -> Result<Peel
             let front = &mut front_of[id as usize];
             *front += 1;
             let was_last = *front == path.len();
-            if !was_last {
-                buckets.push(path.arcs()[*front], id);
+            if was_last {
+                parts = true;
+            } else {
+                let next = path.arcs()[*front];
+                parts |= ahead.is_some_and(|a| a != next);
+                ahead = Some(next);
+                buckets.push(next, id);
             }
             log.affected.push((PathId(id), was_last));
         }
@@ -257,6 +273,7 @@ pub fn peel(g: &Digraph, family: &DipathFamily, order: PeelOrder) -> Result<Peel
         log.load = log.load.max(step_len);
         log.arcs.push(arc);
         log.offsets.push(log.affected.len());
+        log.parts.push(parts);
     }
 
     if log.len() < m {
@@ -307,8 +324,7 @@ const UNCOLORED: usize = usize::MAX;
 
 /// The replay phase: rebuild the graph arc by arc (reverse peel order),
 /// keeping an always-valid partial coloring. The Kempe searches read
-/// conflicts from the log ([`Live`]), and every buffer is sized once up
-/// front, so no step and no Kempe swap allocates.
+/// conflicts from the log ([`Live`]).
 fn replay(
     g: &Digraph,
     family: &DipathFamily,
@@ -323,6 +339,7 @@ fn replay(
     for (t, &a) in log.arcs.iter().enumerate() {
         step_of[a.index()] = t as u32;
     }
+    let mut walks = None;
     let mut kempe_swaps = 0usize;
 
     // Scratch reused by every step: the palette bitset, P0, the first P0
@@ -336,12 +353,6 @@ fn replay(
         if step.affected.is_empty() {
             continue;
         }
-        let live = Live {
-            family,
-            log,
-            step_of: &step_of,
-            now: now as u32,
-        };
         // P0 = already-live dipaths being extended; newborns take fresh colors.
         p0.clear();
         p0.extend(
@@ -375,6 +386,13 @@ fn replay(
             // most |P0| − 1 < π distinct colors (the duplication).
             let beta = used.first_absent().expect("palette has a free color"); // lint: allow(no-panic): P0 shows at most π − 1 distinct colors, so one is absent
             let alpha = colors[flip.index()];
+            let live = Live {
+                family,
+                log,
+                step_of: &step_of,
+                walks: walks.get_or_insert_with(|| Walks::new(family)),
+                live_from: log.offsets[now + 1],
+            };
             let swapped = match kempe {
                 KempeStrategy::ComponentSwap => {
                     scratch.component_swap(live, &mut colors, flip, alpha, beta, keeper)
@@ -418,37 +436,68 @@ fn replay(
 /// read from the log. Dipaths conflict when they share an arc peeled after
 /// `now`, and every dipath through such an arc is in that step's affected
 /// list. A dipath is consumed front-first, so its arcs peeled after `now`
-/// are a suffix of its arc list: [`Live::neighbors`] walks it from the back
-/// and stops at the first arc peeled at or before `now`.
-#[derive(Clone, Copy)]
+/// are a suffix of its arc list: [`Live::neighbors`] reads its parting
+/// arcs from the back and stops at the first one peeled at or before
+/// `now`.
 struct Live<'a> {
     family: &'a DipathFamily,
     log: &'a PeelLog,
     /// The step each arc was peeled at.
     step_of: &'a [u32],
-    now: u32,
+    walks: &'a mut Walks,
+    /// Where the steps after `now` start in the log's affected array.
+    live_from: usize,
 }
 
-impl<'a> Live<'a> {
-    /// The live neighbours of `p`, once per shared live arc. The first
-    /// occurrences come in the order the replay announced the conflicts:
-    /// latest step first, and within a step in the step's list order.
-    fn neighbors(self, p: PathId) -> impl Iterator<Item = PathId> + 'a {
-        let Live {
-            family,
-            log,
-            step_of,
-            now,
-        } = self;
-        family
-            .path(p)
-            .arcs()
+impl Live<'_> {
+    /// The live neighbours of `p`, once per shared live arc whose step
+    /// parts: a walk from the back has met every dipath of any other step
+    /// at the next arc. The first occurrences come in the order the replay
+    /// announced the conflicts: latest step first, and within a step in
+    /// the step's list order.
+    fn neighbors(&mut self, p: PathId) -> impl Iterator<Item = PathId> + '_ {
+        let (log, live_from) = (self.log, self.live_from);
+        let slots = &mut self.walks.lists[self.walks.off[p.index()]..self.walks.off[p.index() + 1]];
+        if slots.first().is_some_and(|&(start, _)| start == UNSEEN) {
+            let parting = self.family.path(p).arcs().iter().rev().filter_map(|a| {
+                let t = self.step_of[a.index()] as usize;
+                log.parts[t].then(|| (log.offsets[t], log.offsets[t + 1]))
+            });
+            // An empty range ends a list shorter than the dipath: it starts
+            // before any live step's list.
+            for (slot, list) in slots.iter_mut().zip(parting.chain([(0, 0)])) {
+                *slot = list;
+            }
+        }
+        slots
             .iter()
-            .rev()
-            .map(move |a| step_of[a.index()])
-            .take_while(move |&t| t > now)
-            .flat_map(move |t| log.affected(t as usize))
+            .take_while(move |&&(start, _)| start >= live_from)
+            .flat_map(move |&(start, end)| &log.affected[start..end])
             .filter_map(move |&(q, _)| (q != p).then_some(q))
+    }
+}
+
+/// An unvisited dipath's first slot in [`Walks`].
+const UNSEEN: usize = usize::MAX;
+
+/// The affected lists the Kempe searches read along each dipath, filled in
+/// on its first visit: `lists[off[p]..off[p + 1]]` holds the log ranges of
+/// dipath `p`'s parting steps, latest first, so a walk from the back reads
+/// them in order without touching the dipath's arcs again.
+struct Walks {
+    off: Vec<usize>,
+    lists: Vec<(usize, usize)>,
+}
+
+impl Walks {
+    fn new(family: &DipathFamily) -> Self {
+        let mut off = vec![0];
+        off.extend(family.iter().scan(0, |end, (_, p)| {
+            *end += p.len();
+            Some(*end)
+        }));
+        let lists = vec![(UNSEEN, 0); off[family.len()]];
+        Walks { off, lists }
     }
 }
 
@@ -521,7 +570,7 @@ impl KempeScratch {
     /// `protected` — the paper's Figure 4 sequence `P1, …, Pp = P0`.
     fn component_swap(
         &mut self,
-        live: Live<'_>,
+        mut live: Live<'_>,
         colors: &mut [usize],
         start: PathId,
         alpha: usize,
@@ -560,7 +609,7 @@ impl KempeScratch {
     /// (re-flipping) cannot occur — asserted.
     fn cascade(
         &mut self,
-        live: Live<'_>,
+        mut live: Live<'_>,
         colors: &mut [usize],
         start: PathId,
         alpha: usize,

@@ -120,6 +120,53 @@ pub fn random_family<R: Rng>(
     family
 }
 
+/// A spine `v0 → … → v(len−1)` whose every vertex `vi` also has an entry
+/// leaf `si → vi` and an exit leaf `vi → ti`, with one dipath
+/// `si, vi, …, vj, tj` per spine interval `(i, j)`, `i < j < len`. The
+/// leaves are sources and sinks, so the internal vertices form a path and
+/// the graph is internal-cycle-free; long intervals share long segments.
+pub fn spine_family(len: usize, intervals: &[(usize, usize)]) -> (Digraph, DipathFamily) {
+    let v = VertexId::from_index;
+    let mut g = Digraph::with_vertices(3 * len);
+    for i in 0..len {
+        g.add_arc(v(len + i), v(i));
+        g.add_arc(v(i), v(2 * len + i));
+        if i + 1 < len {
+            g.add_arc(v(i), v(i + 1));
+        }
+    }
+    let family = intervals
+        .iter()
+        .map(|&(i, j)| {
+            let route: Vec<VertexId> = std::iter::once(v(len + i))
+                .chain((i..=j).map(v))
+                .chain(std::iter::once(v(2 * len + j)))
+                .collect();
+            let path = Dipath::from_vertices(&g, &route);
+            path.expect("an interval walks the spine") // lint: allow(no-panic): consecutive spine vertices and their leaves are joined by arcs
+        })
+        .collect();
+    (g, family)
+}
+
+/// [`spine_family`] over `paths` random intervals of `lens.0..=lens.1`
+/// arcs (`lens.1 < len`).
+pub fn random_spine_family<R: Rng>(
+    rng: &mut R,
+    len: usize,
+    paths: usize,
+    lens: (usize, usize),
+) -> (Digraph, DipathFamily) {
+    let intervals: Vec<(usize, usize)> = (0..paths)
+        .map(|_| {
+            let span = rng.random_range(lens.0..=lens.1);
+            let i = rng.random_range(0..len - span);
+            (i, i + span)
+        })
+        .collect();
+    spine_family(len, &intervals)
+}
+
 /// All root-to-vertex dipaths of an out-tree (the paper's rooted-tree
 /// "all from root" instance, where `w = π` was first proved).
 pub fn root_to_all_family(g: &Digraph) -> DipathFamily {

@@ -81,22 +81,16 @@ fn source_runs(n: usize) -> Vec<std::ops::Range<usize>> {
 
 /// `true` if between every ordered pair of vertices there is at most one
 /// dipath — the paper's UPP property. Sorts the graph once, then runs one
-/// saturating DP per vertex over that order ([`is_upp_along`]); `false` on
-/// a graph with a directed cycle.
+/// saturating DP per vertex over that order, in parallel with rayon: one
+/// count buffer per run of sources, not one per source.
 pub fn is_upp(g: &Digraph) -> bool {
-    topo::topological_order(g).is_ok_and(|order| is_upp_along(g, &order))
-}
-
-/// [`is_upp`] over a topological `order` of `g` the caller already holds,
-/// so a caller that sorted the graph to prove it acyclic does not sort it
-/// again. The DPs run in parallel with rayon: one count buffer per run of
-/// sources, not one per source.
-pub fn is_upp_along(g: &Digraph, order: &[VertexId]) -> bool {
-    debug_assert_eq!(order.len(), g.vertex_count(), "not a topological order");
+    let Ok(order) = topo::topological_order(g) else {
+        return false;
+    };
     source_runs(g.vertex_count()).into_par_iter().all(|run| {
         let mut counts = vec![SatCount::Zero; g.vertex_count()];
         run.into_iter().all(|i| {
-            counts_along(g, order, VertexId::from_index(i), &mut counts);
+            counts_along(g, &order, VertexId::from_index(i), &mut counts);
             counts.iter().all(|&c| c != SatCount::Many)
         })
     })

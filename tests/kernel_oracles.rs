@@ -662,6 +662,38 @@ fn replay_matches_materialised_adjacency_oracle() {
     }
     assert!(swaps > 1_000, "only {swaps} Kempe swaps exercised");
 
+    // Long dipaths sharing long segments, where most arcs' dipaths all go
+    // on to one next arc and the library skips them: random spine
+    // intervals, and nested chains whose swaps walk the whole staircase.
+    let mut spine_swaps = 0;
+    for seed in 0..60u64 {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let (g, family) = if seed % 2 == 0 {
+            let len = rng.random_range(20..60usize);
+            let paths = rng.random_range(5..40usize);
+            random::random_spine_family(&mut rng, len, paths, (2, 15))
+        } else {
+            let k = 2 + seed as usize / 4;
+            let nested: Vec<(usize, usize)> = (0..k)
+                .flat_map(|j| [(10 * j, 10 * j + 15), (10 * j + 6, 10 * j + 9)])
+                .collect();
+            random::spine_family(10 * k + 7, &nested)
+        };
+        for order in orders {
+            let log = theorem1::peel(&g, &family, order).unwrap();
+            for kempe in strategies {
+                let want = adjacency_replay(&family, &log, kempe);
+                let got = library_replay(&g, &family, order, kempe);
+                assert_eq!(got, want, "spine seed {seed}, {order:?}/{kempe:?}");
+                spine_swaps += want.expect("a spine replay never blocks").1;
+            }
+        }
+    }
+    assert!(
+        spine_swaps > 1_000,
+        "only {spine_swaps} spine swaps exercised"
+    );
+
     // Blocked replays: Figure 3's family (the F4 row), Havet's and the
     // odd-cycle families, and random single-cycle families, some of which
     // replay through. Both sides stop at the same chain, and the chain
