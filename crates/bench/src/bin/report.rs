@@ -30,7 +30,7 @@
 //! Run with: `cargo run -p dagwave-bench --bin report --release [-- MODE]`
 
 use dagwave_bench::peak_rss_cell;
-use dagwave_core::theorem1::{self, KempeStrategy, PeelOrder};
+use dagwave_core::theorem1;
 use dagwave_core::{
     bounds, internal, theorem6, witness, BackendKind, DecomposePolicy, Epoch, Mutation, Solution,
     SolveSession, SolverBuilder, Workspace,
@@ -814,49 +814,6 @@ fn paper_report() {
     // built ONLY from replayed deltas equals the full solution's color
     // table at every step, and the from-scratch solve at the end.
     d5_delta_query_row();
-
-    // A1/A2 — ablations.
-    {
-        let mut rng = ChaCha8Rng::seed_from_u64(41);
-        let g = random::random_internal_cycle_free(&mut rng, 300, 80);
-        let family = random::random_family(&mut rng, &g, 2000, 6);
-        for order in [PeelOrder::Fifo, PeelOrder::Lifo, PeelOrder::MinId] {
-            let t0 = Instant::now();
-            let res =
-                theorem1::color_optimal_with(&g, &family, order, KempeStrategy::ComponentSwap)
-                    .unwrap();
-            assert!(res.assignment.is_valid(&g, &family));
-            assert_eq!(res.assignment.num_colors(), res.load, "{order:?}: w = π");
-            row(
-                "A1 peel order",
-                &format!("{order:?}"),
-                "w=π for all orders",
-                &format!(
-                    "w={}, swaps={}, {:.1} ms",
-                    res.assignment.num_colors(),
-                    res.kempe_swaps,
-                    t0.elapsed().as_secs_f64() * 1e3
-                ),
-            );
-        }
-        for strat in [KempeStrategy::ComponentSwap, KempeStrategy::Cascade] {
-            let t0 = Instant::now();
-            let res = theorem1::color_optimal_with(&g, &family, PeelOrder::Fifo, strat).unwrap();
-            assert!(res.assignment.is_valid(&g, &family));
-            assert_eq!(res.assignment.num_colors(), res.load, "{strat:?}: w = π");
-            row(
-                "A2 kempe strategy",
-                &format!("{strat:?}"),
-                "w=π for both",
-                &format!(
-                    "w={}, swaps={}, {:.1} ms",
-                    res.assignment.num_colors(),
-                    res.kempe_swaps,
-                    t0.elapsed().as_secs_f64() * 1e3
-                ),
-            );
-        }
-    }
 
     println!("\nAll rows verified by assertions during generation.");
 }

@@ -3,8 +3,8 @@
 //!
 //! The paper's taxonomy used to be hard-wired into one `match` inside the
 //! solver facade; this module turns every method into a first-class
-//! [`ColoringBackend`] that can be pinned, raced in a portfolio, or given
-//! its own budgets:
+//! [`ColoringBackend`] that can be pinned or raced in a portfolio, every
+//! one under the session's budgets:
 //!
 //! | backend | source | applicability |
 //! |---------|--------|---------------|

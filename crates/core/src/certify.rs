@@ -55,7 +55,7 @@ pub fn certify_assignment(
     family: &DipathFamily,
     assignment: &crate::WavelengthAssignment,
 ) -> Certificate {
-    let conflict_free = is_conflict_free(g, family, assignment);
+    let conflict_free = assignment.is_valid(g, family);
     let pi = load::max_load(g, family);
     let colors_used = assignment.num_colors();
     let class = internal::classify(g);
@@ -70,18 +70,6 @@ pub fn certify_assignment(
         within_bound,
         tight: colors_used == pi,
     }
-}
-
-/// The conflict-freeness primitive behind [`Certificate::conflict_free`] —
-/// exposed so the solving surface can stamp each backend attempt with the
-/// same audit the full certificate performs, without re-deriving the
-/// instance class and load it already knows.
-pub fn is_conflict_free(
-    g: &Digraph,
-    family: &DipathFamily,
-    assignment: &crate::WavelengthAssignment,
-) -> bool {
-    assignment.is_valid(g, family)
 }
 
 #[cfg(test)]

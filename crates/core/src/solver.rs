@@ -38,7 +38,6 @@ use crate::backend::{
     backend, BackendAttempt, BackendKind, BackendOutcome, InstanceContext, Policy, SolveRequest,
 };
 use crate::bounds;
-use crate::certify;
 use crate::decompose::{DecomposePolicy, Decomposition, ShardOutcome};
 use crate::error::CoreError;
 use crate::internal::DagClass;
@@ -637,14 +636,14 @@ fn run_required(
     Ok((record(kind, ctx, &outcome), outcome))
 }
 
-/// Provenance record for a completed run, including the `certify`-backed
-/// validity re-check (independent of the backend's own bookkeeping).
+/// Provenance record for a completed run, including the validity re-check
+/// `certify` runs (independent of the backend's own bookkeeping).
 fn record(
     kind: BackendKind,
     ctx: &InstanceContext<'_>,
     outcome: &BackendOutcome,
 ) -> BackendAttempt {
-    let valid = certify::is_conflict_free(ctx.graph, ctx.family, &outcome.assignment);
+    let valid = outcome.assignment.is_valid(ctx.graph, ctx.family);
     BackendAttempt {
         backend: kind,
         lower_bound: outcome.lower_bound.max(ctx.load),

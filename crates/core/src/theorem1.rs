@@ -9,7 +9,8 @@
 //! colors. The recoloring is an alternating cascade (paper Figure 4) which is
 //! precisely a Kempe-chain component swap on the conflict graph; it can only
 //! fail by reaching the protected dipath, which the proof shows forces an
-//! internal cycle.
+//! internal cycle. The replay runs the swap; `tests/kernel_oracles.rs` keeps
+//! the literal cascade as a reference and checks that both agree.
 //!
 //! This module implements the induction iteratively:
 //!
@@ -21,7 +22,7 @@
 //!    steps ([`PeelLog`]); the largest step is `π(G, P)`. Buckets must stay
 //!    FIFO: the replay's duplicate detection reads each step in bucket
 //!    order, so that order decides the coloring.
-//! 2. **Replay** ([`color_optimal_with`]): process the log in reverse.
+//! 2. **Replay** ([`color_optimal`]): process the log in reverse.
 //!    Adding arc `e` back extends the logged dipaths at the front; before
 //!    extension, Kempe swaps make their colors pairwise distinct; dipaths
 //!    born as the single arc `e` take fresh palette colors. The palette has
@@ -46,34 +47,6 @@ use crate::assignment::WavelengthAssignment;
 use crate::error::CoreError;
 use dagwave_graph::{topo, ArcId, BitSet, Digraph, VertexId};
 use dagwave_paths::{load, DipathFamily, PathId};
-
-/// Which arc to peel next when several sources are available — the A1
-/// ablation of DESIGN.md. All variants yield a valid optimal coloring; they
-/// differ in constant factors and cache behavior.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PeelOrder {
-    /// FIFO over sources (Kahn-style breadth-first).
-    #[default]
-    Fifo,
-    /// LIFO over sources (depth-first flavor).
-    Lifo,
-    /// Always the smallest-id ready source (deterministic, cache-friendly
-    /// for generators that allocate ids topologically).
-    MinId,
-}
-
-/// Kempe recoloring strategy — the A2 ablation. Both produce identical
-/// colorings; `Cascade` follows the paper's step-by-step narration,
-/// `ComponentSwap` flips the whole two-color component at once.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum KempeStrategy {
-    /// Flip the connected α/β component of the dipath in one pass.
-    #[default]
-    ComponentSwap,
-    /// The paper's literal cascade: recolor `P1`, then everything of the
-    /// other color it now clashes with, and so on (Figure 4).
-    Cascade,
-}
 
 /// One peel step, borrowed from a [`PeelLog`]: the removed arc and the
 /// dipaths whose front arc it was.
@@ -177,9 +150,11 @@ impl Buckets {
 }
 
 /// Peel all arcs of `g`, front-consuming `family` (paper's induction order).
+/// Sources are taken FIFO (Kahn-style breadth-first), and each source gives
+/// up its out-arcs in adjacency order.
 ///
 /// Requires a DAG; errors with the directed-cycle witness otherwise.
-pub fn peel(g: &Digraph, family: &DipathFamily, order: PeelOrder) -> Result<PeelLog, CoreError> {
+pub fn peel(g: &Digraph, family: &DipathFamily) -> Result<PeelLog, CoreError> {
     let m = g.arc_count();
     let adjacency = g.adjacency();
 
@@ -208,11 +183,7 @@ pub fn peel(g: &Digraph, family: &DipathFamily, order: PeelOrder) -> Result<Peel
     };
     log.offsets.push(0);
 
-    while let Some(&x0) = match order {
-        PeelOrder::Fifo => ready.front(),
-        PeelOrder::Lifo => ready.back(),
-        PeelOrder::MinId => ready.iter().min(),
-    } {
+    while let Some(&x0) = ready.front() {
         // Take one remaining out-arc of x0.
         let arc = loop {
             let outs = adjacency.out_arcs(x0);
@@ -228,18 +199,7 @@ pub fn peel(g: &Digraph, family: &DipathFamily, order: PeelOrder) -> Result<Peel
         };
         let Some(arc) = arc else {
             // x0 exhausted: drop it from the pool.
-            match order {
-                PeelOrder::Fifo => {
-                    ready.pop_front();
-                }
-                PeelOrder::Lifo => {
-                    ready.pop_back();
-                }
-                PeelOrder::MinId => {
-                    let pos = ready.iter().position(|&v| v == x0).expect("x0 in pool"); // lint: allow(no-panic): x0 was taken from `ready` above
-                    ready.remove(pos);
-                }
-            }
+            ready.pop_front();
             continue;
         };
         removed[arc.index()] = true;
@@ -303,21 +263,12 @@ pub struct Theorem1Result {
     pub kempe_swaps: usize,
 }
 
-/// Color `family` on `g` with exactly `π(G, P)` wavelengths (Theorem 1),
-/// using default peel order and Kempe strategy.
+/// Color `family` on `g` with exactly `π(G, P)` wavelengths (Theorem 1):
+/// [`peel`], then replay the log, making colors distinct with Kempe
+/// component swaps.
 pub fn color_optimal(g: &Digraph, family: &DipathFamily) -> Result<Theorem1Result, CoreError> {
-    color_optimal_with(g, family, PeelOrder::default(), KempeStrategy::default())
-}
-
-/// [`color_optimal`] with explicit ablation knobs.
-pub fn color_optimal_with(
-    g: &Digraph,
-    family: &DipathFamily,
-    order: PeelOrder,
-    kempe: KempeStrategy,
-) -> Result<Theorem1Result, CoreError> {
-    let log = peel(g, family, order)?;
-    replay(g, family, &log, kempe)
+    let log = peel(g, family)?;
+    replay(g, family, &log)
 }
 
 const UNCOLORED: usize = usize::MAX;
@@ -325,12 +276,7 @@ const UNCOLORED: usize = usize::MAX;
 /// The replay phase: rebuild the graph arc by arc (reverse peel order),
 /// keeping an always-valid partial coloring. The Kempe searches read
 /// conflicts from the log ([`Live`]).
-fn replay(
-    g: &Digraph,
-    family: &DipathFamily,
-    log: &PeelLog,
-    kempe: KempeStrategy,
-) -> Result<Theorem1Result, CoreError> {
+fn replay(g: &Digraph, family: &DipathFamily, log: &PeelLog) -> Result<Theorem1Result, CoreError> {
     let pi = log.load;
     debug_assert_eq!(pi, load::max_load(g, family));
     let np = family.len();
@@ -393,15 +339,7 @@ fn replay(
                 walks: walks.get_or_insert_with(|| Walks::new(family)),
                 live_from: log.offsets[now + 1],
             };
-            let swapped = match kempe {
-                KempeStrategy::ComponentSwap => {
-                    scratch.component_swap(live, &mut colors, flip, alpha, beta, keeper)
-                }
-                KempeStrategy::Cascade => {
-                    scratch.cascade(live, &mut colors, flip, alpha, beta, keeper)
-                }
-            };
-            match swapped {
+            match scratch.component_swap(live, &mut colors, flip, alpha, beta, keeper) {
                 Ok(()) => kempe_swaps += 1,
                 Err(chain) => return Err(CoreError::InternalCycleObstruction { chain }),
             }
@@ -509,14 +447,10 @@ struct KempeScratch {
     mark: Vec<u32>,
     stamp: u32,
     parent: Vec<u32>,
-    /// Every dipath reached, in discovery order: the component to flip, or
-    /// the dipaths to flip back when a cascade fails.
+    /// Every dipath reached, in discovery order: the component to flip.
     reached: Vec<PathId>,
-    /// The search frontier: the component swap's stack, the cascade's
-    /// current wave.
+    /// The search's stack.
     frontier: Vec<PathId>,
-    /// The cascade's next wave.
-    next_wave: Vec<PathId>,
 }
 
 impl KempeScratch {
@@ -527,7 +461,6 @@ impl KempeScratch {
             parent: vec![NIL; np],
             reached: Vec::new(),
             frontier: Vec::new(),
-            next_wave: Vec::new(),
         }
     }
 
@@ -601,59 +534,6 @@ impl KempeScratch {
         }
         Ok(())
     }
-
-    /// The paper's literal cascade: flip `start` to β; then the family `P2`
-    /// of β-colored dipaths clashing with it flips to α; then the α-colored
-    /// dipaths clashing with `P2` flip to β; and so on until no clash
-    /// remains (case A) or `protected` must flip (case C). Case B
-    /// (re-flipping) cannot occur — asserted.
-    fn cascade(
-        &mut self,
-        mut live: Live<'_>,
-        colors: &mut [usize],
-        start: PathId,
-        alpha: usize,
-        beta: usize,
-        protected: PathId,
-    ) -> Result<(), Vec<PathId>> {
-        let flip = |c: &mut usize| *c = if *c == alpha { beta } else { alpha };
-        self.begin(start);
-        flip(&mut colors[start.index()]);
-        self.frontier.push(start);
-        // The wave alternates: after flipping to γ′, clashes are with old-γ′.
-        loop {
-            self.next_wave.clear();
-            for i in 0..self.frontier.len() {
-                let p = self.frontier[i];
-                let pc = colors[p.index()];
-                for q in live.neighbors(p) {
-                    if colors[q.index()] != pc {
-                        // No clash; a neighbour met again through another
-                        // shared arc has already flipped.
-                        continue;
-                    }
-                    if q == protected {
-                        let chain = self.chain(p, q);
-                        // Restore: the cascade failed (case C). Every
-                        // flipped dipath went α↔β exactly once.
-                        for &r in &self.reached {
-                            flip(&mut colors[r.index()]);
-                        }
-                        return Err(chain);
-                    }
-                    // Case B impossible: a dipath never flips twice.
-                    assert!(!self.reached(q), "case B: dipath reflipped");
-                    self.reach(q, p.0);
-                    flip(&mut colors[q.index()]);
-                    self.next_wave.push(q);
-                }
-            }
-            if self.next_wave.is_empty() {
-                return Ok(()); // case A
-            }
-            std::mem::swap(&mut self.frontier, &mut self.next_wave);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -685,20 +565,18 @@ mod tests {
     #[test]
     fn peel_consumes_every_arc() {
         let (g, f) = chain_instance();
-        for order in [PeelOrder::Fifo, PeelOrder::Lifo, PeelOrder::MinId] {
-            let log = peel(&g, &f, order).unwrap();
-            assert_eq!(log.len(), g.arc_count());
-            let mut seen = std::collections::HashSet::new();
-            for s in log.steps() {
-                assert!(seen.insert(s.arc), "arc peeled twice");
-            }
+        let log = peel(&g, &f).unwrap();
+        assert_eq!(log.len(), g.arc_count());
+        let mut seen = std::collections::HashSet::new();
+        for s in log.steps() {
+            assert!(seen.insert(s.arc), "arc peeled twice");
         }
     }
 
     #[test]
     fn peel_affects_paths_front_first() {
         let (g, f) = chain_instance();
-        let log = peel(&g, &f, PeelOrder::Fifo).unwrap();
+        let log = peel(&g, &f).unwrap();
         // Track fronts: a path must be affected exactly len times, in
         // increasing arc positions.
         let mut hits: Vec<Vec<ArcId>> = vec![Vec::new(); f.len()];
@@ -717,10 +595,7 @@ mod tests {
     fn peel_rejects_cyclic() {
         let g = from_edges(2, &[(0, 1), (1, 0)]);
         let f = DipathFamily::new();
-        assert!(matches!(
-            peel(&g, &f, PeelOrder::Fifo),
-            Err(CoreError::NotADag(_))
-        ));
+        assert!(matches!(peel(&g, &f), Err(CoreError::NotADag(_))));
     }
 
     #[test]
@@ -730,18 +605,6 @@ mod tests {
         assert_eq!(res.load, 2);
         assert!(res.assignment.is_valid(&g, &f));
         assert_eq!(res.assignment.num_colors(), 2, "w == π");
-    }
-
-    #[test]
-    fn all_orders_and_strategies_agree_on_color_count() {
-        let (g, f) = chain_instance();
-        for order in [PeelOrder::Fifo, PeelOrder::Lifo, PeelOrder::MinId] {
-            for strat in [KempeStrategy::ComponentSwap, KempeStrategy::Cascade] {
-                let res = color_optimal_with(&g, &f, order, strat).unwrap();
-                assert!(res.assignment.is_valid(&g, &f), "{order:?}/{strat:?}");
-                assert_eq!(res.assignment.num_colors(), 2, "{order:?}/{strat:?}");
-            }
-        }
     }
 
     #[test]
@@ -814,21 +677,6 @@ mod tests {
         let res = color_optimal(&g, &f).unwrap();
         assert!(res.assignment.is_valid(&g, &f));
         assert_eq!(res.assignment.num_colors(), 2);
-    }
-
-    #[test]
-    fn cascade_matches_component_swap_counts() {
-        let g = from_edges(7, &[(0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6)]);
-        let f = DipathFamily::from_paths(vec![
-            path(&g, &[0, 2, 3, 4]),
-            path(&g, &[1, 2, 3, 5]),
-            path(&g, &[3, 4, 6]),
-            path(&g, &[3, 5, 6]),
-        ]);
-        let a = color_optimal_with(&g, &f, PeelOrder::Fifo, KempeStrategy::ComponentSwap).unwrap();
-        let b = color_optimal_with(&g, &f, PeelOrder::Fifo, KempeStrategy::Cascade).unwrap();
-        assert_eq!(a.assignment.num_colors(), b.assignment.num_colors());
-        assert!(b.assignment.is_valid(&g, &f));
     }
 
     #[test]

@@ -69,7 +69,8 @@ pub struct Theorem6Result {
     /// `true` when the assignment respects `⌈4π/3⌉`. Guaranteed for
     /// families of pairwise-distinct dipaths (the setting of the paper's
     /// Facts 1–2); families with duplicated dipaths can force extra rescue
-    /// colors in rare configurations — see DESIGN.md §6.
+    /// colors in rare configurations — see
+    /// `tests/theorem6_integration.rs::replicated_families_solver_within_bound`.
     pub within_bound: bool,
 }
 

@@ -2,8 +2,8 @@
 //!
 //! All generators take a [`rand::Rng`] (benches use `ChaCha8Rng` with fixed
 //! seeds for reproducibility). The internal-cycle-free generators back the
-//! Theorem-1 scaling experiments (T1 in DESIGN.md); the single-cycle UPP
-//! generator backs T6.
+//! Theorem-1 scaling experiments (the T1 rows of EXPERIMENTS.md); the
+//! single-cycle UPP generator backs T6.
 
 use crate::Instance;
 use dagwave_graph::{ArcId, Digraph, VertexId};

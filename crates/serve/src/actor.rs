@@ -13,7 +13,7 @@
 //! # Backpressure
 //!
 //! The command queue is a `sync_channel` bounded at
-//! [`ActorConfig::queue_depth`]. The reactor enqueues without blocking
+//! [`ServerConfig::queue_depth`]. The reactor enqueues without blocking
 //! and answers a full queue with a typed [`ServeError::Busy`], so a
 //! saturated actor never stalls the connections of other tenants.
 //!
@@ -35,33 +35,27 @@
 //! projected per-arc load (current load + deltas of batches already
 //! accepted in this drain + the batch's own preceding ops) and rejected
 //! with [`ServeError::SpanBudgetExceeded`] before anything is applied.
-//! Rejected batches contribute no deltas. A `Remove` naming an id admitted
-//! earlier in the *same* batch is not credited back (the projection keeps
-//! the conservative, higher load); removes of live ids are credited.
-//!
-//! Under [`AdmissionPolicy::Wait`] an over-budget batch **parks** instead
-//! of failing: it waits until retirements free enough capacity, falling
-//! back to the same typed rejection when its timeout elapses or the
-//! parking queue is full. Batches that fit the budget — retirements in
-//! particular — still apply immediately while others are parked:
-//! otherwise the capacity a `Remove` would free could never free. Parked
-//! batches retry in arrival order after every mutation, and the timeout
-//! bounds how long an overtaken batch can wait. Queries are served
-//! immediately against the current state either way.
+//! A `Remove` is credited back only when it names a live dipath that no
+//! earlier op of the drain removed: once a removal frees a slot, a later
+//! `Add` of the drain may take its id, and the family does not show that
+//! dipath's arcs yet. Skipping every other `Remove` keeps the projection
+//! conservative (too high, never too low). Rejected batches contribute
+//! neither deltas nor removed ids. When the combined apply fails and the
+//! batches apply one at a time, each is checked again against the live
+//! loads first, so no batch applies on the credit of a batch that failed.
 
-use std::collections::VecDeque;
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
+use std::collections::BTreeSet;
+use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
-// lint: allow(no-wallclock): Wait-admission deadlines are client-visible wall time, not solver timing
-use std::time::Instant;
 
 use dagwave_core::{
     CoreError, Epoch, Mutation, Solution, SolutionDelta, Workspace, WorkspaceStats,
 };
 use dagwave_graph::ArcId;
 use dagwave_paths::{Dipath, PathId};
+
+use crate::server::ServerConfig;
 
 /// One mutation as the service expresses it: arc-id sequences in, stable
 /// path ids out. The actor owns the graph, so it (not the connection
@@ -81,9 +75,8 @@ pub enum ServeError {
     /// The solver/workspace rejected the request.
     Core(CoreError),
     /// Admission control rejected a mutation batch: applying it would
-    /// raise some arc's load past the configured budget (immediately
-    /// under [`AdmissionPolicy::Reject`]; after the wait timeout or on
-    /// queue overflow under [`AdmissionPolicy::Wait`]).
+    /// raise some arc's load past the configured budget. Nothing was
+    /// applied.
     SpanBudgetExceeded {
         /// The configured ceiling.
         budget: usize,
@@ -116,51 +109,6 @@ impl std::error::Error for ServeError {}
 impl From<CoreError> for ServeError {
     fn from(e: CoreError) -> Self {
         ServeError::Core(e)
-    }
-}
-
-/// What admission control does with a batch whose projected load exceeds
-/// the span budget.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AdmissionPolicy {
-    /// Reject immediately with [`ServeError::SpanBudgetExceeded`].
-    Reject,
-    /// Park the batch until retirements free capacity, then apply it
-    /// (batches that fit the budget still apply immediately meanwhile).
-    /// Falls back to the typed rejection when `timeout` elapses or the
-    /// parking queue already holds `max_queue` batches.
-    Wait {
-        /// Most batches the parking queue holds before rejecting
-        /// immediately.
-        max_queue: usize,
-        /// How long one batch may wait before the typed rejection.
-        timeout: Duration,
-    },
-}
-
-/// Per-tenant actor knobs, derived from the server's
-/// [`ServerConfig`](crate::server::ServerConfig).
-#[derive(Clone, Copy, Debug)]
-pub struct ActorConfig {
-    /// Admission ceiling on any arc's load (`None` = admit everything).
-    pub span_budget: Option<usize>,
-    /// Max queued mutation batches one `Workspace::apply` may coalesce.
-    pub max_coalesce: usize,
-    /// Bound on the actor's command queue; requests beyond it get
-    /// [`ServeError::Busy`].
-    pub queue_depth: usize,
-    /// What to do with over-budget batches.
-    pub admission: AdmissionPolicy,
-}
-
-impl Default for ActorConfig {
-    fn default() -> Self {
-        ActorConfig {
-            span_budget: None,
-            max_coalesce: 64,
-            queue_depth: 256,
-            admission: AdmissionPolicy::Reject,
-        }
     }
 }
 
@@ -258,63 +206,14 @@ impl TenantHandle {
     }
 }
 
-/// Blocking request/reply calls for the unit tests below: each one
-/// enqueues a command whose callback sends the reply into a channel, then
-/// waits on that channel.
-#[cfg(test)]
-impl TenantHandle {
-    fn round_trip(
-        &self,
-        make: impl FnOnce(Responder) -> Command,
-    ) -> Result<ActorReply, ServeError> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let respond = Responder::new(move |reply| {
-            // A dropped receiver just means the caller went away.
-            let _ = reply_tx.send(reply);
-        });
-        self.tx
-            .send(make(respond))
-            .map_err(|_| ServeError::Stopped)?;
-        reply_rx.recv().map_err(|_| ServeError::Stopped)
-    }
-
-    fn apply(&self, ops: Vec<ActorOp>) -> Result<Vec<PathId>, ServeError> {
-        match self.round_trip(|respond| Command::Apply { ops, respond })? {
-            ActorReply::Applied(r) => r,
-            _ => Err(ServeError::Stopped),
-        }
-    }
-
-    fn query(&self) -> Result<Snapshot, ServeError> {
-        match self.round_trip(|respond| Command::Query { respond })? {
-            ActorReply::Snapshot(r) => r,
-            _ => Err(ServeError::Stopped),
-        }
-    }
-
-    fn query_delta(&self, since: u64) -> Result<SolutionDelta, ServeError> {
-        match self.round_trip(|respond| Command::QueryDelta { since, respond })? {
-            ActorReply::Delta(r) => r,
-            _ => Err(ServeError::Stopped),
-        }
-    }
-
-    fn stats(&self) -> Result<(WorkspaceStats, ActorStats), ServeError> {
-        match self.round_trip(|respond| Command::Stats { respond })? {
-            ActorReply::Stats(pair) => Ok(*pair),
-            _ => Err(ServeError::Stopped),
-        }
-    }
-}
-
 /// Spawn the actor thread for one tenant workspace.
 pub(crate) fn spawn_tenant(
-    workspace: Workspace,
-    config: ActorConfig,
+    mut workspace: Workspace,
+    config: ServerConfig,
 ) -> (TenantHandle, thread::JoinHandle<()>) {
     let (tx, rx) = mpsc::sync_channel(config.queue_depth.max(1));
     // lint: allow(no-raw-sync): the actor thread IS the synchronization design — one owner per workspace, mpsc the only coupling
-    let join = thread::spawn(move || run_actor(workspace, rx, config));
+    let join = thread::spawn(move || run_actor(&mut workspace, rx, config));
     (TenantHandle { tx }, join)
 }
 
@@ -323,63 +222,11 @@ struct PendingBatch {
     respond: Responder,
 }
 
-/// A batch held back by [`AdmissionPolicy::Wait`].
-struct Parked {
-    ops: Vec<ActorOp>,
-    respond: Responder,
-    /// When the typed rejection fires.
-    // lint: allow(no-wallclock): the Wait deadline is wall time by contract
-    deadline: Instant,
-    /// The budget/projection pair reported if this batch times out.
-    budget: usize,
-    projected: usize,
-}
-
-enum Wake {
-    Cmd(Command),
-    /// The head parked batch's deadline passed.
-    Tick,
-    /// Every handle dropped.
-    Closed,
-}
-
-fn next_wake(rx: &Receiver<Command>, parked: &VecDeque<Parked>) -> Wake {
-    let Some(head) = parked.front() else {
-        return match rx.recv() {
-            Ok(cmd) => Wake::Cmd(cmd),
-            Err(_) => Wake::Closed,
-        };
-    };
-    // lint: allow(no-wallclock): sleeping toward the Wait deadline, not measuring solver time
-    let wait = head.deadline.saturating_duration_since(Instant::now());
-    match rx.recv_timeout(wait) {
-        Ok(cmd) => Wake::Cmd(cmd),
-        Err(RecvTimeoutError::Timeout) => Wake::Tick,
-        Err(RecvTimeoutError::Disconnected) => Wake::Closed,
-    }
-}
-
-fn run_actor(mut ws: Workspace, rx: Receiver<Command>, cfg: ActorConfig) {
+/// Serve commands until a `Stop` or until every handle is dropped.
+fn run_actor(ws: &mut Workspace, rx: Receiver<Command>, cfg: ServerConfig) {
     let mut stats = ActorStats::default();
     let mut snapshot: Option<Snapshot> = None;
-    let mut parked: VecDeque<Parked> = VecDeque::new();
-    loop {
-        let cmd = match next_wake(&rx, &parked) {
-            Wake::Cmd(cmd) => cmd,
-            Wake::Tick => {
-                expire_overdue(&mut parked);
-                // The expired head may have been the only thing blocking a
-                // smaller parked batch.
-                if retry_parked(&mut ws, &cfg, &mut parked, &mut stats) {
-                    snapshot = None;
-                }
-                continue;
-            }
-            Wake::Closed => {
-                fail_parked(&mut parked);
-                return;
-            }
-        };
+    while let Ok(cmd) = rx.recv() {
         match cmd {
             Command::Apply { ops, respond } => {
                 // Drain whatever mutation batches are already queued so one
@@ -399,152 +246,39 @@ fn run_actor(mut ws: Workspace, rx: Receiver<Command>, cfg: ActorConfig) {
                         Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
                     }
                 }
-                if handle_mutations(&mut ws, &cfg, pending, &mut parked, &mut stats) {
+                if handle_mutations(ws, cfg.span_budget, pending, &mut stats) {
                     snapshot = None;
                 }
                 match deferred {
-                    Some(Command::Stop) => {
-                        fail_parked(&mut parked);
-                        return;
-                    }
-                    Some(cmd) => serve_read(&mut ws, cmd, &mut stats, &mut snapshot),
+                    Some(Command::Stop) => return,
+                    Some(cmd) => serve_read(ws, cmd, &mut stats, &mut snapshot),
                     None => {}
                 }
             }
-            Command::Stop => {
-                fail_parked(&mut parked);
-                return;
-            }
-            other => serve_read(&mut ws, other, &mut stats, &mut snapshot),
+            Command::Stop => return,
+            other => serve_read(ws, other, &mut stats, &mut snapshot),
         }
     }
 }
 
-/// Admit, park, or reject each drained batch per policy, apply the
-/// admitted ones in one combined `Workspace::apply`, then retry parked
-/// batches if capacity changed. Returns whether the workspace mutated.
+/// Admit or reject each drained batch, then apply the admitted ones in
+/// one combined `Workspace::apply`. Returns whether the workspace mutated.
 fn handle_mutations(
     ws: &mut Workspace,
-    cfg: &ActorConfig,
+    span_budget: Option<usize>,
     pending: Vec<PendingBatch>,
-    parked: &mut VecDeque<Parked>,
     stats: &mut ActorStats,
 ) -> bool {
-    // Per-arc load deltas of the batches accepted so far in this drain.
-    let mut accepted_delta: Vec<i64> = Vec::new();
+    // What the batches accepted so far in this drain do to the loads.
+    let mut projection = Projection::default();
     let mut accepted: Vec<PendingBatch> = Vec::new();
     for batch in pending {
-        // Batches that fit the budget apply immediately even while others
-        // are parked — a later `Remove` must be able to overtake a parked
-        // over-budget `Add`, or the capacity it would free never frees.
-        // Parked batches retry in arrival order once something mutates,
-        // and their timeout bounds how long an overtaken batch can wait.
-        match admission_check(ws, cfg.span_budget, &batch.ops, &mut accepted_delta) {
+        match admission_check(ws, span_budget, &batch.ops, &mut projection) {
             Ok(()) => accepted.push(batch),
-            Err(e) => match cfg.admission {
-                AdmissionPolicy::Reject => {
-                    batch.respond.send(ActorReply::Applied(Err(e)));
-                }
-                AdmissionPolicy::Wait { .. } => park_or_reject(ws, cfg, batch, parked),
-            },
+            Err(e) => batch.respond.send(ActorReply::Applied(Err(e))),
         }
     }
-    let mut mutated = apply_admitted(ws, accepted, stats);
-    if mutated {
-        mutated |= retry_parked(ws, cfg, parked, stats);
-    }
-    mutated
-}
-
-/// Park one over-budget batch, or reject it immediately when the parking
-/// queue is full.
-fn park_or_reject(
-    ws: &Workspace,
-    cfg: &ActorConfig,
-    batch: PendingBatch,
-    parked: &mut VecDeque<Parked>,
-) {
-    let budget = cfg.span_budget.unwrap_or(usize::MAX);
-    let projected = batch_projection(ws, &batch.ops);
-    let AdmissionPolicy::Wait { max_queue, timeout } = cfg.admission else {
-        batch
-            .respond
-            .send(ActorReply::Applied(Err(ServeError::SpanBudgetExceeded {
-                budget,
-                projected,
-            })));
-        return;
-    };
-    if parked.len() >= max_queue {
-        batch
-            .respond
-            .send(ActorReply::Applied(Err(ServeError::SpanBudgetExceeded {
-                budget,
-                projected,
-            })));
-        return;
-    }
-    parked.push_back(Parked {
-        ops: batch.ops,
-        respond: batch.respond,
-        // lint: allow(no-wallclock): stamping the client-visible Wait deadline
-        deadline: Instant::now() + timeout,
-        budget,
-        projected,
-    });
-}
-
-/// Reject every parked batch whose deadline has passed. Deadlines are
-/// monotone in arrival order (one shared timeout), so checking heads
-/// suffices.
-fn expire_overdue(parked: &mut VecDeque<Parked>) {
-    // lint: allow(no-wallclock): comparing against the client-visible Wait deadline
-    let now = Instant::now();
-    while parked.front().is_some_and(|p| p.deadline <= now) {
-        if let Some(p) = parked.pop_front() {
-            p.respond
-                .send(ActorReply::Applied(Err(ServeError::SpanBudgetExceeded {
-                    budget: p.budget,
-                    projected: p.projected,
-                })));
-        }
-    }
-}
-
-/// Apply parked batches from the head while they fit the freed capacity
-/// (strict FIFO — stop at the first that still does not). Returns whether
-/// anything mutated.
-fn retry_parked(
-    ws: &mut Workspace,
-    cfg: &ActorConfig,
-    parked: &mut VecDeque<Parked>,
-    stats: &mut ActorStats,
-) -> bool {
-    let mut mutated = false;
-    while let Some(head) = parked.front() {
-        let mut scratch = Vec::new();
-        if admission_check(ws, cfg.span_budget, &head.ops, &mut scratch).is_err() {
-            break;
-        }
-        let Some(p) = parked.pop_front() else { break };
-        mutated |= apply_admitted(
-            ws,
-            vec![PendingBatch {
-                ops: p.ops,
-                respond: p.respond,
-            }],
-            stats,
-        );
-    }
-    mutated
-}
-
-/// Answer every parked batch with `Stopped` (actor shutting down).
-fn fail_parked(parked: &mut VecDeque<Parked>) {
-    for p in parked.drain(..) {
-        p.respond
-            .send(ActorReply::Applied(Err(ServeError::Stopped)));
-    }
+    apply_admitted(ws, span_budget, accepted, stats)
 }
 
 /// Handle a Query/Stats command (never Apply/Stop).
@@ -593,7 +327,12 @@ fn serve_read(
 
 /// Apply admission-passed batches in a single `Workspace::apply` and
 /// answer every batch. Returns whether the workspace mutated.
-fn apply_admitted(ws: &mut Workspace, accepted: Vec<PendingBatch>, stats: &mut ActorStats) -> bool {
+fn apply_admitted(
+    ws: &mut Workspace,
+    span_budget: Option<usize>,
+    mut accepted: Vec<PendingBatch>,
+    stats: &mut ActorStats,
+) -> bool {
     if accepted.is_empty() {
         return false;
     }
@@ -601,12 +340,14 @@ fn apply_admitted(ws: &mut Workspace, accepted: Vec<PendingBatch>, stats: &mut A
     // One combined apply; split the returned ids by each batch's Add
     // count. Smallest-free-slot id assignment makes the combined ids
     // identical to what sequential per-batch applies would assign.
-    let combined: Vec<Mutation> = match materialize(ws, &accepted) {
+    let combined: Vec<Mutation> = match materialize(ws, accepted.iter().map(|b| &b.ops[..])) {
         Ok(muts) => muts,
         Err((idx, e)) => {
             // A dipath failed to materialize: fail that batch, retry the
-            // rest individually (ids stay sequentialy consistent).
-            return fail_one_then_apply_each(ws, accepted, idx, e, stats);
+            // rest individually (ids stay sequentially consistent).
+            let bad = accepted.remove(idx);
+            bad.respond.send(ActorReply::Applied(Err(e)));
+            return apply_each(ws, span_budget, accepted, stats);
         }
     };
     match ws.apply(combined) {
@@ -630,7 +371,7 @@ fn apply_admitted(ws: &mut Workspace, accepted: Vec<PendingBatch>, stats: &mut A
             // The combined batch is atomic, so the workspace is untouched:
             // fall back to per-batch applies so one bad batch (e.g. a
             // stale Remove id) only fails its own sender.
-            apply_each(ws, accepted, stats)
+            apply_each(ws, span_budget, accepted, stats)
         }
     }
 }
@@ -650,15 +391,15 @@ fn build_dipath(ws: &Workspace, arcs: &[ArcId]) -> Result<Dipath, ServeError> {
         .map_err(|e| ServeError::Core(CoreError::InvalidPath(e.to_string())))
 }
 
-/// Turn every accepted batch's ops into workspace mutations; on a bad
-/// dipath, report which batch index failed.
-fn materialize(
+/// Turn every batch's ops into workspace mutations; on a bad dipath,
+/// report which batch index failed.
+fn materialize<'a>(
     ws: &Workspace,
-    accepted: &[PendingBatch],
+    batches: impl IntoIterator<Item = &'a [ActorOp]>,
 ) -> Result<Vec<Mutation>, (usize, ServeError)> {
     let mut out = Vec::new();
-    for (idx, batch) in accepted.iter().enumerate() {
-        for op in &batch.ops {
+    for (idx, ops) in batches.into_iter().enumerate() {
+        for op in ops {
             match op {
                 ActorOp::Add(arcs) => {
                     out.push(Mutation::Add(build_dipath(ws, arcs).map_err(|e| (idx, e))?))
@@ -670,32 +411,22 @@ fn materialize(
     Ok(out)
 }
 
-fn fail_one_then_apply_each(
-    ws: &mut Workspace,
-    mut accepted: Vec<PendingBatch>,
-    bad: usize,
-    err: ServeError,
-    stats: &mut ActorStats,
-) -> bool {
-    let batch = accepted.remove(bad);
-    batch.respond.send(ActorReply::Applied(Err(err)));
-    apply_each(ws, accepted, stats)
-}
-
 /// Apply each batch on its own (the non-coalesced slow path after a
 /// combined failure); answers every batch. Returns whether any
 /// batch mutated the workspace.
-fn apply_each(ws: &mut Workspace, batches: Vec<PendingBatch>, stats: &mut ActorStats) -> bool {
+fn apply_each(
+    ws: &mut Workspace,
+    span_budget: Option<usize>,
+    batches: Vec<PendingBatch>,
+    stats: &mut ActorStats,
+) -> bool {
     let mut mutated = false;
     for batch in batches {
         let result = (|| -> Result<Vec<PathId>, ServeError> {
-            let mut muts = Vec::with_capacity(batch.ops.len());
-            for op in &batch.ops {
-                match op {
-                    ActorOp::Add(arcs) => muts.push(Mutation::Add(build_dipath(ws, arcs)?)),
-                    ActorOp::Remove(id) => muts.push(Mutation::Remove(*id)),
-                }
-            }
+            // The drain admitted this batch on the credit of batches that
+            // may since have failed: check it again against the live loads.
+            admission_check(ws, span_budget, &batch.ops, &mut Projection::default())?;
+            let muts = materialize(ws, [&batch.ops[..]]).map_err(|(_, e)| e)?;
             Ok(ws.apply(muts)?)
         })();
         if result.is_ok() {
@@ -708,52 +439,55 @@ fn apply_each(ws: &mut Workspace, batches: Vec<PendingBatch>, stats: &mut ActorS
     mutated
 }
 
-/// The projected post-batch maximum load of `ops` alone against the live
-/// workspace (what admission would compare to the budget with nothing
-/// else accepted). Used to report honest numbers for parked batches.
-fn batch_projection(ws: &Workspace, ops: &[ActorOp]) -> usize {
-    let accepted: Vec<i64> = vec![0; ws.graph().arc_count()];
-    let mut own: Vec<i64> = vec![0; ws.graph().arc_count()];
-    projected_span(ws, ops, &accepted, &mut own)
+/// What the batches admitted so far in one drain do to the live state:
+/// per-arc load deltas, and the live ids they remove.
+#[derive(Default)]
+struct Projection {
+    delta: Vec<i64>,
+    removed: BTreeSet<PathId>,
 }
 
-/// Project the per-arc load of applying `ops` on top of the already
-/// accepted deltas; reject if any arc would exceed the budget, otherwise
-/// fold the batch's deltas into `accepted_delta`.
+/// Project the per-arc load of applying `ops` on top of the batches
+/// already `admitted`; reject if any arc would exceed the budget,
+/// otherwise fold the batch's deltas and removed ids into `admitted`.
 fn admission_check(
     ws: &Workspace,
     span_budget: Option<usize>,
     ops: &[ActorOp],
-    accepted_delta: &mut Vec<i64>,
+    admitted: &mut Projection,
 ) -> Result<(), ServeError> {
     let Some(budget) = span_budget else {
         return Ok(());
     };
-    if accepted_delta.len() < ws.graph().arc_count() {
-        accepted_delta.resize(ws.graph().arc_count(), 0);
+    if admitted.delta.len() < ws.graph().arc_count() {
+        admitted.delta.resize(ws.graph().arc_count(), 0);
     }
-    let mut own_delta: Vec<i64> = vec![0; accepted_delta.len()];
-    let projected_max = projected_span(ws, ops, accepted_delta, &mut own_delta);
+    let mut own = Projection {
+        delta: vec![0; admitted.delta.len()],
+        removed: BTreeSet::new(),
+    };
+    let projected_max = projected_span(ws, ops, admitted, &mut own);
     if projected_max > budget {
         return Err(ServeError::SpanBudgetExceeded {
             budget,
             projected: projected_max,
         });
     }
-    for (acc, own) in accepted_delta.iter_mut().zip(&own_delta) {
+    for (acc, own) in admitted.delta.iter_mut().zip(&own.delta) {
         *acc += own;
     }
+    admitted.removed.extend(own.removed);
     Ok(())
 }
 
-/// Walk `ops` accumulating its own per-arc deltas into `own_delta` and
-/// return the maximum load any arc is projected to reach (live load +
-/// accepted deltas + the batch's own preceding ops).
+/// Walk `ops` accumulating its own per-arc deltas and removed ids into
+/// `own` and return the maximum load any arc is projected to reach (live
+/// load + admitted deltas + the batch's own preceding ops).
 fn projected_span(
     ws: &Workspace,
     ops: &[ActorOp],
-    accepted_delta: &[i64],
-    own_delta: &mut [i64],
+    admitted: &Projection,
+    own: &mut Projection,
 ) -> usize {
     let mut projected_max = 0usize;
     for op in ops {
@@ -761,28 +495,33 @@ fn projected_span(
             ActorOp::Add(arcs) => {
                 for &a in arcs {
                     let i = a.index();
-                    if i >= own_delta.len() {
+                    if i >= own.delta.len() {
                         // Out-of-range arc: let `Dipath::from_arcs` produce
                         // the typed InvalidPath error downstream.
                         continue;
                     }
-                    own_delta[i] += 1;
-                    let accepted = accepted_delta.get(i).copied().unwrap_or(0);
-                    let projected = (ws.arc_load(a) as i64) + accepted + own_delta[i];
+                    own.delta[i] += 1;
+                    let projected = (ws.arc_load(a) as i64) + admitted.delta[i] + own.delta[i];
                     projected_max = projected_max.max(projected.max(0) as usize);
                 }
             }
             ActorOp::Remove(id) => {
-                // Credit back a live member's arcs. An id admitted earlier
-                // in this same drain is not resolvable here; skipping it
-                // only keeps the projection conservative (too high, never
-                // too low).
-                if let Some(p) = ws.family().get(*id) {
-                    for &a in p.arcs() {
-                        let i = a.index();
-                        if i < own_delta.len() {
-                            own_delta[i] -= 1;
-                        }
+                // Credit back a live member's arcs once. After an earlier
+                // op of this drain removed the id, a later `Add` may hold
+                // its slot, and the family does not show that dipath; an id
+                // that is not live is not resolvable either. Skipping both
+                // keeps the projection conservative (too high, never too
+                // low).
+                let Some(p) = ws.family().get(*id) else {
+                    continue;
+                };
+                if admitted.removed.contains(id) || !own.removed.insert(*id) {
+                    continue;
+                }
+                for &a in p.arcs() {
+                    let i = a.index();
+                    if i < own.delta.len() {
+                        own.delta[i] -= 1;
                     }
                 }
             }
@@ -797,6 +536,7 @@ mod tests {
     use dagwave_core::SolveSession;
     use dagwave_graph::builder::from_edges;
     use dagwave_paths::DipathFamily;
+    use proptest::prelude::*;
 
     fn line_workspace(n: usize) -> Workspace {
         let edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
@@ -808,11 +548,105 @@ mod tests {
         ids.iter().map(|&i| ArcId(i)).collect()
     }
 
-    fn config(span_budget: Option<usize>) -> ActorConfig {
-        ActorConfig {
+    fn config(span_budget: Option<usize>) -> ServerConfig {
+        ServerConfig {
             span_budget,
-            ..ActorConfig::default()
+            ..ServerConfig::default()
         }
+    }
+
+    /// A command made by `make`, and the channel its reply arrives on.
+    fn queued(make: impl FnOnce(Responder) -> Command) -> (Command, Receiver<ActorReply>) {
+        let (reply_tx, reply_rx) = mpsc::channel();
+        let respond = Responder::new(move |reply| {
+            // A dropped receiver just means the caller went away.
+            let _ = reply_tx.send(reply);
+        });
+        (make(respond), reply_rx)
+    }
+
+    /// Blocking request/reply calls for the unit tests below: each one
+    /// enqueues a command whose callback sends the reply into a channel, then
+    /// waits on that channel.
+    impl TenantHandle {
+        fn round_trip(
+            &self,
+            make: impl FnOnce(Responder) -> Command,
+        ) -> Result<ActorReply, ServeError> {
+            let (cmd, reply_rx) = queued(make);
+            self.tx.send(cmd).map_err(|_| ServeError::Stopped)?;
+            reply_rx.recv().map_err(|_| ServeError::Stopped)
+        }
+
+        fn apply(&self, ops: Vec<ActorOp>) -> Result<Vec<PathId>, ServeError> {
+            match self.round_trip(|respond| Command::Apply { ops, respond })? {
+                ActorReply::Applied(r) => r,
+                _ => Err(ServeError::Stopped),
+            }
+        }
+
+        fn query(&self) -> Result<Snapshot, ServeError> {
+            match self.round_trip(|respond| Command::Query { respond })? {
+                ActorReply::Snapshot(r) => r,
+                _ => Err(ServeError::Stopped),
+            }
+        }
+
+        fn query_delta(&self, since: u64) -> Result<SolutionDelta, ServeError> {
+            match self.round_trip(|respond| Command::QueryDelta { since, respond })? {
+                ActorReply::Delta(r) => r,
+                _ => Err(ServeError::Stopped),
+            }
+        }
+
+        fn stats(&self) -> Result<(WorkspaceStats, ActorStats), ServeError> {
+            match self.round_trip(|respond| Command::Stats { respond })? {
+                ActorReply::Stats(pair) => Ok(*pair),
+                _ => Err(ServeError::Stopped),
+            }
+        }
+    }
+
+    fn apply_cmd(ops: Vec<ActorOp>) -> (Command, Receiver<ActorReply>) {
+        queued(|respond| Command::Apply { ops, respond })
+    }
+
+    /// Queue every command before the actor starts, so its first drain
+    /// sees all the queued batches at once, then run it on this thread
+    /// until the queue is empty.
+    fn run_queued(ws: &mut Workspace, cfg: ServerConfig, cmds: Vec<Command>) {
+        let (tx, rx) = mpsc::sync_channel(cmds.len().max(1));
+        for cmd in cmds {
+            tx.send(cmd).expect("the queue holds every command");
+        }
+        drop(tx);
+        run_actor(ws, rx, cfg);
+    }
+
+    fn applied(reply: &Receiver<ActorReply>) -> Result<Vec<PathId>, ServeError> {
+        match reply.try_recv() {
+            Ok(ActorReply::Applied(r)) => r,
+            _ => panic!("no apply reply"),
+        }
+    }
+
+    fn actor_stats(reply: &Receiver<ActorReply>) -> ActorStats {
+        match reply.try_recv() {
+            Ok(ActorReply::Stats(pair)) => pair.1,
+            _ => panic!("no stats reply"),
+        }
+    }
+
+    /// A 4-vertex line whose arc 0 carries dipaths 0 and 1: at budget 2
+    /// it has no room left on arc 0.
+    fn full_line() -> Workspace {
+        let mut ws = line_workspace(4);
+        let on_arc_0 = build_dipath(&ws, &arc_ids(&[0])).unwrap();
+        let ids = ws
+            .apply([Mutation::Add(on_arc_0.clone()), Mutation::Add(on_arc_0)])
+            .unwrap();
+        assert_eq!(ids, vec![PathId(0), PathId(1)]);
+        ws
     }
 
     #[test]
@@ -922,126 +756,203 @@ mod tests {
         join.join().expect("clean exit");
     }
 
+    /// The batch's `Add [2]` takes the slot its first `Remove 0` frees, so
+    /// its second `Remove 0` retires that new dipath and frees nothing on
+    /// arc 0: the batch would raise arc 0 to load 3.
     #[test]
-    fn wait_policy_parks_until_capacity_frees() {
-        let cfg = ActorConfig {
-            span_budget: Some(2),
-            admission: AdmissionPolicy::Wait {
-                max_queue: 4,
-                timeout: Duration::from_secs(10),
-            },
-            ..ActorConfig::default()
-        };
-        let (h, join) = spawn_tenant(line_workspace(3), cfg);
-        h.apply(vec![
+    fn reassigned_slot_is_not_credited_twice() {
+        let mut ws = full_line();
+        let (batch, reply) = apply_cmd(vec![
+            ActorOp::Remove(PathId(0)),
+            ActorOp::Add(arc_ids(&[2])),
+            ActorOp::Remove(PathId(0)),
             ActorOp::Add(arc_ids(&[0])),
             ActorOp::Add(arc_ids(&[0])),
-        ])
-        .expect("fills the budget");
-        // The over-budget batch parks, so the blocking apply waits on a
-        // helper thread while the main thread frees capacity.
-        let h2 = h.clone();
-        let waiter = thread::spawn(move || h2.apply(vec![ActorOp::Add(arc_ids(&[0, 1]))]));
-        thread::sleep(Duration::from_millis(50));
-        h.apply(vec![ActorOp::Remove(PathId(0))])
-            .expect("retire frees a slot");
-        let ids = waiter
-            .join()
-            .expect("waiter thread")
-            .expect("parked batch applies once capacity frees");
-        assert_eq!(ids.len(), 1);
-        let (ws_stats, _) = h.stats().expect("stats");
-        assert_eq!(ws_stats.live_paths, 2);
-        assert_eq!(ws_stats.max_load, 2);
-        h.stop();
-        join.join().expect("clean exit");
-    }
-
-    #[test]
-    fn wait_policy_times_out_with_typed_error() {
-        let cfg = ActorConfig {
-            span_budget: Some(1),
-            admission: AdmissionPolicy::Wait {
-                max_queue: 4,
-                timeout: Duration::from_millis(50),
-            },
-            ..ActorConfig::default()
-        };
-        let (h, join) = spawn_tenant(line_workspace(3), cfg);
-        h.apply(vec![ActorOp::Add(arc_ids(&[0]))])
-            .expect("fills the budget");
-        let err = h
-            .apply(vec![ActorOp::Add(arc_ids(&[0]))])
-            .expect_err("no capacity ever frees, so the wait times out");
+        ]);
+        run_queued(&mut ws, config(Some(2)), vec![batch]);
         assert!(matches!(
-            err,
-            ServeError::SpanBudgetExceeded {
-                budget: 1,
-                projected: 2
-            }
+            applied(&reply),
+            Err(ServeError::SpanBudgetExceeded {
+                budget: 2,
+                projected: 3
+            })
         ));
-        let (ws_stats, _) = h.stats().expect("stats");
-        assert_eq!(ws_stats.live_paths, 1, "timed-out batch applied nothing");
-        h.stop();
-        join.join().expect("clean exit");
+        assert_eq!(ws.max_load(), 2);
+        assert_eq!(
+            ws.family().ids().collect::<Vec<_>>(),
+            [PathId(0), PathId(1)]
+        );
     }
 
+    /// The first batch fails on its stale `Remove 99`, so the retirement
+    /// of dipath 0 that made room for the second batch never happens.
     #[test]
-    fn wait_policy_overflow_rejects_immediately() {
-        let cfg = ActorConfig {
-            span_budget: Some(1),
-            admission: AdmissionPolicy::Wait {
-                max_queue: 1,
-                timeout: Duration::from_secs(10),
-            },
-            ..ActorConfig::default()
-        };
-        let (h, join) = spawn_tenant(line_workspace(3), cfg);
-        h.apply(vec![ActorOp::Add(arc_ids(&[0]))])
-            .expect("fills the budget");
-        // First over-budget batch parks (helper thread blocks on it).
-        let h2 = h.clone();
-        let waiter = thread::spawn(move || h2.apply(vec![ActorOp::Add(arc_ids(&[0]))]));
-        thread::sleep(Duration::from_millis(50));
-        // Second over-budget batch finds the queue full: typed rejection
-        // without waiting out the 10s timeout.
-        let err = h
-            .apply(vec![ActorOp::Add(arc_ids(&[0]))])
-            .expect_err("parking queue is full");
-        assert!(matches!(err, ServeError::SpanBudgetExceeded { .. }));
-        // Free capacity so the parked batch (still FIFO head) applies.
-        h.apply(vec![ActorOp::Remove(PathId(0))])
-            .expect("retire frees a slot");
-        waiter
-            .join()
-            .expect("waiter thread")
-            .expect("parked batch applies after the retire");
-        h.stop();
-        join.join().expect("clean exit");
+    fn failed_batch_lends_no_admission_credit() {
+        let mut ws = full_line();
+        let (first, first_reply) = apply_cmd(vec![
+            ActorOp::Remove(PathId(0)),
+            ActorOp::Remove(PathId(99)),
+        ]);
+        let (second, second_reply) = apply_cmd(vec![ActorOp::Add(arc_ids(&[0]))]);
+        run_queued(&mut ws, config(Some(2)), vec![first, second]);
+        assert!(matches!(
+            applied(&first_reply),
+            Err(ServeError::Core(CoreError::UnknownPath(PathId(99))))
+        ));
+        assert!(matches!(
+            applied(&second_reply),
+            Err(ServeError::SpanBudgetExceeded {
+                budget: 2,
+                projected: 3
+            })
+        ));
+        assert_eq!(ws.max_load(), 2);
+        assert_eq!(
+            ws.family().ids().collect::<Vec<_>>(),
+            [PathId(0), PathId(1)]
+        );
     }
 
+    /// Two queued batches share one `Workspace::apply`; the read queued
+    /// after them sees both, and the batch queued after the read does not
+    /// share their apply.
     #[test]
-    fn stop_fails_parked_batches_with_stopped() {
-        let cfg = ActorConfig {
-            span_budget: Some(1),
-            admission: AdmissionPolicy::Wait {
-                max_queue: 4,
-                timeout: Duration::from_secs(10),
-            },
-            ..ActorConfig::default()
-        };
-        let (h, join) = spawn_tenant(line_workspace(3), cfg);
-        h.apply(vec![ActorOp::Add(arc_ids(&[0]))])
-            .expect("fills the budget");
-        let h2 = h.clone();
-        let waiter = thread::spawn(move || h2.apply(vec![ActorOp::Add(arc_ids(&[0]))]));
-        thread::sleep(Duration::from_millis(50));
-        h.stop();
-        let err = waiter
-            .join()
-            .expect("waiter thread")
-            .expect_err("shutdown fails the parked batch");
-        assert!(matches!(err, ServeError::Stopped));
-        join.join().expect("clean exit");
+    fn queued_batches_coalesce_around_a_read() {
+        let mut ws = line_workspace(5);
+        let (a, a_reply) = apply_cmd(vec![ActorOp::Add(arc_ids(&[0, 1]))]);
+        let (b, b_reply) = apply_cmd(vec![ActorOp::Add(arc_ids(&[1, 2]))]);
+        let (query, query_reply) = queued(|respond| Command::Query { respond });
+        let (stats, stats_reply) = queued(|respond| Command::Stats { respond });
+        let (c, c_reply) = apply_cmd(vec![ActorOp::Add(arc_ids(&[2, 3]))]);
+        let (last, last_reply) = queued(|respond| Command::Stats { respond });
+        run_queued(&mut ws, config(None), vec![a, b, query, stats, c, last]);
+        assert_eq!(applied(&a_reply).unwrap(), [PathId(0)]);
+        assert_eq!(applied(&b_reply).unwrap(), [PathId(1)]);
+        assert_eq!(applied(&c_reply).unwrap(), [PathId(2)]);
+        match query_reply.try_recv() {
+            Ok(ActorReply::Snapshot(Ok(snap))) => {
+                assert_eq!(snap.ids.as_slice(), [PathId(0), PathId(1)]);
+                assert_eq!(snap.solution.num_colors, 2);
+            }
+            _ => panic!("no snapshot reply"),
+        }
+        let after_read = actor_stats(&stats_reply);
+        assert_eq!((after_read.applies, after_read.batches), (1, 2));
+        let after_c = actor_stats(&last_reply);
+        assert_eq!((after_c.applies, after_c.batches), (2, 3));
+    }
+
+    /// A stale `Remove` sinks the combined apply; the valid batch queued
+    /// before it then applies on its own and gets the ids a sequential
+    /// apply assigns.
+    #[test]
+    fn failed_combined_apply_keeps_sequential_ids() {
+        let valid = vec![
+            ActorOp::Remove(PathId(1)),
+            ActorOp::Add(arc_ids(&[0])),
+            ActorOp::Add(arc_ids(&[2])),
+        ];
+        let mut sequential = full_line();
+        let muts = materialize(&sequential, [&valid[..]]).unwrap();
+        let want = sequential.apply(muts).unwrap();
+        assert_eq!(want, [PathId(1), PathId(2)]);
+
+        let mut ws = full_line();
+        let (batch, batch_reply) = apply_cmd(valid);
+        let (stale, stale_reply) = apply_cmd(vec![ActorOp::Remove(PathId(7))]);
+        let (stats, stats_reply) = queued(|respond| Command::Stats { respond });
+        run_queued(&mut ws, config(None), vec![batch, stale, stats]);
+        assert_eq!(applied(&batch_reply).unwrap(), want);
+        assert!(matches!(
+            applied(&stale_reply),
+            Err(ServeError::Core(CoreError::UnknownPath(PathId(7))))
+        ));
+        let stats = actor_stats(&stats_reply);
+        assert_eq!((stats.applies, stats.batches), (1, 1));
+        assert!(ws.family().iter().eq(sequential.family().iter()));
+    }
+
+    /// Deterministic splitmix64: the proptest shim's ranges drive the seed.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n.max(1)
+        }
+    }
+
+    /// An `Add` of a random arc interval of a 6-vertex line.
+    fn random_add(mix: &mut Mix) -> ActorOp {
+        let from = mix.below(5) as u32;
+        let to = from + 1 + mix.below(5 - u64::from(from)) as u32;
+        ActorOp::Add((from..to).map(ArcId).collect())
+    }
+
+    /// One random batch: adds of random arc intervals, now and then an
+    /// out-of-range arc, removes of ids that were never or are no longer
+    /// live, and removes of ids live when the drain started, some followed
+    /// by an `Add` that may take the freed slot and the same `Remove`
+    /// again.
+    fn random_batch(mix: &mut Mix, live: &[PathId]) -> Vec<ActorOp> {
+        let mut ops = Vec::new();
+        for _ in 0..1 + mix.below(4) {
+            match mix.below(8) {
+                0..=3 => ops.push(random_add(mix)),
+                4 => ops.push(ActorOp::Add(arc_ids(&[99]))),
+                5 => ops.push(ActorOp::Remove(PathId(mix.below(12) as u32))),
+                _ => {
+                    let id = match live.len() {
+                        0 => PathId(mix.below(4) as u32),
+                        n => live[mix.below(n as u64) as usize],
+                    };
+                    ops.push(ActorOp::Remove(id));
+                    if mix.below(2) == 0 {
+                        ops.push(random_add(mix));
+                        ops.push(ActorOp::Remove(id));
+                    }
+                }
+            }
+        }
+        ops
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Admission holds across drains of 1–6 queued batches: starting
+        /// within budget, no drain leaves an arc above it, and the drain
+        /// leaves the state and ids that applying only its successful
+        /// batches in queue order gives, so a rejected or failed batch
+        /// leaves no trace.
+        #[test]
+        fn admission_holds_across_random_drains(seed in 0u64..1_000_000, budget in 1usize..4) {
+            let mut mix = Mix(seed);
+            let mut ws = line_workspace(6);
+            let mut sequential = line_workspace(6);
+            for drain in 0..8 {
+                let live: Vec<PathId> = ws.family().ids().collect();
+                let batches: Vec<Vec<ActorOp>> =
+                    (0..1 + mix.below(6)).map(|_| random_batch(&mut mix, &live)).collect();
+                let (cmds, replies): (Vec<_>, Vec<_>) =
+                    batches.iter().map(|ops| apply_cmd(ops.clone())).unzip();
+                run_queued(&mut ws, config(Some(budget)), cmds);
+                prop_assert!(ws.max_load() <= budget, "drain {drain}: load {}", ws.max_load());
+                for (ops, reply) in batches.into_iter().zip(&replies) {
+                    let Ok(ids) = applied(reply) else { continue };
+                    let want = materialize(&sequential, [&ops[..]])
+                        .map_err(|_| ())
+                        .and_then(|muts| sequential.apply(muts).map_err(|_| ()));
+                    prop_assert_eq!(Ok(ids), want, "drain {}", drain);
+                }
+                prop_assert!(
+                    ws.family().iter().eq(sequential.family().iter()),
+                    "drain {drain}: the actor's family differs from the successful batches'"
+                );
+            }
+        }
     }
 }

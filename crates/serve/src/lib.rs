@@ -22,9 +22,8 @@
 //!   paying N. Admission control (span budget) rejects mutations that
 //!   would push any arc's load past a ceiling — load is the paper's lower
 //!   bound `π(G, P)`, so on internal-cycle-free DAGs the budget *is* a
-//!   wavelength-count guarantee (`w = π`, Theorem 1). The
-//!   [`actor::AdmissionPolicy`] decides whether over-budget batches are
-//!   rejected immediately or parked until capacity frees.
+//!   wavelength-count guarantee (`w = π`, Theorem 1). An over-budget
+//!   batch is rejected at once with [`ServeError::SpanBudgetExceeded`].
 //! * [`server`] — `std::net` listener, a registry thread that owns the
 //!   tenant map (multi-tenant: independent workspaces keyed by a `u64`
 //!   tenant id), and channel-based shutdown.
@@ -71,7 +70,7 @@ pub mod protocol;
 mod reactor;
 pub mod server;
 
-pub use actor::{ActorConfig, ActorOp, ActorStats, AdmissionPolicy, ServeError, Snapshot};
+pub use actor::{ActorOp, ActorStats, ServeError, Snapshot};
 pub use client::{Client, ClientError};
 pub use protocol::{
     ErrorCode, Request, Response, WireDelta, WireError, WireOp, WireSolution, WireStats,

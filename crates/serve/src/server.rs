@@ -31,10 +31,7 @@ use dagwave_core::{CoreError, SolutionDelta, Workspace, WorkspaceStats};
 use dagwave_graph::ArcId;
 use dagwave_paths::PathId;
 
-use crate::actor::{
-    spawn_tenant, ActorConfig, ActorOp, ActorStats, AdmissionPolicy, ServeError, Snapshot,
-    TenantHandle,
-};
+use crate::actor::{spawn_tenant, ActorOp, ActorStats, ServeError, Snapshot, TenantHandle};
 use crate::protocol::{ErrorCode, Response, WireDelta, WireError, WireOp, WireSolution, WireStats};
 
 /// Builds the initial [`Workspace`] for a tenant id the server has not
@@ -70,9 +67,6 @@ pub struct ServerConfig {
     pub max_coalesce: usize,
     /// Connection model; always [`FrontEnd::Evented`] (see there).
     pub front_end: FrontEnd,
-    /// What to do with over-budget mutation batches (reject, or park
-    /// until capacity frees / a timeout).
-    pub admission: AdmissionPolicy,
     /// Bound on each tenant actor's command queue. A request that finds
     /// its tenant's queue full is answered with a typed `Busy`.
     pub queue_depth: usize,
@@ -87,7 +81,6 @@ impl Default for ServerConfig {
             span_budget: None,
             max_coalesce: 64,
             front_end: FrontEnd::Evented,
-            admission: AdmissionPolicy::Reject,
             queue_depth: DEFAULT_QUEUE_DEPTH,
             max_write_buffer: DEFAULT_MAX_WRITE_BUFFER,
         }
@@ -232,12 +225,6 @@ fn run_registry(
     config: ServerConfig,
     signal: StopSignal,
 ) {
-    let actor_config = ActorConfig {
-        span_budget: config.span_budget,
-        max_coalesce: config.max_coalesce,
-        queue_depth: config.queue_depth,
-        admission: config.admission,
-    };
     let mut tenants: HashMap<u64, (TenantHandle, thread::JoinHandle<()>)> = HashMap::new();
     while let Ok(cmd) = rx.recv() {
         match cmd {
@@ -246,7 +233,7 @@ fn run_registry(
                     Some((handle, _)) => Ok(handle.clone()),
                     None => match factory(tenant) {
                         Ok(ws) => {
-                            let (handle, join) = spawn_tenant(ws, actor_config);
+                            let (handle, join) = spawn_tenant(ws, config);
                             tenants.insert(tenant, (handle.clone(), join));
                             Ok(handle)
                         }

@@ -14,8 +14,7 @@ use dagwave_graph::builder::from_edges;
 use dagwave_paths::DipathFamily;
 use dagwave_serve::protocol::{FrameDecoder, HEADER_LEN};
 use dagwave_serve::{
-    ActorConfig, AdmissionPolicy, Client, ClientError, ErrorCode, FrontEnd, Request, Response,
-    Server, ServerConfig, ServerHandle,
+    Client, ClientError, ErrorCode, FrontEnd, Request, Response, Server, ServerConfig, ServerHandle,
 };
 
 fn line_server(n: usize, config: ServerConfig) -> ServerHandle {
@@ -311,66 +310,6 @@ fn full_actor_queue_yields_typed_busy() {
     handle.join().expect("clean exit");
 }
 
-/// `AdmissionPolicy::Wait` over the wire: an over-budget admit parks
-/// until a retirement on another connection frees capacity, then
-/// succeeds — no typed rejection, no reordering of the waiting client's
-/// own requests.
-#[test]
-fn wait_admission_parks_over_the_wire() {
-    let config = ServerConfig {
-        span_budget: Some(2),
-        admission: AdmissionPolicy::Wait {
-            max_queue: 8,
-            timeout: Duration::from_secs(10),
-        },
-        ..ServerConfig::default()
-    };
-    let handle = line_server(4, config);
-    let addr = handle.addr();
-
-    let mut setup = Client::connect(addr).expect("connect");
-    let first = setup.admit(0, vec![0, 1]).expect("load 1");
-    setup.admit(0, vec![1, 2]).expect("load 2 (at budget)");
-
-    // Over-budget admit parks; run it from its own thread since the
-    // blocking client waits for the response.
-    let waiter = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).expect("connect waiter");
-        client.admit(0, vec![0, 1, 2])
-    });
-    std::thread::sleep(Duration::from_millis(100));
-    // Freeing capacity lets the parked batch through.
-    setup.retire(0, first).expect("retire frees capacity");
-    let id = waiter
-        .join()
-        .expect("waiter thread")
-        .expect("parked admit succeeds once capacity frees");
-    assert_eq!(id, 0, "freed slot is reused deterministically");
-
-    // And the timeout path still yields the typed rejection.
-    let config = ServerConfig {
-        span_budget: Some(1),
-        admission: AdmissionPolicy::Wait {
-            max_queue: 8,
-            timeout: Duration::from_millis(50),
-        },
-        ..ServerConfig::default()
-    };
-    let timeout_handle = line_server(3, config);
-    let mut client = Client::connect(timeout_handle.addr()).expect("connect");
-    client.admit(0, vec![0]).expect("fills budget");
-    match client.admit(0, vec![0]) {
-        Err(ClientError::Remote { code, .. }) => assert_eq!(code, ErrorCode::SpanBudgetExceeded),
-        other => panic!("expected timed-out park, got {other:?}"),
-    }
-    client.shutdown().expect("shutdown");
-    timeout_handle.join().expect("clean exit");
-
-    let mut client = Client::connect(addr).expect("connect");
-    client.shutdown().expect("shutdown");
-    handle.join().expect("clean exit");
-}
-
 /// The reactor's whole point: OS thread count stays flat as
 /// connections scale. 128 concurrent connections may add at most 4
 /// threads over the 8-connection baseline (in practice: zero — the
@@ -416,16 +355,13 @@ fn thread_count_is_flat_in_connection_count() {
     drop(base_conns);
 }
 
-/// ActorConfig::default matches the documented knob values (the reactor's
-/// backpressure story depends on these bounds existing), and the default
-/// connection model is the reactor.
+/// ServerConfig::default matches the documented knob values (the
+/// reactor's backpressure story depends on these bounds existing), and the
+/// default connection model is the reactor.
 #[test]
 fn bounded_defaults_are_in_force() {
-    let cfg = ActorConfig::default();
-    assert!(cfg.queue_depth > 0, "actor queues must be bounded");
-    assert!(matches!(cfg.admission, AdmissionPolicy::Reject));
     let sc = ServerConfig::default();
-    assert!(sc.queue_depth > 0);
+    assert!(sc.queue_depth > 0, "actor queues must be bounded");
     assert!(sc.max_write_buffer > 0);
     assert_eq!(sc.front_end, FrontEnd::Evented);
 }

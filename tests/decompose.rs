@@ -5,7 +5,6 @@
 //! equal field for field to solving every component on its own, with one
 //! sub-instance built per distinct shard content.
 
-use dagwave::core::certify;
 use dagwave::gen::compose::{disjoint_union, federated};
 use dagwave::gen::{figures, Instance};
 use dagwave::graph::builder::from_edges;
@@ -46,11 +45,7 @@ fn federated_span_is_max_over_shards_and_certified() {
         assert_eq!(sol.num_colors, max_shard, "merged span = max over shards");
         assert_eq!(sol.num_colors, sol.assignment.num_colors());
         // Certified, not just structurally merged.
-        assert!(certify::is_conflict_free(
-            &inst.graph,
-            &inst.family,
-            &sol.assignment
-        ));
+        assert!(sol.assignment.is_valid(&inst.graph, &inst.family));
         // The shard partition matches the conflict components.
         let sizes: Vec<usize> = conflict_components(&inst.graph, &inst.family)
             .iter()

@@ -13,7 +13,7 @@
 
 use dagwave_color::exact;
 use dagwave_core::solver::conflict_to_ugraph;
-use dagwave_core::theorem1::{self, KempeStrategy, PeelOrder};
+use dagwave_core::theorem1;
 use dagwave_core::theorem6;
 use dagwave_core::{BackendAttempt, CoreError, DecomposePolicy, SolveSession};
 use dagwave_gen::{compose, figures, havet, random, Instance};
@@ -183,49 +183,41 @@ fn icf_auto_colorings_are_golden() {
     assert_eq!(auto_hash(&icf_draws()), 0x739281543a69b0c5);
 }
 
-/// Every ablation variant of Theorem 1, with its Kempe swap count.
+/// Theorem 1 run directly, with its Kempe swap count.
 #[test]
 fn icf_ablation_colorings_are_golden() {
     let mut h = Fold::new();
     for inst in icf_draws() {
-        for order in [PeelOrder::Fifo, PeelOrder::Lifo, PeelOrder::MinId] {
-            for kempe in [KempeStrategy::ComponentSwap, KempeStrategy::Cascade] {
-                let res = theorem1::color_optimal_with(&inst.graph, &inst.family, order, kempe)
-                    .unwrap_or_else(|e| panic!("{}: {e}", inst.name));
-                h.colors(res.assignment.colors());
-                h.word(res.kempe_swaps);
-            }
-        }
+        let res = theorem1::color_optimal(&inst.graph, &inst.family)
+            .unwrap_or_else(|e| panic!("{}: {e}", inst.name));
+        h.colors(res.assignment.colors());
+        h.word(res.kempe_swaps);
     }
-    assert_eq!(h.0, 0x4d5d0d66a7abedc5);
+    assert_eq!(h.0, 0x3ebe2764afddebaf);
 }
 
 /// Theorem 1 run directly on single-cycle UPP draws, whose internal cycle
-/// may stop the replay: every variant's coloring and swap count, or the
-/// obstruction chain it stopped at.
+/// may stop the replay: the coloring and swap count, or the obstruction
+/// chain it stopped at.
 #[test]
 fn upp1_obstruction_chains_are_golden() {
     let (mut h, mut obstructed) = (Fold::new(), 0);
     for inst in upp1_draws() {
-        for order in [PeelOrder::Fifo, PeelOrder::Lifo, PeelOrder::MinId] {
-            for kempe in [KempeStrategy::ComponentSwap, KempeStrategy::Cascade] {
-                match theorem1::color_optimal_with(&inst.graph, &inst.family, order, kempe) {
-                    Ok(res) => {
-                        h.colors(res.assignment.colors());
-                        h.word(res.kempe_swaps);
-                    }
-                    Err(CoreError::InternalCycleObstruction { chain }) => {
-                        obstructed += 1;
-                        let chain: Vec<usize> = chain.iter().map(|p| p.index()).collect();
-                        h.colors(&chain);
-                    }
-                    Err(e) => panic!("{}: {e}", inst.name),
-                }
+        match theorem1::color_optimal(&inst.graph, &inst.family) {
+            Ok(res) => {
+                h.colors(res.assignment.colors());
+                h.word(res.kempe_swaps);
             }
+            Err(CoreError::InternalCycleObstruction { chain }) => {
+                obstructed += 1;
+                let chain: Vec<usize> = chain.iter().map(|p| p.index()).collect();
+                h.colors(&chain);
+            }
+            Err(e) => panic!("{}: {e}", inst.name),
         }
     }
-    assert!(obstructed > 0, "no draw reached an obstruction");
-    assert_eq!(h.0, 0x9fc881a536047d65);
+    assert_eq!(obstructed, 27, "obstructed draws");
+    assert_eq!(h.0, 0x7ce0d0c83223f927);
 }
 
 #[test]

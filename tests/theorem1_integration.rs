@@ -1,10 +1,9 @@
 //! Integration + property tests for Theorem 1: on random
 //! internal-cycle-free DAGs, the constructive coloring is always valid and
-//! uses exactly `π(G, P)` wavelengths, for every peel order and Kempe
-//! strategy; where the replay blocks, its chain witnesses an internal cycle
-//! (Figure 4).
+//! uses exactly `π(G, P)` wavelengths; where the replay blocks, its chain
+//! witnesses an internal cycle (Figure 4).
 
-use dagwave_core::theorem1::{self, KempeStrategy, PeelOrder};
+use dagwave_core::theorem1;
 use dagwave_core::{internal, witness, CoreError};
 use dagwave_gen::{compose, figures, havet, random, Instance};
 use dagwave_paths::{load, DipathFamily};
@@ -35,28 +34,6 @@ proptest! {
         prop_assert_eq!(res.assignment.num_colors(), pi, "w = π");
     }
 
-    /// All ablation variants agree on the color count and stay valid.
-    #[test]
-    fn ablation_variants_agree(
-        seed in 0u64..5_000,
-        n in 6usize..40,
-        count in 1usize..25,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let g = random::random_internal_cycle_free(&mut rng, n, 8);
-        prop_assume!(g.arc_count() > 0);
-        let family = random::random_family(&mut rng, &g, count, 4);
-        let pi = load::max_load(&g, &family);
-        for order in [PeelOrder::Fifo, PeelOrder::Lifo, PeelOrder::MinId] {
-            for strat in [KempeStrategy::ComponentSwap, KempeStrategy::Cascade] {
-                let res = theorem1::color_optimal_with(&g, &family, order, strat)
-                    .expect("theorem 1 applies");
-                prop_assert!(res.assignment.is_valid(&g, &family), "{:?}/{:?}", order, strat);
-                prop_assert_eq!(res.assignment.num_colors(), pi, "{:?}/{:?}", order, strat);
-            }
-        }
-    }
-
     /// Rooted trees (the paper's first special case): root-to-all families.
     #[test]
     fn rooted_tree_families(seed in 0u64..10_000, n in 2usize..80) {
@@ -74,19 +51,17 @@ proptest! {
     }
 }
 
-/// The peel log is a permutation of the arcs, regardless of order.
+/// The peel log is a permutation of the arcs.
 #[test]
 fn peel_log_is_arc_permutation() {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let g = random::random_internal_cycle_free(&mut rng, 30, 10);
     let family = random::random_family(&mut rng, &g, 12, 4);
-    for order in [PeelOrder::Fifo, PeelOrder::Lifo, PeelOrder::MinId] {
-        let log = theorem1::peel(&g, &family, order).unwrap();
-        let mut arcs: Vec<_> = log.steps().map(|s| s.arc).collect();
-        arcs.sort_unstable();
-        arcs.dedup();
-        assert_eq!(arcs.len(), g.arc_count(), "{order:?}");
-    }
+    let log = theorem1::peel(&g, &family).unwrap();
+    let mut arcs: Vec<_> = log.steps().map(|s| s.arc).collect();
+    arcs.sort_unstable();
+    arcs.dedup();
+    assert_eq!(arcs.len(), g.arc_count());
 }
 
 /// Larger deterministic smoke test: a few thousand dipaths.
