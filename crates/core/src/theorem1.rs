@@ -10,7 +10,8 @@
 //! precisely a Kempe-chain component swap on the conflict graph; it can only
 //! fail by reaching the protected dipath, which the proof shows forces an
 //! internal cycle. The replay runs the swap; `tests/kernel_oracles.rs` keeps
-//! the literal cascade as a reference and checks that both agree.
+//! the literal cascade as a reference and checks that both agree, and a unit
+//! test checks it by brute force on a small fan.
 //!
 //! This module implements the induction iteratively:
 //!
@@ -677,6 +678,95 @@ mod tests {
         let res = color_optimal(&g, &f).unwrap();
         assert!(res.assignment.is_valid(&g, &f));
         assert_eq!(res.assignment.num_colors(), 2);
+    }
+
+    /// The paper's literal replay on a small family: the same peel log, but
+    /// conflicts are read by brute force from the arcs added back so far,
+    /// and duplicate colors are resolved by the alternating cascade of
+    /// Figure 4 instead of a component swap. Returns the colors and the
+    /// number of cascades.
+    fn cascade_replay(g: &Digraph, family: &DipathFamily) -> (Vec<usize>, usize) {
+        let log = peel(g, family).unwrap();
+        let mut added = vec![false; g.arc_count()];
+        let mut colors = vec![UNCOLORED; family.len()];
+        let mut cascades = 0;
+        for step in log.steps().rev() {
+            let conflict = |p: PathId, q: PathId| {
+                p != q
+                    && family
+                        .path(p)
+                        .arcs()
+                        .iter()
+                        .any(|&a| added[a.index()] && family.path(q).contains_arc(a))
+            };
+            let p0: Vec<PathId> = step
+                .affected
+                .iter()
+                .filter(|&&(_, was_last)| !was_last)
+                .map(|&(p, _)| p)
+                .collect();
+            // The first P0 member whose color an earlier one holds flips;
+            // the earliest holder is protected.
+            while let Some((keeper, start)) = p0.iter().enumerate().find_map(|(i, &q)| {
+                let c = colors[q.index()];
+                p0[..i]
+                    .iter()
+                    .find(|k| colors[k.index()] == c)
+                    .map(|&k| (k, q))
+            }) {
+                let alpha = colors[start.index()];
+                let beta = (0..)
+                    .find(|&c| p0.iter().all(|p| colors[p.index()] != c))
+                    .unwrap();
+                let flip = |c: usize| if c == alpha { beta } else { alpha };
+                let mut flipped = vec![start];
+                let mut wave = vec![start];
+                colors[start.index()] = beta;
+                while !wave.is_empty() {
+                    let mut next = Vec::new();
+                    for p in wave {
+                        for q in family.ids() {
+                            if colors[q.index()] != colors[p.index()] || !conflict(p, q) {
+                                continue;
+                            }
+                            assert_ne!(q, keeper, "case C: the cascade reached P0");
+                            assert!(!flipped.contains(&q), "case B: dipath reflipped");
+                            colors[q.index()] = flip(colors[q.index()]);
+                            flipped.push(q);
+                            next.push(q);
+                        }
+                    }
+                    wave = next;
+                }
+                cascades += 1;
+            }
+            added[step.arc.index()] = true;
+            for &(p, was_last) in step.affected {
+                if was_last {
+                    colors[p.index()] = (0..)
+                        .find(|&c| step.affected.iter().all(|&(q, _)| colors[q.index()] != c))
+                        .unwrap();
+                }
+            }
+        }
+        (colors, cascades)
+    }
+
+    #[test]
+    fn cascade_matches_component_swap_counts() {
+        let g = from_edges(7, &[(0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6)]);
+        let f = DipathFamily::from_paths(vec![
+            path(&g, &[0, 2, 3, 4]),
+            path(&g, &[1, 2, 3, 5]),
+            path(&g, &[3, 4, 6]),
+            path(&g, &[3, 5, 6]),
+        ]);
+        let swapped = color_optimal(&g, &f).unwrap();
+        let (colors, cascades) = cascade_replay(&g, &f);
+        assert_eq!(swapped.assignment.colors(), &colors[..]);
+        assert_eq!(swapped.kempe_swaps, cascades);
+        assert!(swapped.kempe_swaps > 0, "the fan forces a recoloring");
+        assert!(swapped.assignment.is_valid(&g, &f));
     }
 
     #[test]
