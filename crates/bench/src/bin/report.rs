@@ -75,6 +75,7 @@ fn main() {
         }
         Some("--service") => service_row(),
         Some("--connections") => connections_row(),
+        Some("--stall") => stall_row(),
         Some("--experiments") => write_experiments(&path(1)),
         Some("--baseline") => write_baseline(&path(1)),
         Some("--timings") => print!("{}", timings_text(TIMING_PASSES)),
@@ -86,7 +87,7 @@ fn main() {
         Some(other) => {
             eprintln!(
                 "unknown mode {other:?}; expected --speedup, --service, \
-                 --connections, --experiments, --baseline, --check, or --timings"
+                 --connections, --stall, --experiments, --baseline, --check, or --timings"
             );
             std::process::exit(2);
         }
@@ -806,6 +807,11 @@ fn paper_report() {
     // the reactor, gated on bit-identity and a flat server thread count.
     connections_row();
 
+    // D7 — cross-tenant stall: one tenant's large batch against another
+    // tenant's steady steps on the same server, gated on bit-identity
+    // only.
+    stall_row();
+
     // D5 — the O(dirty) query side: after each churn step, a delta query
     // (`Workspace::delta_since`) must stay flat as the instance grows —
     // within 1.5× of the k=256 tier at k=4096 — and at the large tier it
@@ -1335,8 +1341,9 @@ fn service_row() {
 /// D6 — connection scaling: the same admit/query/retire workload driven
 /// over 8 vs 128 concurrent connections through the `poll(2)` reactor.
 /// Gated in-row: every run must be bit-identical to a from-scratch solve,
-/// and the server-side OS-thread delta must stay ≤ 4 even at 128
-/// connections (connection count costs no threads).
+/// and the server-side OS-thread delta must stay within the reactor plus
+/// the rayon pool's workers even at 128 connections (connection count
+/// costs no threads).
 /// Also runnable alone as `report --connections`.
 fn connections_row() {
     use dagwave_bench::service::connection_scaling;
@@ -1349,15 +1356,18 @@ fn connections_row() {
             r.identical,
             "served solution diverged from from-scratch at {conns} connections"
         );
+        // The reactor plus at most the pool's workers (one fewer than
+        // its threads: the caller is the last).
+        let max_threads = rayon::current_num_threads();
         assert!(
-            r.thread_delta <= 4,
-            "the reactor spent {} server threads on {conns} connections",
+            r.thread_delta <= max_threads,
+            "the server spent {} threads on {conns} connections (at most {max_threads})",
             r.thread_delta
         );
         row(
             "D6 connection scaling",
             &format!("federated(32), {conns} conns × {ops} ops, Evented"),
-            "bit-identical, evented ≤4 srv threads",
+            &format!("bit-identical, ≤{max_threads} srv threads (reactor + pool)"),
             &format!(
                 "identical={}, {:.0} req/s, p50={:.0} µs, p99={:.0} µs, \
                  +{} srv threads",
@@ -1369,6 +1379,39 @@ fn connections_row() {
             ),
         );
     }
+}
+
+/// D7 — cross-tenant stall: tenant 0 receives Figure 3's C5 family × 400
+/// (2,000 `Add`s) as one `Batch` while tenant 1, on `federated(8)`, steps
+/// on another connection. The server runs every tenant on its one
+/// thread, so tenant 1's steps that meet the batch wait for it; the row
+/// records that stall until a per-shard work budget bounds it. Gated on
+/// bit-identity only (both tenants' final `Query` against from-scratch
+/// solves): wall-clock time on a shared host is too noisy to gate on.
+/// Also runnable alone as `report --stall`.
+fn stall_row() {
+    const COPIES: usize = 400;
+    let r = dagwave_bench::service::cross_tenant_stall(COPIES);
+    assert!(
+        r.identical,
+        "a tenant's served solution diverged from from-scratch after the stall"
+    );
+    row(
+        "D7 cross-tenant stall",
+        &format!(
+            "fig3 C5 × {} batch (tenant 0) vs federated(8) steps (tenant 1)",
+            r.copies
+        ),
+        "bit-identical to scratch; stall recorded, not gated",
+        &format!(
+            "identical={}, tenant 0 batch+refresh {:.1} ms, tenant 1 step p50 {:.0} µs \
+             before, worst {:.1} ms during",
+            r.identical,
+            r.batch_refresh_ms,
+            r.p50_before_us,
+            r.worst_during_us / 1e3
+        ),
+    );
 }
 
 /// Wall-clock of each of `reps` runs of `f`, in milliseconds, plus the

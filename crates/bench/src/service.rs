@@ -11,14 +11,48 @@
 //!    forces re-solves, the tenant actor must absorb more client mutation
 //!    batches than it issues `Workspace::apply` calls
 //!    (`batches / applies > 1`).
+//!
+//! It also holds the D6 connection-scaling load and the D7 cross-tenant
+//! stall probe.
 
 use std::sync::mpsc;
 use std::thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use dagwave_core::{DecomposePolicy, SolverBuilder, Workspace};
+use dagwave_core::{DecomposePolicy, Solution, SolveSession, SolverBuilder, Workspace};
 use dagwave_gen::compose::federated;
-use dagwave_serve::{Client, Server, ServerConfig};
+use dagwave_gen::figures::figure3;
+use dagwave_paths::{Dipath, DipathFamily};
+use dagwave_serve::{Client, Server, ServerConfig, WireOp, WireSolution};
+
+/// The session every served tenant here solves with, and its from-scratch
+/// reference: decomposed, as `dagwave-serve` builds tenants.
+fn session() -> SolveSession {
+    SolverBuilder::new()
+        .decompose(DecomposePolicy::Always)
+        .build()
+}
+
+/// Whether a served solution is bit-identical to a from-scratch solve
+/// whose family holds stable id `i` at dense rank `i`.
+fn same_as_scratch(served: &WireSolution, scratch: &Solution) -> bool {
+    let expected: Vec<(u32, u32)> = (0u32..)
+        .zip(scratch.assignment.colors().iter().map(|&c| c as u32))
+        .collect();
+    served.num_colors as usize == scratch.num_colors
+        && served.load as usize == scratch.load
+        && served.optimal == scratch.optimal
+        && served.strategy == scratch.strategy.to_string()
+        && served.colors == expected
+}
+
+/// Sample at quantile `p` of ascending `sorted` (0 when empty).
+fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    sorted[((sorted.len() - 1) as f64 * p).round() as usize]
+}
 
 /// What one [`service_load`] run measured.
 #[derive(Clone, Debug)]
@@ -61,11 +95,6 @@ impl ServiceLoadReport {
 /// coalescing exists for.
 pub fn service_load(k: usize, writers: usize, ops_per_writer: usize) -> ServiceLoadReport {
     let inst = federated(k);
-    let session = || {
-        SolverBuilder::new()
-            .decompose(DecomposePolicy::Always)
-            .build()
-    };
     let factory_inst = inst.clone();
     let factory = Box::new(move |_tenant: u64| {
         Workspace::new(
@@ -151,32 +180,18 @@ pub fn service_load(k: usize, writers: usize, ops_per_writer: usize) -> ServiceL
     let scratch = session()
         .solve(&inst.graph, &inst.family)
         .expect("reference solve");
-    let expected: Vec<(u32, u32)> = (0..inst.family.len() as u32)
-        .zip(scratch.assignment.colors().iter().map(|&c| c as u32))
-        .collect();
-    let identical = served.num_colors as usize == scratch.num_colors
-        && served.load as usize == scratch.load
-        && served.optimal == scratch.optimal
-        && served.strategy == scratch.strategy.to_string()
-        && served.colors == expected;
+    let identical = same_as_scratch(&served, &scratch);
 
     let stats = control.stats(0).expect("final stats");
     control.shutdown().expect("shutdown");
     handle.join().expect("server exits");
 
     latencies.sort_by(|a, b| a.total_cmp(b));
-    let pct = |p: f64| -> f64 {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let idx = ((latencies.len() - 1) as f64 * p).round() as usize;
-        latencies[idx]
-    };
     ServiceLoadReport {
         requests: latencies.len() as u64 + reader_queries,
         elapsed_ms,
-        p50_us: pct(0.50),
-        p99_us: pct(0.99),
+        p50_us: percentile(&latencies, 0.50),
+        p99_us: percentile(&latencies, 0.99),
         batches: stats.batches,
         applies: stats.applies,
         identical,
@@ -231,11 +246,6 @@ pub fn os_threads() -> usize {
 /// the final solution is checked bit-identical to a from-scratch solve.
 pub fn connection_scaling(k: usize, conns: usize, ops_per_conn: usize) -> ConnScalingReport {
     let inst = federated(k);
-    let session = || {
-        SolverBuilder::new()
-            .decompose(DecomposePolicy::Always)
-            .build()
-    };
     let factory_inst = inst.clone();
     let factory = Box::new(move |_tenant: u64| {
         Workspace::new(
@@ -320,32 +330,139 @@ pub fn connection_scaling(k: usize, conns: usize, ops_per_conn: usize) -> ConnSc
     let scratch = session()
         .solve(&inst.graph, &inst.family)
         .expect("reference solve");
-    let expected: Vec<(u32, u32)> = (0..inst.family.len() as u32)
-        .zip(scratch.assignment.colors().iter().map(|&c| c as u32))
-        .collect();
-    let identical = served.num_colors as usize == scratch.num_colors
-        && served.load as usize == scratch.load
-        && served.optimal == scratch.optimal
-        && served.strategy == scratch.strategy.to_string()
-        && served.colors == expected;
+    let identical = same_as_scratch(&served, &scratch);
     control.shutdown().expect("shutdown");
     handle.join().expect("server exits");
 
     latencies.sort_by(|a, b| a.total_cmp(b));
-    let pct = |p: f64| -> f64 {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let idx = ((latencies.len() - 1) as f64 * p).round() as usize;
-        latencies[idx]
-    };
     ConnScalingReport {
         connections: conns,
         requests: latencies.len() as u64,
         elapsed_ms,
-        p50_us: pct(0.50),
-        p99_us: pct(0.99),
+        p50_us: percentile(&latencies, 0.50),
+        p99_us: percentile(&latencies, 0.99),
         thread_delta,
         identical,
+    }
+}
+
+/// What one [`cross_tenant_stall`] run measured (the D7 report row).
+#[derive(Clone, Debug)]
+pub struct StallReport {
+    /// Copies of Figure 3's five dipaths tenant 0 admitted in one batch.
+    pub copies: usize,
+    /// Tenant 0's `Batch` of every copy plus the `QueryDelta` after it,
+    /// milliseconds.
+    pub batch_refresh_ms: f64,
+    /// Tenant 1's median step before the batch was sent, microseconds.
+    pub p50_before_us: f64,
+    /// Tenant 1's slowest step among those that overlapped the batch,
+    /// microseconds.
+    pub worst_during_us: f64,
+    /// Whether both tenants' final `Query` was bit-identical to a
+    /// from-scratch solve.
+    pub identical: bool,
+}
+
+/// Tenant 1's steps before tenant 0's batch goes out.
+const STALL_WARMUP_STEPS: usize = 200;
+
+/// Cross-tenant stall: tenant 0 sits on Figure 3's host with no dipaths
+/// and receives `copies` copies of its five dipaths (a C5 conflict graph
+/// each) as one `Batch`, then a `QueryDelta`. Meanwhile tenant 1, on
+/// `federated(8)`, loops admit / delta / retire / delta on another
+/// connection. A server that runs both tenants on one thread makes every
+/// tenant-1 step that meets the batch wait for it. Both tenants' final
+/// `Query` is checked against a from-scratch solve; nothing is gated on
+/// time.
+pub fn cross_tenant_stall(copies: usize) -> StallReport {
+    let fig = figure3();
+    let fed = federated(8);
+    let (host, steady) = (fig.graph.clone(), fed.clone());
+    let factory = Box::new(move |tenant: u64| match tenant {
+        0 => Workspace::new(session(), host.clone(), DipathFamily::new()),
+        _ => Workspace::new(session(), steady.graph.clone(), steady.family.clone()),
+    });
+    let handle = Server::bind("127.0.0.1:0", factory, ServerConfig::default())
+        .expect("bind loopback")
+        .spawn();
+    let addr = handle.addr();
+
+    let donor: Vec<u32> = fed
+        .family
+        .path(dagwave_paths::PathId(0))
+        .arcs()
+        .iter()
+        .map(|a| a.0)
+        .collect();
+    let (warm_tx, warm_rx) = mpsc::channel::<()>();
+    let (stop_tx, stop_rx) = mpsc::channel::<()>();
+    let stepper = thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect tenant 1");
+        let mut epoch = client.query_delta(1, 0).expect("first sync").epoch;
+        let mut steps: Vec<(Instant, Duration)> = Vec::new();
+        while stop_rx.try_recv().is_err() {
+            let t0 = Instant::now();
+            let id = client.admit(1, donor.clone()).expect("tenant 1 admit");
+            epoch = client.query_delta(1, epoch).expect("tenant 1 delta").epoch;
+            client.retire(1, id).expect("tenant 1 retire");
+            epoch = client.query_delta(1, epoch).expect("tenant 1 delta").epoch;
+            steps.push((t0, t0.elapsed()));
+            if steps.len() == STALL_WARMUP_STEPS {
+                let _ = warm_tx.send(());
+            }
+        }
+        steps
+    });
+
+    let mut client = Client::connect(addr).expect("connect tenant 0");
+    let epoch = client.query_delta(0, 0).expect("tenant 0 opens").epoch;
+    let paths: Vec<Dipath> = (0..copies)
+        .flat_map(|_| fig.family.iter().map(|(_, p)| p.clone()))
+        .collect();
+    let ops: Vec<WireOp> = paths
+        .iter()
+        .map(|p| WireOp::Add(p.arcs().iter().map(|a| a.0).collect()))
+        .collect();
+    warm_rx.recv().expect("tenant 1 warmed up");
+    let start = Instant::now();
+    client.batch(0, ops).expect("tenant 0 batch");
+    client.query_delta(0, epoch).expect("tenant 0 refresh");
+    let end = Instant::now();
+    // Tenant 1 checks for the stop only between steps, so the step the
+    // batch held up still completes and is recorded.
+    let _ = stop_tx.send(());
+    let steps = stepper.join().expect("tenant 1 thread");
+
+    let mut before: Vec<f64> = steps
+        .iter()
+        .filter(|&&(t0, d)| t0 + d <= start)
+        .map(|&(_, d)| d.as_secs_f64() * 1e6)
+        .collect();
+    before.sort_by(|a, b| a.total_cmp(b));
+    let worst_during_us = steps
+        .iter()
+        .filter(|&&(t0, d)| t0 < end && t0 + d > start)
+        .map(|&(_, d)| d.as_secs_f64() * 1e6)
+        .fold(0.0, f64::max);
+
+    let family = DipathFamily::from_paths(paths);
+    let scratch = session()
+        .solve(&fig.graph, &family)
+        .expect("tenant 0 reference solve");
+    let identical_0 = same_as_scratch(&client.query(0).expect("tenant 0 query"), &scratch);
+    let scratch = session()
+        .solve(&fed.graph, &fed.family)
+        .expect("tenant 1 reference solve");
+    let identical_1 = same_as_scratch(&client.query(1).expect("tenant 1 query"), &scratch);
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server exits");
+
+    StallReport {
+        copies,
+        batch_refresh_ms: (end - start).as_secs_f64() * 1e3,
+        p50_before_us: percentile(&before, 0.50),
+        worst_during_us,
+        identical: identical_0 && identical_1,
     }
 }

@@ -1,33 +1,27 @@
-//! The single-writer tenant actor: one thread owns one [`Workspace`]
-//! behind a **bounded** mpsc command queue.
+//! The single-writer tenant actor: one [`Workspace`], its counters and a
+//! command queue, drained inline on the reactor thread.
 //!
 //! The `Workspace` is single-writer by design (every mutation rewrites
 //! shard caches in place), so the service never shares it behind a lock.
-//! Instead each tenant gets an **actor**: a dedicated thread that drains a
-//! command channel. The reactor holds a cloneable `TenantHandle` per
-//! tenant and enqueues commands; each command carries a callback that
-//! posts the reply back to the reactor and wakes its `poll`. Ordering
-//! within one connection is the order it sends (one request in flight per
-//! connection); across connections, the queue order.
-//!
-//! # Backpressure
-//!
-//! The command queue is a `sync_channel` bounded at
-//! [`ServerConfig::queue_depth`]. The reactor enqueues without blocking
-//! and answers a full queue with a typed [`ServeError::Busy`], so a
-//! saturated actor never stalls the connections of other tenants.
+//! Instead each tenant is an **actor**: the reactor owns it outright,
+//! queues the commands its connections send during one poll round, then
+//! drains the queue on the same thread. Each command carries a tag the
+//! reactor picks (the connection and request kind), and each reply goes
+//! back through a callback under that tag. Ordering within one connection
+//! is the order it sends (the reactor takes one frame per connection per
+//! round); across connections, the queue order.
 //!
 //! # Coalescing
 //!
-//! When mutations arrive faster than the workspace re-solves, the actor
-//! drains every already-queued mutation batch (up to a configurable cap)
-//! and applies them as **one** `Workspace::apply` call. Id assignment is
+//! When several connections send mutations in the same round, the drain
+//! takes every run of queued mutation batches (up to a configurable cap)
+//! and applies it as **one** `Workspace::apply` call. Id assignment is
 //! deterministic (smallest free slot, in op order), so a coalesced apply
 //! assigns exactly the ids a sequential application would — coalescing is
 //! invisible to clients except in the [`ActorStats::applies`] counter
 //! staying below [`ActorStats::batches`]. Queries and stats are never
-//! reordered past the point they were queued: the drain defers the first
-//! non-mutation command and handles it right after the combined apply.
+//! reordered past the point they were queued: the first non-mutation
+//! command ends the run and is served right after the combined apply.
 //!
 //! # Admission control
 //!
@@ -35,6 +29,8 @@
 //! projected per-arc load (current load + deltas of batches already
 //! accepted in this drain + the batch's own preceding ops) and rejected
 //! with [`ServeError::SpanBudgetExceeded`] before anything is applied.
+//! The projection keeps deltas only for the arcs the drain's batches
+//! touch, so a check costs the batch's own arcs, not the host's.
 //! A `Remove` is credited back only when it names a live dipath that no
 //! earlier op of the drain removed: once a removal frees a slot, a later
 //! `Add` of the drain may take its id, and the family does not show that
@@ -44,10 +40,8 @@
 //! batches apply one at a time, each is checked again against the live
 //! loads first, so no batch applies on the credit of a batch that failed.
 
-use std::collections::BTreeSet;
-use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
-use std::thread;
 
 use dagwave_core::{
     CoreError, Epoch, Mutation, Solution, SolutionDelta, Workspace, WorkspaceStats,
@@ -59,7 +53,7 @@ use crate::server::ServerConfig;
 
 /// One mutation as the service expresses it: arc-id sequences in, stable
 /// path ids out. The actor owns the graph, so it (not the connection
-/// thread) materializes [`Dipath`]s.
+/// code) materializes [`Dipath`]s.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ActorOp {
     /// Admit the dipath with this arc sequence.
@@ -83,11 +77,6 @@ pub enum ServeError {
         /// The projected post-batch maximum load.
         projected: usize,
     },
-    /// The actor has stopped (server shutting down).
-    Stopped,
-    /// The actor's bounded command queue is full. Nothing was applied.
-    /// Transient: retry after draining responses.
-    Busy,
 }
 
 impl std::fmt::Display for ServeError {
@@ -98,8 +87,6 @@ impl std::fmt::Display for ServeError {
                 f,
                 "admission rejected: projected span {projected} exceeds budget {budget}"
             ),
-            ServeError::Stopped => write!(f, "tenant actor has stopped"),
-            ServeError::Busy => write!(f, "tenant actor queue is full; retry"),
         }
     }
 }
@@ -140,156 +127,145 @@ pub struct Snapshot {
 }
 
 /// The actor's answer to one command; the variant mirrors the command
-/// kind so the reactor can route completions without a typed channel per
+/// kind so the reactor can shape replies without a typed callback per
 /// request.
 pub(crate) enum ActorReply {
     /// Answer to [`Command::Apply`].
     Applied(Result<Vec<PathId>, ServeError>),
-    /// Answer to [`Command::Query`].
+    /// Answer to [`Read::Query`].
     Snapshot(Result<Snapshot, ServeError>),
-    /// Answer to [`Command::QueryDelta`].
+    /// Answer to [`Read::QueryDelta`].
     Delta(Result<SolutionDelta, ServeError>),
-    /// Answer to [`Command::Stats`].
+    /// Answer to [`Read::Stats`].
     Stats(Box<(WorkspaceStats, ActorStats)>),
 }
 
-/// Where one command's reply goes: a callback that posts a completion and
-/// wakes the reactor. Decouples the actor from reactor types.
-pub(crate) struct Responder(Box<dyn FnOnce(ActorReply) + Send>);
-
-impl Responder {
-    pub(crate) fn new(f: impl FnOnce(ActorReply) + Send + 'static) -> Self {
-        Responder(Box::new(f))
-    }
-
-    fn send(self, reply: ActorReply) {
-        (self.0)(reply)
-    }
-}
-
+/// One request queued for a tenant.
 pub(crate) enum Command {
-    Apply {
-        ops: Vec<ActorOp>,
-        respond: Responder,
-    },
-    Query {
-        respond: Responder,
-    },
-    QueryDelta {
-        since: u64,
-        respond: Responder,
-    },
-    Stats {
-        respond: Responder,
-    },
-    Stop,
+    /// Apply one client mutation batch.
+    Apply { ops: Vec<ActorOp> },
+    /// Answer from the current state without mutating it.
+    Read(Read),
 }
 
-/// A cloneable handle to one tenant actor: the reactor enqueues commands
-/// through it without blocking, and the registry stops the actor through
-/// it.
-#[derive(Clone)]
-pub(crate) struct TenantHandle {
-    tx: SyncSender<Command>,
+/// A request that only reads a tenant's state.
+pub(crate) enum Read {
+    Query,
+    QueryDelta { since: u64 },
+    Stats,
 }
 
-impl TenantHandle {
-    /// Ask the actor to exit after draining already-queued commands.
-    pub(crate) fn stop(&self) {
-        let _ = self.tx.send(Command::Stop);
-    }
-
-    /// Non-blocking enqueue: a full queue comes back as `Err` instead of
-    /// blocking the reactor thread.
-    pub(crate) fn try_send(&self, cmd: Command) -> Result<(), TrySendError<Command>> {
-        self.tx.try_send(cmd)
-    }
+/// One tenant: its workspace, counters and cached snapshot, and the
+/// commands queued since its last drain, each under the tag its reply
+/// goes back with.
+pub(crate) struct Tenant<T> {
+    ws: Workspace,
+    stats: ActorStats,
+    /// The last `Query` answer, kept until a mutation applies.
+    snapshot: Option<Snapshot>,
+    queue: VecDeque<(T, Command)>,
 }
 
-/// Spawn the actor thread for one tenant workspace.
-pub(crate) fn spawn_tenant(
-    mut workspace: Workspace,
-    config: ServerConfig,
-) -> (TenantHandle, thread::JoinHandle<()>) {
-    let (tx, rx) = mpsc::sync_channel(config.queue_depth.max(1));
-    // lint: allow(no-raw-sync): the actor thread IS the synchronization design — one owner per workspace, mpsc the only coupling
-    let join = thread::spawn(move || run_actor(&mut workspace, rx, config));
-    (TenantHandle { tx }, join)
-}
-
-struct PendingBatch {
-    ops: Vec<ActorOp>,
-    respond: Responder,
-}
-
-/// Serve commands until a `Stop` or until every handle is dropped.
-fn run_actor(ws: &mut Workspace, rx: Receiver<Command>, cfg: ServerConfig) {
-    let mut stats = ActorStats::default();
-    let mut snapshot: Option<Snapshot> = None;
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Command::Apply { ops, respond } => {
-                // Drain whatever mutation batches are already queued so one
-                // recomputation serves them all; defer the first
-                // non-mutation command to preserve queue order.
-                let mut pending = vec![PendingBatch { ops, respond }];
-                let mut deferred = None;
-                while pending.len() < cfg.max_coalesce.max(1) {
-                    match rx.try_recv() {
-                        Ok(Command::Apply { ops, respond }) => {
-                            pending.push(PendingBatch { ops, respond })
-                        }
-                        Ok(other) => {
-                            deferred = Some(other);
-                            break;
-                        }
-                        Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-                    }
-                }
-                if handle_mutations(ws, cfg.span_budget, pending, &mut stats) {
-                    snapshot = None;
-                }
-                match deferred {
-                    Some(Command::Stop) => return,
-                    Some(cmd) => serve_read(ws, cmd, &mut stats, &mut snapshot),
-                    None => {}
-                }
-            }
-            Command::Stop => return,
-            other => serve_read(ws, other, &mut stats, &mut snapshot),
+impl<T> Tenant<T> {
+    pub(crate) fn new(ws: Workspace) -> Self {
+        Tenant {
+            ws,
+            stats: ActorStats::default(),
+            snapshot: None,
+            queue: VecDeque::new(),
         }
     }
+
+    /// Queue `cmd` for the next drain. Returns whether the queue was
+    /// empty before, i.e. whether the tenant just became due for a drain.
+    pub(crate) fn push(&mut self, tag: T, cmd: Command) -> bool {
+        let idle = self.queue.is_empty();
+        self.queue.push_back((tag, cmd));
+        idle
+    }
+
+    /// Serve every queued command in queue order, handing each reply to
+    /// `reply` under its command's tag. A run of queued `Apply` commands,
+    /// up to `cfg.max_coalesce`, is admitted batch by batch and applied
+    /// with one `Workspace::apply`; the read that ends the run is served
+    /// right after.
+    pub(crate) fn drain(&mut self, cfg: &ServerConfig, reply: &mut impl FnMut(T, ActorReply)) {
+        while let Some((tag, cmd)) = self.queue.pop_front() {
+            let ops = match cmd {
+                Command::Apply { ops } => ops,
+                Command::Read(read) => {
+                    serve_read(
+                        &mut self.ws,
+                        tag,
+                        read,
+                        &mut self.stats,
+                        &mut self.snapshot,
+                        reply,
+                    );
+                    continue;
+                }
+            };
+            let mut pending = vec![PendingBatch { ops, tag }];
+            while pending.len() < cfg.max_coalesce.max(1) {
+                match self.queue.pop_front() {
+                    Some((tag, Command::Apply { ops })) => pending.push(PendingBatch { ops, tag }),
+                    Some(read) => {
+                        self.queue.push_front(read);
+                        break;
+                    }
+                    None => break,
+                }
+            }
+            if handle_mutations(
+                &mut self.ws,
+                cfg.span_budget,
+                pending,
+                &mut self.stats,
+                reply,
+            ) {
+                self.snapshot = None;
+            }
+        }
+    }
+}
+
+struct PendingBatch<T> {
+    ops: Vec<ActorOp>,
+    tag: T,
 }
 
 /// Admit or reject each drained batch, then apply the admitted ones in
 /// one combined `Workspace::apply`. Returns whether the workspace mutated.
-fn handle_mutations(
+fn handle_mutations<T>(
     ws: &mut Workspace,
     span_budget: Option<usize>,
-    pending: Vec<PendingBatch>,
+    pending: Vec<PendingBatch<T>>,
     stats: &mut ActorStats,
+    reply: &mut impl FnMut(T, ActorReply),
 ) -> bool {
     // What the batches accepted so far in this drain do to the loads.
     let mut projection = Projection::default();
-    let mut accepted: Vec<PendingBatch> = Vec::new();
+    let mut accepted: Vec<PendingBatch<T>> = Vec::new();
     for batch in pending {
         match admission_check(ws, span_budget, &batch.ops, &mut projection) {
             Ok(()) => accepted.push(batch),
-            Err(e) => batch.respond.send(ActorReply::Applied(Err(e))),
+            Err(e) => reply(batch.tag, ActorReply::Applied(Err(e))),
         }
     }
-    apply_admitted(ws, span_budget, accepted, stats)
+    apply_admitted(ws, span_budget, accepted, stats, reply)
 }
 
-/// Handle a Query/Stats command (never Apply/Stop).
-fn serve_read(
+/// Answer a read from the current state.
+fn serve_read<T>(
     ws: &mut Workspace,
-    cmd: Command,
+    tag: T,
+    read: Read,
     stats: &mut ActorStats,
     snapshot: &mut Option<Snapshot>,
+    reply: &mut impl FnMut(T, ActorReply),
 ) {
-    match cmd {
-        Command::Query { respond } => {
+    match read {
+        Read::Query => {
             stats.queries += 1;
             let snap = match snapshot {
                 Some(snap) => Ok(snap.clone()),
@@ -307,31 +283,27 @@ fn serve_read(
                     })
                     .map_err(ServeError::Core),
             };
-            respond.send(ActorReply::Snapshot(snap));
+            reply(tag, ActorReply::Snapshot(snap));
         }
-        Command::QueryDelta { since, respond } => {
+        Read::QueryDelta { since } => {
             stats.delta_queries += 1;
             let delta = ws.delta_since(Epoch(since)).map_err(ServeError::Core);
-            respond.send(ActorReply::Delta(delta));
+            reply(tag, ActorReply::Delta(delta));
         }
-        Command::Stats { respond } => {
-            respond.send(ActorReply::Stats(Box::new((ws.stats(), *stats))));
+        Read::Stats => {
+            reply(tag, ActorReply::Stats(Box::new((ws.stats(), *stats))));
         }
-        Command::Apply { respond, .. } => {
-            // Unreachable by construction; answer rather than panic.
-            respond.send(ActorReply::Applied(Err(ServeError::Stopped)));
-        }
-        Command::Stop => {}
     }
 }
 
 /// Apply admission-passed batches in a single `Workspace::apply` and
 /// answer every batch. Returns whether the workspace mutated.
-fn apply_admitted(
+fn apply_admitted<T>(
     ws: &mut Workspace,
     span_budget: Option<usize>,
-    mut accepted: Vec<PendingBatch>,
+    mut accepted: Vec<PendingBatch<T>>,
     stats: &mut ActorStats,
+    reply: &mut impl FnMut(T, ActorReply),
 ) -> bool {
     if accepted.is_empty() {
         return false;
@@ -346,8 +318,8 @@ fn apply_admitted(
             // A dipath failed to materialize: fail that batch, retry the
             // rest individually (ids stay sequentially consistent).
             let bad = accepted.remove(idx);
-            bad.respond.send(ActorReply::Applied(Err(e)));
-            return apply_each(ws, span_budget, accepted, stats);
+            reply(bad.tag, ActorReply::Applied(Err(e)));
+            return apply_each(ws, span_budget, accepted, stats, reply);
         }
     };
     match ws.apply(combined) {
@@ -363,7 +335,7 @@ fn apply_admitted(
                     .count();
                 let ids = all_ids[cursor..cursor + adds].to_vec();
                 cursor += adds;
-                batch.respond.send(ActorReply::Applied(Ok(ids)));
+                reply(batch.tag, ActorReply::Applied(Ok(ids)));
             }
             true
         }
@@ -371,7 +343,7 @@ fn apply_admitted(
             // The combined batch is atomic, so the workspace is untouched:
             // fall back to per-batch applies so one bad batch (e.g. a
             // stale Remove id) only fails its own sender.
-            apply_each(ws, span_budget, accepted, stats)
+            apply_each(ws, span_budget, accepted, stats, reply)
         }
     }
 }
@@ -414,11 +386,12 @@ fn materialize<'a>(
 /// Apply each batch on its own (the non-coalesced slow path after a
 /// combined failure); answers every batch. Returns whether any
 /// batch mutated the workspace.
-fn apply_each(
+fn apply_each<T>(
     ws: &mut Workspace,
     span_budget: Option<usize>,
-    batches: Vec<PendingBatch>,
+    batches: Vec<PendingBatch<T>>,
     stats: &mut ActorStats,
+    reply: &mut impl FnMut(T, ActorReply),
 ) -> bool {
     let mut mutated = false;
     for batch in batches {
@@ -434,17 +407,23 @@ fn apply_each(
             stats.batches += 1;
             stats.applies += 1;
         }
-        batch.respond.send(ActorReply::Applied(result));
+        reply(batch.tag, ActorReply::Applied(result));
     }
     mutated
 }
 
 /// What the batches admitted so far in one drain do to the live state:
-/// per-arc load deltas, and the live ids they remove.
+/// the load delta of each arc they touch, and the live ids they remove.
 #[derive(Default)]
 struct Projection {
-    delta: Vec<i64>,
+    delta: BTreeMap<ArcId, i64>,
     removed: BTreeSet<PathId>,
+}
+
+impl Projection {
+    fn delta(&self, a: ArcId) -> i64 {
+        self.delta.get(&a).copied().unwrap_or(0)
+    }
 }
 
 /// Project the per-arc load of applying `ops` on top of the batches
@@ -459,13 +438,7 @@ fn admission_check(
     let Some(budget) = span_budget else {
         return Ok(());
     };
-    if admitted.delta.len() < ws.graph().arc_count() {
-        admitted.delta.resize(ws.graph().arc_count(), 0);
-    }
-    let mut own = Projection {
-        delta: vec![0; admitted.delta.len()],
-        removed: BTreeSet::new(),
-    };
+    let mut own = Projection::default();
     let projected_max = projected_span(ws, ops, admitted, &mut own);
     if projected_max > budget {
         return Err(ServeError::SpanBudgetExceeded {
@@ -473,8 +446,8 @@ fn admission_check(
             projected: projected_max,
         });
     }
-    for (acc, own) in admitted.delta.iter_mut().zip(&own.delta) {
-        *acc += own;
+    for (a, d) in own.delta {
+        *admitted.delta.entry(a).or_insert(0) += d;
     }
     admitted.removed.extend(own.removed);
     Ok(())
@@ -489,19 +462,20 @@ fn projected_span(
     admitted: &Projection,
     own: &mut Projection,
 ) -> usize {
+    let arc_count = ws.graph().arc_count();
     let mut projected_max = 0usize;
     for op in ops {
         match op {
             ActorOp::Add(arcs) => {
                 for &a in arcs {
-                    let i = a.index();
-                    if i >= own.delta.len() {
+                    if a.index() >= arc_count {
                         // Out-of-range arc: let `Dipath::from_arcs` produce
                         // the typed InvalidPath error downstream.
                         continue;
                     }
-                    own.delta[i] += 1;
-                    let projected = (ws.arc_load(a) as i64) + admitted.delta[i] + own.delta[i];
+                    let own_delta = own.delta.entry(a).or_insert(0);
+                    *own_delta += 1;
+                    let projected = (ws.arc_load(a) as i64) + admitted.delta(a) + *own_delta;
                     projected_max = projected_max.max(projected.max(0) as usize);
                 }
             }
@@ -519,10 +493,7 @@ fn projected_span(
                     continue;
                 }
                 for &a in p.arcs() {
-                    let i = a.index();
-                    if i < own.delta.len() {
-                        own.delta[i] -= 1;
-                    }
+                    *own.delta.entry(a).or_insert(0) -= 1;
                 }
             }
         }
@@ -555,84 +526,88 @@ mod tests {
         }
     }
 
-    /// A command made by `make`, and the channel its reply arrives on.
-    fn queued(make: impl FnOnce(Responder) -> Command) -> (Command, Receiver<ActorReply>) {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let respond = Responder::new(move |reply| {
-            // A dropped receiver just means the caller went away.
-            let _ = reply_tx.send(reply);
-        });
-        (make(respond), reply_rx)
+    /// A tenant driven one command at a time: each call queues one command
+    /// and drains it on this thread, as the reactor does with a round that
+    /// decoded one frame.
+    struct Stepped {
+        tenant: Tenant<()>,
+        cfg: ServerConfig,
     }
 
-    /// Blocking request/reply calls for the unit tests below: each one
-    /// enqueues a command whose callback sends the reply into a channel, then
-    /// waits on that channel.
-    impl TenantHandle {
-        fn round_trip(
-            &self,
-            make: impl FnOnce(Responder) -> Command,
-        ) -> Result<ActorReply, ServeError> {
-            let (cmd, reply_rx) = queued(make);
-            self.tx.send(cmd).map_err(|_| ServeError::Stopped)?;
-            reply_rx.recv().map_err(|_| ServeError::Stopped)
+    impl Stepped {
+        fn new(ws: Workspace, cfg: ServerConfig) -> Self {
+            Stepped {
+                tenant: Tenant::new(ws),
+                cfg,
+            }
         }
 
-        fn apply(&self, ops: Vec<ActorOp>) -> Result<Vec<PathId>, ServeError> {
-            match self.round_trip(|respond| Command::Apply { ops, respond })? {
+        fn call(&mut self, cmd: Command) -> ActorReply {
+            self.tenant.push((), cmd);
+            let mut out = None;
+            self.tenant
+                .drain(&self.cfg, &mut |(), reply| out = Some(reply));
+            out.expect("every command is answered")
+        }
+
+        fn apply(&mut self, ops: Vec<ActorOp>) -> Result<Vec<PathId>, ServeError> {
+            match self.call(Command::Apply { ops }) {
                 ActorReply::Applied(r) => r,
-                _ => Err(ServeError::Stopped),
+                _ => panic!("not an apply reply"),
             }
         }
 
-        fn query(&self) -> Result<Snapshot, ServeError> {
-            match self.round_trip(|respond| Command::Query { respond })? {
+        fn query(&mut self) -> Result<Snapshot, ServeError> {
+            match self.call(Command::Read(Read::Query)) {
                 ActorReply::Snapshot(r) => r,
-                _ => Err(ServeError::Stopped),
+                _ => panic!("not a snapshot reply"),
             }
         }
 
-        fn query_delta(&self, since: u64) -> Result<SolutionDelta, ServeError> {
-            match self.round_trip(|respond| Command::QueryDelta { since, respond })? {
+        fn query_delta(&mut self, since: u64) -> Result<SolutionDelta, ServeError> {
+            match self.call(Command::Read(Read::QueryDelta { since })) {
                 ActorReply::Delta(r) => r,
-                _ => Err(ServeError::Stopped),
+                _ => panic!("not a delta reply"),
             }
         }
 
-        fn stats(&self) -> Result<(WorkspaceStats, ActorStats), ServeError> {
-            match self.round_trip(|respond| Command::Stats { respond })? {
+        fn stats(&mut self) -> Result<(WorkspaceStats, ActorStats), ServeError> {
+            match self.call(Command::Read(Read::Stats)) {
                 ActorReply::Stats(pair) => Ok(*pair),
-                _ => Err(ServeError::Stopped),
+                _ => panic!("not a stats reply"),
             }
         }
     }
 
-    fn apply_cmd(ops: Vec<ActorOp>) -> (Command, Receiver<ActorReply>) {
-        queued(|respond| Command::Apply { ops, respond })
+    fn apply_cmd(ops: Vec<ActorOp>) -> Command {
+        Command::Apply { ops }
     }
 
-    /// Queue every command before the actor starts, so its first drain
-    /// sees all the queued batches at once, then run it on this thread
-    /// until the queue is empty.
-    fn run_queued(ws: &mut Workspace, cfg: ServerConfig, cmds: Vec<Command>) {
-        let (tx, rx) = mpsc::sync_channel(cmds.len().max(1));
-        for cmd in cmds {
-            tx.send(cmd).expect("the queue holds every command");
+    /// Queue every command, then drain the tenant once, so the drain sees
+    /// all the queued batches at once. Reply `i` answers command `i`.
+    fn run_queued(
+        tenant: &mut Tenant<usize>,
+        cfg: ServerConfig,
+        cmds: Vec<Command>,
+    ) -> Vec<Option<ActorReply>> {
+        let mut replies: Vec<Option<ActorReply>> = cmds.iter().map(|_| None).collect();
+        for (i, cmd) in cmds.into_iter().enumerate() {
+            tenant.push(i, cmd);
         }
-        drop(tx);
-        run_actor(ws, rx, cfg);
+        tenant.drain(&cfg, &mut |i, reply| replies[i] = Some(reply));
+        replies
     }
 
-    fn applied(reply: &Receiver<ActorReply>) -> Result<Vec<PathId>, ServeError> {
-        match reply.try_recv() {
-            Ok(ActorReply::Applied(r)) => r,
+    fn applied(reply: &mut Option<ActorReply>) -> Result<Vec<PathId>, ServeError> {
+        match reply.take() {
+            Some(ActorReply::Applied(r)) => r,
             _ => panic!("no apply reply"),
         }
     }
 
-    fn actor_stats(reply: &Receiver<ActorReply>) -> ActorStats {
-        match reply.try_recv() {
-            Ok(ActorReply::Stats(pair)) => pair.1,
+    fn actor_stats(reply: &mut Option<ActorReply>) -> ActorStats {
+        match reply.take() {
+            Some(ActorReply::Stats(pair)) => pair.1,
             _ => panic!("no stats reply"),
         }
     }
@@ -651,7 +626,7 @@ mod tests {
 
     #[test]
     fn actor_round_trip_apply_query_stats_stop() {
-        let (h, join) = spawn_tenant(line_workspace(5), config(None));
+        let mut h = Stepped::new(line_workspace(5), config(None));
         let ids = h
             .apply(vec![
                 ActorOp::Add(arc_ids(&[0, 1])),
@@ -670,14 +645,11 @@ mod tests {
         assert_eq!(ws_stats.live_paths, 1);
         assert_eq!(actor_stats.batches, 2);
         assert_eq!(actor_stats.queries, 2);
-        h.stop();
-        join.join().expect("actor exits cleanly");
-        assert!(matches!(h.query(), Err(ServeError::Stopped)));
     }
 
     #[test]
     fn delta_queries_flow_through_the_actor() {
-        let (h, join) = spawn_tenant(line_workspace(5), config(None));
+        let mut h = Stepped::new(line_workspace(5), config(None));
         h.apply(vec![ActorOp::Add(arc_ids(&[0, 1]))]).expect("add");
         let d0 = h.query_delta(0).expect("initial delta");
         assert!(!d0.full_resync);
@@ -688,13 +660,11 @@ mod tests {
         assert!(d1.changes.is_empty());
         let (_, actor_stats) = h.stats().expect("stats");
         assert_eq!(actor_stats.delta_queries, 2);
-        h.stop();
-        join.join().expect("clean exit");
     }
 
     #[test]
     fn budget_rejects_without_mutating() {
-        let (h, join) = spawn_tenant(line_workspace(3), config(Some(2)));
+        let mut h = Stepped::new(line_workspace(3), config(Some(2)));
         h.apply(vec![
             ActorOp::Add(arc_ids(&[0])),
             ActorOp::Add(arc_ids(&[0])),
@@ -719,13 +689,11 @@ mod tests {
         let (ws_stats, _) = h.stats().expect("stats");
         assert_eq!(ws_stats.live_paths, 2);
         assert_eq!(ws_stats.max_load, 2);
-        h.stop();
-        join.join().expect("clean exit");
     }
 
     #[test]
     fn stale_remove_fails_only_its_own_batch() {
-        let (h, join) = spawn_tenant(line_workspace(4), config(None));
+        let mut h = Stepped::new(line_workspace(4), config(None));
         let err = h
             .apply(vec![ActorOp::Remove(PathId(7))])
             .expect_err("id 7 was never allocated");
@@ -737,13 +705,11 @@ mod tests {
             .apply(vec![ActorOp::Add(arc_ids(&[2]))])
             .expect("workspace still healthy");
         assert_eq!(ids, vec![PathId(0)]);
-        h.stop();
-        join.join().expect("clean exit");
     }
 
     #[test]
     fn invalid_arcs_yield_typed_invalid_path() {
-        let (h, join) = spawn_tenant(line_workspace(3), config(None));
+        let mut h = Stepped::new(line_workspace(3), config(None));
         let err = h
             .apply(vec![ActorOp::Add(arc_ids(&[99]))])
             .expect_err("arc 99 is out of range");
@@ -752,8 +718,24 @@ mod tests {
             .apply(vec![ActorOp::Add(vec![ArcId(1), ArcId(0)])])
             .expect_err("non-contiguous arc order");
         assert!(matches!(err, ServeError::Core(CoreError::InvalidPath(_))));
-        h.stop();
-        join.join().expect("clean exit");
+    }
+
+    /// Admission keeps deltas only for the arcs a batch touches: on a
+    /// 99,999-arc line at budget 2, checking one single-arc `Add` leaves a
+    /// projection of one entry.
+    #[test]
+    fn admission_projects_only_the_batch_arcs() {
+        let ws = line_workspace(100_000);
+        let mut projection = Projection::default();
+        admission_check(
+            &ws,
+            Some(2),
+            &[ActorOp::Add(arc_ids(&[50_000]))],
+            &mut projection,
+        )
+        .expect("an empty line has room");
+        assert_eq!(projection.delta.len(), 1);
+        assert_eq!(projection.delta(ArcId(50_000)), 1);
     }
 
     /// The batch's `Add [2]` takes the slot its first `Remove 0` frees, so
@@ -761,25 +743,28 @@ mod tests {
     /// arc 0: the batch would raise arc 0 to load 3.
     #[test]
     fn reassigned_slot_is_not_credited_twice() {
-        let mut ws = full_line();
-        let (batch, reply) = apply_cmd(vec![
-            ActorOp::Remove(PathId(0)),
-            ActorOp::Add(arc_ids(&[2])),
-            ActorOp::Remove(PathId(0)),
-            ActorOp::Add(arc_ids(&[0])),
-            ActorOp::Add(arc_ids(&[0])),
-        ]);
-        run_queued(&mut ws, config(Some(2)), vec![batch]);
+        let mut t = Tenant::new(full_line());
+        let mut replies = run_queued(
+            &mut t,
+            config(Some(2)),
+            vec![apply_cmd(vec![
+                ActorOp::Remove(PathId(0)),
+                ActorOp::Add(arc_ids(&[2])),
+                ActorOp::Remove(PathId(0)),
+                ActorOp::Add(arc_ids(&[0])),
+                ActorOp::Add(arc_ids(&[0])),
+            ])],
+        );
         assert!(matches!(
-            applied(&reply),
+            applied(&mut replies[0]),
             Err(ServeError::SpanBudgetExceeded {
                 budget: 2,
                 projected: 3
             })
         ));
-        assert_eq!(ws.max_load(), 2);
+        assert_eq!(t.ws.max_load(), 2);
         assert_eq!(
-            ws.family().ids().collect::<Vec<_>>(),
+            t.ws.family().ids().collect::<Vec<_>>(),
             [PathId(0), PathId(1)]
         );
     }
@@ -788,27 +773,27 @@ mod tests {
     /// of dipath 0 that made room for the second batch never happens.
     #[test]
     fn failed_batch_lends_no_admission_credit() {
-        let mut ws = full_line();
-        let (first, first_reply) = apply_cmd(vec![
+        let mut t = Tenant::new(full_line());
+        let first = apply_cmd(vec![
             ActorOp::Remove(PathId(0)),
             ActorOp::Remove(PathId(99)),
         ]);
-        let (second, second_reply) = apply_cmd(vec![ActorOp::Add(arc_ids(&[0]))]);
-        run_queued(&mut ws, config(Some(2)), vec![first, second]);
+        let second = apply_cmd(vec![ActorOp::Add(arc_ids(&[0]))]);
+        let mut replies = run_queued(&mut t, config(Some(2)), vec![first, second]);
         assert!(matches!(
-            applied(&first_reply),
+            applied(&mut replies[0]),
             Err(ServeError::Core(CoreError::UnknownPath(PathId(99))))
         ));
         assert!(matches!(
-            applied(&second_reply),
+            applied(&mut replies[1]),
             Err(ServeError::SpanBudgetExceeded {
                 budget: 2,
                 projected: 3
             })
         ));
-        assert_eq!(ws.max_load(), 2);
+        assert_eq!(t.ws.max_load(), 2);
         assert_eq!(
-            ws.family().ids().collect::<Vec<_>>(),
+            t.ws.family().ids().collect::<Vec<_>>(),
             [PathId(0), PathId(1)]
         );
     }
@@ -818,27 +803,27 @@ mod tests {
     /// share their apply.
     #[test]
     fn queued_batches_coalesce_around_a_read() {
-        let mut ws = line_workspace(5);
-        let (a, a_reply) = apply_cmd(vec![ActorOp::Add(arc_ids(&[0, 1]))]);
-        let (b, b_reply) = apply_cmd(vec![ActorOp::Add(arc_ids(&[1, 2]))]);
-        let (query, query_reply) = queued(|respond| Command::Query { respond });
-        let (stats, stats_reply) = queued(|respond| Command::Stats { respond });
-        let (c, c_reply) = apply_cmd(vec![ActorOp::Add(arc_ids(&[2, 3]))]);
-        let (last, last_reply) = queued(|respond| Command::Stats { respond });
-        run_queued(&mut ws, config(None), vec![a, b, query, stats, c, last]);
-        assert_eq!(applied(&a_reply).unwrap(), [PathId(0)]);
-        assert_eq!(applied(&b_reply).unwrap(), [PathId(1)]);
-        assert_eq!(applied(&c_reply).unwrap(), [PathId(2)]);
-        match query_reply.try_recv() {
-            Ok(ActorReply::Snapshot(Ok(snap))) => {
+        let mut t = Tenant::new(line_workspace(5));
+        let a = apply_cmd(vec![ActorOp::Add(arc_ids(&[0, 1]))]);
+        let b = apply_cmd(vec![ActorOp::Add(arc_ids(&[1, 2]))]);
+        let c = apply_cmd(vec![ActorOp::Add(arc_ids(&[2, 3]))]);
+        let (query, stats) = (Command::Read(Read::Query), Command::Read(Read::Stats));
+        let last = Command::Read(Read::Stats);
+        let cmds = vec![a, b, query, stats, c, last];
+        let mut r = run_queued(&mut t, config(None), cmds);
+        assert_eq!(applied(&mut r[0]).unwrap(), [PathId(0)]);
+        assert_eq!(applied(&mut r[1]).unwrap(), [PathId(1)]);
+        assert_eq!(applied(&mut r[4]).unwrap(), [PathId(2)]);
+        match r[2].take() {
+            Some(ActorReply::Snapshot(Ok(snap))) => {
                 assert_eq!(snap.ids.as_slice(), [PathId(0), PathId(1)]);
                 assert_eq!(snap.solution.num_colors, 2);
             }
             _ => panic!("no snapshot reply"),
         }
-        let after_read = actor_stats(&stats_reply);
+        let after_read = actor_stats(&mut r[3]);
         assert_eq!((after_read.applies, after_read.batches), (1, 2));
-        let after_c = actor_stats(&last_reply);
+        let after_c = actor_stats(&mut r[5]);
         assert_eq!((after_c.applies, after_c.batches), (2, 3));
     }
 
@@ -857,19 +842,18 @@ mod tests {
         let want = sequential.apply(muts).unwrap();
         assert_eq!(want, [PathId(1), PathId(2)]);
 
-        let mut ws = full_line();
-        let (batch, batch_reply) = apply_cmd(valid);
-        let (stale, stale_reply) = apply_cmd(vec![ActorOp::Remove(PathId(7))]);
-        let (stats, stats_reply) = queued(|respond| Command::Stats { respond });
-        run_queued(&mut ws, config(None), vec![batch, stale, stats]);
-        assert_eq!(applied(&batch_reply).unwrap(), want);
+        let mut t = Tenant::new(full_line());
+        let stale = apply_cmd(vec![ActorOp::Remove(PathId(7))]);
+        let cmds = vec![apply_cmd(valid), stale, Command::Read(Read::Stats)];
+        let mut r = run_queued(&mut t, config(None), cmds);
+        assert_eq!(applied(&mut r[0]).unwrap(), want);
         assert!(matches!(
-            applied(&stale_reply),
+            applied(&mut r[1]),
             Err(ServeError::Core(CoreError::UnknownPath(PathId(7))))
         ));
-        let stats = actor_stats(&stats_reply);
+        let stats = actor_stats(&mut r[2]);
         assert_eq!((stats.applies, stats.batches), (1, 1));
-        assert!(ws.family().iter().eq(sequential.family().iter()));
+        assert!(t.ws.family().iter().eq(sequential.family().iter()));
     }
 
     /// Deterministic splitmix64: the proptest shim's ranges drive the seed.
@@ -931,17 +915,16 @@ mod tests {
         #[test]
         fn admission_holds_across_random_drains(seed in 0u64..1_000_000, budget in 1usize..4) {
             let mut mix = Mix(seed);
-            let mut ws = line_workspace(6);
+            let mut t = Tenant::new(line_workspace(6));
             let mut sequential = line_workspace(6);
             for drain in 0..8 {
-                let live: Vec<PathId> = ws.family().ids().collect();
+                let live: Vec<PathId> = t.ws.family().ids().collect();
                 let batches: Vec<Vec<ActorOp>> =
                     (0..1 + mix.below(6)).map(|_| random_batch(&mut mix, &live)).collect();
-                let (cmds, replies): (Vec<_>, Vec<_>) =
-                    batches.iter().map(|ops| apply_cmd(ops.clone())).unzip();
-                run_queued(&mut ws, config(Some(budget)), cmds);
-                prop_assert!(ws.max_load() <= budget, "drain {drain}: load {}", ws.max_load());
-                for (ops, reply) in batches.into_iter().zip(&replies) {
+                let cmds = batches.iter().map(|ops| apply_cmd(ops.clone())).collect();
+                let mut replies = run_queued(&mut t, config(Some(budget)), cmds);
+                prop_assert!(t.ws.max_load() <= budget, "drain {drain}: load {}", t.ws.max_load());
+                for (ops, reply) in batches.into_iter().zip(replies.iter_mut()) {
                     let Ok(ids) = applied(reply) else { continue };
                     let want = materialize(&sequential, [&ops[..]])
                         .map_err(|_| ())
@@ -949,7 +932,7 @@ mod tests {
                     prop_assert_eq!(Ok(ids), want, "drain {}", drain);
                 }
                 prop_assert!(
-                    ws.family().iter().eq(sequential.family().iter()),
+                    t.ws.family().iter().eq(sequential.family().iter()),
                     "drain {drain}: the actor's family differs from the successful batches'"
                 );
             }

@@ -11,8 +11,8 @@
 //! instance (`dagwave-gen`), `empty:N` from an N-vertex line DAG with no
 //! dipaths. `--span-budget` turns on admission control: a mutation batch
 //! that would push any arc's load past the budget is rejected with a
-//! typed error instead of applied. Every connection is driven by one
-//! poll(2) reactor thread, so connection count costs no OS threads.
+//! typed error instead of applied. One poll(2) reactor thread drives
+//! every connection and runs every tenant, so neither costs OS threads.
 
 use std::process::ExitCode;
 

@@ -6,10 +6,9 @@
 //! The client is deliberately thin — it frames requests, reads exactly
 //! one response, and maps typed server errors into
 //! [`ClientError::Remote`]. Connection pooling, retries, and pipelining
-//! are caller concerns. In particular, a server under load may answer
-//! with [`ErrorCode::Busy`] (its actor queue is full); the connection
-//! stays usable and the request is safe to retry after a backoff —
-//! nothing was applied.
+//! are caller concerns. Every typed server error leaves the connection
+//! usable except the header-level ones, after which the server closes it.
+//! [`ErrorCode::Busy`] still decodes, though this server never sends it.
 
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};

@@ -1,12 +1,13 @@
 //! # dagwave-serve
 //!
 //! The service layer over the incremental [`Workspace`]: a versioned
-//! binary wire protocol on TCP, a server whose single-threaded `poll(2)`
-//! reactor drives every connection, and a single-writer actor per tenant
-//! that coalesces queued mutations into shared recomputations.
+//! binary wire protocol on TCP, a server whose one thread runs a `poll(2)`
+//! reactor over every connection and every tenant, and a single-writer
+//! actor per tenant that coalesces a round's mutations into shared
+//! recomputations.
 //!
-//! The crate is unix-only (the reactor declares `poll(2)` and `pipe(2)`
-//! itself); Linux is the only target it is built and tested on.
+//! The crate is unix-only (the reactor declares `poll(2)` itself); Linux
+//! is the only target it is built and tested on.
 //!
 //! The `Workspace` (dagwave-core) already makes re-solves O(dirty): only
 //! conflict components touched by a mutation are recomputed, the rest are
@@ -16,21 +17,23 @@
 //! * [`protocol`] — the frame format: 8-byte header (magic `0xDA`,
 //!   version, opcode, u32 length), hand-rolled encode/decode, total
 //!   (panic-free) parsing with typed [`protocol::WireError`]s.
-//! * [`actor`] — one thread owns one workspace behind an mpsc queue;
-//!   queued mutation batches coalesce into a single `Workspace::apply`,
-//!   so N writers racing each other share one recomputation instead of
-//!   paying N. Admission control (span budget) rejects mutations that
+//! * [`actor`] — one tenant: its workspace, counters and a command
+//!   queue, drained inline on the reactor thread; the mutation batches
+//!   queued in one round coalesce into a single `Workspace::apply`, so N
+//!   writers racing each other share one recomputation instead of paying
+//!   N. Admission control (span budget) rejects mutations that
 //!   would push any arc's load past a ceiling — load is the paper's lower
 //!   bound `π(G, P)`, so on internal-cycle-free DAGs the budget *is* a
 //!   wavelength-count guarantee (`w = π`, Theorem 1). An over-budget
 //!   batch is rejected at once with [`ServeError::SpanBudgetExceeded`].
-//! * [`server`] — `std::net` listener, a registry thread that owns the
-//!   tenant map (multi-tenant: independent workspaces keyed by a `u64`
-//!   tenant id), and channel-based shutdown.
+//! * [`server`] — `std::net` listener, config, and reply shaping; the
+//!   server is one thread plus the rayon pool its shard solves use.
 //! * `reactor` — the one connection model, run on the [`Server::run`]
 //!   caller's thread: nonblocking sockets, incremental frame decode,
-//!   pooled buffers, bounded write queues with typed `Busy`
-//!   backpressure. OS thread count is independent of connection count.
+//!   pooled buffers, bounded write queues, and every tenant
+//!   (multi-tenant: independent workspaces keyed by a `u64` tenant id,
+//!   built by the factory on first use). OS thread count is independent
+//!   of connection and tenant count.
 //! * [`client`] — a blocking request/response client used by the tests,
 //!   the demo binary, and the bench harness.
 //!

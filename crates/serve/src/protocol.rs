@@ -146,11 +146,13 @@ pub enum ErrorCode {
     SpanBudgetExceeded,
     /// The solve itself failed (any other solver-side error).
     Solver,
-    /// The server is shutting down and no longer accepts work.
+    /// The server is shutting down and no longer accepts work. This
+    /// server closes its connections when it stops instead of sending it;
+    /// the code stays in the table so peers keep decoding it.
     ShuttingDown,
-    /// The server is at capacity for this connection or tenant right now
-    /// (bounded actor queue or write queue full). Transient: the request
-    /// was not applied and may be retried.
+    /// The server is at capacity right now. Transient: the request was
+    /// not applied and may be retried. The code stays in the table so
+    /// peers keep decoding it; this server does not send it.
     Busy,
     /// A code this build does not know (forward compatibility).
     Other(u16),
@@ -237,8 +239,9 @@ pub enum Request {
         /// Tenant whose workspace is addressed.
         tenant: u64,
     },
-    /// Stop the server: every tenant actor is stopped and the listener
-    /// closes after acknowledging with [`Response::ShuttingDown`].
+    /// Stop the server: it acknowledges with [`Response::ShuttingDown`],
+    /// finishes the requests it already took, flushes, and closes the
+    /// listener; every tenant drops with it.
     Shutdown,
     /// Fetch everything that changed in `tenant`'s solution since the
     /// client's last synced epoch. Answered with
@@ -340,8 +343,9 @@ pub struct WireStats {
     pub bytes_in: u64,
     /// Response bytes written to the wire, across every connection.
     pub bytes_out: u64,
-    /// Requests refused with [`ErrorCode::Busy`] because a bounded queue
-    /// (actor command queue) was full at dispatch time.
+    /// Requests refused with [`ErrorCode::Busy`]. Nothing refuses a
+    /// request as busy, so this server reports 0; the field keeps the
+    /// payload's layout.
     pub busy_rejections: u64,
     /// High-water mark of any connection's pending write queue, in bytes
     /// (how far a slow reader ever got behind before backpressure held).

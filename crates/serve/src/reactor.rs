@@ -1,17 +1,32 @@
 //! The connection model: a single-threaded `poll(2)` reactor driving
-//! every connection through nonblocking sockets.
+//! every connection through nonblocking sockets, and every tenant's steps
+//! inline.
 //!
 //! # Ownership model
 //!
 //! The reactor runs on the thread that called [`Server::run`] — it spawns
 //! nothing. It owns the listener, every connection (socket, incremental
-//! [`FrameDecoder`], write queue), the buffer pool, and the transport
-//! counters outright; tenant actors run on their own threads, reached
-//! through bounded mpsc queues. The only things that cross threads are (a) actor commands,
-//! sent non-blocking, and (b) completions, posted back on an mpsc channel
-//! by a callback that then writes one byte into the reactor's self-pipe
-//! to interrupt `poll`. Total OS threads for N connections: the reactor,
-//! the registry, and one per live tenant — independent of N.
+//! [`FrameDecoder`], write queue), every tenant (workspace, counters,
+//! command queue), the buffer pool, and the transport counters outright,
+//! so a request is decoded, applied, solved, encoded and written without
+//! leaving the thread. Total OS threads for N connections and T tenants:
+//! the reactor plus the rayon pool that shard solves fan out on —
+//! independent of N and T. `poll` is the only foreign function.
+//!
+//! # Rounds
+//!
+//! After `poll` returns, the reactor accepts, reads whatever arrived on
+//! each readable connection into its decoder, and flushes each writable
+//! one. Then it runs rounds. A round flushes the replies of the round
+//! before, takes at most one complete frame from each connection, queues
+//! each tenant request on its tenant (an unseen tenant id runs the
+//! factory here), and drains every tenant that got a command: a run of
+//! queued mutation batches shares one `Workspace::apply`, and each reply
+//! is encoded onto its connection's write queue. Rounds repeat while one
+//! makes progress, then the reactor polls again.
+//!
+//! One tenant's long step holds up every connection until it ends; the
+//! `report` binary's D7 row measures that stall.
 //!
 //! # Per-connection state machine
 //!
@@ -24,43 +39,41 @@
 //!
 //! # Backpressure
 //!
-//! Three bounds compose, end to end:
+//! Two bounds compose, end to end:
 //!
-//! 1. At most **one in-flight actor command per connection**. Further
-//!    complete frames stay buffered (undecoded) until the completion
-//!    returns — this both preserves response ordering without a reorder
-//!    buffer and bounds actor work per client.
+//! 1. At most **one frame per connection per round**. Further complete
+//!    frames stay buffered (undecoded) until a later round, and a round
+//!    answers every frame it took — this both preserves response ordering
+//!    without a reorder buffer and bounds tenant work per client per
+//!    round.
 //! 2. A connection whose write queue exceeds
-//!    [`ServerConfig::max_write_buffer`] stops being *read* (its `POLLIN`
-//!    interest is dropped) until the client drains responses — TCP flow
-//!    control then pushes back on the client.
-//! 3. A full actor queue surfaces as a typed
-//!    [`ErrorCode::Busy`](crate::protocol::ErrorCode::Busy) response
-//!    instead of blocking the loop or queueing unboundedly.
+//!    [`ServerConfig::max_write_buffer`] is neither *read* (its `POLLIN`
+//!    interest is dropped) nor decoded until the client drains responses
+//!    — TCP flow control then pushes back on the client.
 //!
 //! [`Server::run`]: crate::server::Server::run
 
-use std::collections::VecDeque;
+use std::collections::{hash_map, HashMap, VecDeque};
 use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::mpsc::{self, Receiver, Sender, TryRecvError, TrySendError};
-use std::sync::Arc;
 
 use dagwave_paths::PathId;
 
-use crate::actor::{ActorOp, ActorReply, Command, Responder, ServeError, TenantHandle};
-use crate::protocol::{FrameDecoder, Request, Response};
-use crate::server::{self, stats_response, wire_error_code, RegistryCmd, ServerConfig, Transport};
+use crate::actor::{ActorOp, ActorReply, Command, Read, ServeError, Tenant};
+use crate::protocol::{FrameDecoder, Request, Response, WireError};
+use crate::server::{
+    self, stats_response, wire_error_code, ServerConfig, Transport, WorkspaceFactory,
+};
 
-/// The raw `poll(2)`/`pipe(2)` surface, confined here so everything else
-/// stays under `deny(unsafe_code)`. Hand-rolled declarations instead of a
-/// libc dependency, per the offline-shim policy.
+/// The raw `poll(2)` surface, confined here so everything else stays
+/// under `deny(unsafe_code)`. A hand-rolled declaration instead of a libc
+/// dependency, per the offline-shim policy.
 #[allow(unsafe_code)]
 mod sys {
     use std::io;
-    use std::os::fd::{FromRawFd, OwnedFd, RawFd};
-    use std::os::raw::{c_int, c_ulong, c_void};
+    use std::os::fd::RawFd;
+    use std::os::raw::{c_int, c_ulong};
 
     pub const POLLIN: i16 = 0x001;
     pub const POLLOUT: i16 = 0x004;
@@ -89,15 +102,7 @@ mod sys {
 
     extern "C" {
         fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
-        fn pipe(fds: *mut c_int) -> c_int;
-        fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
-        fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     }
-
-    const F_GETFL: c_int = 3;
-    const F_SETFL: c_int = 4;
-    const O_NONBLOCK: c_int = 0o4000;
 
     /// Block until some fd is ready or `timeout_ms` passes (negative =
     /// forever), retrying `EINTR` internally. Returns the ready count.
@@ -115,93 +120,6 @@ mod sys {
             }
         }
     }
-
-    /// A nonblocking self-pipe: (read end, write end). Both ends close on
-    /// drop via `OwnedFd`.
-    pub fn wake_pipe() -> io::Result<(OwnedFd, OwnedFd)> {
-        let mut fds = [0 as c_int; 2];
-        // SAFETY: `pipe` writes exactly two fds into the array.
-        if unsafe { pipe(fds.as_mut_ptr()) } != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        // SAFETY: the two fds were just returned by `pipe` and are owned
-        // by no one else.
-        let pair = unsafe { (OwnedFd::from_raw_fd(fds[0]), OwnedFd::from_raw_fd(fds[1])) };
-        set_nonblocking(fds[0])?;
-        set_nonblocking(fds[1])?;
-        Ok(pair)
-    }
-
-    fn set_nonblocking(fd: RawFd) -> io::Result<()> {
-        // SAFETY: plain fcntl on an fd we own; no pointers involved.
-        let flags = unsafe { fcntl(fd, F_GETFL, 0) };
-        if flags < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        // SAFETY: as above.
-        if unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) } < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
-    }
-
-    /// Write one wake byte. A full pipe (`EAGAIN`) means a wake is
-    /// already pending, which serves the same purpose.
-    pub fn wake(fd: RawFd) {
-        let byte = 1u8;
-        // SAFETY: one readable byte at a valid address, length 1.
-        let _ = unsafe { write(fd, (&byte as *const u8).cast::<c_void>(), 1) };
-    }
-
-    /// Drain every pending wake byte from the read end. A short read
-    /// means the pipe is empty, so the loop stops there instead of paying
-    /// one more `read` that could only fail with `EAGAIN`.
-    pub fn drain(fd: RawFd) {
-        let mut buf = [0u8; 64];
-        loop {
-            // SAFETY: `buf` is a live 64-byte scratch buffer.
-            let n = unsafe { read(fd, buf.as_mut_ptr().cast::<c_void>(), buf.len()) };
-            if n < buf.len() as isize {
-                return;
-            }
-        }
-    }
-}
-
-/// Wakes a poll loop from any thread by writing to its self-pipe.
-/// Cheap to clone; the write end closes when the last clone drops.
-#[derive(Clone)]
-pub(crate) struct Waker {
-    fd: Arc<std::os::fd::OwnedFd>,
-}
-
-impl Waker {
-    /// Interrupt the poll loop (idempotent while a wake is pending).
-    pub(crate) fn wake(&self) {
-        sys::wake(self.fd.as_raw_fd());
-    }
-}
-
-/// The read end of the self-pipe, owned by whichever loop polls it.
-pub(crate) struct WakeReader {
-    fd: std::os::fd::OwnedFd,
-}
-
-impl WakeReader {
-    fn drain(&self) {
-        sys::drain(self.fd.as_raw_fd());
-    }
-}
-
-/// Build the self-pipe pair shared between a poll loop and its wakers.
-pub(crate) fn wake_pair() -> io::Result<(WakeReader, Waker)> {
-    let (read_end, write_end) = sys::wake_pipe()?;
-    Ok((
-        WakeReader { fd: read_end },
-        Waker {
-            fd: Arc::new(write_end),
-        },
-    ))
 }
 
 /// Recycles read/write buffers across frames and connections so
@@ -238,8 +156,8 @@ impl BufferPool {
 }
 
 /// Identifies one connection slot across its lifetime: the generation
-/// guards against a completion addressed to a connection that died and
-/// whose slot was reused.
+/// guards against a reply addressed to a connection that died and whose
+/// slot was reused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct ConnToken {
     slot: usize,
@@ -304,11 +222,11 @@ impl Slab {
         Some(conn)
     }
 
-    fn tokens(&self) -> impl Iterator<Item = ConnToken> + '_ {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, e)| e.conn.as_ref().map(|_| ConnToken { slot, gen: e.gen }))
+    fn iter(&self) -> impl Iterator<Item = (ConnToken, &Conn)> + '_ {
+        self.entries.iter().enumerate().filter_map(|(slot, e)| {
+            let conn = e.conn.as_ref()?;
+            Some((ConnToken { slot, gen: e.gen }, conn))
+        })
     }
 }
 
@@ -371,25 +289,24 @@ impl WriteQueue {
     }
 }
 
-/// Which request the one in-flight actor command answers, shaping its
-/// completion into the right wire response.
+/// Which request a tenant reply answers: an applied batch answers in the
+/// shape of the request that sent it, and a read's reply has one shape.
 #[derive(Clone, Copy, Debug)]
-enum PendingKind {
+enum ReplyKind {
     Admit,
     Retire,
     Batch,
-    Query,
-    Delta,
-    Stats,
+    Read,
 }
+
+/// Where a tenant reply goes: the connection that asked, and what it
+/// asked for.
+type Tag = (ConnToken, ReplyKind);
 
 struct Conn {
     stream: TcpStream,
     decoder: FrameDecoder,
     write: WriteQueue,
-    /// The in-flight actor command, if any. While set, buffered frames
-    /// stay undecoded — responses come back in request order for free.
-    inflight: Option<PendingKind>,
     /// Close once the write queue drains (fatal wire error, `Shutdown`,
     /// or the peer's EOF after its buffered requests were served).
     draining: bool,
@@ -403,62 +320,47 @@ impl Conn {
             stream,
             decoder: FrameDecoder::with_buffer(read_buf),
             write: WriteQueue::new(),
-            inflight: None,
             draining: false,
             eof: false,
         }
     }
 }
 
-/// One actor reply routed back to the reactor thread.
-pub(crate) struct Completion {
-    token: ConnToken,
-    reply: ActorReply,
-}
-
 struct Reactor {
     listener: TcpListener,
-    registry: Sender<RegistryCmd>,
-    stop_rx: Receiver<()>,
-    wake: WakeReader,
-    waker: Waker,
-    completions_tx: Sender<Completion>,
-    completions_rx: Receiver<Completion>,
+    factory: WorkspaceFactory,
     conns: Slab,
     pool: BufferPool,
-    handles: std::collections::HashMap<u64, TenantHandle>,
+    tenants: HashMap<u64, Tenant<Tag>>,
+    /// Tenants with queued commands, in the order they got their first.
+    ready: Vec<u64>,
     transport: Transport,
     config: ServerConfig,
-    shutdown_sent: bool,
+    /// A `Shutdown` frame arrived: finish the round, then stop.
+    shutdown: bool,
+    /// Scratch: the connections a round visits.
+    tokens: Vec<ConnToken>,
 }
 
-/// Drive every connection until shutdown. Runs on the calling thread;
-/// returns once the registry has drained every actor and fired the stop
-/// signal.
+/// Drive every connection and tenant until a `Shutdown` request. Runs on
+/// the calling thread; the tenants drop with the reactor.
 pub(crate) fn run(
     listener: TcpListener,
-    registry: Sender<RegistryCmd>,
-    stop_rx: Receiver<()>,
-    wake: WakeReader,
-    waker: Waker,
+    factory: WorkspaceFactory,
     config: ServerConfig,
 ) -> io::Result<()> {
     listener.set_nonblocking(true)?;
-    let (completions_tx, completions_rx) = mpsc::channel();
     let mut r = Reactor {
         listener,
-        registry,
-        stop_rx,
-        wake,
-        waker,
-        completions_tx,
-        completions_rx,
+        factory,
         conns: Slab::new(),
         pool: BufferPool::new(),
-        handles: std::collections::HashMap::new(),
+        tenants: HashMap::new(),
+        ready: Vec::new(),
         transport: Transport::default(),
         config,
-        shutdown_sent: false,
+        shutdown: false,
+        tokens: Vec::new(),
     };
     r.run()?;
     r.final_drain();
@@ -468,61 +370,38 @@ pub(crate) fn run(
 impl Reactor {
     fn run(&mut self) -> io::Result<()> {
         let mut pollfds: Vec<sys::PollFd> = Vec::new();
-        let mut tokens: Vec<ConnToken> = Vec::new();
-        loop {
+        let mut polled: Vec<ConnToken> = Vec::new();
+        while !self.shutdown {
             pollfds.clear();
-            tokens.clear();
-            pollfds.push(sys::PollFd::new(self.wake.fd.as_raw_fd(), sys::POLLIN));
+            polled.clear();
             pollfds.push(sys::PollFd::new(self.listener.as_raw_fd(), sys::POLLIN));
-            for token in self.conns.tokens().collect::<Vec<_>>() {
-                let Some(conn) = self.conns.get_mut(token) else {
-                    continue;
-                };
+            for (token, conn) in self.conns.iter() {
                 let mut events = 0i16;
-                if !conn.eof
-                    && !conn.draining
-                    && conn.inflight.is_none()
-                    && conn.write.bytes <= self.config.max_write_buffer
-                {
+                if !conn.eof && !conn.draining && conn.write.bytes <= self.config.max_write_buffer {
                     events |= sys::POLLIN;
                 }
                 if !conn.write.is_empty() {
                     events |= sys::POLLOUT;
                 }
-                if events == 0 {
-                    // Waiting on an actor completion only; the self-pipe
-                    // will wake us.
-                    continue;
+                if events != 0 {
+                    pollfds.push(sys::PollFd::new(conn.stream.as_raw_fd(), events));
+                    polled.push(token);
                 }
-                pollfds.push(sys::PollFd::new(conn.stream.as_raw_fd(), events));
-                tokens.push(token);
             }
 
             sys::poll_fds(&mut pollfds, -1)?;
 
             if pollfds[0].revents != 0 {
-                self.wake.drain();
-            }
-            // Completions may be pending even without a wake byte (the
-            // send-then-wake pair is not atomic); draining is cheap.
-            while let Ok(c) = self.completions_rx.try_recv() {
-                self.handle_completion(c);
-            }
-            match self.stop_rx.try_recv() {
-                Ok(()) | Err(TryRecvError::Disconnected) => return Ok(()),
-                Err(TryRecvError::Empty) => {}
-            }
-            if pollfds[1].revents != 0 {
                 self.accept_all();
             }
-            for (i, pfd) in pollfds.iter().enumerate().skip(2) {
-                if pfd.revents == 0 {
-                    continue;
+            for (pfd, &token) in pollfds[1..].iter().zip(&polled) {
+                if pfd.revents != 0 {
+                    self.handle_conn_event(token, pfd.revents);
                 }
-                let token = tokens[i - 2];
-                self.handle_conn_event(token, pfd.revents);
             }
+            while self.round() && !self.shutdown {}
         }
+        Ok(())
     }
 
     fn accept_all(&mut self) {
@@ -558,225 +437,145 @@ impl Reactor {
         self.maybe_close(token);
     }
 
-    /// One nonblocking read into the decoder, then process whatever
-    /// frames completed. Returns false if the connection closed.
+    /// One nonblocking read into the decoder; the rounds decode it.
+    /// Returns false if the connection closed.
     fn read_conn(&mut self, token: ConnToken) -> bool {
-        {
-            let Some(conn) = self.conns.get_mut(token) else {
+        let Some(conn) = self.conns.get_mut(token) else {
+            return false;
+        };
+        match conn.decoder.fill_from(&mut conn.stream) {
+            Ok(0) => conn.eof = true,
+            Ok(n) => self.transport.bytes_in += n as u64,
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock
+                    || e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => {
+                self.close(token);
                 return false;
-            };
-            match conn.decoder.fill_from(&mut conn.stream) {
-                Ok(0) => conn.eof = true,
-                Ok(n) => self.transport.bytes_in += n as u64,
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.close(token);
-                    return false;
-                }
             }
         }
-        self.process_conn(token);
         true
     }
 
-    /// Decode and dispatch buffered frames while the connection may make
-    /// progress: no command in flight, write queue under the cap, not
-    /// draining. Exactly the backpressure gate described in the module
-    /// docs.
-    fn process_conn(&mut self, token: ConnToken) {
-        enum Step {
-            /// Decoded a request that needs an actor; handled outside the
-            /// connection borrow.
-            Dispatch(Request),
-            /// `Shutdown` frame: response queued, registry notification
-            /// still owed.
-            Shutdown,
-            /// Handled inline (error response queued); keep decoding.
-            Continue,
-            /// No progress possible right now.
-            Done,
-        }
-        loop {
-            let step = {
-                let Reactor {
-                    conns,
-                    pool,
-                    transport,
-                    config,
-                    ..
-                } = self;
-                let Some(conn) = conns.get_mut(token) else {
-                    return;
-                };
-                if conn.draining
-                    || conn.inflight.is_some()
-                    || conn.write.bytes > config.max_write_buffer
-                {
-                    Step::Done
-                } else {
-                    match conn.decoder.next_frame() {
-                        Ok(Some((op, payload))) => match Request::decode(op, payload) {
-                            Ok(Request::Shutdown) => {
-                                enqueue(conn, &Response::ShuttingDown, pool, transport);
-                                conn.draining = true;
-                                Step::Shutdown
-                            }
-                            Ok(req) => Step::Dispatch(req),
-                            Err(e) => {
-                                // Payload-level error: the frame was fully
-                                // consumed, so the stream is still
-                                // synchronized — report and keep serving.
-                                let resp = Response::Error {
-                                    code: wire_error_code(&e),
-                                    message: e.to_string(),
-                                };
-                                enqueue(conn, &resp, pool, transport);
-                                Step::Continue
-                            }
-                        },
-                        Ok(None) => {
-                            if conn.eof {
-                                // Every buffered frame is served and no
-                                // more bytes can arrive: flush and close.
-                                conn.draining = true;
-                            }
-                            Step::Done
-                        }
-                        Err(e) => {
-                            // Header-level error: the stream is
-                            // unsynchronized. Answer once, then drain and
-                            // close.
-                            let resp = Response::Error {
-                                code: wire_error_code(&e),
-                                message: e.to_string(),
-                            };
-                            enqueue(conn, &resp, pool, transport);
-                            conn.draining = true;
-                            Step::Done
-                        }
-                    }
-                }
-            };
-            match step {
-                Step::Dispatch(req) => self.dispatch(token, req),
-                Step::Shutdown => {
-                    if !self.shutdown_sent {
-                        self.shutdown_sent = true;
-                        let _ = self.registry.send(RegistryCmd::Shutdown);
-                    }
-                }
-                Step::Continue => {}
-                Step::Done => break,
+    /// One round: flush the previous round's replies, take at most one
+    /// frame from each connection, then drain every tenant that got a
+    /// command. Returns whether any connection made progress, i.e.
+    /// whether another round may find work.
+    fn round(&mut self) -> bool {
+        let mut tokens = std::mem::take(&mut self.tokens);
+        tokens.clear();
+        tokens.extend(self.conns.iter().map(|(token, _)| token));
+        for &token in &tokens {
+            if self.flush_conn(token) {
+                self.maybe_close(token);
             }
         }
-        self.flush_conn(token);
-        self.maybe_close(token);
-    }
-
-    /// Hand one decoded request to its tenant actor without blocking;
-    /// immediate failures (lease error, full or stopped actor queue)
-    /// become typed responses on the spot.
-    fn dispatch(&mut self, token: ConnToken, req: Request) {
-        let (tenant, kind) = match &req {
-            Request::Admit { tenant, .. } => (*tenant, PendingKind::Admit),
-            Request::Retire { tenant, .. } => (*tenant, PendingKind::Retire),
-            Request::Batch { tenant, .. } => (*tenant, PendingKind::Batch),
-            Request::Query { tenant } => (*tenant, PendingKind::Query),
-            Request::QueryDelta { tenant, .. } => (*tenant, PendingKind::Delta),
-            Request::Stats { tenant } => (*tenant, PendingKind::Stats),
-            Request::Shutdown => return, // handled by the caller
-        };
-        let handle = match self.handles.get(&tenant) {
-            Some(h) => h.clone(),
-            None => match server::lease(&self.registry, tenant) {
-                Ok(h) => {
-                    self.handles.insert(tenant, h.clone());
-                    h
-                }
-                Err(e) => {
-                    self.respond(token, &server::error_response(e));
-                    return;
-                }
-            },
-        };
-        let tx = self.completions_tx.clone();
-        let waker = self.waker.clone();
-        let respond = Responder::new(move |reply| {
-            let _ = tx.send(Completion { token, reply });
-            waker.wake();
-        });
-        let cmd = match req {
-            Request::Admit { arcs, .. } => Command::Apply {
-                ops: vec![ActorOp::Add(server::to_arc_ids(arcs))],
-                respond,
-            },
-            Request::Retire { id, .. } => Command::Apply {
-                ops: vec![ActorOp::Remove(PathId(id))],
-                respond,
-            },
-            Request::Batch { ops, .. } => Command::Apply {
-                ops: server::to_actor_ops(ops),
-                respond,
-            },
-            Request::Query { .. } => Command::Query { respond },
-            Request::QueryDelta { since, .. } => Command::QueryDelta { since, respond },
-            Request::Stats { .. } => Command::Stats { respond },
-            Request::Shutdown => return,
-        };
-        match handle.try_send(cmd) {
-            Ok(()) => {
-                if let Some(conn) = self.conns.get_mut(token) {
-                    conn.inflight = Some(kind);
-                }
-            }
-            Err(TrySendError::Full(_)) => {
-                self.transport.busy_rejections += 1;
-                self.respond(token, &server::error_response(ServeError::Busy));
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                // The actor is gone (shutdown raced this request); drop
-                // the stale handle so a later lease reflects registry
-                // state.
-                self.handles.remove(&tenant);
-                self.respond(token, &server::error_response(ServeError::Stopped));
-            }
+        let mut progress = false;
+        for &token in &tokens {
+            progress |= self.decode_one(token);
         }
+        self.tokens = tokens;
+        self.drain_tenants();
+        progress
     }
 
-    /// An actor reply came back: shape it into the wire response for the
-    /// request kind that was in flight, then resume the connection.
-    fn handle_completion(&mut self, c: Completion) {
-        let resp = {
-            let Some(conn) = self.conns.get_mut(c.token) else {
-                return; // connection died while the command was in flight
-            };
-            let Some(kind) = conn.inflight.take() else {
-                return;
-            };
-            completion_response(kind, c.reply, &self.transport)
-        };
-        self.respond(c.token, &resp);
-        // The completion may unblock buffered frames.
-        self.process_conn(c.token);
-    }
-
-    /// Enqueue a response and opportunistically flush, saving a poll
-    /// round-trip when the socket has room (the common case).
-    fn respond(&mut self, token: ConnToken, resp: &Response) {
+    /// Take at most one frame from a connection that is not draining and
+    /// is under its write cap, and act on it: queue a tenant request on
+    /// its tenant, or answer a malformed frame or `Shutdown` on the spot.
+    /// Returns whether the connection made progress (took a frame, or
+    /// reached its end of stream), so the next round flushes or closes it.
+    fn decode_one(&mut self, token: ConnToken) -> bool {
         let Reactor {
+            factory,
             conns,
             pool,
+            tenants,
+            ready,
             transport,
+            config,
+            shutdown,
             ..
         } = self;
         let Some(conn) = conns.get_mut(token) else {
-            return;
+            return false;
         };
-        enqueue(conn, resp, pool, transport);
-        self.flush_conn(token);
-        self.maybe_close(token);
+        if conn.draining || conn.write.bytes > config.max_write_buffer {
+            return false;
+        }
+        let req = match conn.decoder.next_frame() {
+            Ok(Some((op, payload))) => Request::decode(op, payload),
+            Ok(None) => {
+                // Every buffered frame is served; at EOF no more bytes can
+                // arrive: flush and close.
+                conn.draining = conn.eof;
+                return conn.eof;
+            }
+            Err(e) => {
+                // Header-level error: the stream is unsynchronized. Answer
+                // once, then drain and close.
+                enqueue(conn, &wire_error_response(&e), pool, transport);
+                conn.draining = true;
+                return true;
+            }
+        };
+        let req = match req {
+            Ok(req) => req,
+            Err(e) => {
+                // Payload-level error: the frame was fully consumed, so the
+                // stream is still synchronized — report and keep serving.
+                enqueue(conn, &wire_error_response(&e), pool, transport);
+                return true;
+            }
+        };
+        let Some((tenant, kind, cmd)) = tenant_command(req) else {
+            // `Shutdown`: answer it; the loop ends after this round.
+            enqueue(conn, &Response::ShuttingDown, pool, transport);
+            conn.draining = true;
+            *shutdown = true;
+            return true;
+        };
+        let entry = match tenants.entry(tenant) {
+            hash_map::Entry::Occupied(e) => e.into_mut(),
+            hash_map::Entry::Vacant(v) => match factory(tenant) {
+                Ok(ws) => v.insert(Tenant::new(ws)),
+                Err(e) => {
+                    // Not cached: the next request for this id tries again.
+                    let resp = server::error_response(ServeError::Core(e));
+                    enqueue(conn, &resp, pool, transport);
+                    return true;
+                }
+            },
+        };
+        if entry.push((token, kind), cmd) {
+            ready.push(tenant);
+        }
+        true
+    }
+
+    /// Drain every tenant with queued commands, encoding each reply onto
+    /// its connection's write queue.
+    fn drain_tenants(&mut self) {
+        let Reactor {
+            conns,
+            pool,
+            tenants,
+            ready,
+            transport,
+            config,
+            ..
+        } = self;
+        for tenant in ready.drain(..) {
+            let Some(tenant) = tenants.get_mut(&tenant) else {
+                continue;
+            };
+            tenant.drain(config, &mut |(token, kind), reply| {
+                let Some(conn) = conns.get_mut(token) else {
+                    return; // unreachable within a round; drop the reply
+                };
+                let resp = reply_response(kind, reply, transport);
+                enqueue(conn, &resp, pool, transport);
+            });
+        }
     }
 
     /// Drain the write queue as far as the socket allows. Returns false
@@ -804,12 +603,12 @@ impl Reactor {
     }
 
     /// Close the connection once it is fully served: draining (or EOF)
-    /// with an empty write queue and nothing in flight.
+    /// with an empty write queue.
     fn maybe_close(&mut self, token: ConnToken) {
         let done = self
             .conns
             .get_mut(token)
-            .is_some_and(|c| c.draining && c.write.is_empty() && c.inflight.is_none());
+            .is_some_and(|c| c.draining && c.write.is_empty());
         if done {
             self.close(token);
         }
@@ -836,10 +635,9 @@ impl Reactor {
         for _ in 0..DRAIN_ROUNDS {
             let pending: Vec<ConnToken> = self
                 .conns
-                .tokens()
-                .collect::<Vec<_>>()
-                .into_iter()
-                .filter(|t| self.conns.get_mut(*t).is_some_and(|c| !c.write.is_empty()))
+                .iter()
+                .filter(|(_, c)| !c.write.is_empty())
+                .map(|(token, _)| token)
                 .collect();
             if pending.is_empty() {
                 break;
@@ -869,24 +667,58 @@ fn enqueue(conn: &mut Conn, resp: &Response, pool: &mut BufferPool, transport: &
     transport.max_write_queue = transport.max_write_queue.max(conn.write.bytes as u64);
 }
 
-/// Map an actor reply back to the wire response for the request kind it
-/// answers. A kind/reply mismatch cannot happen by construction; answer
-/// with a typed error rather than panic if it ever does.
-fn completion_response(kind: PendingKind, reply: ActorReply, transport: &Transport) -> Response {
-    match (kind, reply) {
-        (PendingKind::Admit, ActorReply::Applied(Ok(ids))) => server::admitted_response(ids),
-        (PendingKind::Retire, ActorReply::Applied(Ok(_))) => Response::Retired,
-        (PendingKind::Batch, ActorReply::Applied(Ok(ids))) => Response::Applied {
-            added: ids.into_iter().map(|id| id.0).collect(),
-        },
-        (PendingKind::Query, ActorReply::Snapshot(Ok(snap))) => server::solution_response(&snap),
-        (PendingKind::Delta, ActorReply::Delta(Ok(d))) => server::delta_response(&d),
-        (PendingKind::Stats, ActorReply::Stats(pair)) => {
-            stats_response(&pair.0, &pair.1, transport)
+/// A tenant request as its tenant id, the shape of its reply, and the
+/// command its tenant runs; `None` for `Shutdown`, which names no tenant.
+fn tenant_command(req: Request) -> Option<(u64, ReplyKind, Command)> {
+    let apply = |ops| Command::Apply { ops };
+    Some(match req {
+        Request::Admit { tenant, arcs } => (
+            tenant,
+            ReplyKind::Admit,
+            apply(vec![ActorOp::Add(server::to_arc_ids(arcs))]),
+        ),
+        Request::Retire { tenant, id } => (
+            tenant,
+            ReplyKind::Retire,
+            apply(vec![ActorOp::Remove(PathId(id))]),
+        ),
+        Request::Batch { tenant, ops } => {
+            (tenant, ReplyKind::Batch, apply(server::to_actor_ops(ops)))
         }
-        (_, ActorReply::Applied(Err(e)))
-        | (_, ActorReply::Snapshot(Err(e)))
-        | (_, ActorReply::Delta(Err(e))) => server::error_response(e),
-        _ => server::error_response(ServeError::Stopped),
+        Request::Query { tenant } => (tenant, ReplyKind::Read, Command::Read(Read::Query)),
+        Request::QueryDelta { tenant, since } => (
+            tenant,
+            ReplyKind::Read,
+            Command::Read(Read::QueryDelta { since }),
+        ),
+        Request::Stats { tenant } => (tenant, ReplyKind::Read, Command::Read(Read::Stats)),
+        Request::Shutdown => return None,
+    })
+}
+
+/// The typed answer to a frame that did not decode.
+fn wire_error_response(e: &WireError) -> Response {
+    Response::Error {
+        code: wire_error_code(e),
+        message: e.to_string(),
+    }
+}
+
+/// Map a tenant reply to the wire response for the request it answers.
+fn reply_response(kind: ReplyKind, reply: ActorReply, transport: &Transport) -> Response {
+    match reply {
+        ActorReply::Applied(Ok(ids)) => match kind {
+            ReplyKind::Admit => server::admitted_response(ids),
+            ReplyKind::Retire => Response::Retired,
+            ReplyKind::Batch | ReplyKind::Read => Response::Applied {
+                added: ids.into_iter().map(|id| id.0).collect(),
+            },
+        },
+        ActorReply::Snapshot(Ok(snap)) => server::solution_response(&snap),
+        ActorReply::Delta(Ok(d)) => server::delta_response(&d),
+        ActorReply::Stats(pair) => stats_response(&pair.0, &pair.1, transport),
+        ActorReply::Applied(Err(e)) | ActorReply::Snapshot(Err(e)) | ActorReply::Delta(Err(e)) => {
+            server::error_response(e)
+        }
     }
 }

@@ -1,41 +1,42 @@
-//! The TCP server: a registry thread owning the tenant actors, and the
-//! `poll(2)` reactor — the one connection model — on the caller's thread.
+//! The TCP server: one thread runs the `poll(2)` reactor — the one
+//! connection model — and every tenant's steps.
 //!
 //! # Thread topology
 //!
 //! ```text
-//! reactor (Server::run caller) ──mpsc──▶ registry thread
-//!   │ every connection,                   │ owns map
-//!   │ cached TenantHandles                │ tenant → actor
-//!   ├──── try_send ──▶ tenant actor threads
-//!   └◀─── completion + self-pipe wake ───┘
+//! reactor (Server::run caller)
+//!   │ every connection, every tenant (workspace + counters + queue)
+//!   └── shard solves fan out on the rayon pool
 //! ```
 //!
-//! The reactor (see the `reactor` module docs for the state machine and
-//! backpressure story) drives every connection, so connection count
-//! costs no OS threads. There is no shared mutable state: the registry
-//! thread *owns* the tenant map (the reactor leases `TenantHandle`s over
-//! a channel and caches them), each actor owns its [`Workspace`], and
-//! shutdown is a message plus a self-pipe wake, not a flag. The reactor
-//! blocks in `poll` on the listener, the connections and the wake pipe,
-//! so an idle server makes zero wakeups and shutdown latency is one pipe
-//! write.
+//! The reactor (see the `reactor` module docs for the rounds and the
+//! backpressure story) drives every connection and owns every tenant, so
+//! neither connection count nor tenant count costs OS threads: the server
+//! is one thread plus the rayon pool its shard solves use. There is no
+//! shared mutable state and no cross-thread hop: a request is decoded,
+//! applied, solved, encoded and written on the reactor thread. An unseen
+//! tenant id runs the factory on that thread too. The reactor blocks in
+//! `poll` on the listener and the connections, so an idle server makes
+//! zero wakeups; a `Shutdown` request ends the loop after the round that
+//! decoded it.
+//!
+//! Inline, one tenant's long step delays every connection until it ends
+//! (the `report` binary's D7 row measures that stall).
 
-use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread;
 
 use dagwave_core::{CoreError, SolutionDelta, Workspace, WorkspaceStats};
 use dagwave_graph::ArcId;
 use dagwave_paths::PathId;
 
-use crate::actor::{spawn_tenant, ActorOp, ActorStats, ServeError, Snapshot, TenantHandle};
+use crate::actor::{ActorOp, ActorStats, ServeError, Snapshot};
 use crate::protocol::{ErrorCode, Response, WireDelta, WireError, WireOp, WireSolution, WireStats};
 
 /// Builds the initial [`Workspace`] for a tenant id the server has not
-/// seen before. Owned by the registry thread, so `Send` suffices.
+/// seen before. Called on the reactor thread; `Send` because
+/// [`Server::spawn`] moves the server to its own thread.
 pub type WorkspaceFactory = Box<dyn Fn(u64) -> Result<Workspace, CoreError> + Send>;
 
 /// The connection model [`Server::run`] drives. There is one: the
@@ -52,8 +53,6 @@ pub enum FrontEnd {
     Evented,
 }
 
-/// Default bound on each tenant actor's command queue.
-pub const DEFAULT_QUEUE_DEPTH: usize = 256;
 /// Default cap on one connection's queued response bytes before the
 /// reactor stops reading more requests from it.
 pub const DEFAULT_MAX_WRITE_BUFFER: usize = 1 << 20;
@@ -67,9 +66,6 @@ pub struct ServerConfig {
     pub max_coalesce: usize,
     /// Connection model; always [`FrontEnd::Evented`] (see there).
     pub front_end: FrontEnd,
-    /// Bound on each tenant actor's command queue. A request that finds
-    /// its tenant's queue full is answered with a typed `Busy`.
-    pub queue_depth: usize,
     /// Per-connection cap on queued response bytes: past it, the
     /// connection stops being read until the client drains.
     pub max_write_buffer: usize,
@@ -81,7 +77,6 @@ impl Default for ServerConfig {
             span_budget: None,
             max_coalesce: 64,
             front_end: FrontEnd::Evented,
-            queue_depth: DEFAULT_QUEUE_DEPTH,
             max_write_buffer: DEFAULT_MAX_WRITE_BUFFER,
         }
     }
@@ -93,32 +88,7 @@ impl Default for ServerConfig {
 pub(crate) struct Transport {
     pub(crate) bytes_in: u64,
     pub(crate) bytes_out: u64,
-    pub(crate) busy_rejections: u64,
     pub(crate) max_write_queue: u64,
-}
-
-pub(crate) enum RegistryCmd {
-    /// Lease (creating on first use) the actor handle for a tenant.
-    Lease {
-        tenant: u64,
-        reply: Sender<Result<TenantHandle, ServeError>>,
-    },
-    /// Stop every actor, signal the reactor, then exit.
-    Shutdown,
-}
-
-/// Fired by the registry once every actor has drained: a message for the
-/// reactor plus a self-pipe write to interrupt its `poll`.
-struct StopSignal {
-    tx: Sender<()>,
-    waker: crate::reactor::Waker,
-}
-
-impl StopSignal {
-    fn fire(self) {
-        let _ = self.tx.send(());
-        self.waker.wake();
-    }
 }
 
 /// A bound-but-not-yet-running server. [`Server::run`] blocks the calling
@@ -127,12 +97,8 @@ impl StopSignal {
 pub struct Server {
     listener: TcpListener,
     addr: SocketAddr,
-    registry_tx: Sender<RegistryCmd>,
-    registry_join: thread::JoinHandle<()>,
-    stop_rx: Receiver<()>,
+    factory: WorkspaceFactory,
     config: ServerConfig,
-    wake: crate::reactor::WakeReader,
-    waker: crate::reactor::Waker,
 }
 
 /// Handle to a server running on its own thread (see [`Server::spawn`]).
@@ -156,8 +122,8 @@ impl ServerHandle {
 }
 
 impl Server {
-    /// Bind a listener and start the tenant registry. `factory` builds
-    /// the workspace for each new tenant id.
+    /// Bind a listener. `factory` builds the workspace for each new
+    /// tenant id.
     pub fn bind(
         addr: impl ToSocketAddrs,
         factory: WorkspaceFactory,
@@ -165,24 +131,11 @@ impl Server {
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let (wake, waker) = crate::reactor::wake_pair()?;
-        let (registry_tx, registry_rx) = mpsc::channel();
-        let (stop_tx, stop_rx) = mpsc::channel();
-        let signal = StopSignal {
-            tx: stop_tx,
-            waker: waker.clone(),
-        };
-        // lint: allow(no-raw-sync): the registry thread replaces a shared-map lock — it owns the tenant map outright, mpsc is the only coupling
-        let join = thread::spawn(move || run_registry(registry_rx, factory, config, signal));
         Ok(Server {
             listener,
             addr,
-            registry_tx,
-            registry_join: join,
-            stop_rx,
+            factory,
             config,
-            wake,
-            waker,
         })
     }
 
@@ -191,23 +144,10 @@ impl Server {
         self.addr
     }
 
-    /// Accept and serve connections until a `Shutdown` request arrives,
-    /// then join the registry (which has already stopped every tenant
-    /// actor). Runs the reactor on the calling thread.
+    /// Accept and serve connections until a `Shutdown` request arrives.
+    /// Runs the reactor, and with it every tenant, on the calling thread.
     pub fn run(self) -> io::Result<()> {
-        let Server {
-            listener,
-            registry_tx,
-            registry_join,
-            stop_rx,
-            config,
-            wake,
-            waker,
-            ..
-        } = self;
-        let result = crate::reactor::run(listener, registry_tx, stop_rx, wake, waker, config);
-        let _ = registry_join.join();
-        result
+        crate::reactor::run(self.listener, self.factory, self.config)
     }
 
     /// Run the server on its own thread; returns once it is accepting.
@@ -217,41 +157,6 @@ impl Server {
         let join = thread::spawn(move || self.run());
         ServerHandle { addr, join }
     }
-}
-
-fn run_registry(
-    rx: Receiver<RegistryCmd>,
-    factory: WorkspaceFactory,
-    config: ServerConfig,
-    signal: StopSignal,
-) {
-    let mut tenants: HashMap<u64, (TenantHandle, thread::JoinHandle<()>)> = HashMap::new();
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            RegistryCmd::Lease { tenant, reply } => {
-                let leased = match tenants.get(&tenant) {
-                    Some((handle, _)) => Ok(handle.clone()),
-                    None => match factory(tenant) {
-                        Ok(ws) => {
-                            let (handle, join) = spawn_tenant(ws, config);
-                            tenants.insert(tenant, (handle.clone(), join));
-                            Ok(handle)
-                        }
-                        Err(e) => Err(ServeError::Core(e)),
-                    },
-                };
-                let _ = reply.send(leased);
-            }
-            RegistryCmd::Shutdown => break,
-        }
-    }
-    // Drain the actors before signalling the reactor, so the port
-    // closes only after every workspace thread has exited.
-    for (_, (handle, join)) in tenants {
-        handle.stop();
-        let _ = join.join();
-    }
-    signal.fire();
 }
 
 /// Shape a successful single-`Add` apply into the `Admitted` response.
@@ -321,20 +226,11 @@ pub(crate) fn stats_response(
         delta_resyncs: ws.delta_resyncs,
         bytes_in: transport.bytes_in,
         bytes_out: transport.bytes_out,
-        busy_rejections: transport.busy_rejections,
+        // Tenant queues hold one round's commands, so nothing is refused
+        // as busy; the field stays so the stats reply keeps its layout.
+        busy_rejections: 0,
         max_write_queue: transport.max_write_queue,
     })
-}
-
-pub(crate) fn lease(
-    registry: &Sender<RegistryCmd>,
-    tenant: u64,
-) -> Result<TenantHandle, ServeError> {
-    let (reply, rx) = mpsc::channel();
-    registry
-        .send(RegistryCmd::Lease { tenant, reply })
-        .map_err(|_| ServeError::Stopped)?;
-    rx.recv().map_err(|_| ServeError::Stopped)?
 }
 
 pub(crate) fn to_arc_ids(arcs: Vec<u32>) -> Vec<ArcId> {
@@ -363,8 +259,6 @@ pub(crate) fn wire_error_code(e: &WireError) -> ErrorCode {
 pub(crate) fn error_response(e: ServeError) -> Response {
     let code = match &e {
         ServeError::SpanBudgetExceeded { .. } => ErrorCode::SpanBudgetExceeded,
-        ServeError::Stopped => ErrorCode::ShuttingDown,
-        ServeError::Busy => ErrorCode::Busy,
         ServeError::Core(CoreError::UnknownPath(_)) => ErrorCode::UnknownPath,
         ServeError::Core(CoreError::InvalidPath(_)) => ErrorCode::InvalidPath,
         ServeError::Core(_) => ErrorCode::Solver,

@@ -283,8 +283,8 @@ fn shutdown_closes_listener_and_actors() {
         Client::connect(addr).is_err(),
         "listener still accepting after shutdown"
     );
-    // Requests on surviving connections get the typed shutting-down code
-    // (the tenant actors are stopped) rather than hanging.
+    // Requests on surviving connections fail rather than hang: the server
+    // dropped them, with every tenant, when its loop ended.
     match a.admit(0, vec![0]) {
         Err(ClientError::Remote { code, .. }) => {
             assert_eq!(code, ErrorCode::ShuttingDown)
