@@ -922,7 +922,7 @@ fn d1_distinct_shard_row() {
         let first_at_span = shards.iter().find(|s| s.num_colors == span);
         assert_eq!(sol.num_colors, span, "k={k}");
         assert_eq!(Some(sol.strategy), first_at_span.map(|s| s.strategy));
-        let attempts = shards.iter().flat_map(|s| &s.attempts);
+        let attempts = shards.iter().flat_map(|s| s.attempts.iter());
         assert!(sol.attempts.iter().eq(attempts), "k={k}: attempts diverged");
         for (s, r) in d.shards.iter().zip(&shards) {
             assert!(

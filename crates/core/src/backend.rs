@@ -28,9 +28,10 @@
 //! context classifies the graph first ([`InstanceContext::new`]): a
 //! directed cycle is an internal cycle, so an internal-cycle-free graph is
 //! proven acyclic without a sort, and any other graph is sorted
-//! topologically to reject cycles. A shard's context inherits the proof
-//! from its host, since a subgraph of a DAG is a DAG, and only classifies
-//! and loads the shard. Backends trust the class: Theorem 6 runs its merge
+//! topologically once, the order serving the UPP test and a failed sort's
+//! cycle rejecting the graph. A shard's context inherits the proof from
+//! its host, since a subgraph of a DAG is a DAG, and only classifies and
+//! loads the shard. Backends trust the class: Theorem 6 runs its merge
 //! without re-checking the preconditions classification just proved.
 
 use crate::assignment::WavelengthAssignment;
@@ -189,26 +190,24 @@ pub struct InstanceContext<'a> {
 
 impl<'a> InstanceContext<'a> {
     /// Classify, validate the DAG precondition, and compute the load.
-    /// Classification comes first and proves most graphs acyclic for free:
-    /// a directed cycle is an internal cycle, so an internal-cycle-free
-    /// graph is a DAG and is never sorted. Any other graph is sorted to
-    /// reject a cycle.
+    /// Classification proves acyclicity on the way: a directed cycle is an
+    /// internal cycle, so an internal-cycle-free graph is a DAG and is
+    /// never sorted, and any other graph is sorted once, for the UPP test
+    /// and the DAG check alike. A graph the sort rejects is
+    /// [`CoreError::NotADag`] with the sort's cycle.
     pub fn new(
         graph: &'a Digraph,
         family: &'a DipathFamily,
         request: &'a SolveRequest,
     ) -> Result<Self, CoreError> {
-        let class = internal::classify(graph);
-        if class == DagClass::InternalCycleFree {
-            debug_assert!(
-                dagwave_graph::topo::is_dag(graph),
-                "a directed cycle is an internal cycle"
-            );
-        } else if let Err(dagwave_graph::GraphError::NotADag(c)) =
-            dagwave_graph::topo::topological_order(graph)
-        {
+        let (class, sorted) = internal::classify_and_sort(graph);
+        if let Err(dagwave_graph::GraphError::NotADag(c)) = sorted {
             return Err(CoreError::NotADag(c));
         }
+        debug_assert!(
+            dagwave_graph::topo::is_dag(graph),
+            "classification passed a graph with a directed cycle"
+        );
         Ok(Self::classified(graph, family, class, request))
     }
 

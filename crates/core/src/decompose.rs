@@ -24,6 +24,7 @@
 use crate::backend::{BackendAttempt, BackendKind};
 use crate::internal::DagClass;
 use dagwave_paths::PathId;
+use std::sync::Arc;
 
 /// When the solving surface shards an instance by conflict-graph
 /// components before solving.
@@ -111,7 +112,9 @@ pub struct ShardOutcome {
     pub optimal: bool,
     /// Per-backend provenance of the shard solve, as
     /// [`crate::Solution::attempts`] would carry for a standalone solve.
-    pub attempts: Vec<BackendAttempt>,
+    /// Shared with that solve, so the shards of one content group, which
+    /// share one solve, share one list.
+    pub attempts: Arc<[BackendAttempt]>,
 }
 
 /// Provenance of a decomposed solve: one [`ShardOutcome`] per
@@ -171,7 +174,7 @@ mod tests {
             num_colors,
             load: num_colors,
             optimal: true,
-            attempts: Vec::new(),
+            attempts: Arc::new([]),
         }
     }
 

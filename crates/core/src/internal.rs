@@ -6,13 +6,21 @@
 //! cycle). The Main Theorem says `w = π` holds for every family iff `G`
 //! has none.
 //!
-//! Detection reduces to a forest check: restrict to the sub-multigraph
-//! induced on internal vertices and test the underlying undirected
-//! multigraph for acyclicity. Counting uses the cyclomatic number of that
-//! sub-multigraph (the dimension of its cycle space).
+//! Detection and counting take one union-find pass over the arcs whose two
+//! endpoints are internal, with no subgraph view: such an arc closes an
+//! independent cycle exactly when the pass has already joined its
+//! endpoints, so those arcs number the cyclomatic number of the internal
+//! sub-multigraph (the dimension of its cycle space), and the first one
+//! proves a cycle exists. Witnesses walk [`internal_subgraph`].
+//!
+//! [`classify`] counts first and sorts only a graph with internal cycles,
+//! once: the order feeds the UPP test, and a failed sort's directed cycle
+//! is the witness that the graph is not a DAG.
 
 use dagwave_graph::undirected::{self, OrientedCycle};
-use dagwave_graph::{Digraph, SubgraphView, VertexId};
+use dagwave_graph::{
+    pathcount, topo, ArcId, Digraph, GraphError, SubgraphView, UnionFind, VertexId,
+};
 
 /// The view induced on the internal vertices of `g`.
 pub fn internal_subgraph(g: &Digraph) -> SubgraphView<'_> {
@@ -20,9 +28,23 @@ pub fn internal_subgraph(g: &Digraph) -> SubgraphView<'_> {
     SubgraphView::induced(g, g.vertices().filter(|&v| adjacency.is_internal(v)))
 }
 
+/// The arcs of `g` between two internal vertices that close a cycle of
+/// the underlying multigraph, in arc-id order: the one union-find pass
+/// behind detection and counting.
+fn cycle_closing_arcs(g: &Digraph) -> impl Iterator<Item = ArcId> + '_ {
+    let adjacency = g.adjacency();
+    let mut uf = UnionFind::new(g.vertex_count());
+    g.arcs().filter_map(move |(a, arc)| {
+        let closes = adjacency.is_internal(arc.tail)
+            && adjacency.is_internal(arc.head)
+            && !uf.union(arc.tail.index(), arc.head.index());
+        closes.then_some(a)
+    })
+}
+
 /// `true` if `g` contains an internal cycle.
 pub fn has_internal_cycle(g: &Digraph) -> bool {
-    !undirected::is_underlying_forest(&internal_subgraph(g))
+    cycle_closing_arcs(g).next().is_some()
 }
 
 /// `true` if `g` has **no** internal cycle — the hypothesis of Theorem 1.
@@ -34,7 +56,7 @@ pub fn is_internal_cycle_free(g: &Digraph) -> bool {
 /// internal sub-multigraph. Theorem 6 requires this to be exactly 1; the
 /// paper's generalized bound is `⌈(4/3)^C · π⌉` for `C` cycles.
 pub fn internal_cycle_count(g: &Digraph) -> usize {
-    undirected::cyclomatic_number(&internal_subgraph(g))
+    cycle_closing_arcs(g).count()
 }
 
 /// An explicit internal cycle of `g`, or `None` when there is none.
@@ -83,26 +105,40 @@ impl std::fmt::Display for DagClass {
     }
 }
 
-/// Classify `g`. A directed cycle is an internal cycle (each of its
-/// vertices has an in- and an out-arc), so a graph with one never
-/// classifies as [`DagClass::InternalCycleFree`]; it fails the UPP test
-/// and classifies as [`DagClass::General`]. [`crate::InstanceContext::new`]
-/// relies on this to prove an internal-cycle-free graph acyclic without
-/// sorting it.
+/// Classify `g`: the class alone of the one classification body, which
+/// also decides for [`crate::InstanceContext::new`] whether `g` is a DAG.
+/// A directed cycle is an internal cycle (each of its vertices has an in-
+/// and an out-arc), so a graph with one never classifies as
+/// [`DagClass::InternalCycleFree`]; it fails the UPP test and classifies
+/// as [`DagClass::General`].
 pub fn classify(g: &Digraph) -> DagClass {
+    classify_and_sort(g).0
+}
+
+/// The one classification body: `g`'s class, and whether `g` is a DAG.
+///
+/// One pass counts the internal cycles. A graph with none is
+/// internal-cycle-free, and a DAG since a directed cycle is an internal
+/// cycle, so it is never sorted. Any other graph is sorted topologically
+/// exactly once: the order answers the UPP test, or the sort's directed
+/// cycle comes back as the error, with the class
+/// [`DagClass::General`]. [`crate::InstanceContext::new`] rejects that
+/// cycle, so its DAG check costs no sort of its own.
+pub(crate) fn classify_and_sort(g: &Digraph) -> (DagClass, Result<(), GraphError>) {
     let cycles = internal_cycle_count(g);
     if cycles == 0 {
-        return DagClass::InternalCycleFree;
+        return (DagClass::InternalCycleFree, Ok(()));
     }
-    if dagwave_graph::pathcount::is_upp(g) {
-        if cycles == 1 {
-            DagClass::UppSingleCycle
-        } else {
-            DagClass::UppMultiCycle { cycles }
-        }
-    } else {
-        DagClass::General { cycles }
-    }
+    let sorted = topo::topological_order(g);
+    let upp = sorted
+        .as_ref()
+        .is_ok_and(|order| pathcount::upp_violation_along(g, order).is_none());
+    let class = match (upp, cycles) {
+        (false, _) => DagClass::General { cycles },
+        (true, 1) => DagClass::UppSingleCycle,
+        (true, _) => DagClass::UppMultiCycle { cycles },
+    };
+    (class, sorted.map(drop))
 }
 
 /// The internal vertices of `g` (convenience re-export of the digraph
@@ -261,6 +297,16 @@ mod tests {
         );
         assert!(has_internal_cycle(&g), "0 now has a predecessor");
         assert_eq!(internal_cycle_count(&g), 1);
+    }
+
+    #[test]
+    fn directed_cycle_is_general_and_not_a_dag() {
+        let g = from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
+        assert_eq!(internal_cycle_count(&g), 1);
+        let (class, sorted) = classify_and_sort(&g);
+        assert_eq!(class, DagClass::General { cycles: 1 });
+        assert_eq!(sorted, topo::topological_order(&g).map(drop));
+        assert!(sorted.is_err());
     }
 
     #[test]

@@ -76,8 +76,10 @@ pub struct Solution {
     /// Every backend consulted for this solve, in consultation order, with
     /// its bounds and `certify`-backed validity verdict. For a decomposed
     /// solve: the shards' attempts concatenated in shard order (the
-    /// per-shard split lives in [`Solution::decomposition`]).
-    pub attempts: Vec<BackendAttempt>,
+    /// per-shard split lives in [`Solution::decomposition`], whose shards
+    /// share their solves' lists). Behind an [`Arc`], so sharing it is a
+    /// refcount bump.
+    pub attempts: Arc<[BackendAttempt]>,
     /// Present when the instance was sharded by conflict-graph components
     /// (decompose-solve-merge): one [`ShardOutcome`] per component, in
     /// deterministic shard order. `None` for monolithic solves. Behind an
@@ -430,7 +432,7 @@ impl SolveSession {
         // — Theorem 6's duplicate penalty, Theorem 7's ⌈8h/3⌉ — via
         // weighted coloring; keep whichever uses fewer wavelengths.
         if outcome.optimal {
-            return Ok(build_solution(ctx, primary, outcome, vec![attempt]));
+            return Ok(build_solution(ctx, primary, outcome, Arc::new([attempt])));
         }
         Ok(self.improve_with_weighted(ctx, primary, attempt, outcome))
     }
@@ -448,7 +450,7 @@ impl SolveSession {
     ) -> Solution {
         let weighted = consult(BackendKind::Weighted, ctx);
         let weighted_valid = weighted.attempt.valid;
-        let attempts = vec![primary_attempt, weighted.attempt];
+        let attempts = Arc::new([primary_attempt, weighted.attempt]);
         match weighted.outcome {
             Some(w)
                 if weighted_valid
@@ -477,7 +479,7 @@ impl SolveSession {
         if !attempt.valid {
             return Err(CoreError::BackendInvalid { backend: kind });
         }
-        Ok(build_solution(ctx, kind, outcome, vec![attempt]))
+        Ok(build_solution(ctx, kind, outcome, Arc::new([attempt])))
     }
 
     /// Race the portfolio members on the rayon pool; keep the
@@ -516,7 +518,7 @@ impl SolveSession {
             .filter_map(|(i, a)| a.outcome.as_ref().map(|o| (o.assignment.num_colors(), i)))
             .min()
             .map(|(_, i)| i);
-        let attempts: Vec<BackendAttempt> = attempted.iter().map(|a| a.attempt.clone()).collect();
+        let attempts: Arc<[BackendAttempt]> = attempted.iter().map(|a| a.attempt.clone()).collect();
         match best {
             Some(i) => {
                 let winner = attempted[i].attempt.backend;
@@ -659,7 +661,7 @@ fn build_solution(
     ctx: &InstanceContext<'_>,
     winner: BackendKind,
     outcome: BackendOutcome,
-    attempts: Vec<BackendAttempt>,
+    attempts: Arc<[BackendAttempt]>,
 ) -> Solution {
     let num_colors = outcome.assignment.num_colors();
     let best_lower = attempts
@@ -692,7 +694,9 @@ fn build_solution(
 ///
 /// Shard solutions are borrowed: identical shards of a one-shot solve
 /// share one, and the incremental engine merges its cache without
-/// deep-cloning the clean shards. Each shard's report copies its attempts.
+/// deep-cloning the clean shards. Each shard's report shares its
+/// solution's attempt list, so identical shards share one allocation, and
+/// the merged list is copied once, at its final size.
 pub(crate) fn merge_shards(
     ctx: &InstanceContext<'_>,
     shards: Vec<(Vec<PathId>, &Solution)>,
@@ -735,14 +739,14 @@ pub(crate) fn merge_shards(
             num_colors: sol.num_colors,
             load: sol.load,
             optimal: sol.optimal,
-            attempts: sol.attempts.clone(),
+            attempts: Arc::clone(&sol.attempts),
             members: original_ids,
         });
     }
-    let attempts = reports
-        .iter()
-        .flat_map(|r| r.attempts.iter().cloned())
-        .collect();
+    let mut attempts = Vec::with_capacity(reports.iter().map(|r| r.attempts.len()).sum());
+    for r in &reports {
+        attempts.extend_from_slice(&r.attempts);
+    }
     debug_assert!(
         colors.iter().all(|&c| c != usize::MAX),
         "components partition the family"
@@ -774,7 +778,7 @@ pub(crate) fn merge_shards(
         optimal: all_optimal || span == best_lower,
         class: ctx.class,
         strategy: strategy.expect("decomposed solve has at least one shard"), // lint: allow(no-panic): decomposition plans always contain at least one shard
-        attempts,
+        attempts: attempts.into(),
         decomposition: Some(Arc::new(Decomposition { shards: reports })),
         resolve: None,
     }

@@ -83,10 +83,15 @@ pub fn color_single_cycle_upp(
     g: &Digraph,
     family: &DipathFamily,
 ) -> Result<Theorem6Result, CoreError> {
-    if let Err(dagwave_graph::GraphError::NotADag(c)) = dagwave_graph::topo::topological_order(g) {
-        return Err(CoreError::NotADag(c));
+    // One sort serves both checks.
+    let sorted = dagwave_graph::topo::topological_order(g);
+    if let Err(dagwave_graph::GraphError::NotADag(c)) = &sorted {
+        return Err(CoreError::NotADag(c.clone()));
     }
-    if let Some((u, v)) = dagwave_graph::pathcount::upp_violation(g) {
+    let violation = sorted
+        .ok()
+        .and_then(|order| dagwave_graph::pathcount::upp_violation_along(g, &order));
+    if let Some((u, v)) = violation {
         return Err(CoreError::NotUpp(u, v));
     }
     let internal_view = internal::internal_subgraph(g);

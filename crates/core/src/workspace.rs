@@ -17,7 +17,8 @@
 //! is one shard, and only the empty family is dispatched whole, as the
 //! one-shot path does. The mutation API ([`Workspace::add_path`],
 //! [`Workspace::remove_path`], [`Workspace::apply`] with [`Mutation`]
-//! batches) re-derives components only over the dirty member pool;
+//! batches) re-derives components only over the dirty member pool, and
+//! not at all after a batch of one addition, whose pool is one component;
 //! [`Workspace::solution`] then re-solves only the unsolved shards and
 //! re-merges with the shared normalized palette. Unsolved shards go through
 //! the one-shot path's shard engine: each writes its content key, equal
@@ -601,9 +602,11 @@ impl Workspace {
     /// Apply a mutation batch atomically with one invalidation pass:
     /// the components touched by any removal or addition are re-derived
     /// over the dirty member pool only, every other shard keeps its cached
-    /// solution. Returns the stable ids assigned to the batch's additions,
-    /// in batch order (an addition the same batch later removes still
-    /// reports its id).
+    /// solution. A batch of one addition re-derives nothing: an addition
+    /// can only merge components, so its pool (the new dipath and every
+    /// shard it shares an arc with) is one shard. Returns the stable ids
+    /// assigned to the batch's additions, in batch order (an addition the
+    /// same batch later removes still reports its id).
     ///
     /// A removal may name an id assigned by an earlier addition *in the
     /// same batch* — id assignment is deterministic (smallest free slot),
@@ -631,6 +634,7 @@ impl Workspace {
             .iter()
             .filter(|m| matches!(m, Mutation::Add(_)))
             .count();
+        let one_addition = batch.len() == 1 && additions == 1;
         let mut free: BTreeSet<u32> = self.family.free_slots().take(additions).collect();
         let mut slots = self.family.slot_count() as u32;
         let mut removed_sim: BTreeSet<PathId> = BTreeSet::new();
@@ -745,7 +749,9 @@ impl Workspace {
         // again by the same batch — the dedup drops repeats). Dropping a
         // dirty shard banks its solve in the reuse pool: a later batch (or
         // this one) may reconstitute a shard with identical content, and
-        // its solve is then adopted instead of redone.
+        // its solve is then adopted instead of redone. A lone addition
+        // shares an arc with every shard it dirtied, so its pool is one
+        // component and is tracked as it stands.
         let mut pool: Vec<PathId> = added
             .iter()
             .copied()
@@ -757,8 +763,12 @@ impl Workspace {
         }
         pool.sort_unstable();
         pool.dedup();
-        for members in self.components_of(&pool) {
-            self.track_shard(members);
+        if one_addition {
+            self.track_shard(pool);
+        } else {
+            for members in self.components_of(&pool) {
+                self.track_shard(members);
+            }
         }
         self.merged = None;
         self.refreshed = false;
@@ -1152,10 +1162,7 @@ impl Workspace {
                 uf.union(k, at);
             }
         }
-        uf.components()
-            .into_iter()
-            .map(|c| c.into_iter().map(|k| pool[k]).collect())
-            .collect()
+        uf.components(|k| pool[k])
     }
 
     /// Start tracking a freshly derived component (members ascending):
@@ -1375,6 +1382,69 @@ mod tests {
         let r = sol.resolve.unwrap();
         assert_eq!(r.shards_reused, 1, "first chain untouched");
         assert_eq!(r.shards_resolved, 1);
+        assert_matches_scratch(&mut ws);
+    }
+
+    /// The workspace's shards, against the conflict components of its
+    /// live members computed from scratch, in stable ids.
+    fn assert_components_from_scratch(ws: &Workspace) {
+        let (dense, ids) = ws.family().to_dense();
+        let scratch: Vec<Vec<PathId>> = dagwave_paths::conflict_components(ws.graph(), &dense)
+            .into_iter()
+            .map(|c| c.into_iter().map(|rank| ids[rank.index()]).collect())
+            .collect();
+        assert_eq!(ws.components(), scratch);
+    }
+
+    /// A spine 0→…→6 carrying three arc-disjoint shards, and a chain 7→8
+    /// carrying a fourth.
+    fn spine_instance() -> (Digraph, DipathFamily) {
+        let g = from_edges(9, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (7, 8)]);
+        let f = DipathFamily::from_paths(vec![
+            path(&g, &[0, 1]),
+            path(&g, &[7, 8]),
+            path(&g, &[2, 3]),
+            path(&g, &[4, 5, 6]),
+            path(&g, &[0, 1]),
+            path(&g, &[5, 6]),
+            path(&g, &[2, 3]),
+        ]);
+        (g, f)
+    }
+
+    #[test]
+    fn one_addition_bridging_three_shards_is_one_shard() {
+        let (g, f) = spine_instance();
+        let mut ws = Workspace::new(sharded_session(), g.clone(), f).unwrap();
+        assert_eq!(ws.shard_count(), 4);
+        ws.solution().unwrap();
+        // Free slot 0, so the bridge takes the smallest id and keys its
+        // shard.
+        ws.remove_path(PathId(0)).unwrap();
+        ws.solution().unwrap();
+        let bridge = ws.add_path(path(&g, &[0, 1, 2, 3, 4, 5])).unwrap();
+        assert_eq!(bridge, PathId(0));
+        assert_eq!(ws.shard_count(), 2);
+        let ids = |xs: &[u32]| xs.iter().map(|&x| PathId(x)).collect::<Vec<_>>();
+        assert_eq!(ws.components(), [ids(&[0, 2, 3, 4, 5, 6]), ids(&[1])]);
+        assert_components_from_scratch(&ws);
+        let r = ws.solution().unwrap().resolve.unwrap();
+        assert_eq!((r.shards_reused, r.shards_resolved), (1, 1));
+        assert_matches_scratch(&mut ws);
+    }
+
+    #[test]
+    fn one_addition_on_unused_arcs_is_a_shard_of_its_own() {
+        let g = from_edges(7, &[(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)]);
+        let f = DipathFamily::from_paths(vec![path(&g, &[0, 1, 2]), path(&g, &[3, 4])]);
+        let mut ws = Workspace::new(sharded_session(), g.clone(), f).unwrap();
+        ws.solution().unwrap();
+        let id = ws.add_path(path(&g, &[5, 6])).unwrap();
+        assert_eq!(ws.shard_count(), 3);
+        assert_eq!(ws.components()[2], vec![id]);
+        assert_components_from_scratch(&ws);
+        let r = ws.solution().unwrap().resolve.unwrap();
+        assert_eq!((r.shards_reused, r.shards_resolved), (2, 1));
         assert_matches_scratch(&mut ws);
     }
 

@@ -110,24 +110,34 @@ impl UnionFind {
         );
     }
 
-    /// The disjoint sets as explicit member lists, in a canonical order:
-    /// members ascend within each set and sets are ordered by their smallest
-    /// member. The output is therefore independent of the union sequence
-    /// that produced the partition — callers (e.g. conflict-graph
-    /// decomposition) can rely on it as a deterministic shard order.
-    pub fn components(&mut self) -> Vec<Vec<usize>> {
+    /// The disjoint sets as explicit member lists, each member `x` written
+    /// as `f(x)`, in a canonical order: members ascend within each set and
+    /// sets are ordered by their smallest member. The output is therefore
+    /// independent of the union sequence that produced the partition —
+    /// callers (e.g. conflict-graph decomposition) can rely on it as a
+    /// deterministic shard order. One pass sizes the sets, so each member
+    /// list is allocated once, at its final size.
+    pub fn components<T>(&mut self, mut f: impl FnMut(usize) -> T) -> Vec<Vec<T>> {
         self.debug_validate();
         let n = self.len();
-        // slot[root] = position of that root's set in the output.
-        let mut slot = vec![usize::MAX; n];
-        let mut sets: Vec<Vec<usize>> = Vec::with_capacity(self.components);
+        // slot[root] = position of that root's set in the output. The
+        // sizing pass points every element straight at its root (ranks
+        // still rise along every parent chain), so the filling pass reads
+        // each root with one load.
+        let mut slot = vec![u32::MAX; n];
+        let mut sizes: Vec<usize> = Vec::with_capacity(self.components);
         for x in 0..n {
             let r = self.find(x);
-            if slot[r] == usize::MAX {
-                slot[r] = sets.len();
-                sets.push(Vec::new());
+            self.parent[x] = r as u32;
+            if slot[r] == u32::MAX {
+                slot[r] = sizes.len() as u32;
+                sizes.push(0);
             }
-            sets[slot[r]].push(x);
+            sizes[slot[r] as usize] += 1;
+        }
+        let mut sets: Vec<Vec<T>> = sizes.iter().map(|&len| Vec::with_capacity(len)).collect();
+        for x in 0..n {
+            sets[slot[self.parent[x] as usize] as usize].push(f(x));
         }
         sets
     }
@@ -187,20 +197,20 @@ mod tests {
         assert!(uf.is_empty());
         assert_eq!(uf.len(), 0);
         assert_eq!(uf.component_count(), 0);
-        assert!(uf.components().is_empty());
+        assert!(uf.components(|x| x).is_empty());
     }
 
     #[test]
     fn components_of_singletons() {
         let mut uf = UnionFind::new(3);
-        assert_eq!(uf.components(), vec![vec![0], vec![1], vec![2]]);
+        assert_eq!(uf.components(|x| x), vec![vec![0], vec![1], vec![2]]);
         assert_eq!(uf.component_count(), 3);
     }
 
     #[test]
     fn components_single_element() {
         let mut uf = UnionFind::new(1);
-        assert_eq!(uf.components(), vec![vec![0]]);
+        assert_eq!(uf.components(|x| x), vec![vec![0]]);
     }
 
     #[test]
@@ -215,8 +225,8 @@ mod tests {
         b.union(0, 4);
         b.union(4, 3);
         let expected = vec![vec![0, 3, 4], vec![1, 2]];
-        assert_eq!(a.components(), expected);
-        assert_eq!(b.components(), expected);
+        assert_eq!(a.components(|x| x), expected);
+        assert_eq!(b.components(|x| x), expected);
         assert_eq!(a.component_count(), 2);
     }
 
@@ -226,7 +236,7 @@ mod tests {
     fn shadow_validation_catches_corrupted_parent_pointers() {
         let mut uf = UnionFind::new(3);
         uf.parent[1] = 9; // dangling pointer past the universe
-        let _ = uf.components();
+        let _ = uf.components(|x| x);
     }
 
     #[test]
@@ -236,7 +246,24 @@ mod tests {
         let mut uf = UnionFind::new(4);
         uf.union(0, 1);
         uf.components = 4; // stale cache: only 3 roots remain
-        let _ = uf.components();
+        let _ = uf.components(|x| x);
+    }
+
+    #[test]
+    fn components_map_members_into_exact_lists() {
+        let mut uf = UnionFind::new(6);
+        uf.union(5, 1);
+        uf.union(3, 0);
+        uf.union(1, 3);
+        let sets = uf.components(|x| 10 * x);
+        assert_eq!(sets, vec![vec![0, 10, 30, 50], vec![20], vec![40]]);
+        assert!(sets.iter().all(|s| s.capacity() == s.len()));
+        // Pointing every element at its root leaves the partition intact.
+        assert_eq!(
+            uf.components(|x| x),
+            vec![vec![0, 1, 3, 5], vec![2], vec![4]]
+        );
+        assert!(uf.connected(0, 5) && !uf.connected(2, 4));
     }
 
     #[test]
@@ -245,7 +272,7 @@ mod tests {
         uf.union(0, 7);
         uf.union(2, 5);
         uf.union(5, 6);
-        let comps = uf.components();
+        let comps = uf.components(|x| x);
         assert_eq!(comps.len(), uf.component_count());
         let total: usize = comps.iter().map(|c| c.len()).sum();
         assert_eq!(total, uf.len());

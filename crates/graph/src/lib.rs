@@ -16,8 +16,8 @@
 //! * [`topo`] — topological orderings and DAG validation with cycle
 //!   witnesses.
 //! * [`undirected`] — the *underlying undirected multigraph* view used to
-//!   define oriented/internal cycles, including forest checks and explicit
-//!   cycle extraction.
+//!   define oriented/internal cycles: explicit cycle extraction and the
+//!   cyclomatic number.
 //! * [`reach`] — reachability, BFS shortest dipaths, and a bitset
 //!   transitive closure.
 //! * [`pathcount`] — saturating dipath counting (the Unique-diPath-Property

@@ -80,36 +80,37 @@ fn source_runs(n: usize) -> Vec<std::ops::Range<usize>> {
 }
 
 /// `true` if between every ordered pair of vertices there is at most one
-/// dipath — the paper's UPP property. Sorts the graph once, then runs one
-/// saturating DP per vertex over that order, in parallel with rayon: one
-/// count buffer per run of sources, not one per source.
+/// dipath — the paper's UPP property. Sorts the graph and runs
+/// [`upp_violation_along`] on the order; a graph with a directed cycle is
+/// not UPP.
 pub fn is_upp(g: &Digraph) -> bool {
-    let Ok(order) = topo::topological_order(g) else {
-        return false;
-    };
-    source_runs(g.vertex_count()).into_par_iter().all(|run| {
-        let mut counts = vec![SatCount::Zero; g.vertex_count()];
-        run.into_iter().all(|i| {
-            counts_along(g, &order, VertexId::from_index(i), &mut counts);
-            counts.iter().all(|&c| c != SatCount::Many)
-        })
-    })
+    topo::topological_order(g).is_ok_and(|order| upp_violation_along(g, &order).is_none())
 }
 
 /// If the DAG violates UPP, return a witness pair `(u, v)` with at least two
 /// distinct dipaths `u → v` — the lexicographically smallest such pair —
-/// or `None` when the digraph is UPP (or not a DAG). Each run of sources
-/// reports its first (smallest) violating source, so the minimum over runs
-/// is the sequential sweep's answer.
+/// or `None` when the digraph is UPP (or not a DAG). Sorts the graph and
+/// runs [`upp_violation_along`] on the order.
 pub fn upp_violation(g: &Digraph) -> Option<(VertexId, VertexId)> {
-    let order = topo::topological_order(g).ok()?;
+    upp_violation_along(g, &topo::topological_order(g).ok()?)
+}
+
+/// The UPP test over a topological `order` of `g` the caller already
+/// holds, the one body behind [`is_upp`] and [`upp_violation`]: the
+/// lexicographically smallest pair `(u, v)` with two or more dipaths
+/// `u → v`, or `None` when `g` is UPP. One saturating DP per source over
+/// `order`, in parallel with rayon: one count buffer per run of sources,
+/// not one per source. Each run reports its first (smallest) violating
+/// source, so the minimum over runs is the sequential sweep's answer.
+pub fn upp_violation_along(g: &Digraph, order: &[VertexId]) -> Option<(VertexId, VertexId)> {
+    debug_assert_eq!(order.len(), g.vertex_count(), "not an order of g");
     source_runs(g.vertex_count())
         .into_par_iter()
         .filter_map(|run| {
             let mut counts = vec![SatCount::Zero; g.vertex_count()];
             run.into_iter().find_map(|i| {
                 let from = VertexId::from_index(i);
-                counts_along(g, &order, from, &mut counts);
+                counts_along(g, order, from, &mut counts);
                 counts
                     .iter()
                     .position(|&c| c == SatCount::Many)
@@ -197,6 +198,8 @@ mod tests {
         let g = from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
         assert!(!is_upp(&g));
         assert_eq!(upp_violation(&g), Some((v(0), v(3))));
+        let order = topo::topological_order(&g).unwrap();
+        assert_eq!(upp_violation_along(&g, &order), Some((v(0), v(3))));
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! The paper's oriented cycles (Section 2, Figure 2) are cycles of the
 //! underlying undirected multigraph: an even sequence of dipaths alternating
 //! in direction. An **internal cycle** is such a cycle whose vertices are all
-//! internal in `G`. This module provides forest checks, explicit cycle
-//! extraction (as arcs tagged with traversal direction), and the cyclomatic
-//! number — everything `dagwave-core::internal` needs.
+//! internal in `G`. This module provides explicit cycle extraction (as
+//! arcs tagged with traversal direction) and the cyclomatic number, which
+//! is zero exactly on a forest.
 
 use crate::digraph::Digraph;
 use crate::dsu::UnionFind;
@@ -101,19 +101,6 @@ impl OrientedCycle {
         }
         result
     }
-}
-
-/// `true` if the underlying undirected multigraph of the view is a forest.
-pub fn is_underlying_forest(view: &SubgraphView<'_>) -> bool {
-    let g = view.base();
-    let mut uf = UnionFind::new(g.vertex_count());
-    for a in view.arcs() {
-        let arc = g.arc(a);
-        if !uf.union(arc.tail.index(), arc.head.index()) {
-            return false;
-        }
-    }
-    true
 }
 
 /// Cyclomatic number `m − n + c` of the underlying multigraph of the view:
@@ -252,7 +239,6 @@ mod tests {
     fn forest_check_tree() {
         let g = from_edges(4, &[(0, 1), (0, 2), (2, 3)]);
         let view = SubgraphView::full(&g);
-        assert!(is_underlying_forest(&view));
         assert_eq!(cyclomatic_number(&view), 0);
         assert!(find_underlying_cycle(&view).is_none());
     }
@@ -263,7 +249,6 @@ mod tests {
         // 4-cycle — exactly the paper's Figure 2a situation.
         let g = from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
         let view = SubgraphView::full(&g);
-        assert!(!is_underlying_forest(&view));
         assert_eq!(cyclomatic_number(&view), 1);
         let cycle = find_underlying_cycle(&view).unwrap();
         assert!(cycle.validate(&g), "cycle must be well-formed: {cycle:?}");
@@ -274,7 +259,6 @@ mod tests {
     fn parallel_arcs_close_a_2_cycle() {
         let g = from_edges(2, &[(0, 1), (0, 1)]);
         let view = SubgraphView::full(&g);
-        assert!(!is_underlying_forest(&view));
         assert_eq!(cyclomatic_number(&view), 1);
         let cycle = find_underlying_cycle(&view).unwrap();
         assert!(cycle.validate(&g));
@@ -286,7 +270,7 @@ mod tests {
         let g = from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
         let mut view = SubgraphView::full(&g);
         view.remove_arc(ArcId(0));
-        assert!(is_underlying_forest(&view));
+        assert_eq!(cyclomatic_number(&view), 0);
         assert!(find_underlying_cycle(&view).is_none());
     }
 

@@ -166,17 +166,8 @@ impl ConflictGraph {
         for (a, b) in self.edges() {
             uf.union(a.index(), b.index());
         }
-        path_components(uf)
+        uf.components(PathId::from_index)
     }
-}
-
-/// Map a union-find partition onto [`PathId`] member lists, preserving the
-/// canonical order of [`UnionFind::components`].
-fn path_components(mut uf: UnionFind) -> Vec<Vec<PathId>> {
-    uf.components()
-        .into_iter()
-        .map(|members| members.into_iter().map(PathId::from_index).collect())
-        .collect()
 }
 
 /// Connected components of the conflict graph of `family` over `g`,
@@ -204,7 +195,7 @@ pub fn conflict_components(g: &Digraph, family: &DipathFamily) -> Vec<Vec<PathId
             last_user[a.index()] = id.0;
         }
     }
-    path_components(uf)
+    uf.components(PathId::from_index)
 }
 
 /// Connected components among only the given `(id, dipath)` members — the
@@ -245,10 +236,7 @@ where
     }
     // The universe *is* the pool (members were renumbered densely above),
     // so the unrestricted canonical grouping applies directly.
-    uf.components()
-        .into_iter()
-        .map(|c| c.into_iter().map(|k| members[k].0).collect())
-        .collect()
+    uf.components(|k| members[k].0)
 }
 
 /// The shared-arc structure of two conflicting dipaths.

@@ -132,7 +132,7 @@ fn full_portfolio_wins_with_the_minimum_on_every_class() {
             .min()
             .unwrap();
         assert_eq!(sol.num_colors, min);
-        for a in &sol.attempts {
+        for a in sol.attempts.iter() {
             assert!(
                 a.upper_bound.is_some() || a.note.is_some(),
                 "{} neither ran nor explained itself",

@@ -3,7 +3,8 @@
 //! whose span equals the max over per-shard spans, bit-identical across
 //! thread budgets 1/2/4, never worse than the monolithic Auto solve, and
 //! equal field for field to solving every component on its own, with one
-//! sub-instance built per distinct shard content.
+//! sub-instance built and one attempt list held per distinct shard
+//! content.
 
 use dagwave::gen::compose::{disjoint_union, federated};
 use dagwave::gen::{figures, Instance};
@@ -15,6 +16,7 @@ use dagwave::paths::{
 use dagwave::{
     BackendAttempt, BackendKind, DecomposePolicy, Solution, SolveSession, SolverBuilder, Workspace,
 };
+use std::sync::Arc;
 
 /// The thread budgets every check runs under (no-op on the sequential
 /// `--no-default-features` build).
@@ -325,7 +327,7 @@ fn decomposed_solve_matches_independent_shard_solves() {
             assert_eq!(sol.assignment.colors(), reference.colors, "{at}");
             assert_eq!(sol.num_colors, reference.span, "{at}");
             assert_eq!(sol.strategy, reference.strategy, "{at}");
-            assert_eq!(sol.attempts, reference.attempts, "{at}");
+            assert_eq!(*sol.attempts, reference.attempts, "{at}");
             let d = sol.decomposition.as_ref().expect("Always shards");
             assert_eq!(d.shard_count(), reference.shards.len(), "{at}");
             for (i, (s, (members, r))) in d.shards.iter().zip(&reference.shards).enumerate() {
@@ -390,5 +392,42 @@ fn federated_builds_one_sub_instance_per_distinct_shard() {
         let resolve = ws.solution().unwrap().resolve.expect("workspace resolve");
         assert_eq!(resolve.shards_resolved, k, "k={k}");
         assert_eq!(resolve.solves, 6, "k={k}: sub-instances built at open");
+    }
+}
+
+/// The shards of one content group share one solve, and with it one
+/// attempt list: a one-shot solve of `federated(k)` holds six attempt
+/// lists however many shards it reports, and the merged list is still the
+/// shard lists concatenated in shard order.
+#[test]
+fn identical_shards_share_one_attempt_list() {
+    for k in [64usize, 256] {
+        let inst = federated(k);
+        let (g, family) = (&inst.graph, &inst.family);
+        let sol = sharded().solve(g, family).unwrap();
+        let d = sol.decomposition.as_ref().expect("Always shards");
+        let components = conflict_components(g, family);
+        let groups = ShardGroups::new(
+            g,
+            components
+                .iter()
+                .map(|members| members.iter().map(|&id| family.path(id))),
+            &mut ExtractScratch::new(),
+        );
+        assert_eq!(d.shard_count(), groups.group_of().len(), "k={k}");
+        for (i, (shard, &group)) in d.shards.iter().zip(groups.group_of()).enumerate() {
+            let first = &d.shards[groups.firsts()[group]];
+            assert!(
+                Arc::ptr_eq(&shard.attempts, &first.attempts),
+                "k={k}: shard {i} copied its group's attempt list"
+            );
+        }
+        let mut lists: Vec<*const BackendAttempt> =
+            d.shards.iter().map(|s| s.attempts.as_ptr()).collect();
+        lists.sort_unstable();
+        lists.dedup();
+        assert_eq!(lists.len(), 6, "k={k}: one attempt list per distinct shard");
+        let concatenated = d.shards.iter().flat_map(|s| s.attempts.iter());
+        assert!(sol.attempts.iter().eq(concatenated), "k={k}");
     }
 }

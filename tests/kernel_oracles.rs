@@ -1,7 +1,8 @@
 //! Oracles for the allocation-light kernels every solve crosses: the
 //! certification checks of [`WavelengthAssignment`], dipath validation,
-//! the workspace's incremental component re-derivation, and Theorem 1's
-//! replay, which reads conflicts from its peel log. Each kernel is
+//! the workspace's incremental component re-derivation, Theorem 1's
+//! replay, which reads conflicts from its peel log, and the facts a
+//! context proves about its graph. Each kernel is
 //! compared, on seeded random inputs, with the plain implementation it must
 //! agree with, and each loop checks that its inputs reached every outcome
 //! it is meant to cover.
@@ -13,7 +14,7 @@ use dagwave_core::{
 };
 use dagwave_gen::{compose, figures, havet, random};
 use dagwave_graph::builder::from_edges;
-use dagwave_graph::{topo, ArcId, BitSet, Digraph, GraphError, VertexId};
+use dagwave_graph::{pathcount, topo, undirected, ArcId, BitSet, Digraph, GraphError, VertexId};
 use dagwave_paths::dipath::SHORT_PATH;
 use dagwave_paths::{conflict_components, Dipath, DipathFamily, PathError, PathId};
 use rand::{Rng, SeedableRng};
@@ -806,4 +807,91 @@ fn context_acyclicity_matches_topological_sort() {
         }
     }
     assert!(seen.iter().all(|&k| k >= 100), "{seen:?}");
+}
+
+/// The class a context must prove, rebuilt from independent facts: the
+/// internal-cycle count, and a brute-force UPP test that enumerates up to
+/// two dipaths between every ordered vertex pair. The saturating DP and
+/// the topological sort take no part in it.
+fn reference_class(g: &Digraph, cycles: usize) -> internal::DagClass {
+    if cycles == 0 {
+        return internal::DagClass::InternalCycleFree;
+    }
+    let upp = g.vertices().all(|u| {
+        g.vertices()
+            .all(|v| pathcount::enumerate_dipaths(g, u, v, 2).len() <= 1)
+    });
+    match (upp, cycles) {
+        (false, _) => internal::DagClass::General { cycles },
+        (true, 1) => internal::DagClass::UppSingleCycle,
+        (true, _) => internal::DagClass::UppMultiCycle { cycles },
+    }
+}
+
+/// A context's facts about its graph against references that share no
+/// code with it: the one-pass internal-cycle count against the
+/// cyclomatic number of the internal subgraph view, and on a DAG the
+/// class against [`reference_class`]. A graph with a directed cycle must
+/// classify as `General`.
+#[test]
+fn context_facts_match_subgraph_reference() {
+    let mut hosts: Vec<(String, Digraph)> = (0..1500u64)
+        .map(|seed| {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            (
+                format!("mostly acyclic {seed}"),
+                mostly_acyclic_digraph(&mut rng),
+            )
+        })
+        .collect();
+    let mut rng = ChaCha8Rng::seed_from_u64(3);
+    for i in 0..60 {
+        let width = 2 + i % 4;
+        let layered = random::random_layered(&mut rng, 4, width, 0.3 + 0.1 * (i % 4) as f64);
+        hosts.push((format!("layered {i}"), layered));
+        let n = rng.random_range(6..24usize);
+        let free = random::random_internal_cycle_free(&mut rng, n, n / 3);
+        hosts.push((format!("internal-cycle-free {i}"), free));
+    }
+    let mut fixtures = vec![figures::figure3()];
+    fixtures.extend((1..=3).map(havet::havet));
+    for i in 0..40 {
+        let a = random::random_cycle_family(&mut rng, 2 + i % 4, 1);
+        if i % 2 == 0 {
+            fixtures.push(a);
+        } else {
+            // Two single-cycle UPP hosts side by side: UPP, two cycles.
+            let b = random::random_cycle_family(&mut rng, 2 + (i / 2) % 3, 1);
+            fixtures.push(compose::disjoint_union(&[a, b]));
+        }
+    }
+    hosts.extend(fixtures.into_iter().map(|inst| (inst.name, inst.graph)));
+
+    // [internal-cycle-free, UPP single cycle, UPP multi-cycle, general
+    // DAG, cyclic]
+    let mut seen = [0usize; 5];
+    for (name, g) in &hosts {
+        let cycles = internal::internal_cycle_count(g);
+        let reference = undirected::cyclomatic_number(&internal::internal_subgraph(g));
+        assert_eq!(cycles, reference, "{name}: internal cycle count");
+        let class = internal::classify(g);
+        let slot = if topo::is_dag(g) {
+            assert_eq!(class, reference_class(g, cycles), "{name}: class");
+            match class {
+                internal::DagClass::InternalCycleFree => 0,
+                internal::DagClass::UppSingleCycle => 1,
+                internal::DagClass::UppMultiCycle { .. } => 2,
+                internal::DagClass::General { .. } => 3,
+            }
+        } else {
+            assert_eq!(
+                class,
+                internal::DagClass::General { cycles },
+                "{name}: cyclic"
+            );
+            4
+        };
+        seen[slot] += 1;
+    }
+    assert!(seen.iter().all(|&k| k >= 10), "{seen:?}");
 }
